@@ -7,11 +7,15 @@ graph arriving from many users, retries, or idempotent replays), and a
 cache hit replaces an O(n) traversal with an O(n) hash — and with an
 O(1) lookup when the caller reuses a fingerprint.
 
-The key is a 128-bit BLAKE2b digest over the list's structure and the
-scan semantics.  Operators are identified *by name* — the built-in
-operator table is canonical; a custom operator must use a unique name
-to be cached correctly (two different combine functions registered
-under one name would collide).
+The key is a SHA-256 digest, truncated to 128 bits, over the list's
+structure and the scan semantics; the arrays are hashed in place, with
+no byte copies.  SHA-256 is chosen for speed on CPUs with SHA
+extensions (x86 SHA-NI, ARMv8 SHA2), where OpenSSL hashes it about
+twice as fast as BLAKE2b; without them SHA-256 is the slower of the
+two.  Operators are identified *by name* — the built-in operator
+table is canonical; a custom operator must use a unique name to be
+cached correctly (two different combine functions registered under
+one name would collide).
 
 Entries are value copies in both directions: ``put`` stores a copy and
 ``get`` returns a fresh copy, so callers can mutate results without
@@ -45,10 +49,10 @@ def fingerprint(
     arrays, heads, value arrays (bytes, dtype and shape), operator
     *name* and inclusive flag.
 
-    Object-dtype arrays are rejected: their ``tobytes()`` serializes
-    pointers, so two structurally equal problems would fingerprint
-    differently (and a mutated value would *keep* its stale digest) —
-    a silent cache-corruption hazard rather than a usable key.
+    Object-dtype arrays are rejected: their bytes are pointers, so two
+    structurally equal problems would fingerprint differently (and a
+    mutated value would *keep* its stale digest) — a silent
+    cache-corruption hazard rather than a usable key.
     """
     op = get_operator(op)
     if lst.next.dtype.hasobject or np.asarray(lst.values).dtype.hasobject:
@@ -56,14 +60,13 @@ def fingerprint(
             "cannot fingerprint object-dtype arrays: their byte "
             "serialization is identity-based, not structural"
         )
-    h = hashlib.blake2b(digest_size=16)
-    h.update(b"repro-scan-v1|")
+    h = hashlib.sha256(b"repro-scan-v1|")
     h.update(op.name.encode())
     h.update(b"|i" if inclusive else b"|x")
     h.update(f"|{lst.head}|{lst.values.dtype.str}|{lst.values.shape}|".encode())
-    h.update(np.ascontiguousarray(lst.next).tobytes())
-    h.update(np.ascontiguousarray(lst.values).tobytes())
-    return h.digest()
+    h.update(np.ascontiguousarray(lst.next))
+    h.update(np.ascontiguousarray(lst.values))
+    return h.digest()[:16]
 
 
 class ResultCache:

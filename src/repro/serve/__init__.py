@@ -14,8 +14,8 @@ Modules
 
 ``config``    :class:`ServeConfig` — every front-end knob in one
               frozen dataclass
-``protocol``  wire dialects (length-prefixed JSON frames / JSONL /
-              ``GET /stats``), request parsing onto
+``protocol``  wire dialects (length-prefixed frames with raw array
+              sections / JSONL / ``GET /stats``), request parsing onto
               :class:`~repro.engine.queue.ScanRequest`, structured
               error serialization
 ``window``    :class:`AdaptiveWindow` — flush on size or deadline,

@@ -51,7 +51,7 @@ class _Workload:
         self.poison_every = poison_every
         self.op = op
         self.algorithm = algorithm
-        self.rng = np.random.default_rng(seed)
+        self.seed = seed
 
     def make(self, index: int) -> tuple[dict[str, Any], LinkedList | None]:
         """Build request ``index``: the wire message + reference list.
@@ -60,6 +60,8 @@ class _Workload:
         node its own successor — a cycle that cannot cover the list),
         which sails through wire validation and comes back as the
         engine's structured ``bad-structure`` error; reference is None.
+        Request ``index`` is the same on every call, so a shed request
+        is resent unchanged.
         """
         n = int(self.sizes[index % len(self.sizes)])
         if self.poison_every and (index + 1) % self.poison_every == 0:
@@ -72,15 +74,16 @@ class _Workload:
                 "op": self.op,
             }
             return message, None
-        values = self.rng.integers(-100, 100, size=n)
-        lst = random_list(n, rng=self.rng, values=values)
+        rng = np.random.default_rng([self.seed, index])
+        values = rng.integers(-100, 100, size=n)
+        lst = random_list(n, rng=rng, values=values)
         message = {
             "id": index,
             "type": "scan",
             "client": self.name,
-            "next": lst.next.tolist(),
+            "next": lst.next,
             "head": int(lst.head),
-            "values": values.tolist(),
+            "values": values,
             "op": self.op,
             "inclusive": False,
             "algorithm": self.algorithm,

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .protocol import MAX_FRAME_BYTES
+
 __all__ = ["ServeConfig"]
 
 
@@ -56,6 +58,14 @@ class ServeConfig:
         default: a remote peer must not be able to stop the server.
     stats_interval:
         Seconds between stats-snapshot lines on stderr (0 disables).
+
+    Limits
+    ------
+    max_frame_bytes:
+        Largest frame body or JSONL line admitted; a larger one is
+        answered with ``bad-message`` and the connection closes.  The
+        default, :data:`repro.serve.protocol.MAX_FRAME_BYTES`, admits
+        a 2^22-node scan with int64 values as a frame.
     """
 
     host: str = "127.0.0.1"
@@ -71,7 +81,7 @@ class ServeConfig:
     max_inflight: int | None = 256
     allow_shutdown: bool = False
     stats_interval: float = 0.0
-    max_frame_bytes: int = 64 << 20
+    max_frame_bytes: int = MAX_FRAME_BYTES
 
     def __post_init__(self) -> None:
         if self.flush_size < 1:

@@ -1,8 +1,11 @@
 """The asyncio serving front-end: admission, batching, shedding.
 
 ``ScanServer`` is the network layer above the batched engine.  Many
-concurrent clients connect over TCP (length-prefixed JSON frames or
-JSONL — see ``serve.protocol``); their requests are admitted into the
+concurrent clients connect over TCP (length-prefixed frames — a JSON
+header followed by the ``next``/``values``/``result`` arrays as raw
+little-endian sections — or JSONL; see ``serve.protocol``, which also
+states the dtype allow-list and the ``max_frame_bytes`` bound on one
+frame body or line); their requests are admitted into the
 engine's bounded :class:`~repro.engine.queue.SubmissionQueue`; a
 single flush task drains the queue into ``Engine.run_batch`` whenever
 the SLO-adaptive batch window (``serve.window``) fires; responses are
@@ -20,6 +23,12 @@ The control flow per request::
 
 Key properties:
 
+* **No text codec on the array path.**  A frame's sections decode
+  with ``np.frombuffer`` into the arrays the scan runs on, and the
+  response writes ``result`` straight from the engine's ndarray.
+  An oversized frame or JSONL line gets a structured ``bad-message``
+  reply (an oversized HTTP request, ``431``) before the connection
+  closes.
 * **Admission never blocks.**  ``submit(block=False)`` turns queue
   saturation into a structured ``overloaded`` response with a
   ``retry_after`` hint (current window + smoothed flush time), so an
@@ -304,7 +313,7 @@ class ScanServer:
                 await self._read_jsonl(conn, reader, first)
             else:
                 await self._read_frames(conn, reader, first)
-        except (asyncio.IncompleteReadError, ConnectionError, asyncio.LimitOverrunError):
+        except (asyncio.IncompleteReadError, ConnectionError):
             pass
         finally:
             self._conns.pop(conn_id, None)
@@ -313,15 +322,39 @@ class ScanServer:
             with contextlib.suppress(Exception):
                 await writer.wait_closed()
 
+    async def _refuse_oversized(self, conn: _Connection, what: str) -> None:
+        """Answer a frame or line over the limit; the caller then closes."""
+        self.counters["protocol_errors"] += 1
+        await conn.send(
+            error_to_wire(
+                None,
+                RequestError(
+                    code="bad-message",
+                    message=(
+                        f"{what} exceeds the "
+                        f"{self.config.max_frame_bytes}-byte limit"
+                    ),
+                    phase="admit",
+                ),
+            )
+        )
+
     async def _read_jsonl(
         self, conn: _Connection, reader: asyncio.StreamReader, first: bytes
     ) -> None:
-        data = first + await reader.readline()
-        while data:
+        data = first
+        while True:
+            try:
+                data += await reader.readline()
+            except ValueError:  # readline's form of LimitOverrunError
+                await self._refuse_oversized(conn, "line")
+                return
+            if not data:
+                return
             line = data.strip()
             if line:
                 await self._handle_payload(conn, line)
-            data = await reader.readline()
+            data = b""
 
     async def _read_frames(
         self, conn: _Connection, reader: asyncio.StreamReader, first: bytes
@@ -330,20 +363,7 @@ class ScanServer:
         while True:
             (length,) = _LEN.unpack(header)
             if length > self.config.max_frame_bytes:
-                self.counters["protocol_errors"] += 1
-                await conn.send(
-                    error_to_wire(
-                        None,
-                        RequestError(
-                            code="bad-message",
-                            message=(
-                                f"frame of {length} bytes exceeds the "
-                                f"{self.config.max_frame_bytes}-byte limit"
-                            ),
-                            phase="admit",
-                        ),
-                    )
-                )
+                await self._refuse_oversized(conn, f"frame of {length} bytes")
                 return
             payload = await reader.readexactly(length)
             await self._handle_payload(conn, payload)
@@ -358,19 +378,24 @@ class ScanServer:
         """Minimal HTTP: ``GET /stats`` → the stats snapshot as JSON."""
         self.counters["http_requests"] += 1
         try:
-            request_line = first + await reader.readline()
-            while True:  # drain headers
-                line = await reader.readline()
-                if line in (b"\r\n", b"\n", b""):
-                    break
-            parts = request_line.decode("latin-1", "replace").split()
-            path = parts[1] if len(parts) >= 2 else ""
-            if path.split("?")[0].rstrip("/") in ("/stats", ""):
-                status = "200 OK"
-                body = json.dumps(self.stats_snapshot(), indent=2).encode("utf-8")
+            try:
+                request_line = first + await reader.readline()
+                while True:  # drain headers
+                    line = await reader.readline()
+                    if line in (b"\r\n", b"\n", b""):
+                        break
+            except ValueError:  # readline's form of LimitOverrunError
+                status = "431 Request Header Fields Too Large"
+                body = b'{"error": "request line or header over the size limit"}'
             else:
-                status = "404 Not Found"
-                body = b'{"error": "unknown path; try GET /stats"}'
+                parts = request_line.decode("latin-1", "replace").split()
+                path = parts[1] if len(parts) >= 2 else ""
+                if path.split("?")[0].rstrip("/") in ("/stats", ""):
+                    status = "200 OK"
+                    body = json.dumps(self.stats_snapshot(), indent=2).encode("utf-8")
+                else:
+                    status = "404 Not Found"
+                    body = b'{"error": "unknown path; try GET /stats"}'
             writer.write(
                 (
                     f"HTTP/1.1 {status}\r\n"

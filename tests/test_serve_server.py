@@ -12,6 +12,7 @@ No pytest-asyncio here: each test owns its loop via ``asyncio.run``.
 
 import asyncio
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ import repro.engine.workers as workers_mod
 from repro.core.list_scan import list_scan
 from repro.engine import Engine
 from repro.lint.lockorder import instrumented_locks
-from repro.lists.generate import random_list, random_values
+from repro.lists.generate import LinkedList, random_list, random_values
 from repro.serve import ScanServer, ServeConfig
 from repro.serve.client import run_bench
 from repro.serve.protocol import FrameDecoder, encode_frame, encode_line
@@ -66,13 +67,15 @@ def scan_message(mid, n, seed, client=None):
     return message, lst
 
 
-async def framed_exchange(port, messages, expect=None):
-    """Send frames, read until ``expect`` (default len(messages)) replies."""
+async def framed_exchange(port, messages, expect=None, raw=b""):
+    """Send ``raw`` bytes and then frames; read until ``expect`` (default
+    len(messages)) replies or EOF."""
     expect = len(messages) if expect is None else expect
     reader, writer = await asyncio.open_connection("127.0.0.1", port)
     decoder = FrameDecoder()
     replies = []
     try:
+        writer.write(raw)
         for message in messages:
             writer.write(encode_frame(message))
         await writer.drain()
@@ -227,8 +230,6 @@ def test_malformed_frames_get_structured_errors_and_connection_survives():
                 "127.0.0.1", server.port
             )
             decoder = FrameDecoder()
-            import struct
-
             garbage = b"this is not json"
             writer.write(struct.pack(">I", len(garbage)) + garbage)
             bad_field, _ = scan_message(2, 8, seed=0)
@@ -254,6 +255,232 @@ def test_malformed_frames_get_structured_errors_and_connection_survives():
     assert by_id[2]["error"]["code"] == "bad-field"
     assert by_id[3]["ok"] is True
     assert by_id[3]["result"] == list_scan(lst, "sum").tolist()
+
+
+def _parity_cases():
+    """One table of requests, each sent over both dialects."""
+    rng = np.random.default_rng(11)
+
+    def scan(n, values="int", **fields):
+        lst = random_list(n, rng)
+        message = {"type": "scan", "next": lst.next.tolist(), "head": int(lst.head)}
+        if values == "int":
+            message["values"] = rng.integers(-1000, 1000, n).tolist()
+        elif values is not None:
+            message["values"] = values(n)
+        message.update(fields)
+        return message
+
+    def affine(n):
+        return np.stack([rng.integers(1, 3, n), rng.integers(-5, 6, n)], axis=1).tolist()
+
+    big_next = scan(6)
+    big_next["next"][0] = 2**70
+    return {
+        # (message, expected: "ok" or the error code)
+        "int64": (scan(300), "ok"),
+        "float64": (scan(300, lambda n: rng.standard_normal(n).tolist()), "ok"),
+        "bool": (scan(100, lambda n: (rng.random(n) < 0.5).tolist()), "ok"),
+        "affine-2d": (scan(200, affine, op="affine"), "ok"),
+        "rank": (scan(500, None, type="rank"), "ok"),
+        # >= 8,192 nodes: routed to sublist rather than serial
+        "sublist-auto": (scan(8192), "ok"),
+        "sublist-forced": (scan(9000, algorithm="sublist"), "ok"),
+        "float-next": (
+            {"type": "scan", "next": [1.0, 2.0, 3.0, 3.0], "head": 0, "values": [1, 2, 3, 4]},
+            "ok",
+        ),
+        "str-values": (scan(5, lambda n: ["x"] * n), "bad-dtype"),
+        "none-values": (scan(5, lambda n: [None] * n), "bad-field"),
+        "ragged-values": (scan(3, lambda n: [[1, 2], [3], [4, 5]]), "bad-field"),
+        "big-int-next": (big_next, "bad-field"),
+        "big-int-values": (scan(4, lambda n: [2**70] * n), "bad-field"),
+        "empty-next": ({"type": "scan", "next": [], "head": 0}, "bad-field"),
+    }
+
+
+async def _one_at_a_time(port, dialect, messages):
+    """Send each message and await its reply before the next, so every
+    request runs alone and takes the same route in both dialects."""
+    reader, writer = await asyncio.open_connection("127.0.0.1", port, limit=1 << 24)
+    decoder = FrameDecoder()
+    replies = {}
+    try:
+        for mid, message in messages.items():
+            message = {**message, "id": mid}
+            writer.write(encode_frame(message) if dialect == "frame" else encode_line(message))
+            await writer.drain()
+            got = []
+            while not got:
+                if dialect == "frame":
+                    data = await asyncio.wait_for(reader.read(1 << 20), timeout=10.0)
+                    assert data, "server hung up"
+                    got = decoder.feed(data)
+                else:
+                    got = [json.loads(await asyncio.wait_for(reader.readline(), timeout=10.0))]
+            (reply,) = got
+            assert reply["id"] == mid
+            replies[mid] = reply
+    finally:
+        writer.close()
+        await writer.wait_closed()
+    return replies
+
+
+def test_frame_and_jsonl_dialects_give_identical_replies():
+    cases = _parity_cases()
+    messages = {name: message for name, (message, _) in cases.items()}
+
+    async def main():
+        server = make_server(flush_size=1)
+        await server.start()
+        try:
+            framed = await _one_at_a_time(server.port, "frame", messages)
+            lines = await _one_at_a_time(server.port, "jsonl", messages)
+        finally:
+            await server.shutdown()
+        return framed, lines
+
+    framed, lines = asyncio.run(main())
+    for name, (message, expected) in cases.items():
+        f, j = framed[name], lines[name]
+        assert f["ok"] == j["ok"], name
+        if not f["ok"]:
+            assert f["error"]["code"] == j["error"]["code"] == expected, name
+            continue
+        assert expected == "ok", name
+        a, b = np.asarray(f["result"]), np.asarray(j["result"])
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    # the integer results are the serial oracle's, bit for bit
+    for name in ("int64", "rank", "sublist-auto", "sublist-forced", "affine-2d"):
+        message = messages[name]
+        lst = LinkedList(np.asarray(message["next"]), message["head"], message.get("values"))
+        expected = list_scan(lst, message.get("op", "sum"), algorithm="serial")
+        assert np.asarray(framed[name]["result"]).tobytes() == expected.tobytes(), name
+    assert framed["sublist-auto"]["algorithm"] == framed["sublist-forced"]["algorithm"] == "sublist"
+
+
+def _malformed_bodies():
+    eight = np.arange(8, dtype=np.int64).tobytes()
+
+    def body(specs, sections=eight, **header):
+        return json.dumps({"id": "bad", **header, "$arrays": specs}).encode() + b"\0" + sections
+
+    return {
+        "truncated": body([["next", "<i8", [8]]], eight[:-3]),
+        "trailing": body([["next", "<i8", [8]]], eight + b"xx"),
+        "dtype-object": body([["next", "|O", [8]]]),
+        "negative-shape": body([["next", "<i8", [-8]]]),
+        "shape-overflow": body([["next", "<i8", [2**62, 2**62]]]),
+        "unknown-field": body([["payload", "<i8", [8]]]),
+        "duplicate-field": body([["values", "<i8", [8]]], values=[1] * 8),
+    }
+
+
+def test_malformed_sections_get_bad_message_and_connection_survives():
+    bodies = _malformed_bodies()
+
+    async def main():
+        server = make_server(flush_size=1)
+        await server.start()
+        try:
+            reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+            decoder = FrameDecoder()
+            replies = []
+            for payload in bodies.values():
+                writer.write(struct.pack(">I", len(payload)) + payload)
+                good, lst = scan_message(len(replies), 8, seed=len(replies))
+                writer.write(encode_frame(good))
+                await writer.drain()
+                got = []
+                while len(got) < 2:
+                    data = await asyncio.wait_for(reader.read(1 << 16), timeout=10.0)
+                    assert data, "server hung up instead of answering"
+                    got.extend(decoder.feed(data))
+                replies.append((got, lst))
+            writer.close()
+            await writer.wait_closed()
+        finally:
+            await server.shutdown()
+        return replies, server.counters
+
+    replies, counters = asyncio.run(main())
+    for name, (got, lst) in zip(bodies, replies):
+        bad, good = sorted(got, key=lambda r: r["id"] != "bad")
+        assert bad["ok"] is False and bad["error"]["code"] == "bad-message", name
+        assert good["ok"] is True, name
+        assert good["result"] == list_scan(lst, "sum").tolist(), name
+    assert counters["protocol_errors"] == len(bodies)
+
+
+def _padded_ping(body_bytes):
+    message = {"id": 1, "type": "ping", "pad": ""}
+    message["pad"] = "y" * (body_bytes - len(encode_frame(message)) + 4)
+    return encode_frame(message)
+
+
+def test_frame_of_exactly_the_limit_is_served_one_byte_over_is_refused():
+    limit = 2048
+
+    async def exchange(frame):
+        """Send ``frame`` and a ping; read two replies or up to EOF."""
+        server = make_server(max_frame_bytes=limit)
+        await server.start()
+        try:
+            ping = {"id": 2, "type": "ping"}
+            replies = await framed_exchange(server.port, [ping], expect=2, raw=frame)
+        finally:
+            await server.shutdown()
+        return replies
+
+    frame = _padded_ping(limit)
+    assert len(frame) - 4 == limit
+    at_limit = asyncio.run(exchange(frame))
+    assert [r.get("pong") for r in at_limit] == [True, True]
+    over = asyncio.run(exchange(_padded_ping(limit + 1)))
+    # refused with a structured error; the ping behind it is never read
+    assert len(over) == 1
+    assert over[0]["error"]["code"] == "bad-message"
+    assert "exceeds the 2048-byte limit" in over[0]["error"]["message"]
+
+
+@pytest.mark.parametrize(
+    "request_bytes, reply_start",
+    [
+        (
+            b'{"id": 1, "pad": "' + b"y" * 4096 + b'"}\n',
+            b'{"id":null,"ok":false,"error":{"code":"bad-message",'
+            b'"message":"line exceeds the 1024-byte limit"',
+        ),
+        (
+            b"GET /stats HTTP/1.1\r\nX-Pad: " + b"y" * 4096 + b"\r\n\r\n",
+            b"HTTP/1.1 431 ",
+        ),
+    ],
+    ids=["jsonl", "http"],
+)
+def test_oversized_line_is_answered_not_a_crash(request_bytes, reply_start):
+    async def main():
+        loop_errors = []
+        asyncio.get_running_loop().set_exception_handler(
+            lambda loop, context: loop_errors.append(context)
+        )
+        server = make_server(max_frame_bytes=1024)
+        await server.start()
+        try:
+            reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+            writer.write(request_bytes)
+            await writer.drain()
+            raw = await asyncio.wait_for(reader.read(), timeout=10.0)  # to EOF
+            writer.close()
+            await writer.wait_closed()
+        finally:
+            await server.shutdown()
+        return raw, loop_errors
+
+    raw, loop_errors = asyncio.run(main())
+    assert raw.startswith(reply_start)
+    assert loop_errors == []
 
 
 # ----------------------------------------------------------------------
@@ -339,6 +566,35 @@ def test_saturation_sheds_with_overloaded_and_bounded_latency():
     assert elapsed < 5.0
     assert server.counters["shed_overloaded"] == 56
     assert server.engine.stats.snapshot()["shed"] == 56
+
+
+def test_bench_client_resends_shed_requests_unchanged():
+    async def main():
+        server = make_server(
+            engine_kw={"max_pending": 2},
+            flush_size=1024,
+            min_window=0.01,
+            max_window=0.01,
+        )
+        await server.start()
+        try:
+            return await run_bench(
+                "127.0.0.1",
+                server.port,
+                clients=2,
+                requests=12,
+                sizes=(16, 40),
+                max_outstanding=6,
+                seed=5,
+            )
+        finally:
+            await server.shutdown()
+
+    counters = asyncio.run(main())["counters"]
+    assert counters["shed"] > 0
+    # a resent request is the one its reference result was built for
+    assert counters["ok"] == counters["verified"] == 24
+    assert counters["mismatched"] == 0
 
 
 # ----------------------------------------------------------------------
