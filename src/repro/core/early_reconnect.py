@@ -27,21 +27,33 @@ This module implements exactly that:
 Because Phases 1 and 3 share the pack schedule, both phases switch at
 the same traversal depth with the identical straggler set, so the
 Phase-1 forest scan's outputs are exactly what Phase 3 needs.
+
+Splitter choice, Initialize, Find-sublist-list, the Phase-2 dispatch
+and Restore are the shared steps of ``core.forest``; only the bookkept
+Phase 1/3 loops and the straggler compaction live here.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 
 import numpy as np
 
 from ..baselines.serial import serial_list_scan
-from ..baselines.wyllie import wyllie_list_scan
+from ..kernels.backend import resolve_backend
 from ..lists.generate import INDEX_DTYPE, LinkedList
-from .forest import forest_list_scan, forest_tails
+from .forest import (
+    SublistConfig,
+    _cut,
+    _link,
+    _phase2,
+    _plan_splitters,
+    forest_list_scan,
+    forest_tails,
+)
 from .operators import Operator, SUM, get_operator
 from .schedule import ScheduleIterator, optimal_schedule
 from .stats import ScanStats
-from .sublist import SublistConfig, choose_splitters, _resolve_parameters
 
 __all__ = ["early_reconnect_list_scan"]
 
@@ -69,7 +81,6 @@ def early_reconnect_list_scan(
     n = lst.n
     nxt = lst.next
     values = lst.values
-    head = lst.head
     if out is None:
         out = np.empty_like(values)
 
@@ -77,38 +88,13 @@ def early_reconnect_list_scan(
         serial_list_scan(lst, op, inclusive=inclusive, out=out)
         return out
 
-    m_req, s1 = _resolve_parameters(n, cfg)
-    m_req = int(min(m_req, max(2, n // 2)))
-    idx_self = np.arange(n, dtype=INDEX_DTYPE)
-    loops = np.flatnonzero(nxt == idx_self)
-    if loops.size == 0:
-        from ..lists.validate import ListStructureError
-
-        raise ListStructureError(
-            "the successor array has no self-loop tail; not a valid list"
-        )
-    tail = int(loops[0])
-    positions = choose_splitters(n, m_req, tail, cfg.splitters, gen)
+    positions, s1 = _plan_splitters(nxt, 1, cfg, gen)
     m = int(positions.size) + 1
     if switch_count is None:
         switch_count = m // 8
-    ident = op.identity_for(values.dtype)
-
-    # ------------------- INITIALIZE (as in core.sublist) ---------------
-    sl_random = np.empty(m, dtype=INDEX_DTYPE)
-    sl_random[0] = -1
-    sl_random[1:] = positions
-    sl_head = np.empty(m, dtype=INDEX_DTYPE)
-    sl_head[0] = head
-    sl_head[1:] = nxt[positions]
-    sl_value = op.identity_array(m, values.dtype)
-    sl_value[1:] = values[positions]
-    whole_tail_value = None
-    values[positions] = ident
-    nxt[positions] = positions
-
-    sl_sum = op.identity_array(m, values.dtype)
-    sl_tail = np.full(m, -1, dtype=INDEX_DTYPE)
+    backend = resolve_backend(None)
+    if not backend.supports(op, values):
+        backend = resolve_backend("numpy")
 
     # the "extra book keeping": which nodes have been consumed
     visited = np.zeros(n, dtype=bool)
@@ -118,12 +104,13 @@ def early_reconnect_list_scan(
     forest_within = None  # exclusive-within-sublist scans of those nodes
     forest_proc = None  # original sublist index of each suffix node
 
-    try:
+    heads = np.asarray([lst.head], dtype=INDEX_DTYPE)
+    with _cut(nxt, values, heads, positions, op, stats, None) as cut:
         schedule = optimal_schedule(n, m, s1, cfg.costs, guard=cfg.schedule_guard)
 
         # ---------------------------- PHASE 1 --------------------------
         gaps1 = ScheduleIterator(schedule, cfg.tail_growth)
-        vp_next = sl_head.copy()
+        vp_next = cut.sl_head.copy()
         vp_sum = op.identity_array(m, values.dtype)
         vp_proc = np.arange(m, dtype=INDEX_DTYPE)
         switched = False
@@ -144,8 +131,8 @@ def early_reconnect_list_scan(
             done = vp_next == nxt[vp_next]
             visited[vp_next[done]] = True  # tails count as consumed
             fin = vp_proc[done]
-            sl_sum[fin] = vp_sum[done]
-            sl_tail[fin] = vp_next[done]
+            cut.sl_sum[fin] = vp_sum[done]
+            cut.sl_tail[fin] = vp_next[done]
             keep = ~done
             vp_next, vp_sum, vp_proc = vp_next[keep], vp_sum[keep], vp_proc[keep]
             if stats is not None:
@@ -164,68 +151,38 @@ def early_reconnect_list_scan(
                 stats.add_scatter(2 * forest_nodes.size)
                 stats.alloc(3 * forest_nodes.size)
             f_out = np.empty_like(f_values)
-            scan_res = forest_list_scan(
+            # the stragglers are a fresh, smaller problem: tune m and s1
+            # for it instead of reusing the whole list's
+            forest_within, f_ids = forest_list_scan(
                 f_next,
                 f_values,
                 f_heads,
                 op,
                 carries=vp_sum,
-                serial_cutoff=cfg.serial_cutoff,
-                wyllie_cutoff=cfg.wyllie_cutoff,
+                config=replace(cfg, m=None, s1=None),
                 rng=gen,
                 stats=stats,
                 out=f_out,
                 return_list_ids=True,
             )
-            forest_within, f_ids = scan_res
             forest_proc = vp_proc[f_ids]
             # finish Phase 1: sublist sums and tails from the forest
             f_tails = forest_tails(f_next, f_heads)
             totals = op.combine(forest_within[f_tails], f_values[f_tails])
-            sl_sum[vp_proc] = totals
-            sl_tail[vp_proc] = forest_nodes[f_tails]
+            cut.sl_sum[vp_proc] = totals
+            cut.sl_tail[vp_proc] = forest_nodes[f_tails]
 
-        # ----------------------- FIND_SUBLIST_LIST ---------------------
-        nxt[sl_random[1:]] = -np.arange(1, m, dtype=INDEX_DTYPE)
-        probe = nxt[sl_tail]
-        sl_next = np.where(
-            probe < 0, -probe, np.arange(m, dtype=INDEX_DTYPE)
-        ).astype(INDEX_DTYPE)
-        ends = np.flatnonzero(probe >= 0)
-        if ends.size != 1:
-            from ..lists.validate import ListStructureError
-
-            raise ListStructureError(
-                "reduced list has no unique tail sublist; the successor "
-                "array appears to contain a cycle"
-            )
-        tail_subl = int(ends[0])
-        whole_tail = int(sl_tail[tail_subl])
-        sl_random[0] = whole_tail
-        whole_tail_value = values[whole_tail].copy()
-        sl_value[0] = whole_tail_value
-        values[whole_tail] = ident
-        nxt[sl_tail] = sl_tail
         # straggler sums from the forest exclude the (zeroed) splitter
         # tail values exactly like the vector path, so the standard
         # add-back applies uniformly.  (The tail sublist's sum may
         # double-count the whole-list tail when it was a straggler;
         # that sum never feeds the exclusive scan.)
-        addback = sl_value[sl_next]
-        addback[tail_subl] = sl_value[0]
-        sl_sum = op.combine(sl_sum, addback)
-
-        # ----------------------------- PHASE 2 --------------------------
-        carries = np.empty_like(sl_sum)
-        reduced = LinkedList(sl_next, 0, sl_sum)
-        if m > cfg.serial_cutoff and op.invertible:
-            carries[...] = wyllie_list_scan(reduced, op, stats=stats)
-        else:
-            serial_list_scan(reduced, op, out=carries)
+        sl_next = _link(nxt, values, cut, op, stats)
+        carries = _phase2(sl_next, cut.sl_sum, 1, None, op, cfg, gen, stats, 0, None, backend)
 
         # ----------------------------- PHASE 3 --------------------------
         gaps3 = ScheduleIterator(schedule, cfg.tail_growth)
-        vp_next = sl_head.copy()
+        vp_next = cut.sl_head.copy()
         vp_sum = carries.copy()
         vp_proc = np.arange(m, dtype=INDEX_DTYPE)
         while vp_next.size:
@@ -259,11 +216,6 @@ def early_reconnect_list_scan(
                 )
             if stats is not None:
                 stats.add_pack()
-    finally:
-        if whole_tail_value is not None:
-            values[sl_random[0]] = whole_tail_value
-        nxt[sl_random[1:]] = sl_head[1:]
-        values[sl_random[1:]] = sl_value[1:]
 
     if inclusive:
         out = op.combine(out, values)

@@ -10,7 +10,7 @@ Algorithms
 
 ==================  ====================================================
 ``"sublist"``       the paper's algorithm (default) — work efficient,
-                    small constants; `core.sublist`
+                    small constants; `core.sublist` over `core.forest`
 ``"wyllie"``        pointer jumping — O(n log n) work; best for short
                     lists; `baselines.wyllie`
 ``"serial"``        direct traversal — the O(n) reference;

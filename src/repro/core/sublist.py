@@ -1,48 +1,29 @@
-"""The paper's list-scan algorithm (Sections 2.4 and 3) — host backend.
+"""The paper's list-scan algorithm (Sections 2.4 and 3) on one list.
 
-The algorithm randomly breaks the list of length *n* into *m* sublists
-that are processed independently and in parallel:
-
-* **Initialize** — choose *m − 1* splitter positions; each becomes the
-  (self-looped, identity-valued) tail of the sublist that precedes it,
-  and its old successor becomes the head of the next sublist.  The
-  self-loop/identity trick removes every conditional from the hot
-  loops: a finished virtual processor just keeps folding the identity
-  into its sum.
-* **Phase 1** — the *m* virtual processors traverse their sublists in
-  lock-step vector steps, accumulating sublist sums; after
-  ``s_1, s_2, …`` steps (the pack schedule of ``core.schedule``) the
-  completed sublists are packed out.
-* **Find sublist list** — the write-index/read-back trick links the
-  sublist sums into a reduced list of length *m*.
-* **Phase 2** — scan the reduced list serially, with Wyllie, or
-  recursively, by size.
-* **Phase 3** — traverse the sublists again, scattering each node's
-  exclusive scan (Phase-2 carry ⊕ prefix within the sublist).
-* **Restore** — put the saved links and values back; the input arrays
-  are bit-identical to their initial state afterwards.
-
-This module is the *host* backend: plain NumPy, one array operation per
-data-parallel step, measured in real time by the benchmark suite.  The
-cycle-accounted Cray C-90 version lives in ``simulate.sublist_sim``.
+A single list is a forest with one head, so this module is a thin
+wrapper: :func:`sublist_list_scan` runs the one three-phase
+implementation in ``core.forest`` (Initialize, Phase 1, Find sublist
+list, Phase 2, Phase 3, Restore; see that module's docstring) with the
+list's head.  :class:`SublistConfig` and :func:`choose_splitters` live
+there too and are re-exported here.  The cycle-accounted Cray C-90
+version lives in ``simulate.sublist_sim``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import cast
 
 import numpy as np
 
-from ..analysis.cost_model import KernelCosts, PAPER_C90_COSTS
-from ..baselines.serial import serial_list_scan
-from ..baselines.wyllie import wyllie_list_scan
-from ..kernels.backend import KernelBackend, resolve_backend
+# Not called here: perfbench/layers.py patches this name through
+# inspect.getattr_static, which raises if the attribute is missing.
+from ..baselines.wyllie import wyllie_list_scan  # noqa: F401
+from ..kernels.backend import KernelBackend
 from ..lists.generate import INDEX_DTYPE, LinkedList
-from ..trace.tracer import Tracer, null_span, resolve_trace
-from .operators import Operator, SUM, get_operator
-from .schedule import ScheduleIterator, optimal_schedule
+from ..trace.tracer import Tracer
+from .forest import SublistConfig, choose_splitters, forest_list_scan
+from .operators import Operator, SUM
 from .stats import ScanStats
-from .tuning import SERIAL_CUTOFF, WYLLIE_CUTOFF, tuned_parameters
 
 __all__ = [
     "SublistConfig",
@@ -50,124 +31,6 @@ __all__ = [
     "sublist_list_rank",
     "choose_splitters",
 ]
-
-
-@dataclass(frozen=True)
-class SublistConfig:
-    """Tuning knobs for the sublist algorithm.
-
-    Attributes
-    ----------
-    m:
-        Number of sublists; ``None`` uses the model-tuned value
-        (Section 4.4).
-    s1:
-        First pack point; ``None`` uses the model-tuned value.
-    splitters:
-        ``"spaced"`` — equally spaced positions, the paper's choice for
-        randomly ordered lists; ``"random"`` — distinct uniform random
-        positions; ``"random_competition"`` — uniform positions drawn
-        *with* replacement, deduplicated by the paper's write-index/
-        read-back competition.
-    serial_cutoff / wyllie_cutoff:
-        Phase-2 dispatch: serial scan for reduced lists up to
-        ``serial_cutoff`` nodes, Wyllie up to ``wyllie_cutoff``, and a
-        recursive invocation beyond ("We determined empirically the
-        size m should be when we switch between algorithms").
-    schedule_guard:
-        Guard mode passed to :func:`repro.core.schedule.optimal_schedule`.
-    tail_growth:
-        Growth factor for pack gaps past the expected schedule.
-    short_vector_fallback:
-        When > 0, Phases 1/3 finish the last stragglers *serially* once
-        the live vector is shorter than this, instead of spinning short
-        vector steps — the practical form of the paper's Section 6
-        note that machines with long vector half-performance lengths
-        should not chase the longest sublists with tiny vectors.
-        0 disables the fallback (pure paper behaviour).
-    costs:
-        Kernel cost table used for schedule generation and tuning.
-    max_depth:
-        Recursion depth limit for Phase 2.
-    """
-
-    m: int | None = None
-    s1: float | None = None
-    splitters: str = "spaced"
-    serial_cutoff: int = SERIAL_CUTOFF
-    wyllie_cutoff: int = WYLLIE_CUTOFF
-    schedule_guard: str = "monotonic_gaps"
-    tail_growth: float = 1.5
-    short_vector_fallback: int = 0
-    costs: KernelCosts = field(default_factory=lambda: PAPER_C90_COSTS)
-    max_depth: int = 8
-
-    def __post_init__(self) -> None:
-        if self.splitters not in ("spaced", "random", "random_competition"):
-            raise ValueError(f"unknown splitter strategy {self.splitters!r}")
-        if self.serial_cutoff < 1:
-            raise ValueError("serial_cutoff must be >= 1")
-        if self.wyllie_cutoff < self.serial_cutoff:
-            raise ValueError("wyllie_cutoff must be >= serial_cutoff")
-        if self.m is not None and self.m < 2:
-            raise ValueError("m must be >= 2 when given")
-        if self.s1 is not None and self.s1 <= 0:
-            raise ValueError("s1 must be positive when given")
-
-
-def choose_splitters(
-    n: int,
-    m: int,
-    tail: int,
-    strategy: str,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Choose the ``m − 1`` splitter positions (sublist tails).
-
-    Positions must be distinct and must exclude the tail of the whole
-    list ("We do not let a processor choose the tail of the whole list
-    … because it is convenient not to worry about a zero length list in
-    Phase 2").  The returned array may be shorter than ``m − 1`` for
-    the competition strategy (duplicates drop out, exactly as the
-    paper's duplicate processors do).
-
-    Degenerate inputs fall back instead of failing: ``m`` larger than
-    the list clamps to ``n - 1`` usable splitters (every non-tail node),
-    and a list with fewer than two nodes has no splittable interior, so
-    the result is empty and the caller's serial path takes over.
-    """
-    # A splitter must be a non-tail node, so at most n - 1 exist; a
-    # request for more (m > n) clamps rather than erroring so callers
-    # with a fixed m(n) schedule degrade cleanly on tiny lists.
-    want = min(m - 1, n - 1)
-    if want < 1:
-        return np.empty(0, dtype=INDEX_DTYPE)
-    if strategy == "spaced":
-        positions = np.unique(
-            (np.arange(1, want + 1, dtype=np.float64) * n / (want + 1)).astype(INDEX_DTYPE)
-        )
-    elif strategy == "random":
-        pool = n - 1  # choose from [0, n) \ {tail} via shifted sampling
-        draw = rng.choice(pool, size=want, replace=False).astype(INDEX_DTYPE)
-        draw[draw >= tail] += 1
-        positions = np.sort(draw)
-    elif strategy == "random_competition":
-        draw = rng.integers(0, n, size=want, dtype=INDEX_DTYPE)
-        # competition: write our id at the position, read it back, and
-        # drop out if someone else's id is there (paper Section 2.4)
-        claim = np.full(n, -1, dtype=INDEX_DTYPE)
-        claim[draw] = np.arange(want, dtype=INDEX_DTYPE)
-        winners = claim[draw] == np.arange(want, dtype=INDEX_DTYPE)
-        positions = np.unique(draw[winners])
-    else:  # pragma: no cover - config validates upstream
-        raise ValueError(f"unknown splitter strategy {strategy!r}")
-    positions = positions[positions != tail]
-    if positions.size == 0:
-        # degenerate tiny list (or every draw hit the tail): fall back
-        # to the first non-tail node so Phase 2 still sees >= 2 sublists
-        fallback = 0 if tail != 0 else 1
-        positions = np.asarray([fallback], dtype=INDEX_DTYPE)
-    return positions
 
 
 def sublist_list_scan(
@@ -205,26 +68,20 @@ def sublist_list_scan(
 
     Returns the exclusive (default) or inclusive scan indexed by node.
     """
-    op = get_operator(op)
-    cfg = config or SublistConfig()
-    gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-    tracer = resolve_trace(trace)
-    n = lst.n
-    values = lst.values
-    backend = resolve_backend(kernel_backend)
-    if not backend.supports(op, values):
-        backend = resolve_backend("numpy")
-    if out is None:
-        out = np.empty_like(values)
-    if stats is not None:
-        stats.alloc(n)  # the output vector
-    _scan_in_place(
-        lst.next, values, lst.head, op, cfg, gen, stats, out, depth=0,
-        tracer=tracer, backend=backend,
+    result = forest_list_scan(
+        lst.next,
+        lst.values,
+        np.asarray([lst.head], dtype=INDEX_DTYPE),
+        op,
+        inclusive=inclusive,
+        config=config,
+        rng=rng,
+        stats=stats,
+        out=out,
+        trace=trace,
+        kernel_backend=kernel_backend,
     )
-    if inclusive:
-        out = op.combine(out, values)
-    return out
+    return cast(np.ndarray, result)  # no list ids were asked for
 
 
 def sublist_list_rank(
@@ -236,385 +93,3 @@ def sublist_list_rank(
     """List ranking: the sublist scan of all-ones values under ``+``."""
     ones = LinkedList(lst.next, lst.head, np.ones(lst.n, dtype=np.int64))
     return sublist_list_scan(ones, SUM, config=config, rng=rng, stats=stats)
-
-
-def _resolve_parameters(n: int, cfg: SublistConfig) -> tuple[int, float]:
-    if cfg.m is not None and cfg.s1 is not None:
-        return cfg.m, cfg.s1
-    m_t, s1_t = tuned_parameters(n, cfg.costs)
-    m = cfg.m if cfg.m is not None else m_t
-    s1 = cfg.s1 if cfg.s1 is not None else s1_t
-    return m, s1
-
-
-def _scan_in_place(
-    nxt: np.ndarray,
-    values: np.ndarray,
-    head: int,
-    op: Operator,
-    cfg: SublistConfig,
-    rng: np.random.Generator,
-    stats: ScanStats | None,
-    out: np.ndarray,
-    depth: int,
-    tracer: Tracer | None = None,
-    backend: KernelBackend | None = None,
-) -> None:
-    """Exclusive scan of the list (nxt, values, head) into ``out``.
-
-    Temporarily rewrites ``nxt``/``values`` and restores them before
-    returning (also on error).  ``tracer`` (a
-    :class:`repro.trace.Tracer` or ``None``) records per-phase spans
-    and per-pack live-count events; every hook is guarded so the
-    untraced path only pays branch checks, once per pack or phase.
-    ``backend`` runs the hot loops (the NumPy reference when ``None``);
-    the caller must have checked ``backend.supports(op, values)``.
-    """
-    if backend is None:
-        backend = resolve_backend("numpy")
-    n = nxt.shape[0]
-    span = tracer.span if tracer is not None else null_span
-    if n <= cfg.serial_cutoff or n < 4 or depth >= cfg.max_depth:
-        with span("serial_scan", n=n, depth=depth):
-            serial_list_scan(LinkedList(nxt, head, values), op, out=out)
-        if stats is not None:
-            stats.add_work(n, phase="serial")
-        return
-
-    with span("sublist_scan", n=n, depth=depth) as scan_span:
-        m_req, s1 = _resolve_parameters(n, cfg)
-        m_req = int(min(m_req, max(2, n // 2)))
-        idx_self = np.arange(n, dtype=INDEX_DTYPE)
-        loops = np.flatnonzero(nxt == idx_self)
-        if loops.size == 0:
-            from ..lists.validate import ListStructureError
-
-            raise ListStructureError(
-                "the successor array has no self-loop tail; not a valid list"
-            )
-        tail = int(loops[0])
-        positions = choose_splitters(n, m_req, tail, cfg.splitters, rng)
-        m = int(positions.size) + 1
-        if m < 2:
-            serial_list_scan(LinkedList(nxt, head, values), op, out=out)
-            return
-        if scan_span is not None:
-            scan_span.attrs.update(m=m, s1=float(s1), splitters=cfg.splitters)
-
-        ident = op.identity_for(values.dtype)
-
-        # --------------------------------------------------------------
-        # INITIALIZE (Section 3): save links/values at the splitters,
-        # then cut the list into m independent self-loop-terminated
-        # sublists.
-        # --------------------------------------------------------------
-        with span("initialize", m=m):
-            sl_random = np.empty(m, dtype=INDEX_DTYPE)
-            sl_random[0] = -1  # becomes the whole-list tail below
-            sl_random[1:] = positions
-            sl_head = np.empty(m, dtype=INDEX_DTYPE)
-            sl_head[0] = head
-            sl_head[1:] = nxt[positions]  # gather heads (before cutting!)
-            sl_value = op.identity_array(m, values.dtype)
-            sl_value[1:] = values[positions]  # gather+save splitter values
-            whole_tail_value = None  # filled in FIND_SUBLIST_LIST
-
-            values[positions] = ident  # scatter identity at sublist tails
-            nxt[positions] = positions  # scatter self-loops at sublist tails
-
-            sl_sum = op.identity_array(m, values.dtype)
-            sl_tail = np.full(m, -1, dtype=INDEX_DTYPE)
-
-        if stats is not None:
-            stats.alloc(6 * m)
-            stats.add_gather(2 * m)
-            stats.add_scatter(2 * m)
-
-        try:
-            # ----------------------------------------------------------
-            # PHASE 1: reduce each sublist to its sum, packing on
-            # schedule.
-            # ----------------------------------------------------------
-            schedule = optimal_schedule(
-                n, m, s1, cfg.costs, guard=cfg.schedule_guard
-            )
-            if scan_span is not None:
-                scan_span.attrs["scheduled_packs"] = int(
-                    np.asarray(schedule).size
-                )
-            gaps1 = ScheduleIterator(schedule, cfg.tail_growth)
-
-            with span("phase1", m=m):
-                vp_next = sl_head.copy()
-                vp_sum = op.identity_array(m, values.dtype)
-                vp_proc = np.arange(m, dtype=INDEX_DTYPE)
-                total_steps = 0
-                while vp_next.size:
-                    if (
-                        cfg.short_vector_fallback
-                        and vp_next.size <= cfg.short_vector_fallback
-                    ):
-                        if tracer is not None:
-                            tracer.event(
-                                "serial_tail",
-                                step=int(total_steps),
-                                live=int(vp_next.size),
-                            )
-                        _finish_phase1_serial(
-                            nxt, values, op, vp_next, vp_sum, vp_proc,
-                            sl_sum, sl_tail, stats,
-                        )
-                        break
-                    gap = next(gaps1)
-                    total_steps = _guard_steps(total_steps, gap, n)
-                    x = vp_next.size
-                    vp_next, vp_sum = backend.traverse_phase1(
-                        nxt, values, vp_next, vp_sum, gap, op
-                    )
-                    if stats is not None:
-                        stats.add_round(gap)
-                        stats.add_work(gap * x, phase="phase1")
-                        stats.add_gather(2 * gap * x)
-                    vp_next, vp_sum, vp_proc, n_finished = backend.pack_phase1(
-                        nxt, vp_next, vp_sum, vp_proc, sl_sum, sl_tail
-                    )
-                    if stats is not None:
-                        stats.add_pack()
-                        stats.add_gather(x)
-                        stats.add_scatter(2 * n_finished + 3 * vp_next.size)
-                    if tracer is not None:
-                        tracer.event(
-                            "pack",
-                            step=int(total_steps),
-                            gap=int(gap),
-                            live_before=int(x),
-                            live_after=int(vp_next.size),
-                            finished=int(n_finished),
-                        )
-
-            # ----------------------------------------------------------
-            # FIND_SUBLIST_LIST: link the sublist sums into a reduced
-            # list.  Scatter the *negated* sublist index at each
-            # splitter so it is distinguishable from the original
-            # self-loop at the whole tail.
-            # ----------------------------------------------------------
-            with span("find_sublist_list", m=m):
-                nxt[sl_random[1:]] = -np.arange(1, m, dtype=INDEX_DTYPE)
-                probe = nxt[sl_tail]  # gather: index written by my successor
-                sl_next = np.where(
-                    probe < 0, -probe, np.arange(m, dtype=INDEX_DTYPE)
-                )
-                sl_next = sl_next.astype(INDEX_DTYPE)
-                ends = np.flatnonzero(probe >= 0)
-                if ends.size != 1:
-                    from ..lists.validate import ListStructureError
-
-                    raise ListStructureError(
-                        "reduced list has no unique tail sublist; the "
-                        "successor array appears to contain a cycle"
-                    )
-                tail_subl = int(ends[0])
-                whole_tail = int(sl_tail[tail_subl])
-                sl_random[0] = whole_tail
-                whole_tail_value = values[whole_tail].copy()
-                sl_value[0] = whole_tail_value
-                values[whole_tail] = ident  # Phase 3 repeatedly folds this
-                nxt[sl_tail] = sl_tail  # restore sublist-tail self-loops
-                # fold the saved splitter values (each sublist's true
-                # tail value) back into the sublist sums; the tail
-                # sublist gets the value of the whole-list tail.
-                addback = sl_value[sl_next]
-                addback[tail_subl] = sl_value[0]
-                sl_sum = op.combine(sl_sum, addback)
-            if stats is not None:
-                stats.add_work(m, phase="find_sublist")
-                stats.add_gather(2 * m)
-                stats.add_scatter(2 * m)
-
-            # ----------------------------------------------------------
-            # PHASE 2: scan the reduced list (serial/Wyllie/recursive).
-            # ----------------------------------------------------------
-            with span("phase2", m=m) as phase2_span:
-                carries = np.empty_like(sl_sum)
-                if backend.has_blocked_scan and backend.supports(op, sl_sum):
-                    # Blelloch blocked exclusive scan over the reduced
-                    # chain (snippet-1 shape).  Re-associates: exact for
-                    # integer operators, documented tolerance for
-                    # floats (docs/kernels.md).
-                    if phase2_span is not None:
-                        phase2_span.attrs["method"] = "blocked"
-                    backend.reduced_scan(
-                        sl_next, sl_sum,
-                        np.zeros(1, dtype=INDEX_DTYPE), None, op, carries,
-                    )
-                    if stats is not None:
-                        stats.add_work(m, phase="phase2_blocked")
-                elif m > cfg.wyllie_cutoff and depth + 1 < cfg.max_depth:
-                    if phase2_span is not None:
-                        phase2_span.attrs["method"] = "recursive"
-                    sub_stats = ScanStats() if stats is not None else None
-                    _scan_in_place(
-                        sl_next, sl_sum, 0, op, cfg, rng, sub_stats,
-                        carries, depth + 1, tracer=tracer, backend=backend,
-                    )
-                    if stats is not None and sub_stats is not None:
-                        stats.merge(sub_stats)
-                elif m > cfg.serial_cutoff:
-                    if phase2_span is not None:
-                        phase2_span.attrs["method"] = "wyllie"
-                    reduced = LinkedList(sl_next, 0, sl_sum)
-                    carries[...] = wyllie_list_scan(reduced, op, stats=stats)
-                else:
-                    if phase2_span is not None:
-                        phase2_span.attrs["method"] = "serial"
-                    reduced = LinkedList(sl_next, 0, sl_sum)
-                    serial_list_scan(reduced, op, out=carries)
-                    if stats is not None:
-                        stats.add_work(m, phase="phase2_serial")
-
-            # ----------------------------------------------------------
-            # PHASE 3: expand the carries back along each sublist.
-            # ----------------------------------------------------------
-            with span("phase3", m=m):
-                gaps3 = ScheduleIterator(schedule, cfg.tail_growth)
-                vp_next = sl_head.copy()
-                vp_sum = carries
-                total_steps = 0
-                while vp_next.size:
-                    if (
-                        cfg.short_vector_fallback
-                        and vp_next.size <= cfg.short_vector_fallback
-                    ):
-                        if tracer is not None:
-                            tracer.event(
-                                "serial_tail",
-                                step=int(total_steps),
-                                live=int(vp_next.size),
-                            )
-                        _finish_phase3_serial(
-                            nxt, values, op, vp_next, vp_sum, out, stats
-                        )
-                        break
-                    gap = next(gaps3)
-                    total_steps = _guard_steps(total_steps, gap, n)
-                    x = vp_next.size
-                    vp_next, vp_sum = backend.traverse_phase3(
-                        nxt, values, vp_next, vp_sum, gap, op, out
-                    )
-                    if stats is not None:
-                        stats.add_round(gap)
-                        stats.add_work(gap * x, phase="phase3")
-                        stats.add_gather(2 * gap * x)
-                        stats.add_scatter(gap * x)
-                    vp_next, vp_sum = backend.pack_phase3(
-                        nxt, vp_next, vp_sum, out
-                    )
-                    if stats is not None:
-                        stats.add_pack()
-                        stats.add_gather(x)
-                        stats.add_scatter(x + 2 * vp_next.size)
-                    if tracer is not None:
-                        tracer.event(
-                            "pack",
-                            step=int(total_steps),
-                            gap=int(gap),
-                            live_before=int(x),
-                            live_after=int(vp_next.size),
-                        )
-        finally:
-            # ----------------------------------------------------------
-            # RESTORE_LIST: the input arrays return bit-identical.
-            # ----------------------------------------------------------
-            with span("restore", m=m):
-                if whole_tail_value is not None:
-                    values[sl_random[0]] = whole_tail_value
-                nxt[sl_random[1:]] = sl_head[1:]
-                values[sl_random[1:]] = sl_value[1:]
-            if stats is not None:
-                stats.add_scatter(2 * m)
-                stats.free(6 * m)
-
-
-def _guard_steps(total: int, gap: int, n: int) -> int:
-    """Bound the traversal against corrupted (cyclic) inputs.
-
-    A valid list finishes every virtual processor within ``n`` steps
-    (no sublist is longer than the list); a structure containing a
-    cycle that never reaches a self-loop would otherwise spin forever.
-    """
-    total += gap
-    if total > 4 * n + 64:
-        from ..lists.validate import ListStructureError
-
-        raise ListStructureError(
-            "traversal exceeded the maximum possible list length; the "
-            "successor array appears to contain a cycle without a "
-            "self-loop tail (run validate_list_strict to diagnose)"
-        )
-    return total
-
-
-def _finish_phase1_serial(
-    nxt: np.ndarray,
-    values: np.ndarray,
-    op: Operator,
-    vp_next: np.ndarray,
-    vp_sum: np.ndarray,
-    vp_proc: np.ndarray,
-    sl_sum: np.ndarray,
-    sl_tail: np.ndarray,
-    stats: ScanStats | None,
-) -> None:
-    """Scalar completion of the last Phase-1 stragglers (Section 6 ablation)."""
-    limit = nxt.shape[0] + 1
-    for k in range(vp_next.size):
-        cur = int(vp_next[k])
-        acc = vp_sum[k]
-        steps = 0
-        while True:
-            succ = int(nxt[cur])
-            if succ == cur:
-                break
-            acc = op.combine(acc, values[cur])
-            cur = succ
-            steps += 1
-            if steps > limit:
-                from ..lists.validate import ListStructureError
-
-                raise ListStructureError("cycle detected in straggler sublist")
-        proc = int(vp_proc[k])
-        sl_sum[proc] = acc
-        sl_tail[proc] = cur
-        if stats is not None:
-            stats.add_work(steps, phase="phase1_serial_tail")
-
-
-def _finish_phase3_serial(
-    nxt: np.ndarray,
-    values: np.ndarray,
-    op: Operator,
-    vp_next: np.ndarray,
-    vp_sum: np.ndarray,
-    out: np.ndarray,
-    stats: ScanStats | None,
-) -> None:
-    """Scalar completion of the last Phase-3 stragglers."""
-    limit = nxt.shape[0] + 1
-    for k in range(vp_next.size):
-        cur = int(vp_next[k])
-        acc = vp_sum[k]
-        steps = 0
-        while True:
-            out[cur] = acc
-            acc = op.combine(acc, values[cur])
-            succ = int(nxt[cur])
-            if succ == cur:
-                break
-            cur = succ
-            steps += 1
-            if steps > limit:
-                from ..lists.validate import ListStructureError
-
-                raise ListStructureError("cycle detected in straggler sublist")
-        if stats is not None:
-            stats.add_work(steps + 1, phase="phase3_serial_tail")

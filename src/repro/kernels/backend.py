@@ -3,8 +3,9 @@
 A :class:`KernelBackend` implements the three hottest kernels of the
 sublist algorithm — the Phase-1/Phase-3 lock-step gather traversal, the
 schedule-driven pack/compress, and the Phase-2 reduced-list scan —
-behind one interface, so ``core.sublist`` and ``core.forest`` stay a
-single implementation of the *algorithm* while the inner loops swap:
+behind one interface, so ``core.forest`` (which ``core.sublist`` wraps
+for one list) stays the single implementation of the *algorithm* while
+the inner loops swap:
 
 ``numpy``
     The reference: exactly the array expressions the core modules have
@@ -172,7 +173,7 @@ class KernelBackend:
 class NumpyBackend(KernelBackend):
     """The reference backend: the historical inline NumPy expressions.
 
-    Bit-for-bit the computation ``core.sublist``/``core.forest`` always
+    Bit-for-bit the computation the sublist scan (``core.forest``) always
     performed — the golden results every other backend is tested
     against.
     """

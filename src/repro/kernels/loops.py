@@ -1,6 +1,6 @@
 """The three hot loops as compilable scalar kernels.
 
-``core.sublist`` / ``core.forest`` run the paper's kernels one NumPy
+The sublist scan (``core.forest``) runs the paper's kernels one NumPy
 array-op per lock-step vector step.  This module re-expresses the three
 hottest of them as explicit scalar loops over the same arrays:
 

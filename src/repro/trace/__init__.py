@@ -18,8 +18,9 @@ the trajectory itself and checks it against the model:
     JSON span trees, JSONL streams, and the human tree view behind
     ``repro-c90 trace``.
 
-Hooks: ``list_scan(trace=…)`` / ``sublist_list_scan(trace=…)`` /
-``forest_list_scan(trace=…)`` and ``Engine(trace=…)``.
+Hooks: ``list_scan(trace=…)``, ``forest_list_scan(trace=…)`` (the one
+sublist scan, which ``sublist_list_scan`` wraps for a single list) and
+``Engine(trace=…)``.
 
 The cheap core (``tracer``) loads eagerly so kernels can import it
 without dragging in the analysis stack; ``compare``/``export`` load

@@ -4,7 +4,7 @@ The analytical core of the paper is a *trajectory* claim: after ``s``
 unpacked traversal steps the expected number of live sublists is
 ``g(s) = m·e^(−m·s/n)`` (Eq. 2), and the pack points ``S_1 < S_2 < …``
 generated by the Eq. 6 recurrence minimize the Phase 1/3 time.  A
-traced run (``core.sublist`` with ``trace=``) records exactly the
+traced sublist scan (``core.forest``, for one list or many) records the
 observable counterpart — one ``pack`` event per pack with the
 cumulative step count and the live vector width before/after — so the
 claim becomes checkable per run instead of per aggregate.
@@ -226,8 +226,7 @@ def compare_trace(
     ----------
     trace:
         A tracer, span, or span iterable containing a ``sublist_scan``
-        span recorded by ``core.sublist`` (forest scans work too via
-        their ``forest_scan`` span when it carries the same events).
+        span, as recorded by one list's scan or by a fused forest shard.
     costs:
         Calibration used to regenerate the Eq. 6 schedule and the
         predicted cycle count.
@@ -244,10 +243,8 @@ def compare_trace(
     """
     scan = find_scan_span(trace, "sublist_scan")
     if scan is None:
-        scan = find_scan_span(trace, "forest_scan")
-    if scan is None:
         raise ValueError(
-            "trace contains no 'sublist_scan' (or 'forest_scan') span; "
+            "trace contains no 'sublist_scan' span; "
             "run the scan with trace= enabled and algorithm='sublist'"
         )
     try:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.forest import (
+    SublistConfig,
     forest_list_scan,
     forest_tails,
     serial_forest_scan,
@@ -11,6 +12,9 @@ from repro.core.forest import (
 )
 from repro.core.operators import AFFINE, MAX, SUM
 from repro.lists.generate import INDEX_DTYPE
+
+#: Small lists still run the three phases, not the serial base case.
+SMALL = SublistConfig(serial_cutoff=8)
 
 
 def make_forest(sizes, rng):
@@ -98,23 +102,30 @@ class TestWyllieForestScan:
 
 
 class TestForestListScan:
-    @pytest.mark.parametrize("seed", range(8))
-    def test_random_forests(self, seed):
+    @pytest.mark.parametrize(
+        "seed, splitters",
+        [
+            # the default strategy keeps the bare seed as its id
+            pytest.param(seed, splitters, id=str(seed) if splitters == "spaced" else None)
+            for splitters in ("spaced", "random", "random_competition")
+            for seed in range(8)
+        ],
+    )
+    def test_random_forests(self, seed, splitters):
         rng = np.random.default_rng(seed)
         sizes = [int(rng.integers(1, 500)) for _ in range(int(rng.integers(1, 9)))]
         nxt, heads = make_forest(sizes, rng)
         values = rng.integers(-9, 9, nxt.shape[0])
         ref = np.empty_like(values)
         serial_forest_scan(nxt, values, heads, SUM, None, ref)
-        got = forest_list_scan(
-            nxt, values, heads, SUM, serial_cutoff=8, rng=rng
-        )
+        cfg = SublistConfig(serial_cutoff=8, splitters=splitters)
+        got = forest_list_scan(nxt, values, heads, SUM, config=cfg, rng=rng)
         assert np.array_equal(got, ref)
 
     def test_restores_arrays(self, forest5, rng):
         nxt, heads, values = forest5
         bn, bv = nxt.copy(), values.copy()
-        forest_list_scan(nxt, values, heads, SUM, serial_cutoff=8, rng=rng)
+        forest_list_scan(nxt, values, heads, SUM, config=SMALL, rng=rng)
         assert np.array_equal(nxt, bn)
         assert np.array_equal(values, bv)
 
@@ -123,30 +134,26 @@ class TestForestListScan:
         carries = rng.integers(-100, 100, heads.size)
         ref = np.empty_like(values)
         serial_forest_scan(nxt, values, heads, SUM, carries, ref)
-        got = forest_list_scan(
-            nxt, values, heads, SUM, carries=carries, serial_cutoff=8, rng=rng
-        )
+        got = forest_list_scan(nxt, values, heads, SUM, carries=carries, config=SMALL, rng=rng)
         assert np.array_equal(got, ref)
 
     def test_max_operator(self, forest5, rng):
         nxt, heads, values = forest5
         ref = np.empty_like(values)
         serial_forest_scan(nxt, values, heads, MAX, None, ref)
-        got = forest_list_scan(nxt, values, heads, MAX, serial_cutoff=8, rng=rng)
+        got = forest_list_scan(nxt, values, heads, MAX, config=SMALL, rng=rng)
         assert np.array_equal(got, ref)
 
     def test_inclusive(self, forest5, rng):
         nxt, heads, values = forest5
-        excl = forest_list_scan(nxt, values, heads, SUM, serial_cutoff=8, rng=0)
-        incl = forest_list_scan(
-            nxt, values, heads, SUM, inclusive=True, serial_cutoff=8, rng=0
-        )
+        excl = forest_list_scan(nxt, values, heads, SUM, config=SMALL, rng=0)
+        incl = forest_list_scan(nxt, values, heads, SUM, inclusive=True, config=SMALL, rng=0)
         assert np.array_equal(incl, excl + values)
 
     def test_list_ids(self, forest5, rng):
         nxt, heads, values = forest5
         _, ids = forest_list_scan(
-            nxt, values, heads, SUM, serial_cutoff=8, rng=rng,
+            nxt, values, heads, SUM, config=SMALL, rng=rng,
             return_list_ids=True,
         )
         for k, h in enumerate(heads):
@@ -165,7 +172,7 @@ class TestForestListScan:
         lst = random_list(3000, rng, values=rng.integers(-9, 9, 3000))
         got = forest_list_scan(
             lst.next, lst.values, np.asarray([lst.head]), SUM,
-            serial_cutoff=8, rng=rng,
+            config=SMALL, rng=rng,
         )
         assert np.array_equal(got, serial_list_scan(lst))
 

@@ -130,7 +130,7 @@ class TestSegmentedListScan:
     def test_agrees_with_forest_scan(self, rng):
         """Segmented scan over a concatenation ≡ forest scan over the
         pieces (the two multi-list routes agree)."""
-        from repro.core.forest import forest_list_scan
+        from repro.core.forest import SublistConfig, forest_list_scan
 
         n = 1200
         lst = ordered_list(n, values=rng.integers(-9, 9, n))
@@ -145,7 +145,7 @@ class TestSegmentedListScan:
             lst.values,
             np.asarray([0, 300, 700]),
             SUM,
-            serial_cutoff=8,
+            config=SublistConfig(serial_cutoff=8),
             rng=rng,
         )
         assert np.array_equal(seg, f)

@@ -244,6 +244,26 @@ class TestChooseSplitters:
         pos = choose_splitters(10, 1, tail=0, strategy="spaced", rng=rng)
         assert pos.size == 0
 
+    def test_random_single_tail_stream_pinned(self):
+        # the one-tail draw is part of the reproducible contract: the
+        # same generator state must keep giving the same positions
+        pos = choose_splitters(1000, 11, 500, "random", np.random.default_rng(2024))
+        assert pos.tolist() == [91, 212, 239, 307, 315, 670, 798, 906, 914, 995]
+
+    @pytest.mark.parametrize("strategy", ["spaced", "random", "random_competition"])
+    @pytest.mark.parametrize("m", [8, 40, 1000])
+    def test_forest_tails(self, rng, strategy, m):
+        n = 60
+        tails = np.array([0, 1, 7, 8, 30, 59])
+        pos = choose_splitters(n, m, tails, strategy=strategy, rng=rng)
+        assert pos.size >= 1
+        assert np.array_equal(pos, np.unique(pos))  # distinct and sorted
+        assert not np.isin(pos, tails).any()
+        assert np.all((pos >= 0) & (pos < n))
+        assert pos.size <= min(m, n) - tails.size
+        if strategy == "random":
+            assert pos.size == min(m, n) - tails.size
+
 
 class TestStats:
     def test_work_efficient(self, rng):

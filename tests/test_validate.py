@@ -148,6 +148,54 @@ class TestCorruptionGuards:
             sublist_list_scan(lst, config=SublistConfig(m=16, s1=4.0), rng=0)
         assert np.array_equal(lst.next, nxt)
 
+    @staticmethod
+    def _forest_with_cyclic_list(n=2000):
+        """List 0 runs 0→…→n-4 and self-loops there; the list headed at
+        n-3 is a 3-cycle that never reaches a tail."""
+        nxt = np.arange(1, n + 1, dtype=INDEX_DTYPE)
+        nxt[n - 4] = n - 4
+        nxt[n - 3 :] = [n - 2, n - 1, n - 3]
+        return nxt
+
+    @pytest.mark.parametrize(
+        "seed, splitters, message",
+        [
+            # spaced splitters miss the 3-cycle: the traversal bound stops it
+            (0, "spaced", "traversal exceeded"),
+            (1, "spaced", "traversal exceeded"),
+            # seed 0's random splitters cut it: too few reduced chain ends
+            (0, "random", "fewer chain ends"),
+        ],
+    )
+    def test_forest_scan_raises_on_cycle(self, seed, splitters, message):
+        from repro.core.forest import SublistConfig, forest_list_scan
+        from repro.core.operators import SUM
+
+        nxt = self._forest_with_cyclic_list()
+        work = nxt.copy()
+        values = np.ones(nxt.shape[0], dtype=np.int64)
+        config = SublistConfig(splitters=splitters)
+        with pytest.raises(ListStructureError, match=message):
+            forest_list_scan(work, values, np.array([0, 1997]), SUM, config=config, rng=seed)
+        assert np.array_equal(work, nxt)
+        assert np.all(values == 1)
+
+    def test_engine_answers_fused_shard_with_cyclic_list(self):
+        """validate="off" fuses the cyclic list with three good ones;
+        the shard fails, and the quarantine answers every request."""
+        from repro.baselines.serial import serial_list_scan
+        from repro.engine import Engine, ScanRequest
+
+        rng = np.random.default_rng(5)
+        good = [ScanRequest(lst=random_list(2000, rng)) for _ in range(3)]
+        bad = ScanRequest(lst=raw_list(self._forest_with_cyclic_list(), 1997))
+        with Engine(executor="sync", validate="off", cache_capacity=0) as engine:
+            responses = engine.run_batch([*good, bad])
+        assert [r.ok for r in responses] == [True, True, True, False]
+        assert responses[-1].error.code == "execution"
+        for req, resp in zip(good, responses):
+            assert np.array_equal(resp.result, serial_list_scan(req.lst))
+
     def test_serial_segment_raises_on_cycle(self):
         from repro.baselines.serial import serial_scan_segment
         from repro.core.operators import SUM
