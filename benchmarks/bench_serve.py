@@ -1,14 +1,15 @@
-"""Serving front-end: adaptive batch window vs. no batching.
+"""Serving front-end: natural batching vs. no batching.
 
 The serving layer's claim is the paper's economics applied to the
 network edge: admitting many concurrent clients' requests into one
 fused ``run_batch`` beats executing each request the moment it
-arrives.  The baseline is the same server with ``flush_size=1`` and a
-near-zero window — every admission flushes immediately, one engine
-call per request.  The measured configuration lets the SLO-aware
-window batch admissions.
+arrives.  The baseline is the same server with ``max_batch=1`` — one
+engine call per request.  The measured configuration is the default
+server: whenever the engine is free it drains everything queued (up
+to ``max_batch``) into one call, so requests that arrive during a
+flush form the next batch.
 
-Records the ordering claim ("adaptive window ≥ 2× no-batching
+Records the ordering claim ("natural batching ≥ 2× no-batching
 throughput at equal-or-better p95") in the harness registry; the CI
 smoke job runs the small shape.
 """
@@ -24,7 +25,9 @@ from repro.engine import Engine
 from repro.serve import ScanServer, ServeConfig
 from repro.serve.client import run_bench
 
-SLO_P95 = 0.050
+#: Latency bound of the forfeit rule: batching may not push p95 above
+#: both the baseline's p95 and this many seconds.
+P95_BOUND = 0.050
 
 
 def _drive(clients: int, requests: int, sizes, **config_kw) -> dict:
@@ -53,29 +56,21 @@ def _drive(clients: int, requests: int, sizes, **config_kw) -> dict:
 
 
 @pytest.mark.benchmark(group="serve")
-def test_adaptive_window_vs_no_batching(benchmark, full_sweep, smoke):
+def test_natural_batching_vs_no_batching(benchmark, full_sweep, smoke):
     clients = 4 if smoke else 8
     requests = 40 if smoke else (300 if full_sweep else 150)
     sizes = (16, 48, 128) if smoke else (16, 64, 256, 1024)
 
-    baseline = _drive(
-        clients,
-        requests,
-        sizes,
-        flush_size=1,  # no batching: every admission flushes alone
-        min_window=1e-4,
-        max_window=1e-4,
-        slo_p95=SLO_P95,
-    )
+    # one untimed pass of each configuration first: the router's tuning
+    # cache fills once per process and per fused size, and whichever
+    # configuration ran first would pay for it
+    for config_kw in ({"max_batch": 1}, {}):
+        _drive(clients, requests, sizes, **config_kw)
+
+    baseline = _drive(clients, requests, sizes, max_batch=1)
 
     measured = benchmark.pedantic(
-        lambda: _drive(
-            clients,
-            requests,
-            sizes,
-            flush_size=64,
-            slo_p95=SLO_P95,  # adaptive window (defaults: 0.5–25 ms)
-        ),
+        lambda: _drive(clients, requests, sizes),
         rounds=1,
         iterations=1,
     )
@@ -86,34 +81,34 @@ def test_adaptive_window_vs_no_batching(benchmark, full_sweep, smoke):
         assert counters["mismatched"] == 0
 
     base_p95 = baseline["latency"]["p95"]
-    adapt_p95 = measured["latency"]["p95"]
+    batch_p95 = measured["latency"]["p95"]
     print_table(
         ["configuration", "seconds", "responses/s", "p50 ms", "p95 ms"],
         [
-            ["flush_size=1 (no batching)", baseline["elapsed"],
+            ["max_batch=1 (no batching)", baseline["elapsed"],
              baseline["throughput_rps"], 1e3 * baseline["latency"]["p50"],
              1e3 * base_p95],
-            ["adaptive window", measured["elapsed"],
+            ["natural batching", measured["elapsed"],
              measured["throughput_rps"], 1e3 * measured["latency"]["p50"],
-             1e3 * adapt_p95],
+             1e3 * batch_p95],
         ],
         title=f"serving throughput, {clients} clients x {requests} requests",
     )
-    # "equal or better p95": batching must not buy throughput by
-    # blowing the latency target the window steers toward
-    p95_ok = adapt_p95 <= max(base_p95, SLO_P95)
+    # "equal or better p95": batching must not buy throughput with tail
+    # latency
+    p95_ok = batch_p95 <= max(base_p95, P95_BOUND)
     record_speedup(
-        "serve_adaptive_window",
-        "adaptive batch window >= 2x no-batching throughput at "
+        "serve_natural_batching",
+        "natural batching >= 2x no-batching (max_batch=1) throughput at "
         "equal-or-better p95",
         baseline_seconds=baseline["elapsed"],
         measured_seconds=measured["elapsed"]
         if p95_ok
-        else float("inf"),  # a blown SLO forfeits the claim
+        else float("inf"),  # a blown p95 forfeits the claim
         threshold=2.0,
         note=(
-            f"p95 {1e3 * adapt_p95:.2f}ms vs baseline "
-            f"{1e3 * base_p95:.2f}ms (SLO {1e3 * SLO_P95:.0f}ms); "
+            f"p95 {1e3 * batch_p95:.2f}ms vs baseline "
+            f"{1e3 * base_p95:.2f}ms (bound {1e3 * P95_BOUND:.0f}ms); "
             f"{clients} clients x {requests} requests, sizes {sizes}"
         ),
     )

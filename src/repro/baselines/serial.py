@@ -22,6 +22,7 @@ import numpy as np
 
 from ..core.operators import Operator, SUM, get_operator
 from ..lists.generate import LinkedList
+from ..lists.validate import ListStructureError
 
 __all__ = [
     "serial_list_scan",
@@ -53,6 +54,13 @@ def serial_list_scan(
     -------
     numpy.ndarray
         Scan values indexed by node (same shape as ``lst.values``).
+
+    Raises
+    ------
+    ListStructureError
+        When the walk from the head does not end at a self-loop after
+        exactly ``n`` nodes (a cycle, or nodes the head never reaches),
+        so no node of ``out`` is left unwritten.
     """
     op = get_operator(op)
     values = lst.values
@@ -62,7 +70,7 @@ def serial_list_scan(
         out = np.empty_like(values)
     acc = op.identity_for(values.dtype)
     cur = lst.head
-    for _ in range(n):
+    for k in range(n):
         if inclusive:
             acc = op.combine(acc, values[cur])
             out[cur] = acc
@@ -73,6 +81,9 @@ def serial_list_scan(
         if succ == cur:
             break
         cur = succ
+    else:
+        k = n  # no self-loop within n steps
+    _check_walk(k, n)
     return out
 
 
@@ -81,6 +92,7 @@ def serial_list_rank(lst: LinkedList, out: np.ndarray | None = None) -> np.ndarr
 
     Implemented as a direct traversal rather than a scan of ones, so it
     is an *independent* oracle for the rank = scan(+, 1) identity test.
+    Raises :class:`ListStructureError` as :func:`serial_list_scan` does.
     """
     n = lst.n
     if out is None:
@@ -93,7 +105,19 @@ def serial_list_rank(lst: LinkedList, out: np.ndarray | None = None) -> np.ndarr
         if succ == cur:
             break
         cur = succ
+    else:
+        k = n  # no self-loop within n steps
+    _check_walk(k, n)
     return out
+
+
+def _check_walk(tail_step: int, n: int) -> None:
+    """Raise unless the walk met its self-loop at step ``n - 1``."""
+    if tail_step != n - 1:
+        raise ListStructureError(
+            f"the walk from the head does not end at a self-loop after "
+            f"exactly {n} nodes (a cycle, or nodes the head never reaches)"
+        )
 
 
 def serial_scan_segment(

@@ -1,8 +1,7 @@
 """Perf-regression gate: bench records vs a committed baseline.
 
 The bench harness records headline speedup ratios (engine batching,
-kernel backends, serve adaptive window — unit ``"x"``, higher is
-better).  ``benchmarks/baselines/`` commits a snapshot of those ratios;
+kernel backends, serve batching — unit ``"x"``, higher is better).  ``benchmarks/baselines/`` commits a snapshot of those ratios;
 this module compares a fresh run's records against it with a tolerance
 band:
 

@@ -25,7 +25,8 @@ Subcommands
               usage/internal errors
 ``serve``     start the asyncio serving front-end (``repro.serve``):
               admits scan/rank requests over TCP into the engine's
-              submission queue under an SLO-aware adaptive batch window
+              submission queue and flushes whatever is queued whenever
+              the engine is free
 ``bench-client``  drive a running server with concurrent clients and
               report the latency histogram (the CI smoke artifact)
 ``calibrate`` fit/show/check host calibration profiles: refit the
@@ -281,22 +282,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="TCP port (0 picks a free port; it is printed at startup)",
     )
     p_serve.add_argument(
-        "--flush-size", type=int, default=64,
-        help="flush the batch window as soon as this many requests are "
-             "pending (1 disables batching)",
-    )
-    p_serve.add_argument(
         "--max-batch", type=int, default=1024,
-        help="hard cap on requests drained into one run_batch call",
-    )
-    p_serve.add_argument(
-        "--slo-ms", type=float, default=50.0,
-        help="target p95 admission-to-response latency the adaptive "
-             "window steers toward, in milliseconds",
-    )
-    p_serve.add_argument(
-        "--max-window-ms", type=float, default=25.0,
-        help="largest batch window the controller may grow to, ms",
+        help="most requests drained into one run_batch call "
+             "(1 disables batching)",
     )
     p_serve.add_argument(
         "--rate", type=float, default=None,
@@ -999,11 +987,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         config = ServeConfig(
             host=args.host,
             port=args.port,
-            flush_size=args.flush_size,
             max_batch=args.max_batch,
-            slo_p95=args.slo_ms / 1000.0,
-            max_window=args.max_window_ms / 1000.0,
-            min_window=min(0.0005, args.max_window_ms / 1000.0),
             rate=args.rate,
             burst=args.burst,
             max_inflight=args.max_inflight,
@@ -1038,8 +1022,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(
             f"serving on {config.host}:{server.port} "
             f"(executor={args.executor}, kernels={engine.kernel_backend}, "
-            f"flush_size={config.flush_size}, "
-            f"slo_p95={1000 * config.slo_p95:.1f}ms"
+            f"max_batch={config.max_batch}"
             f"{', allow_shutdown' if config.allow_shutdown else ''})",
             flush=True,
         )

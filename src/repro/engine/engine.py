@@ -161,8 +161,8 @@ class EngineStats:
         (:meth:`Engine.observe_response`) since only it sees the
         response actually leave.
 
-    The SLO-adaptive batch window in ``repro.serve`` steers on these —
-    a p95 target is invisible in ``seconds_executing`` alone.
+    The serving layer's ``/stats`` reports their percentiles — a p95 is
+    invisible in ``seconds_executing`` alone.
     """
 
     requests: int = 0

@@ -1,8 +1,8 @@
 """Log-bucketed latency histograms for the serving path.
 
-The serving front-end (``repro.serve``) tunes its batch window against
-a tail-latency SLO, which means the engine must account latency as a
-*distribution*, not an average: a p95 target is invisible in a mean.
+The serving front-end (``repro.serve``) reports tail latency, which
+means the engine must account latency as a *distribution*, not an
+average: a p95 is invisible in a mean.
 This module provides the one histogram type used everywhere a latency
 is recorded — the engine's ``queue_wait``/``execute`` sub-phases and
 the server's admission→response totals — so every surface that reports
@@ -14,8 +14,8 @@ Design:
 * **Geometric buckets.**  Latencies span six orders of magnitude
   (microsecond cache hits to multi-second fused batches), so buckets
   grow by a fixed factor (default 2×) from ``least`` upward.  Relative
-  quantile error is bounded by the factor, which is what an SLO
-  controller needs; absolute error would require unbounded buckets.
+  quantile error is bounded by the factor, which is what a tail-latency
+  report needs; absolute error would require unbounded buckets.
 * **O(1) observe.**  ``observe`` is a ``bisect`` into the precomputed
   bucket bounds plus a few scalar updates — cheap enough to run per
   request under the engine lock.
@@ -35,7 +35,7 @@ from bisect import bisect_left
 
 __all__ = ["LatencyHistogram", "DEFAULT_QUANTILES"]
 
-#: The quantiles every snapshot reports (the serving SLO is on p95).
+#: The quantiles every snapshot reports.
 DEFAULT_QUANTILES: tuple[float, ...] = (0.5, 0.95, 0.99)
 
 

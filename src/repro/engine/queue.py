@@ -190,17 +190,6 @@ class SubmissionQueue:
         with self._cond:
             return self._closed
 
-    def oldest_submitted_at(self) -> float | None:
-        """Admission stamp of the front (oldest) request, or ``None``.
-
-        This is the serving layer's batch-window deadline hook: the
-        adaptive window flushes when ``clock() - oldest_submitted_at()``
-        reaches the current window, so the *oldest* queued request —
-        not the newest — bounds the added latency.
-        """
-        with self._cond:
-            return self._items[0].submitted_at if self._items else None
-
     def _has_room(self, request: ScanRequest, at_front: bool = False) -> bool:
         if not self._items:
             return True  # never wedge on a single over-sized request

@@ -3,11 +3,12 @@
 Where ``repro.engine`` batches requests arriving *in one process*,
 this package batches requests arriving *over the network*: an asyncio
 TCP server admits scan/rank requests from many concurrent clients into
-the engine's bounded submission queue, flushes them through
-``Engine.run_batch`` under an SLO-aware adaptive batch window, and
-sheds load with structured errors when saturated — the serving-system
+the engine's bounded submission queue, flushes whatever is queued
+through ``Engine.run_batch`` whenever the engine is free, and sheds
+load with structured errors when saturated — the serving-system
 realization of the paper's core economics (throughput comes from
-keeping many independent walks fused at full vector width).
+keeping many independent walks fused at full vector width, never from
+waiting for more of them).
 
 Modules
 -------
@@ -18,8 +19,6 @@ Modules
               sections / JSONL / ``GET /stats``), request parsing onto
               :class:`~repro.engine.queue.ScanRequest`, structured
               error serialization
-``window``    :class:`AdaptiveWindow` — flush on size or deadline,
-              AIMD-retuned against a p95 latency SLO
 ``fairness``  :class:`ClientGovernor` — per-client token buckets and
               in-flight caps
 ``server``    :class:`ScanServer` — the asyncio front-end itself
@@ -37,7 +36,6 @@ from typing import TYPE_CHECKING, Any
 __all__ = [
     "ServeConfig",
     "ScanServer",
-    "AdaptiveWindow",
     "ClientGovernor",
     "TokenBucket",
     "ProtocolError",
@@ -54,7 +52,6 @@ __all__ = [
 _EXPORTS = {
     "ServeConfig": ("repro.serve.config", "ServeConfig"),
     "ScanServer": ("repro.serve.server", "ScanServer"),
-    "AdaptiveWindow": ("repro.serve.window", "AdaptiveWindow"),
     "ClientGovernor": ("repro.serve.fairness", "ClientGovernor"),
     "TokenBucket": ("repro.serve.fairness", "TokenBucket"),
     "ProtocolError": ("repro.serve.protocol", "ProtocolError"),
@@ -83,7 +80,6 @@ if TYPE_CHECKING:  # pragma: no cover - static analysis only
         response_to_wire,
     )
     from .server import ScanServer
-    from .window import AdaptiveWindow
 
 
 def __getattr__(name: str) -> Any:

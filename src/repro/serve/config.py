@@ -1,9 +1,7 @@
 """Serving-layer configuration.
 
 One frozen dataclass carries every knob of the front-end so the CLI,
-the tests and embedded uses construct servers the same way.  The
-defaults are tuned for a loopback demo: a 50 ms p95 SLO with a batch
-window adapting between 0.5 ms and half the SLO.
+the tests and embedded uses construct servers the same way.
 """
 
 from __future__ import annotations
@@ -21,19 +19,12 @@ class ServeConfig:
 
     Batching
     --------
-    flush_size:
-        Flush as soon as this many requests are pending (the *size*
-        trigger).  ``1`` disables batching entirely — the baseline the
-        adaptive window is benchmarked against.
     max_batch:
-        Hard cap on requests drained into one ``run_batch`` call.
-    slo_p95 / min_window / max_window / initial_window:
-        The adaptive *deadline* trigger (see
-        :class:`repro.serve.window.AdaptiveWindow`): the oldest queued
-        request never waits longer than the current window, and the
-        window is retuned after every flush so observed p95 latency
-        tracks ``slo_p95``.  ``initial_window=None`` starts at
-        ``max_window`` (laziest legal window, adapts down under load).
+        Most requests drained into one ``run_batch`` call.  The server
+        flushes whenever its queue is non-empty and no flush is
+        running, so a batch is whatever arrived during the previous
+        flush, up to this cap.  ``1`` disables batching: every request
+        runs alone.
 
     Fairness
     --------
@@ -70,12 +61,7 @@ class ServeConfig:
 
     host: str = "127.0.0.1"
     port: int = 8090
-    flush_size: int = 64
     max_batch: int = 1024
-    slo_p95: float = 0.050
-    min_window: float = 0.0005
-    max_window: float = 0.025
-    initial_window: float | None = None
     rate: float | None = None
     burst: float = 32.0
     max_inflight: int | None = 256
@@ -84,14 +70,8 @@ class ServeConfig:
     max_frame_bytes: int = MAX_FRAME_BYTES
 
     def __post_init__(self) -> None:
-        if self.flush_size < 1:
-            raise ValueError("flush_size must be >= 1")
-        if self.max_batch < self.flush_size:
-            raise ValueError("max_batch must be >= flush_size")
-        if self.slo_p95 <= 0.0:
-            raise ValueError("slo_p95 must be positive")
-        if not 0.0 < self.min_window <= self.max_window:
-            raise ValueError("need 0 < min_window <= max_window")
+        if self.max_batch < 1:
+            raise ValueError("max_batch must be >= 1")
         if self.rate is not None and self.rate <= 0.0:
             raise ValueError("rate must be positive (or None)")
         if self.burst < 1.0:

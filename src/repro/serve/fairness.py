@@ -11,16 +11,16 @@ queue:
   allowing bursts (capacity ``burst``, refill ``rate`` tokens/second);
 * an **in-flight cap** bounds how many of one client's requests may be
   admitted-but-unanswered at once, so a client cannot monopolize the
-  batch window even while under its rate.
+  next batch even while under its rate.
 
 Rejections are *shed*, not queued: the caller turns them into
 structured ``rate-limited`` responses with a ``retry_after`` hint
 (time until the bucket refills), so a well-behaved client can pace
 itself without guessing.
 
-Like the batch window, this module is pure decision logic — every
-method takes ``now`` as an argument; no wall clock is read here
-(``injectable-clock`` holds for the serving layer).
+This module is pure decision logic — every method takes ``now`` as an
+argument; no wall clock is read here (``injectable-clock`` holds for
+the serving layer).
 """
 
 from __future__ import annotations

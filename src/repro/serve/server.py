@@ -7,19 +7,19 @@ little-endian sections — or JSONL; see ``serve.protocol``, which also
 states the dtype allow-list and the ``max_frame_bytes`` bound on one
 frame body or line); their requests are admitted into the
 engine's bounded :class:`~repro.engine.queue.SubmissionQueue`; a
-single flush task drains the queue into ``Engine.run_batch`` whenever
-the SLO-adaptive batch window (``serve.window``) fires; responses are
-routed back to the connection that asked.
+single flush task drains up to ``max_batch`` of them into
+``Engine.run_batch`` whenever the queue is non-empty and no flush is
+running; responses are routed back to the connection that asked.
 
 The control flow per request::
 
     client ──frame──► admit (parse → fairness → queue.submit(block=False))
                         │ shed: rate-limited / overloaded (+retry_after)
                         ▼
-                 SubmissionQueue ──window fires──► flush task
+                 SubmissionQueue ──engine free──► flush task
                                                       │ run_batch
                                                       ▼ (executor thread)
-    client ◄─frame── respond (latency observed → histograms → window)
+    client ◄─frame── respond (latency observed → histograms)
 
 Key properties:
 
@@ -31,17 +31,19 @@ Key properties:
   closes.
 * **Admission never blocks.**  ``submit(block=False)`` turns queue
   saturation into a structured ``overloaded`` response with a
-  ``retry_after`` hint (current window + smoothed flush time), so an
-  overloaded server degrades into explicit shed responses instead of
-  hung clients.
-* **One flush at a time.**  The engine call runs on a dedicated
-  worker thread (the event loop never blocks on a kernel); admissions
-  continue concurrently and fall into the *next* batch.
+  ``retry_after`` hint (the smoothed flush time), so an overloaded
+  server degrades into explicit shed responses instead of hung
+  clients.
+* **Natural batching, one flush at a time.**  The flush task never
+  waits for more work: the engine call runs on a dedicated worker
+  thread (the event loop never blocks on a kernel), admissions
+  continue concurrently, and whatever queues up meanwhile is the
+  *next* batch.  Batches grow with load on their own; ``max_batch=1``
+  turns batching off.
 * **Telemetry end to end.**  Every response's admission→response
-  latency feeds the engine's ``total`` histogram and the adaptive
-  window's SLO controller; a traced server additionally records
-  ``accept``/``admit``/``flush``/``respond`` spans around the engine's
-  own ``run_batch`` trees.
+  latency feeds the engine's ``total`` histogram; a traced server
+  additionally records ``accept``/``admit``/``flush``/``respond``
+  spans around the engine's own ``run_batch`` trees.
 * **Clean shutdown.**  ``shutdown()`` stops accepting, lets the flush
   task drain what was admitted, then ``Engine.close()`` answers
   anything still queued with structured ``shutdown`` errors — no
@@ -56,6 +58,7 @@ import itertools
 import json
 import struct
 import sys
+import types
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any
 
@@ -76,11 +79,14 @@ from .protocol import (
     parse_request,
     response_to_wire,
 )
-from .window import AdaptiveWindow
 
 __all__ = ["ScanServer"]
 
 _LEN = struct.Struct(">I")
+
+#: Smallest ``retry_after`` hint, seconds: the shed hint before the
+#: first flush has been timed.
+_RETRY_AFTER_FLOOR = 0.0005
 
 
 class _Connection:
@@ -174,13 +180,8 @@ class ScanServer:
         self.config = config if config is not None else ServeConfig()
         self.clock = clock if clock is not None else engine.clock
         self.trace = resolve_trace(trace)
-        self.window = AdaptiveWindow(
-            slo_p95=self.config.slo_p95,
-            min_window=self.config.min_window,
-            max_window=self.config.max_window,
-            initial=self.config.initial_window,
-            flush_size=self.config.flush_size,
-        )
+        # a batch window that is always zero: perfbench/serve_child.py reads it
+        self.window = types.SimpleNamespace(window=0.0)
         self.governor = ClientGovernor(
             rate=self.config.rate,
             burst=self.config.burst,
@@ -191,6 +192,7 @@ class ScanServer:
             "http_requests": 0,
             "messages": 0,
             "responses": 0,
+            "flushes": 0,
             "protocol_errors": 0,
             "shed_rate_limited": 0,
             "shed_overloaded": 0,
@@ -433,8 +435,8 @@ class ScanServer:
             await conn.send(reply)
 
     def _retry_after(self) -> float:
-        """Shed hint: roughly one window plus one smoothed flush."""
-        return self.window.window + (self._flush_ema or 0.0)
+        """Shed hint: one smoothed flush, when the queue next drains."""
+        return max(self._flush_ema or 0.0, _RETRY_AFTER_FLOOR)
 
     def _admit(
         self, conn: _Connection, message: dict[str, Any]
@@ -549,24 +551,15 @@ class ScanServer:
     # ------------------------------------------------------------------
 
     async def _flush_loop(self) -> None:
+        """Flush whenever the queue is non-empty and no flush is running."""
         assert self._wake is not None
         try:
             while self._running:
                 self._wake.clear()
-                queue = self.engine.queue
-                oldest = queue.oldest_submitted_at()
-                if oldest is None:
-                    if not self._running:
-                        break
-                    await self._wake.wait()
-                    continue
-                now = self.clock()
-                if self.window.should_flush(now, len(queue), oldest):
+                if len(self.engine.queue):
                     await self._flush()
-                    continue
-                delay = max(0.0, self.window.deadline(oldest) - now)
-                with contextlib.suppress(asyncio.TimeoutError, TimeoutError):
-                    await asyncio.wait_for(self._wake.wait(), timeout=delay)
+                else:
+                    await self._wake.wait()
         finally:
             # shutdown path: one final drain so admitted work completes
             await self._flush()
@@ -574,12 +567,13 @@ class ScanServer:
     async def _flush(self) -> None:
         tracer = self.trace
         span = tracer.span if tracer is not None else null_span
-        with span("flush", window=self.window.window) as flush_span:
+        with span("flush") as flush_span:
             batch = self.engine.queue.drain(self.config.max_batch)
             if tracer is not None and flush_span is not None:
                 flush_span.attrs["requests"] = len(batch)
         if not batch:
             return
+        self.counters["flushes"] += 1
         t0 = self.clock()
         loop = asyncio.get_running_loop()
         try:
@@ -616,12 +610,10 @@ class ScanServer:
                     continue
                 latency = max(0.0, now - entry.admitted_at)
                 self.engine.observe_response(latency)
-                self.window.note_latency(latency)
                 self.governor.settle(entry.client)
                 outgoing.append(
                     (entry.conn, response_to_wire(entry.wire_id, resp, latency))
                 )
-        self.window.adapt()
         self.counters["responses"] += len(outgoing)
         for conn, payload in outgoing:
             await conn.send(payload)
@@ -649,7 +641,6 @@ class ScanServer:
                 **self.counters,
                 "pending": len(self._pending),
                 "queued": len(self.engine.queue),
-                "window": self.window.snapshot(),
                 "fairness": self.governor.snapshot(),
             },
         }

@@ -34,8 +34,7 @@ class TestParser:
     def test_serve_defaults(self):
         args = build_parser().parse_args(["serve"])
         assert args.port == 8090
-        assert args.flush_size == 64
-        assert args.slo_ms == 50.0
+        assert args.max_batch == 1024
         assert args.rate is None
         assert not args.allow_shutdown
 

@@ -96,20 +96,6 @@ def test_queue_close_returns_pending_and_marks_closed():
     assert queue.close() == []  # idempotent
 
 
-def test_oldest_submitted_at_tracks_queue_head():
-    ticks = iter(range(100))
-    queue = SubmissionQueue(clock=lambda: float(next(ticks)))
-    assert queue.oldest_submitted_at() is None
-    queue.submit(make_request(8, 0))
-    queue.submit(make_request(8, 1))
-    first = queue.oldest_submitted_at()
-    assert first is not None
-    queue.drain(1)
-    assert queue.oldest_submitted_at() > first
-    queue.drain()
-    assert queue.oldest_submitted_at() is None
-
-
 def test_context_manager_close_still_works_after_run():
     with Engine(executor="sync") as engine:
         resp = engine.run_batch([make_request(64, 7)])[0]

@@ -13,6 +13,7 @@ No pytest-asyncio here: each test owns its loop via ``asyncio.run``.
 import asyncio
 import json
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -49,6 +50,39 @@ def make_server(**config_kw):
         engine_kw.setdefault("trace", trace)
     engine = Engine(**engine_kw)
     return ScanServer(engine, ServeConfig(**config_kw), trace=trace)
+
+
+class FlushGate:
+    """Hold the server's flush worker inside ``run_batch`` until released.
+
+    ``run_batch`` runs on the flush thread, so admission goes on while a
+    flush is held; ``sizes`` records the request count of every call.
+    """
+
+    def __init__(self, server):
+        self.entered = threading.Event()
+        self.opened = threading.Event()
+        self.sizes = []
+        run_batch = server.engine.run_batch
+
+        def gated(batch, *args, **kwargs):
+            self.sizes.append(len(batch))
+            self.entered.set()
+            assert self.opened.wait(timeout=30.0), "flush gate never released"
+            return run_batch(batch, *args, **kwargs)
+
+        server.engine.run_batch = gated
+
+    def release(self):
+        self.opened.set()
+
+
+async def until(predicate, timeout=10.0):
+    """Poll ``predicate`` from the event loop until it holds."""
+    deadline = asyncio.get_running_loop().time() + timeout
+    while not predicate():
+        assert asyncio.get_running_loop().time() < deadline, "condition never held"
+        await asyncio.sleep(0.005)
 
 
 def scan_message(mid, n, seed, client=None):
@@ -100,7 +134,7 @@ async def framed_exchange(port, messages, expect=None, raw=b""):
 
 def test_concurrent_client_soak_is_bit_identical():
     async def main():
-        server = make_server(flush_size=16, max_window=0.005)
+        server = make_server()
         await server.start()
         try:
             report = await run_bench(
@@ -138,7 +172,7 @@ def test_concurrent_client_soak_is_bit_identical():
 
 def test_jsonl_dialect_and_admin_messages():
     async def main():
-        server = make_server(flush_size=4, max_window=0.005)
+        server = make_server()
         await server.start()
         try:
             reader, writer = await asyncio.open_connection(
@@ -169,7 +203,7 @@ def test_jsonl_dialect_and_admin_messages():
 
 def test_http_stats_endpoint():
     async def main():
-        server = make_server(flush_size=1)
+        server = make_server()
         await server.start()
         try:
             # run one request through so the histograms are non-trivial
@@ -197,7 +231,7 @@ def test_http_stats_endpoint():
     assert payload["engine"]["requests"] == 1
     assert payload["engine"]["latency"]["total"]["count"] == 1
     assert payload["server"]["responses"] == 1
-    assert payload["server"]["window"]["flushes"] >= 1
+    assert payload["server"]["flushes"] >= 1
     assert payload["server"]["fairness"]["admitted"] == 1
 
 
@@ -223,7 +257,7 @@ def test_http_unknown_path_is_404():
 
 def test_malformed_frames_get_structured_errors_and_connection_survives():
     async def main():
-        server = make_server(flush_size=1)
+        server = make_server()
         await server.start()
         try:
             reader, writer = await asyncio.open_connection(
@@ -332,7 +366,7 @@ def test_frame_and_jsonl_dialects_give_identical_replies():
     messages = {name: message for name, (message, _) in cases.items()}
 
     async def main():
-        server = make_server(flush_size=1)
+        server = make_server()
         await server.start()
         try:
             framed = await _one_at_a_time(server.port, "frame", messages)
@@ -381,7 +415,7 @@ def test_malformed_sections_get_bad_message_and_connection_survives():
     bodies = _malformed_bodies()
 
     async def main():
-        server = make_server(flush_size=1)
+        server = make_server()
         await server.start()
         try:
             reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
@@ -490,12 +524,7 @@ def test_oversized_line_is_answered_not_a_crash(request_bytes, reply_start):
 
 def test_greedy_client_is_limited_while_polite_client_sails_through():
     async def main():
-        server = make_server(
-            flush_size=4,
-            max_window=0.005,
-            rate=50.0,
-            burst=5.0,
-        )
+        server = make_server(rate=50.0, burst=5.0)
         await server.start()
         try:
             # greedy: 40 requests in one burst, ignoring retry_after
@@ -534,19 +563,23 @@ def test_greedy_client_is_limited_while_polite_client_sails_through():
 
 def test_saturation_sheds_with_overloaded_and_bounded_latency():
     async def main():
-        server = make_server(
-            engine_kw={"max_pending": 4},
-            flush_size=1024,  # size trigger unreachable
-            min_window=0.2,
-            max_window=0.2,  # hold the queue full for 200 ms
-        )
+        server = make_server(engine_kw={"max_pending": 4})
+        gate = FlushGate(server)
         await server.start()
         loop = asyncio.get_running_loop()
         t0 = loop.time()
         try:
             messages = [scan_message(i, 8, seed=i)[0] for i in range(60)]
-            replies = await framed_exchange(server.port, messages)
+            held = asyncio.ensure_future(framed_exchange(server.port, messages[:1]))
+            await until(gate.entered.is_set)
+            rest = asyncio.ensure_future(framed_exchange(server.port, messages[1:]))
+            # the flush worker is held: four requests fill the queue and
+            # every later one is shed at admission
+            await until(lambda: server.counters["shed_overloaded"] == 55)
+            gate.release()
+            replies = await held + await rest
         finally:
+            gate.release()
             await server.shutdown()
         return replies, loop.time() - t0, server
 
@@ -555,27 +588,23 @@ def test_saturation_sheds_with_overloaded_and_bounded_latency():
     assert len(replies) == 60
     ok = [r for r in replies if r["ok"]]
     shed = [r for r in replies if not r["ok"]]
-    assert len(ok) == 4  # the queue's capacity
-    assert len(shed) == 56
+    assert len(ok) == 1 + 4  # the held batch + the queue's capacity
+    assert len(shed) == 55
     for reply in shed:
         assert reply["error"]["code"] == "overloaded"
         assert reply["error"]["phase"] == "admit"
+        # no flush has finished yet: the hint's floor keeps it positive
         assert reply["retry_after"] > 0
     # shed responses return immediately; the whole episode is bounded
-    # by roughly one batch window, nowhere near a timeout
+    # by the held flush, nowhere near a timeout
     assert elapsed < 5.0
-    assert server.counters["shed_overloaded"] == 56
-    assert server.engine.stats.snapshot()["shed"] == 56
+    assert server.counters["shed_overloaded"] == 55
+    assert server.engine.stats.snapshot()["shed"] == 55
 
 
 def test_bench_client_resends_shed_requests_unchanged():
     async def main():
-        server = make_server(
-            engine_kw={"max_pending": 2},
-            flush_size=1024,
-            min_window=0.01,
-            max_window=0.01,
-        )
+        server = make_server(engine_kw={"max_pending": 2})
         await server.start()
         try:
             return await run_bench(
@@ -604,11 +633,8 @@ def test_bench_client_resends_shed_requests_unchanged():
 
 def test_shutdown_answers_admitted_work_and_closes_engine():
     async def main():
-        server = make_server(
-            flush_size=1024,
-            min_window=30.0,
-            max_window=30.0,  # nothing flushes on its own
-        )
+        server = make_server()
+        gate = FlushGate(server)
         await server.start()
         reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
         decoder = FrameDecoder()
@@ -617,10 +643,14 @@ def test_shutdown_answers_admitted_work_and_closes_engine():
             message, lst = scan_message(i, 16, seed=i)
             lists[i] = lst
             writer.write(encode_frame(message))
-        await writer.drain()
-        await asyncio.sleep(0.1)  # let the admissions land
-        assert len(server.engine.queue) == 5
-        await server.shutdown()  # must drain, not drop
+            await writer.drain()
+            if i == 0:  # hold the first flush; the rest queue behind it
+                await until(gate.entered.is_set)
+        await until(lambda: len(server.engine.queue) == 4)
+        stopping = asyncio.ensure_future(server.shutdown())  # must drain, not drop
+        await asyncio.sleep(0.05)
+        gate.release()
+        await stopping
         replies = []
         while len(replies) < 5:
             data = await asyncio.wait_for(reader.read(1 << 16), timeout=10.0)
@@ -628,17 +658,55 @@ def test_shutdown_answers_admitted_work_and_closes_engine():
                 break
             replies.extend(decoder.feed(data))
         writer.close()
-        return replies, lists, server
+        return replies, lists, server, gate
 
-    replies, lists, server = asyncio.run(main())
+    replies, lists, server, gate = asyncio.run(main())
     # admitted work was executed on the way down, results intact
     assert len(replies) == 5
     for reply in replies:
         assert reply["ok"], reply
         expected = list_scan(lists[reply["id"]], "sum")
         assert reply["result"] == expected.tolist()
+    assert gate.sizes == [1, 4]
     assert server.engine.queue.closed
     assert len(server._pending) == 0
+
+
+@pytest.mark.parametrize(
+    "max_batch, sizes", [(1024, [5]), (2, [2, 2, 1])], ids=["one-batch", "max-batch-2"]
+)
+def test_requests_queued_behind_a_flush_form_the_next_batches(max_batch, sizes):
+    async def main():
+        server = make_server(max_batch=max_batch)
+        gate = FlushGate(server)
+        await server.start()
+        try:
+            messages, lists = zip(*(scan_message(i, 16, seed=i) for i in range(6)))
+            held = asyncio.ensure_future(framed_exchange(server.port, messages[:1]))
+            await until(gate.entered.is_set)
+            rest = asyncio.ensure_future(framed_exchange(server.port, messages[1:]))
+            await until(lambda: len(server.engine.queue) == 5)
+            gate.release()
+            replies = await held + await rest
+        finally:
+            gate.release()
+            await server.shutdown()
+        return replies, lists, gate, server
+
+    replies, lists, gate, server = asyncio.run(main())
+    assert sorted(r["id"] for r in replies) == list(range(6))
+    for reply in replies:
+        assert reply["ok"], reply
+        assert reply["result"] == list_scan(lists[reply["id"]], "sum").tolist()
+    # nothing waits for a window: the held flush, then the queue in
+    # max_batch slices
+    assert gate.sizes == [1, *sizes]
+    assert server.counters["flushes"] == 1 + len(sizes)
+
+
+def test_config_rejects_empty_batches():
+    with pytest.raises(ValueError, match="max_batch"):
+        ServeConfig(max_batch=0)
 
 
 def test_remote_shutdown_requires_opt_in():
@@ -676,7 +744,7 @@ def test_remote_shutdown_with_opt_in_stops_the_server():
 def test_traced_server_records_serving_spans():
     async def main():
         tracer = Tracer()
-        server = make_server(flush_size=1, trace=tracer)
+        server = make_server(trace=tracer)
         await server.start()
         try:
             message, _ = scan_message(1, 16, seed=0)

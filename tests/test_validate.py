@@ -196,6 +196,34 @@ class TestCorruptionGuards:
         for req, resp in zip(good, responses):
             assert np.array_equal(resp.result, serial_list_scan(req.lst))
 
+    def test_serial_scan_rejects_disjoint_cycle(self):
+        """The walk ends at the chain's tail before the 3-cycle's nodes:
+        answer with an error, never with unwritten output."""
+        from repro.baselines.serial import serial_list_scan
+
+        lst = raw_list(self._forest_with_cyclic_list(200), 0)
+        with pytest.raises(ListStructureError, match="exactly 200 nodes"):
+            serial_list_scan(lst)
+
+    def test_serial_rank_rejects_disjoint_cycle(self):
+        from repro.baselines.serial import serial_list_rank
+
+        lst = raw_list(self._forest_with_cyclic_list(200), 0)
+        with pytest.raises(ListStructureError, match="exactly 200 nodes"):
+            serial_list_rank(lst)
+
+    def test_engine_serial_request_with_disjoint_cycle_is_an_error(self):
+        """The default ``validate="fast"`` admits this list; the serial
+        walk's count must then refuse it."""
+        from repro.engine import Engine, ScanRequest
+
+        lst = raw_list(self._forest_with_cyclic_list(900), 0)
+        with Engine(executor="sync", cache_capacity=0) as engine:
+            (resp,) = engine.run_batch([ScanRequest(lst=lst, algorithm="serial")])
+        assert not resp.ok
+        assert resp.error.code == "execution"
+        assert resp.result is None
+
     def test_serial_segment_raises_on_cycle(self):
         from repro.baselines.serial import serial_scan_segment
         from repro.core.operators import SUM
