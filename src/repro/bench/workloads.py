@@ -2,8 +2,8 @@
 
 All benchmark inputs are random-permutation lists — the paper's
 standard workload — generated from fixed seeds so every bench run sees
-identical lists.  The algorithms restore their inputs, so cached lists
-are safe to share across benchmark cases.
+identical lists.  The algorithms only read their inputs, so cached
+lists are safe to share across benchmark cases.
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ vector machine has long vector half lengths."
 
 This module implements exactly that:
 
-* Phases 1 and 3 run the normal vector traversal **with visited-node
+* Phase 1 runs the normal vector traversal **with visited-node
   bookkeeping** (the extra scatter per step the paper warns about);
 * when the live vector drops to ``switch_count`` virtual processors,
   the unconsumed straggler *suffixes* — which form a forest — are
@@ -29,8 +29,10 @@ the same traversal depth with the identical straggler set, so the
 Phase-1 forest scan's outputs are exactly what Phase 3 needs.
 
 Splitter choice, Initialize, Find-sublist-list, the Phase-2 dispatch
-and Restore are the shared steps of ``core.forest``; only the bookkept
-Phase 1/3 loops and the straggler compaction live here.
+and the Phase-3 kernels are the shared steps of ``core.forest`` and
+``kernels.backend``; only the bookkept Phase-1 loop, the straggler
+compaction and the switch live here.  Like every sublist entry, it
+only reads the input list.
 """
 
 from __future__ import annotations
@@ -105,117 +107,109 @@ def early_reconnect_list_scan(
     forest_proc = None  # original sublist index of each suffix node
 
     heads = np.asarray([lst.head], dtype=INDEX_DTYPE)
-    with _cut(nxt, values, heads, positions, op, stats, None) as cut:
-        schedule = optimal_schedule(n, m, s1, cfg.costs, guard=cfg.schedule_guard)
+    cut = _cut(nxt, values, heads, positions, op, stats, None)
+    rec_next, rec_value = cut.rec["next"], cut.rec["value"]
+    schedule = optimal_schedule(n, m, s1, cfg.costs, guard=cfg.schedule_guard)
 
-        # ---------------------------- PHASE 1 --------------------------
-        gaps1 = ScheduleIterator(schedule, cfg.tail_growth)
-        vp_next = cut.sl_head.copy()
-        vp_sum = op.identity_array(m, values.dtype)
-        vp_proc = np.arange(m, dtype=INDEX_DTYPE)
-        switched = False
-        while vp_next.size:
-            if switch_count and vp_next.size <= switch_count:
-                switched = True
-                break
-            gap = next(gaps1)
-            x = vp_next.size
-            for _ in range(gap):
-                visited[vp_next] = True
-                vp_sum = op.combine(vp_sum, values[vp_next])
-                vp_next = nxt[vp_next]
-            if stats is not None:
-                stats.add_round(gap)
-                stats.add_work(gap * x, phase="phase1")
-                stats.add_scatter(gap * x)  # the bookkeeping scatter
-            done = vp_next == nxt[vp_next]
-            visited[vp_next[done]] = True  # tails count as consumed
-            fin = vp_proc[done]
-            cut.sl_sum[fin] = vp_sum[done]
-            cut.sl_tail[fin] = vp_next[done]
-            keep = ~done
-            vp_next, vp_sum, vp_proc = vp_next[keep], vp_sum[keep], vp_proc[keep]
-            if stats is not None:
-                stats.add_pack()
+    # ---------------------------- PHASE 1 --------------------------
+    gaps1 = ScheduleIterator(schedule, cfg.tail_growth)
+    vp_next = cut.sl_head.copy()
+    vp_sum = op.identity_array(m, values.dtype)
+    vp_proc = np.arange(m, dtype=INDEX_DTYPE)
+    switched = False
+    while vp_next.size:
+        if switch_count and vp_next.size <= switch_count:
+            switched = True
+            break
+        gap = next(gaps1)
+        x = vp_next.size
+        for _ in range(gap):
+            visited[vp_next] = True
+            vp_sum = op.combine(vp_sum, rec_value[vp_next])
+            vp_next = rec_next[vp_next]
+        if stats is not None:
+            stats.add_round(gap)
+            stats.add_work(gap * x, phase="phase1")
+            stats.add_scatter(gap * x)  # the bookkeeping scatter
+        done = vp_next == rec_next[vp_next]
+        visited[vp_next[done]] = True  # tails count as consumed
+        fin = vp_proc[done]
+        cut.sl_sum[fin] = vp_sum[done]
+        cut.sl_tail[fin] = vp_next[done]
+        keep = ~done
+        vp_next, vp_sum, vp_proc = vp_next[keep], vp_sum[keep], vp_proc[keep]
+        if stats is not None:
+            stats.add_pack()
 
-        if switched:
-            # compact the unconsumed suffixes into contiguous memory
-            forest_nodes = np.flatnonzero(~visited).astype(INDEX_DTYPE)
-            remap = np.full(n, -1, dtype=INDEX_DTYPE)
-            remap[forest_nodes] = np.arange(forest_nodes.size, dtype=INDEX_DTYPE)
-            f_next = remap[nxt[forest_nodes]]
-            f_values = values[forest_nodes].copy()
-            f_heads = remap[vp_next]
-            if stats is not None:
-                stats.add_gather(2 * forest_nodes.size)
-                stats.add_scatter(2 * forest_nodes.size)
-                stats.alloc(3 * forest_nodes.size)
-            f_out = np.empty_like(f_values)
-            # the stragglers are a fresh, smaller problem: tune m and s1
-            # for it instead of reusing the whole list's
-            forest_within, f_ids = forest_list_scan(
-                f_next,
-                f_values,
-                f_heads,
-                op,
-                carries=vp_sum,
-                config=replace(cfg, m=None, s1=None),
-                rng=gen,
-                stats=stats,
-                out=f_out,
-                return_list_ids=True,
-            )
-            forest_proc = vp_proc[f_ids]
-            # finish Phase 1: sublist sums and tails from the forest
-            f_tails = forest_tails(f_next, f_heads)
-            totals = op.combine(forest_within[f_tails], f_values[f_tails])
-            cut.sl_sum[vp_proc] = totals
-            cut.sl_tail[vp_proc] = forest_nodes[f_tails]
+    if switched:
+        # compact the unconsumed suffixes of the cut list into
+        # contiguous memory
+        forest_nodes = np.flatnonzero(~visited).astype(INDEX_DTYPE)
+        remap = np.full(n, -1, dtype=INDEX_DTYPE)
+        remap[forest_nodes] = np.arange(forest_nodes.size, dtype=INDEX_DTYPE)
+        f_next = remap[rec_next[forest_nodes]]
+        f_values = rec_value[forest_nodes]
+        f_heads = remap[vp_next]
+        if stats is not None:
+            stats.add_gather(2 * forest_nodes.size)
+            stats.add_scatter(2 * forest_nodes.size)
+            stats.alloc(3 * forest_nodes.size)
+        f_out = np.empty_like(f_values)
+        # the stragglers are a fresh, smaller problem: tune m and s1
+        # for it instead of reusing the whole list's
+        forest_within, f_ids = forest_list_scan(
+            f_next,
+            f_values,
+            f_heads,
+            op,
+            carries=vp_sum,
+            config=replace(cfg, m=None, s1=None),
+            rng=gen,
+            stats=stats,
+            out=f_out,
+            return_list_ids=True,
+        )
+        forest_proc = vp_proc[f_ids]
+        # finish Phase 1: sublist sums and tails from the forest
+        f_tails = forest_tails(f_next, f_heads)
+        totals = op.combine(forest_within[f_tails], f_values[f_tails])
+        cut.sl_sum[vp_proc] = totals
+        cut.sl_tail[vp_proc] = forest_nodes[f_tails]
 
-        # straggler sums from the forest exclude the (zeroed) splitter
-        # tail values exactly like the vector path, so the standard
-        # add-back applies uniformly.  (The tail sublist's sum may
-        # double-count the whole-list tail when it was a straggler;
-        # that sum never feeds the exclusive scan.)
-        sl_next = _link(nxt, values, cut, op, stats)
-        carries = _phase2(sl_next, cut.sl_sum, 1, None, op, cfg, gen, stats, 0, None, backend)
+    # straggler sums from the forest exclude the (zeroed) splitter
+    # tail values exactly like the vector path, so the standard
+    # add-back applies uniformly.  (The tail sublist's sum may
+    # double-count the whole-list tail when it was a straggler;
+    # that sum never feeds the exclusive scan.)
+    sl_next = _link(values, cut, op, stats)
+    carries = _phase2(sl_next, cut.sl_sum, 1, None, op, cfg, gen, stats, 0, None, backend)
 
-        # ----------------------------- PHASE 3 --------------------------
-        gaps3 = ScheduleIterator(schedule, cfg.tail_growth)
-        vp_next = cut.sl_head.copy()
-        vp_sum = carries.copy()
-        vp_proc = np.arange(m, dtype=INDEX_DTYPE)
-        while vp_next.size:
-            if switch_count and vp_next.size <= switch_count:
-                # the stragglers are identical to Phase 1's; fold the
-                # Phase-2 carries into the precomputed within-sublist
-                # scans and scatter
-                out[forest_nodes] = op.combine(
-                    carries[forest_proc], forest_within
-                )
-                if stats is not None:
-                    stats.add_scatter(forest_nodes.size)
-                break
-            gap = next(gaps3)
-            x = vp_next.size
-            for _ in range(gap):
-                out[vp_next] = vp_sum
-                vp_sum = op.combine(vp_sum, values[vp_next])
-                vp_next = nxt[vp_next]
+    # ----------------------------- PHASE 3 --------------------------
+    # the standard in-place traversal: no bookkeeping
+    gaps3 = ScheduleIterator(schedule, cfg.tail_growth)
+    vp_next = cut.sl_head.copy()
+    vp_sum = carries.copy()
+    while vp_next.size:
+        if switch_count and vp_next.size <= switch_count:
+            # the stragglers are identical to Phase 1's; fold the
+            # Phase-2 carries into the precomputed within-sublist
+            # scans and scatter
+            rec_value[forest_nodes] = op.combine(carries[forest_proc], forest_within)
             if stats is not None:
-                stats.add_round(gap)
-                stats.add_work(gap * x, phase="phase3")
-            done = vp_next == nxt[vp_next]
-            if np.any(done):
-                out[vp_next] = vp_sum
-                keep = ~done
-                vp_next, vp_sum, vp_proc = (
-                    vp_next[keep],
-                    vp_sum[keep],
-                    vp_proc[keep],
-                )
-            if stats is not None:
-                stats.add_pack()
+                stats.add_scatter(forest_nodes.size)
+            break
+        gap = next(gaps3)
+        x = vp_next.size
+        vp_next, vp_sum = backend.traverse_phase3(rec_next, rec_value, vp_next, vp_sum, gap, op)
+        if stats is not None:
+            stats.add_round(gap)
+            stats.add_work(gap * x, phase="phase3")
+        vp_next, vp_sum = backend.pack_phase3(rec_next, rec_value, vp_next, vp_sum)
+        if stats is not None:
+            stats.add_pack()
+    out[...] = rec_value[:n]
+    if stats is not None:
+        stats.free(cut.words)
 
     if inclusive:
         out = op.combine(out, values)

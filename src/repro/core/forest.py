@@ -8,25 +8,33 @@ lists; a single list is the forest with one head (``core.sublist`` is
 that one-list wrapper).  The algorithm randomly breaks the *n* nodes
 into *m* sublists that are processed independently and in parallel:
 
-* **Initialize** — choose ``m − n_lists`` splitter positions, never a
-  list tail; each becomes the (self-looped, identity-valued) tail of
-  the sublist that precedes it, and its old successor becomes the head
-  of the next sublist.  The self-loop/identity trick removes every
-  conditional from the hot loops: a finished virtual processor just
-  keeps folding the identity into its sum.
+* **Initialize** — copy the forest into one record array, a
+  ``(next, value)`` record per node plus a last *sink* record (a
+  self-loop holding the identity), and cut the copy: choose
+  ``m − n_lists`` splitter positions, never a list tail; each becomes
+  the (self-looped, identity-valued) tail of the sublist that precedes
+  it, and its old successor becomes the head of the next sublist.  The
+  self-loop/identity trick removes every conditional from the hot
+  loops: a finished virtual processor just keeps folding the identity
+  into its sum.  One node step reads one record, so one cache line.
 * **Phase 1** — the *m* virtual processors traverse their sublists in
   lock-step vector steps, accumulating sublist sums; after
   ``s_1, s_2, …`` steps (the pack schedule of ``core.schedule``) the
   completed sublists are packed out.
 * **Find sublist list** — the write-index/read-back trick links the
   sublist sums into a *reduced forest*: one chain per list, ended by
-  the sublist that reaches the list's own tail.
+  the sublist that reaches the list's own tail.  Every sublist tail
+  then points at the sink.
 * **Phase 2** — scan the reduced forest with the kernel backend's
   blocked scan, recursively, with Wyllie, or serially, by size.
-* **Phase 3** — traverse the sublists again, scattering each node's
-  exclusive scan (Phase-2 carry ⊕ prefix within the sublist).
-* **Restore** — put the saved links and values back; the input arrays
-  are bit-identical to their initial state afterwards, also on error.
+* **Phase 3** — traverse the sublists again, writing each node's
+  exclusive scan (Phase-2 carry ⊕ prefix within the sublist) over the
+  value it has just read; a processor past its tail stands on the sink
+  and folds the identity.  One sequential copy of the value column is
+  the result.
+
+The input arrays are only read, so there is no Restore step and
+read-only inputs are fine.
 
 Optional per-list ``carries`` seed each chain; the Section 6
 early-reconnect variant (``core.early_reconnect``) uses them to rescan
@@ -41,8 +49,6 @@ Public entry point: :func:`forest_list_scan`.  It can also return the
 
 from __future__ import annotations
 
-from collections.abc import Iterator
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,6 +71,8 @@ __all__ = [
     "wyllie_forest_scan",
     "forest_tails",
 ]
+
+_OUT_OF_RANGE = "a successor index lies outside [0, n); not a valid list"
 
 
 @dataclass(frozen=True)
@@ -221,6 +229,8 @@ def serial_forest_scan(
             succ = int(nxt[cur])
             if succ == cur:
                 break
+            if not 0 <= succ < limit:
+                raise ListStructureError(_OUT_OF_RANGE)
             cur = succ
         else:
             raise ListStructureError(
@@ -300,8 +310,8 @@ def forest_list_scan(
     ----------
     nxt, values:
         Shared node arrays; every list terminates in its own self-loop.
-        Temporarily modified and restored, as in the paper, also when
-        the scan raises.
+        Only read (the scan works on a record copy), so they may be
+        read-only.
     heads:
         Head node of each list.
     carries:
@@ -329,7 +339,8 @@ def forest_list_scan(
         silently falls back to the NumPy reference.
 
     Raises :class:`repro.lists.ListStructureError` when the successor
-    array has no self-loop or a list runs into a cycle.  Returns the
+    array has no self-loop, a list runs into a cycle, or a list runs
+    off the node array (a successor ``n`` or ``-1``).  Returns the
     scan array (indexed by node), optionally with the list id array.
     Nodes not reachable from any head keep arbitrary values.
     """
@@ -387,8 +398,9 @@ def _scan_in_place(
 ) -> None:
     """Exclusive scan of every list of the forest into ``out``.
 
-    Temporarily rewrites ``nxt``/``values`` and restores them before
-    returning (also on error).  ``tracer`` records per-phase spans and
+    Reads ``nxt``/``values`` only: the phases cut and overwrite the
+    record copy that Initialize makes, and Phase 3 leaves each node's
+    scan in its record.  ``tracer`` records per-phase spans and
     per-pack live-count events; every hook is guarded so the untraced
     path only pays branch checks, once per pack or phase.  ``backend``
     runs the hot loops; the caller must have checked
@@ -416,91 +428,96 @@ def _scan_in_place(
                 scheduled_packs=int(np.asarray(schedule).size),
             )
 
-        with _cut(nxt, values, heads, positions, op, stats, tracer) as cut:
-            # PHASE 1: reduce each sublist to its sum, packing on schedule
-            with span("phase1", m=m):
-                gaps1 = ScheduleIterator(schedule, cfg.tail_growth)
-                vp_next = cut.sl_head.copy()
-                vp_sum = op.identity_array(m, values.dtype)
-                vp_proc = np.arange(m, dtype=INDEX_DTYPE)
-                total_steps = 0
-                while vp_next.size:
-                    if cfg.short_vector_fallback and vp_next.size <= cfg.short_vector_fallback:
-                        if tracer is not None:
-                            tracer.event("serial_tail", step=total_steps, live=int(vp_next.size))
-                        _finish_phase1_serial(
-                            nxt, values, op, vp_next, vp_sum, vp_proc, cut, stats
-                        )
-                        break
-                    gap = next(gaps1)
-                    total_steps = _guard_steps(total_steps, gap, n)
-                    x = vp_next.size
-                    vp_next, vp_sum = backend.traverse_phase1(
-                        nxt, values, vp_next, vp_sum, gap, op
-                    )
-                    if stats is not None:
-                        stats.add_round(gap)
-                        stats.add_work(gap * x, phase="phase1")
-                        stats.add_gather(2 * gap * x)
-                    vp_next, vp_sum, vp_proc, n_finished = backend.pack_phase1(
-                        nxt, vp_next, vp_sum, vp_proc, cut.sl_sum, cut.sl_tail
-                    )
-                    if stats is not None:
-                        stats.add_pack()
-                        stats.add_gather(x)
-                        stats.add_scatter(2 * n_finished + 3 * vp_next.size)
+        cut = _cut(nxt, values, heads, positions, op, stats, tracer)
+        rec_next, rec_value = cut.rec["next"], cut.rec["value"]
+        # PHASE 1: reduce each sublist to its sum, packing on schedule
+        with span("phase1", m=m):
+            gaps1 = ScheduleIterator(schedule, cfg.tail_growth)
+            vp_next = cut.sl_head.copy()
+            vp_sum = op.identity_array(m, values.dtype)
+            vp_proc = np.arange(m, dtype=INDEX_DTYPE)
+            total_steps = 0
+            while vp_next.size:
+                if cfg.short_vector_fallback and vp_next.size <= cfg.short_vector_fallback:
                     if tracer is not None:
-                        tracer.event(
-                            "pack",
-                            step=total_steps,
-                            gap=int(gap),
-                            live_before=int(x),
-                            live_after=int(vp_next.size),
-                            finished=int(n_finished),
-                        )
-
-            with span("find_sublist_list", m=m):
-                sl_next = _link(nxt, values, cut, op, stats)
-            sl_carries = _phase2(
-                sl_next, cut.sl_sum, n_lists, carries, op, cfg, rng, stats, depth, tracer, backend
-            )
-
-            # PHASE 3: expand the carries back along each sublist
-            with span("phase3", m=m):
-                gaps3 = ScheduleIterator(schedule, cfg.tail_growth)
-                vp_next = cut.sl_head.copy()
-                vp_sum = sl_carries
-                total_steps = 0
-                while vp_next.size:
-                    if cfg.short_vector_fallback and vp_next.size <= cfg.short_vector_fallback:
-                        if tracer is not None:
-                            tracer.event("serial_tail", step=total_steps, live=int(vp_next.size))
-                        _finish_phase3_serial(nxt, values, op, vp_next, vp_sum, out, stats)
-                        break
-                    gap = next(gaps3)
-                    total_steps = _guard_steps(total_steps, gap, n)
-                    x = vp_next.size
-                    vp_next, vp_sum = backend.traverse_phase3(
-                        nxt, values, vp_next, vp_sum, gap, op, out
+                        tracer.event("serial_tail", step=total_steps, live=int(vp_next.size))
+                    _finish_phase1_serial(
+                        rec_next, rec_value, op, vp_next, vp_sum, vp_proc, cut, stats
                     )
-                    if stats is not None:
-                        stats.add_round(gap)
-                        stats.add_work(gap * x, phase="phase3")
-                        stats.add_gather(2 * gap * x)
-                        stats.add_scatter(gap * x)
-                    vp_next, vp_sum = backend.pack_phase3(nxt, vp_next, vp_sum, out)
-                    if stats is not None:
-                        stats.add_pack()
-                        stats.add_gather(x)
-                        stats.add_scatter(x + 2 * vp_next.size)
+                    break
+                gap = next(gaps1)
+                total_steps = _guard_steps(total_steps, gap, n)
+                x = vp_next.size
+                vp_next, vp_sum = backend.traverse_phase1(
+                    rec_next, rec_value, vp_next, vp_sum, gap, op
+                )
+                if stats is not None:
+                    stats.add_round(gap)
+                    stats.add_work(gap * x, phase="phase1")
+                    stats.add_gather(2 * gap * x)
+                vp_next, vp_sum, vp_proc, n_finished = backend.pack_phase1(
+                    rec_next, vp_next, vp_sum, vp_proc, cut.sl_sum, cut.sl_tail
+                )
+                if stats is not None:
+                    stats.add_pack()
+                    stats.add_gather(x)
+                    stats.add_scatter(2 * n_finished + 3 * vp_next.size)
+                if tracer is not None:
+                    tracer.event(
+                        "pack",
+                        step=total_steps,
+                        gap=int(gap),
+                        live_before=int(x),
+                        live_after=int(vp_next.size),
+                        finished=int(n_finished),
+                    )
+
+        with span("find_sublist_list", m=m):
+            sl_next = _link(values, cut, op, stats)
+        sl_carries = _phase2(
+            sl_next, cut.sl_sum, n_lists, carries, op, cfg, rng, stats, depth, tracer, backend
+        )
+
+        # PHASE 3: expand the carries back along each sublist, writing
+        # each node's scan over its value
+        with span("phase3", m=m):
+            gaps3 = ScheduleIterator(schedule, cfg.tail_growth)
+            vp_next = cut.sl_head.copy()
+            vp_sum = sl_carries
+            total_steps = 0
+            while vp_next.size:
+                if cfg.short_vector_fallback and vp_next.size <= cfg.short_vector_fallback:
                     if tracer is not None:
-                        tracer.event(
-                            "pack",
-                            step=total_steps,
-                            gap=int(gap),
-                            live_before=int(x),
-                            live_after=int(vp_next.size),
-                        )
+                        tracer.event("serial_tail", step=total_steps, live=int(vp_next.size))
+                    _finish_phase3_serial(rec_next, rec_value, op, vp_next, vp_sum, stats)
+                    break
+                gap = next(gaps3)
+                total_steps = _guard_steps(total_steps, gap, n)
+                x = vp_next.size
+                vp_next, vp_sum = backend.traverse_phase3(
+                    rec_next, rec_value, vp_next, vp_sum, gap, op
+                )
+                if stats is not None:
+                    stats.add_round(gap)
+                    stats.add_work(gap * x, phase="phase3")
+                    stats.add_gather(2 * gap * x)
+                    stats.add_scatter(gap * x)
+                vp_next, vp_sum = backend.pack_phase3(rec_next, rec_value, vp_next, vp_sum)
+                if stats is not None:
+                    stats.add_pack()
+                    stats.add_gather(x)
+                    stats.add_scatter(x + vp_next.size)
+                if tracer is not None:
+                    tracer.event(
+                        "pack",
+                        step=total_steps,
+                        gap=int(gap),
+                        live_before=int(x),
+                        live_after=int(vp_next.size),
+                    )
+        out[...] = rec_value[:n]
+        if stats is not None:
+            stats.free(cut.words)
 
 
 def _plan_splitters(
@@ -529,24 +546,28 @@ def _plan_splitters(
 class _Cut:
     """The sublists of one Initialize.
 
-    Sublists ``[0, n_lists)`` start at the list heads, the rest at the
-    successors of the splitter ``positions``.  ``sl_value`` holds each
-    splitter's saved value (the identity for the head sublists);
-    ``end_tails``/``end_values`` are the list tails and their saved
-    values, once Find-sublist-list has set them to the identity.
+    ``rec`` is the record copy of the forest the phases run on: record
+    ``i < n`` holds node *i*'s ``next`` and ``value``, record ``n`` is
+    the sink.  Sublists ``[0, n_lists)`` start at the list heads, the
+    rest at the successors of the splitter ``positions``.  ``sl_value``
+    holds each splitter's input value (the identity for the head
+    sublists).
     """
 
     n_lists: int
     positions: np.ndarray
+    rec: np.ndarray
     sl_head: np.ndarray
     sl_value: np.ndarray
     sl_sum: np.ndarray
     sl_tail: np.ndarray
-    end_tails: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=INDEX_DTYPE))
-    end_values: np.ndarray | None = None
+
+    @property
+    def words(self) -> int:
+        """Auxiliary words of the records and the per-sublist arrays."""
+        return 2 * self.rec.shape[0] + 6 * self.sl_head.shape[0]
 
 
-@contextmanager
 def _cut(
     nxt: np.ndarray,
     values: np.ndarray,
@@ -555,51 +576,54 @@ def _cut(
     op: Operator,
     stats: ScanStats | None,
     tracer: Tracer | None,
-) -> Iterator[_Cut]:
-    """INITIALIZE (Section 3) on entry, RESTORE_LIST on exit.
+) -> _Cut:
+    """INITIALIZE (Section 3): copy the forest into records and cut them.
 
-    Saves the links and values at the splitters, then cuts the forest
-    into independent self-loop-terminated sublists.  On exit, also on
-    error, the input arrays return bit-identical.
+    One aligned ``(next, value)`` record per node puts a node step's
+    two gathers on one cache line.  Record ``n``, the *sink*, is a
+    self-loop holding the identity.  Each splitter becomes a
+    self-looped, identity-valued sublist tail in the copy; the input
+    arrays are only read.
     """
     span = tracer.span if tracer is not None else null_span
+    n = nxt.shape[0]
     n_lists = heads.shape[0]
     m = n_lists + positions.shape[0]
+    ident = op.identity_for(values.dtype)
     with span("initialize", m=m):
+        record = np.dtype(
+            [("next", INDEX_DTYPE), ("value", values.dtype, values.shape[1:])], align=True
+        )
+        rec = np.empty(n + 1, dtype=record)
+        rec_next, rec_value = rec["next"], rec["value"]
+        rec_next[:n] = nxt
+        rec_value[:n] = values
+        rec_next[n] = n
+        rec_value[n] = ident
         sl_head = np.empty(m, dtype=INDEX_DTYPE)
         sl_head[:n_lists] = heads
-        sl_head[n_lists:] = nxt[positions]  # gather heads (before cutting!)
+        sl_head[n_lists:] = nxt[positions]  # gather heads
         sl_value = op.identity_array(m, values.dtype)
-        sl_value[n_lists:] = values[positions]  # gather+save splitter values
-        values[positions] = op.identity_for(values.dtype)  # identity at sublist tails
-        nxt[positions] = positions  # self-loops at sublist tails
+        sl_value[n_lists:] = values[positions]  # gather splitter values
+        rec_value[positions] = ident  # identity at sublist tails
+        rec_next[positions] = positions  # self-loops at sublist tails
         cut = _Cut(
             n_lists,
             positions,
+            rec,
             sl_head,
             sl_value,
             sl_sum=op.identity_array(m, values.dtype),
             sl_tail=np.full(m, -1, dtype=INDEX_DTYPE),
         )
     if stats is not None:
-        stats.alloc(6 * m)
+        stats.alloc(cut.words)
         stats.add_gather(2 * m)
         stats.add_scatter(2 * m)
-    try:
-        yield cut
-    finally:
-        with span("restore", m=m):
-            if cut.end_values is not None:
-                values[cut.end_tails] = cut.end_values
-            nxt[positions] = sl_head[n_lists:]
-            values[positions] = sl_value[n_lists:]
-        if stats is not None:
-            stats.add_scatter(2 * m)
-            stats.free(6 * m)
+    return cut
 
 
 def _link(
-    nxt: np.ndarray,
     values: np.ndarray,
     cut: _Cut,
     op: Operator,
@@ -610,9 +634,18 @@ def _link(
     Scatter the *negated* sublist index at each splitter so it is
     distinguishable from the original self-loops; a sublist whose tail
     is a list tail reads no index back and ends its list's chain.
-    Folds each sublist's true tail value into ``cut.sl_sum`` and returns
-    the reduced successor array.
+    Then points every sublist tail at the sink for Phase 3, folds each
+    sublist's true tail value (from the input ``values``) into
+    ``cut.sl_sum`` and returns the reduced successor array.
+
+    A sublist that ended on the sink ran off the node array (some
+    successor is ``n`` or ``-1``): that raises
+    :class:`ListStructureError`.
     """
+    nxt = cut.rec["next"]
+    sink = nxt.shape[0] - 1
+    if np.any(cut.sl_tail == sink):
+        raise ListStructureError(_OUT_OF_RANGE)
     m = cut.sl_head.shape[0]
     nxt[cut.positions] = -np.arange(cut.n_lists, m, dtype=INDEX_DTYPE)
     probe = nxt[cut.sl_tail]  # gather: index written by my successor
@@ -623,15 +656,12 @@ def _link(
             "the reduced list has fewer chain ends than lists; the "
             "successor array appears to contain a cycle"
         )
-    cut.end_tails = cut.sl_tail[chain_ends]
-    cut.end_values = values[cut.end_tails]
-    values[cut.end_tails] = op.identity_for(values.dtype)  # Phase 3 folds these repeatedly
-    nxt[cut.sl_tail] = cut.sl_tail  # restore the sublist-tail self-loops
-    # fold the saved splitter values (each sublist's true tail value)
-    # back into the sublist sums; a chain's last sublist gets the value
-    # of its list's tail
+    nxt[cut.sl_tail] = sink  # a processor past its tail stands on the sink
+    # fold the splitter values (each sublist's true tail value) back
+    # into the sublist sums; a chain's last sublist gets the value of
+    # its list's tail
     addback = cut.sl_value[sl_next]
-    addback[chain_ends] = cut.end_values
+    addback[chain_ends] = values[cut.sl_tail[chain_ends]]
     cut.sl_sum = op.combine(cut.sl_sum, addback)
     if stats is not None:
         stats.add_work(m, phase="find_sublist")
@@ -745,27 +775,24 @@ def _finish_phase3_serial(
     op: Operator,
     vp_next: np.ndarray,
     vp_sum: np.ndarray,
-    out: np.ndarray,
     stats: ScanStats | None,
 ) -> None:
-    """Scalar completion of the last Phase-3 stragglers."""
-    limit = nxt.shape[0] + 1
+    """Scalar completion of the last Phase-3 stragglers, up to the sink."""
+    sink = nxt.shape[0] - 1
     for k in range(vp_next.size):
         cur = int(vp_next[k])
         acc = vp_sum[k]
         steps = 0
-        while True:
-            out[cur] = acc
-            acc = op.combine(acc, values[cur])
-            succ = int(nxt[cur])
-            if succ == cur:
-                break
-            cur = succ
+        while cur != sink:
+            folded = op.combine(acc, values[cur])
+            values[cur] = acc
+            acc = folded
+            cur = int(nxt[cur])
             steps += 1
-            if steps > limit:
+            if steps > sink:
                 raise ListStructureError("cycle detected in straggler sublist")
         if stats is not None:
-            stats.add_work(steps + 1, phase="phase3_serial_tail")
+            stats.add_work(steps, phase="phase3_serial_tail")
 
 
 def _list_ids(nxt: np.ndarray, heads: np.ndarray) -> np.ndarray:

@@ -3,8 +3,8 @@
 A single list is a forest with one head, so this module is a thin
 wrapper: :func:`sublist_list_scan` runs the one three-phase
 implementation in ``core.forest`` (Initialize, Phase 1, Find sublist
-list, Phase 2, Phase 3, Restore; see that module's docstring) with the
-list's head.  :class:`SublistConfig` and :func:`choose_splitters` live
+list, Phase 2, Phase 3; see that module's docstring) with the list's
+head.  :class:`SublistConfig` and :func:`choose_splitters` live
 there too and are re-exported here.  The cycle-accounted Cray C-90
 version lives in ``simulate.sublist_sim``.
 """
@@ -46,10 +46,8 @@ def sublist_list_scan(
 ) -> np.ndarray:
     """List scan with the paper's sublist algorithm.
 
-    The input list's ``next`` and ``values`` arrays are modified in
-    place during the computation (self-loops and identity values at the
-    splitters) and restored before returning, exactly as in the paper;
-    on any exception the arrays are restored as well.
+    The input list is only read: Initialize cuts a record copy of it
+    (``core.forest``), so read-only arrays are fine.
 
     ``trace`` attaches a :class:`repro.trace.Tracer` (or ``"off"`` for
     the instrumented-but-disabled path): the run records a

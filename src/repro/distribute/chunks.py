@@ -123,8 +123,7 @@ def contract_chunk(
 
     ``nxt_c`` / ``values_c`` are the chunk's slices ``[lo:hi)`` of the
     global arrays; ``entries`` its sorted global entry ids.  Neither
-    input is modified (``values_c`` must be writable — the kernels
-    mutate and restore it in place, as everywhere in this codebase).
+    input is modified, and both may be read-only.
     """
     if entries.shape[0] == 0:
         empty_i = np.empty(0, dtype=INDEX_DTYPE)

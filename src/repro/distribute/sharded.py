@@ -85,12 +85,11 @@ class _ChunkIO:
         self.arr = arr
         self.is_memmap = isinstance(arr, np.memmap)
 
-    def fetch(self, lo: int, hi: int, writable: bool = False) -> np.ndarray:
+    def fetch(self, lo: int, hi: int) -> np.ndarray:
         sl = self.arr[lo:hi]
-        if self.is_memmap or (writable and not sl.flags.writeable):
+        if self.is_memmap:
             buf = np.array(sl)
-            if self.is_memmap:
-                drop_resident_range(self.arr, lo, hi)
+            drop_resident_range(self.arr, lo, hi)
             return buf
         return sl
 
@@ -284,7 +283,7 @@ def _sharded_scan(
                 ):
                     result = contract_chunk(
                         nxt_io.fetch(lo, hi),
-                        values_io.fetch(lo, hi, writable=True),
+                        values_io.fetch(lo, hi),
                         lo,
                         hi,
                         entries,
@@ -413,7 +412,7 @@ def _sharded_scan(
                 ):
                     expand_chunk(
                         nxt_io.fetch(lo, hi),
-                        values_io.fetch(lo, hi, writable=True),
+                        values_io.fetch(lo, hi),
                         lo,
                         hi,
                         entries,

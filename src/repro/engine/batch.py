@@ -93,11 +93,10 @@ def shard_requests(
 class FusedBatch:
     """Many independent lists concatenated into one forest problem.
 
-    ``nxt``/``values`` are fresh arrays (the requests' own arrays are
-    never aliased, so the forest kernels may mutate-and-restore them
-    freely, even concurrently across shards).  List *k* occupies the
-    index range ``[offsets[k], offsets[k+1])`` and keeps its self-loop
-    tail; ``heads[k]`` is its head in fused coordinates.
+    ``nxt``/``values`` are fresh arrays concatenated from the
+    requests' own; the forest scan only reads them.  List *k* occupies
+    the index range ``[offsets[k], offsets[k+1])`` and keeps its
+    self-loop tail; ``heads[k]`` is its head in fused coordinates.
     """
 
     requests: list[ScanRequest]

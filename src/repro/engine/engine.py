@@ -964,7 +964,7 @@ class Engine:
             "solo", request_id=req.request_id, n=req.n, algorithm=algorithm
         ):
             result = list_scan(
-                req.lst.copy(),
+                req.lst,
                 req.op,
                 inclusive=req.inclusive,
                 algorithm=algorithm,

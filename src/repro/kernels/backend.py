@@ -29,12 +29,21 @@ Selection precedence: explicit argument (``Engine(kernel_backend=…)``,
 ``REPRO_KERNEL_BACKEND`` environment variable, which beats
 auto-detection (numba if importable, else numpy).
 
-Calling convention: traversal/pack methods *return* the (possibly
-rebound) live arrays.  The numpy backend rebinds fresh arrays exactly
-like the historical inline code; the loop backends mutate in place and
-return compacted views.  Callers must therefore treat the returned
-arrays as owning and never alias the inputs afterwards — which is how
-the core modules always used them.
+Calling convention: ``nxt``/``values`` are the two field views of the
+scan's record array (``core.forest``), one ``(next, value)`` record
+per node plus a last *sink* record, a self-loop; sublist tails are
+self-loops in Phase 1.  Before Phase 3 every sublist tail points at
+the sink.  Each Phase-3 step reads a node's value, writes the node's
+exclusive scan over it, and folds what it read; a processor past its
+tail stands on the sink and must fold nothing but the identity (the
+numpy backend resets the sink's value every step, the loops stop
+there).  ``pack_phase3`` retires the processors whose successor is
+the sink, writing the scan of one still standing on its tail.
+
+Traversal/pack methods *return* the (possibly rebound) live arrays.
+The numpy backend rebinds fresh arrays; the loop backends mutate in
+place and return compacted views.  Callers must therefore treat the
+returned arrays as owning and never alias the inputs afterwards.
 """
 
 from __future__ import annotations
@@ -121,8 +130,8 @@ class KernelBackend:
         vp_sum: np.ndarray,
         gap: int,
         op: Operator,
-        out: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray]:
+        """Write each visited node's scan over its value (see module doc)."""
         raise NotImplementedError
 
     # -- pack/compress --------------------------------------------------
@@ -145,10 +154,14 @@ class KernelBackend:
     def pack_phase3(
         self,
         nxt: np.ndarray,
+        values: np.ndarray,
         vp_next: np.ndarray,
         vp_sum: np.ndarray,
-        out: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray]:
+        """Retire the processors on their tail or the sink, compact.
+
+        A processor standing on its tail writes its scan there first.
+        """
         raise NotImplementedError
 
     # -- Phase-2 reduced scan -------------------------------------------
@@ -205,11 +218,14 @@ class NumpyBackend(KernelBackend):
         vp_sum: np.ndarray,
         gap: int,
         op: Operator,
-        out: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray]:
+        sink = values.shape[0] - 1
+        ident = op.identity_for(values.dtype)
         for _ in range(gap):
-            out[vp_next] = vp_sum
-            vp_sum = op.combine(vp_sum, values[vp_next])
+            values[sink] = ident  # what a processor past its tail folds
+            v = values[vp_next]
+            values[vp_next] = vp_sum
+            vp_sum = op.combine(vp_sum, v)
             vp_next = nxt[vp_next]
         return vp_next, vp_sum
 
@@ -232,13 +248,13 @@ class NumpyBackend(KernelBackend):
     def pack_phase3(
         self,
         nxt: np.ndarray,
+        values: np.ndarray,
         vp_next: np.ndarray,
         vp_sum: np.ndarray,
-        out: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray]:
-        done = vp_next == nxt[vp_next]
+        done = nxt[vp_next] == nxt.shape[0] - 1  # on a tail or the sink
         if np.any(done):
-            out[vp_next] = vp_sum  # tails get their final scan
+            values[vp_next[done]] = vp_sum[done]  # tails get their final scan
             keep = ~done
             vp_next = vp_next[keep]
             vp_sum = vp_sum[keep]
@@ -308,18 +324,15 @@ class _LoopBackendBase(KernelBackend):
         vp_sum: np.ndarray,
         gap: int,
         op: Operator,
-        out: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray]:
         spec = self._spec(op)
         k = self.kernels()
         if spec.width == 1:
-            k["phase3_traverse"](
-                nxt, values, vp_next, vp_sum, gap, spec.companion, out
-            )
+            k["phase3_traverse"](nxt, values, vp_next, vp_sum, gap, spec.companion)
         else:
             k["phase3_traverse_pair"](
                 nxt, values, vp_next, vp_sum, gap,
-                spec.companion, spec.cross, spec.plus, out,
+                spec.companion, spec.cross, spec.plus,
             )
         return vp_next, vp_sum
 
@@ -353,15 +366,15 @@ class _LoopBackendBase(KernelBackend):
     def pack_phase3(
         self,
         nxt: np.ndarray,
+        values: np.ndarray,
         vp_next: np.ndarray,
         vp_sum: np.ndarray,
-        out: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray]:
         k = self.kernels()
         if vp_sum.ndim == 2:
-            live = int(k["pack_phase3_pair"](nxt, vp_next, vp_sum, out))
+            live = int(k["pack_phase3_pair"](nxt, values, vp_next, vp_sum))
         else:
-            live = int(k["pack_phase3"](nxt, vp_next, vp_sum, out))
+            live = int(k["pack_phase3"](nxt, values, vp_next, vp_sum))
         return vp_next[:live], vp_sum[:live]
 
     def reduced_scan(

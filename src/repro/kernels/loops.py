@@ -2,10 +2,14 @@
 
 The sublist scan (``core.forest``) runs the paper's kernels one NumPy
 array-op per lock-step vector step.  This module re-expresses the three
-hottest of them as explicit scalar loops over the same arrays:
+hottest of them as explicit scalar loops over the same arrays (the
+field views of the scan's record array; the calling convention is in
+``kernels.backend``):
 
 * the Phase-1/Phase-3 lock-step gather traversal (per virtual
-  processor: gather value, fold, follow successor — ``gap`` steps);
+  processor: gather value, fold, follow successor — ``gap`` steps;
+  Phase 3 also writes the node's scan over the value it read and stops
+  on the sink);
 * the pack/compress step driven by ``core.schedule`` (scatter finished
   sublists out, compact the live virtual processors in place);
 * the Phase-2 reduced-list scan, as a Blelloch up-sweep/down-sweep
@@ -120,33 +124,42 @@ def build_kernels(jit: Callable[[Any], Any]) -> dict[str, Any]:
             vp_sum[k, 1] = as_
 
     @jit
-    def phase3_traverse(nxt, values, vp_next, vp_sum, gap, code, out):  # type: ignore[no-untyped-def]
+    def phase3_traverse(nxt, values, vp_next, vp_sum, gap, code):  # type: ignore[no-untyped-def]
+        # write each node's scan over the value just read; a processor
+        # on the sink (the only self-loop left) is done
         for k in range(vp_next.shape[0]):
             cur = vp_next[k]
             acc = vp_sum[k]
             for _ in range(gap):
-                out[cur] = acc
-                acc = combine(code, acc, values[cur])
-                cur = nxt[cur]
+                succ = nxt[cur]
+                if succ == cur:
+                    break
+                v = values[cur]
+                values[cur] = acc
+                acc = combine(code, acc, v)
+                cur = succ
             vp_next[k] = cur
             vp_sum[k] = acc
 
     @jit
-    def phase3_traverse_pair(nxt, values, vp_next, vp_sum, gap, cc, xc, pc, out):  # type: ignore[no-untyped-def]
+    def phase3_traverse_pair(nxt, values, vp_next, vp_sum, gap, cc, xc, pc):  # type: ignore[no-untyped-def]
         for k in range(vp_next.shape[0]):
             cur = vp_next[k]
             af = vp_sum[k, 0]
             as_ = vp_sum[k, 1]
             for _ in range(gap):
-                out[cur, 0] = af
-                out[cur, 1] = as_
+                succ = nxt[cur]
+                if succ == cur:
+                    break
                 vf = values[cur, 0]
                 vs = values[cur, 1]
+                values[cur, 0] = af
+                values[cur, 1] = as_
                 nf = combine(cc, af, vf)
                 ns = combine(pc, combine(xc, as_, vf), vs)
                 af = nf
                 as_ = ns
-                cur = nxt[cur]
+                cur = succ
             vp_next[k] = cur
             vp_sum[k, 0] = af
             vp_sum[k, 1] = as_
@@ -190,12 +203,13 @@ def build_kernels(jit: Callable[[Any], Any]) -> dict[str, Any]:
         return live
 
     @jit
-    def pack_phase3(nxt, vp_next, vp_sum, out):  # type: ignore[no-untyped-def]
+    def pack_phase3(nxt, values, vp_next, vp_sum):  # type: ignore[no-untyped-def]
+        sink = nxt.shape[0] - 1
         live = 0
         for k in range(vp_next.shape[0]):
             cur = vp_next[k]
-            if nxt[cur] == cur:
-                out[cur] = vp_sum[k]
+            if nxt[cur] == sink:  # on a tail (write its scan) or the sink
+                values[cur] = vp_sum[k]
             else:
                 vp_next[live] = cur
                 vp_sum[live] = vp_sum[k]
@@ -203,13 +217,14 @@ def build_kernels(jit: Callable[[Any], Any]) -> dict[str, Any]:
         return live
 
     @jit
-    def pack_phase3_pair(nxt, vp_next, vp_sum, out):  # type: ignore[no-untyped-def]
+    def pack_phase3_pair(nxt, values, vp_next, vp_sum):  # type: ignore[no-untyped-def]
+        sink = nxt.shape[0] - 1
         live = 0
         for k in range(vp_next.shape[0]):
             cur = vp_next[k]
-            if nxt[cur] == cur:
-                out[cur, 0] = vp_sum[k, 0]
-                out[cur, 1] = vp_sum[k, 1]
+            if nxt[cur] == sink:
+                values[cur, 0] = vp_sum[k, 0]
+                values[cur, 1] = vp_sum[k, 1]
             else:
                 vp_next[live] = cur
                 vp_sum[live, 0] = vp_sum[k, 0]

@@ -1,7 +1,7 @@
 """Structural operations on linked lists.
 
-The algorithms in this library temporarily cut and restore lists; the
-utilities here expose those manipulations as safe public operations.
+The sublist algorithm cuts a copy of its list into sublists; the
+utilities here expose such manipulations as safe public operations.
 Because a :class:`LinkedList` always covers its whole node array with a
 single self-loop-terminated chain, operations that produce *several*
 lists return each piece as a compact standalone list together with the

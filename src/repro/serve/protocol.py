@@ -279,7 +279,9 @@ def _attach_sections(
             raise _bad_message(
                 f"array section {field!r} has an unusable shape: {exc}", wire_id
             ) from exc
-        # the scans write into next/values and restore them afterwards
+        # copy out of the read-only frame bytes: behind a header of any
+        # length the view is usually unaligned, and the scans' gathers
+        # over an unaligned array cost more than this one copy
         message[field] = arr if arr.flags.writeable else arr.copy()
         offset += count * itemsize
     if offset != len(payload):

@@ -6,7 +6,8 @@ import pytest
 import repro
 from repro.baselines.serial import serial_list_rank, serial_list_scan
 from repro.core.list_scan import ALGORITHMS, list_rank, list_scan
-from repro.core.operators import MAX
+from repro.core.forest import forest_list_scan
+from repro.core.operators import MAX, get_operator
 from repro.core.stats import ScanStats
 from repro.lists.generate import LinkedList, random_list
 from repro.lists.validate import ListStructureError
@@ -187,6 +188,55 @@ class TestListRank:
         lst = random_list(3000, 0)
         got = list_rank(lst, algorithm="sublist", rng=0, kernel_backend="python")
         assert np.array_equal(got, serial_list_rank(lst))
+
+
+class TestReadOnlyInputs:
+    """The scans only read their input arrays, so read-only ones work."""
+
+    @staticmethod
+    def _values(op, rng, n):
+        if op == "sum":
+            return rng.integers(-50, 50, n)
+        return np.stack([rng.uniform(0.5, 1.5, n), rng.uniform(-1.0, 1.0, n)], axis=1)
+
+    @staticmethod
+    def _check(got, want, op):
+        if op == "sum":
+            np.testing.assert_array_equal(got, want)
+        else:
+            np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
+
+    @pytest.mark.parametrize("op", ["sum", "affine"])
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_list_scan(self, algorithm, op, rng):
+        n = 8000  # large enough for auto to route to sublist
+        lst = random_list(n, rng, values=self._values(op, rng, n))
+        saved = lst.copy()
+        lst.next.flags.writeable = False
+        lst.values.flags.writeable = False
+        got = list_scan(lst, op, algorithm=algorithm, rng=rng)
+        self._check(got, serial_list_scan(saved, op), op)
+        np.testing.assert_array_equal(lst.next, saved.next)
+        np.testing.assert_array_equal(lst.values, saved.values)
+
+    @pytest.mark.parametrize("op", ["sum", "affine"])
+    def test_forest_scan_with_carries(self, op, rng):
+        lists = [random_list(k, rng, values=self._values(op, rng, k)) for k in (3000, 2000, 4000)]
+        offsets = np.cumsum([0] + [lst.n for lst in lists])
+        nxt = np.concatenate([lst.next + o for lst, o in zip(lists, offsets)])
+        values = np.concatenate([lst.values for lst in lists])
+        heads = np.array([lst.head + o for lst, o in zip(lists, offsets)])
+        carries = self._values(op, rng, 3)
+        saved = [a.copy() for a in (nxt, values, heads, carries)]
+        for a in (nxt, values, heads, carries):
+            a.flags.writeable = False
+        got = forest_list_scan(nxt, values, heads, op, carries=carries, rng=rng)
+        combine = get_operator(op).combine
+        for k, lst in enumerate(lists):
+            want = combine(carries[k], serial_list_scan(lst, op))
+            self._check(got[offsets[k] : offsets[k + 1]], want, op)
+        for a, b in zip((nxt, values, heads, carries), saved):
+            np.testing.assert_array_equal(a, b)
 
 
 class TestPackageSurface:

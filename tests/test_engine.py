@@ -100,6 +100,17 @@ class TestEquivalence:
             np.testing.assert_array_equal(lst.next, nxt)
             np.testing.assert_array_equal(lst.values, vals)
 
+    def test_solo_request_over_read_only_arrays(self):
+        # the scans only read their input, so the engine hands the
+        # request's own arrays to the kernel
+        lst = random_list(20_000, 4, values=random_values(20_000, 4))
+        lst.next.flags.writeable = False
+        lst.values.flags.writeable = False
+        with Engine(executor="sync", cache_capacity=0) as engine:
+            (resp,) = engine.run_batch([ScanRequest(lst=lst, algorithm="sublist")])
+        assert resp.ok
+        np.testing.assert_array_equal(resp.result, serial_list_scan(lst, SUM))
+
     def test_rank_convenience(self):
         lst = random_list(500, 0)
         engine = Engine()

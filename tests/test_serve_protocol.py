@@ -114,7 +114,7 @@ def test_arrays_travel_as_sections_after_a_json_header():
     for field, sent in (("next", nxt), ("values", values)):
         got = decoded[field]
         assert got.dtype == sent.dtype and np.array_equal(got, sent)
-        assert got.flags.writeable  # the scans write into next/values
+        assert got.flags.writeable  # copied out of the frame bytes (aligned)
     # the client side turns sections back into lists
     assert FrameDecoder().feed(frame) == [
         {"id": 7, "head": 0, "next": nxt.tolist(), "values": values.tolist()}
@@ -122,8 +122,8 @@ def test_arrays_travel_as_sections_after_a_json_header():
 
 
 def test_decoded_sections_scan_in_place():
-    # sublist rewrites next/values during the scan and restores them;
-    # a read-only view over the frame's bytes would make that raise
+    # the decoded sections are copies out of the frame; the sublist scan
+    # runs over them and leaves them as they were sent
     lst = random_list(9000, np.random.default_rng(2))
     frame = encode_frame(
         {"id": 1, "next": lst.next, "head": lst.head, "values": lst.values}
@@ -131,7 +131,7 @@ def test_decoded_sections_scan_in_place():
     request = parse_request(decode_message(frame[4:]))
     result = list_scan(request.lst, "sum", algorithm="sublist")
     assert np.array_equal(result, list_scan(lst, "sum", algorithm="serial"))
-    assert np.array_equal(request.lst.next, lst.next)  # restored
+    assert np.array_equal(request.lst.next, lst.next)  # only read
 
 
 def test_list_arrays_round_trip_through_the_client_decoder():

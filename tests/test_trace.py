@@ -175,7 +175,7 @@ class TestKernelTracing:
         assert scan.attrs["m"] >= 2 and scan.attrs["s1"] > 0
         child_names = [c.name for c in scan.children]
         for name in ("initialize", "phase1", "find_sublist_list",
-                     "phase2", "phase3", "restore"):
+                     "phase2", "phase3"):
             assert name in child_names, name
         packs = scan.find("phase1").events_named("pack")
         assert packs, "phase 1 recorded no pack events"

@@ -180,6 +180,26 @@ class TestCorruptionGuards:
         assert np.array_equal(work, nxt)
         assert np.all(values == 1)
 
+    @pytest.mark.parametrize("bad", ["n", "-1"])
+    @pytest.mark.parametrize("n", [100, 5000])
+    def test_out_of_range_successor_rejected(self, n, bad):
+        """Successor ``n`` or ``-1`` leads off the node array, into the
+        scan's sink record: refuse it, at the serial and sublist sizes."""
+        from repro.core.forest import forest_list_scan
+        from repro.core.list_scan import list_scan
+        from repro.core.operators import SUM
+        from repro.lists.generate import list_order
+
+        lst = random_list(n, np.random.default_rng(8))
+        lst.next[list_order(lst)[n // 2]] = n if bad == "n" else -1
+        nxt, values = lst.next.copy(), lst.values.copy()
+        with pytest.raises(ListStructureError, match="outside"):
+            list_scan(lst, algorithm="sublist", rng=0)
+        with pytest.raises(ListStructureError, match="outside"):
+            forest_list_scan(lst.next, lst.values, np.array([lst.head]), SUM, rng=0)
+        assert np.array_equal(lst.next, nxt)
+        assert np.array_equal(lst.values, values)
+
     def test_engine_answers_fused_shard_with_cyclic_list(self):
         """validate="off" fuses the cyclic list with three good ones;
         the shard fails, and the quarantine answers every request."""
