@@ -82,44 +82,6 @@ def test_engine_vs_sequential_mixed(benchmark, full_sweep, smoke):
 
 
 @pytest.mark.benchmark(group="engine")
-def test_engine_fault_isolation_overhead(benchmark, full_sweep, smoke):
-    """Probe-time validation + containment must not eat the batching win.
-
-    Runs the same healthy workload through the hardened serving path
-    (``validate="fast"``, the default) and with validation off, and
-    records the overhead ratio: the hardened engine should keep at
-    least half the unvalidated throughput (in practice far more — the
-    O(n) vectorized checks are cheap next to the scan itself).
-    """
-    count = 16 if smoke else (128 if full_sweep else 64)
-    max_n = (1 << 10) if smoke else (1 << 13)
-    lists = _mixed_workload(count, 32, max_n, seed=11)
-
-    unvalidated = Engine(cache_capacity=0, validate="off")
-    unvalidated.map_scan(lists, "sum")
-    t_off = unvalidated.stats.seconds_executing
-
-    hardened = Engine(cache_capacity=0, validate="fast")
-    results = benchmark.pedantic(
-        lambda: hardened.map_scan(lists, "sum"), rounds=1, iterations=1
-    )
-    t_on = hardened.stats.seconds_executing
-
-    for got, ref in zip(results, unvalidated.map_scan(lists, "sum")):
-        np.testing.assert_array_equal(got, ref)
-    assert hardened.stats.errors == 0
-
-    record_speedup(
-        "engine",
-        "hardened serving path keeps >= 0.5x unvalidated throughput",
-        t_off,
-        t_on,
-        threshold=0.5,
-        note=f"{count} lists, probe-time validation 'fast' vs 'off'",
-    )
-
-
-@pytest.mark.benchmark(group="engine")
 def test_engine_cache_repeated_workload(benchmark, smoke):
     count = 12 if smoke else 48
     max_n = (1 << 10) if smoke else (1 << 13)

@@ -25,6 +25,9 @@ being spliced this round (another processor's heads-up current node).
 This makes each round's splice set vertex-disjoint along the chain, so
 the doubly-linked updates commute.  "Again only a small constant
 proportion (≥ 1/4) of the processors remove nodes on each round."
+
+A non-list raises ``ListStructureError`` instead of spinning: splicing
+shrinks a disjoint cycle to a queued node that is its own predecessor.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ import numpy as np
 from ..core.operators import Operator, SUM, get_operator
 from ..core.stats import ScanStats
 from ..lists.generate import INDEX_DTYPE, LinkedList
+from ..lists.validate import ListStructureError
 from .serial import serial_list_scan
 from .wyllie import build_predecessors
 
@@ -92,6 +96,8 @@ def anderson_miller_list_scan(
         coin = gen.random(k) < 0.5
         heads_up[cursor] = coin
         pred = prev[cursor]
+        if np.any(pred == cursor):
+            raise ListStructureError("a disjoint cycle contracted to a self-loop")
         blocked = heads_up[pred]
         splice = coin & ~blocked
         heads_up[cursor] = False  # reset for the next round

@@ -22,7 +22,7 @@ import numpy as np
 
 from ..core.operators import Operator, SUM, get_operator
 from ..lists.generate import LinkedList
-from ..lists.validate import ListStructureError
+from ..lists.validate import ListStructureError, check_range
 
 __all__ = [
     "serial_list_scan",
@@ -58,14 +58,15 @@ def serial_list_scan(
     Raises
     ------
     ListStructureError
-        When the walk from the head does not end at a self-loop after
-        exactly ``n`` nodes (a cycle, or nodes the head never reaches),
-        so no node of ``out`` is left unwritten.
+        When a successor is out of range or the walk from the head does
+        not end at a self-loop after exactly ``n`` nodes (a cycle, or
+        nodes the head never reaches), so no node of ``out`` is unwritten.
     """
     op = get_operator(op)
     values = lst.values
     nxt = lst.next
     n = lst.n
+    check_range(nxt, [lst.head])
     if out is None:
         out = np.empty_like(values)
     acc = op.identity_for(values.dtype)
@@ -99,6 +100,7 @@ def serial_list_rank(lst: LinkedList, out: np.ndarray | None = None) -> np.ndarr
         out = np.empty(n, dtype=np.int64)
     cur = lst.head
     nxt = lst.next
+    check_range(nxt, [lst.head])
     for k in range(n):
         out[cur] = k
         succ = int(nxt[cur])

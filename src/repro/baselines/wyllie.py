@@ -26,6 +26,9 @@ is the operator identity, so the repeated self-combinations at the
 clamped end contribute nothing.  Reads and writes are double-buffered
 ("on each call to the inner loop we switch back and forth between
 arrays we read from and arrays we write to").
+
+Both variants prove the list: the round trip of :func:`build_predecessors`,
+then every pointer must converge on the head (prefix) or the tail (suffix).
 """
 
 from __future__ import annotations
@@ -36,7 +39,8 @@ import numpy as np
 
 from ..core.operators import Operator, SUM, get_operator
 from ..core.stats import ScanStats
-from ..lists.generate import INDEX_DTYPE, LinkedList
+from ..lists.generate import LinkedList
+from ..lists.validate import ListStructureError, forest_predecessors
 
 __all__ = [
     "wyllie_list_scan",
@@ -63,14 +67,9 @@ def wyllie_rounds(n: int) -> int:
 
 
 def build_predecessors(lst: LinkedList) -> np.ndarray:
-    """Predecessor array: ``pred[next[i]] = i``; the head self-loops."""
-    n = lst.n
-    idx = np.arange(n, dtype=INDEX_DTYPE)
-    pred = np.empty(n, dtype=INDEX_DTYPE)
-    pred[lst.head] = lst.head
-    proper = lst.next != idx
-    pred[lst.next[proper]] = idx[proper]
-    return pred
+    """Predecessor array: ``pred[next[i]] = i``; the head self-loops.
+    Raises unless the round trip holds (``forest_predecessors``)."""
+    return forest_predecessors(lst.next, [lst.head])
 
 
 def wyllie_prefix(
@@ -106,6 +105,8 @@ def wyllie_prefix(
             stats.add_round()
             stats.add_work(n, phase="wyllie")
             stats.add_gather(3 * n)  # work[ptr] (value_width-ignored) + ptr[ptr]
+    if np.any(ptr != lst.head):
+        raise ListStructureError("pointer jumping did not converge: a disjoint cycle")
     # fold the head's true value back in
     head_val = values[lst.head]
     if inclusive:
@@ -141,6 +142,7 @@ def wyllie_suffix(
         )
     n = lst.n
     values = lst.values
+    build_predecessors(lst)  # the round trip
     tail = lst.tail
     ident = op.identity_for(values.dtype)
 
@@ -157,6 +159,8 @@ def wyllie_suffix(
             stats.add_round()
             stats.add_work(n, phase="wyllie")
             stats.add_gather(2 * n)
+    if np.any(ptr != tail):
+        raise ListStructureError("pointer jumping did not converge: a disjoint cycle")
     # work[v] = v ⊕ … ⊕ (last-1); exclusive prefix = total ⊖ suffix
     total = work[lst.head]
     out = op.remove(total, work)

@@ -32,7 +32,7 @@ Splitter choice, Initialize, Find-sublist-list, the Phase-2 dispatch
 and the Phase-3 kernels are the shared steps of ``core.forest`` and
 ``kernels.backend``; only the bookkept Phase-1 loop, the straggler
 compaction and the switch live here.  Like every sublist entry, it
-only reads the input list.
+only reads the input list, and proves it with ``core.forest``'s checks.
 """
 
 from __future__ import annotations
@@ -44,9 +44,12 @@ import numpy as np
 from ..baselines.serial import serial_list_scan
 from ..kernels.backend import resolve_backend
 from ..lists.generate import INDEX_DTYPE, LinkedList
+from ..lists.validate import check_range
 from .forest import (
     SublistConfig,
+    _copy_out,
     _cut,
+    _guard_steps,
     _link,
     _phase2,
     _plan_splitters,
@@ -90,6 +93,8 @@ def early_reconnect_list_scan(
         serial_list_scan(lst, op, inclusive=inclusive, out=out)
         return out
 
+    heads = np.asarray([lst.head], dtype=INDEX_DTYPE)
+    check_range(nxt, heads)
     positions, s1 = _plan_splitters(nxt, 1, cfg, gen)
     m = int(positions.size) + 1
     if switch_count is None:
@@ -106,7 +111,6 @@ def early_reconnect_list_scan(
     forest_within = None  # exclusive-within-sublist scans of those nodes
     forest_proc = None  # original sublist index of each suffix node
 
-    heads = np.asarray([lst.head], dtype=INDEX_DTYPE)
     cut = _cut(nxt, values, heads, positions, op, stats, None)
     rec_next, rec_value = cut.rec["next"], cut.rec["value"]
     schedule = optimal_schedule(n, m, s1, cfg.costs, guard=cfg.schedule_guard)
@@ -116,12 +120,13 @@ def early_reconnect_list_scan(
     vp_next = cut.sl_head.copy()
     vp_sum = op.identity_array(m, values.dtype)
     vp_proc = np.arange(m, dtype=INDEX_DTYPE)
-    switched = False
+    switched, total_steps = False, 0
     while vp_next.size:
         if switch_count and vp_next.size <= switch_count:
             switched = True
             break
         gap = next(gaps1)
+        total_steps = _guard_steps(total_steps, gap, n)
         x = vp_next.size
         for _ in range(gap):
             visited[vp_next] = True
@@ -195,6 +200,7 @@ def early_reconnect_list_scan(
             # Phase-2 carries into the precomputed within-sublist
             # scans and scatter
             rec_value[forest_nodes] = op.combine(carries[forest_proc], forest_within)
+            rec_next[forest_nodes] = n  # covered by the forest scan
             if stats is not None:
                 stats.add_scatter(forest_nodes.size)
             break
@@ -207,7 +213,7 @@ def early_reconnect_list_scan(
         vp_next, vp_sum = backend.pack_phase3(rec_next, rec_value, vp_next, vp_sum)
         if stats is not None:
             stats.add_pack()
-    out[...] = rec_value[:n]
+    _copy_out(cut.rec, out)
     if stats is not None:
         stats.free(cut.words)
 

@@ -34,7 +34,8 @@ into *m* sublists that are processed independently and in parallel:
   the result.
 
 The input arrays are only read, so there is no Restore step and
-read-only inputs are fine.
+read-only inputs are fine.  Every kernel here proves that its input is
+a forest of lists, or raises ``ListStructureError`` (``docs/algorithm.md``).
 
 Optional per-list ``carries`` seed each chain; the Section 6
 early-reconnect variant (``core.early_reconnect``) uses them to rescan
@@ -56,7 +57,7 @@ import numpy as np
 from ..analysis.cost_model import KernelCosts, PAPER_C90_COSTS
 from ..kernels.backend import KernelBackend, resolve_backend
 from ..lists.generate import INDEX_DTYPE
-from ..lists.validate import ListStructureError
+from ..lists.validate import ListStructureError, check_range, forest_predecessors
 from ..trace.tracer import Tracer, null_span, resolve_trace
 from .operators import Operator, SUM, get_operator
 from .schedule import ScheduleIterator, optimal_schedule
@@ -73,6 +74,7 @@ __all__ = [
 ]
 
 _OUT_OF_RANGE = "a successor index lies outside [0, n); not a valid list"
+_COPY_BLOCK = 1 << 15  # records per block of the final copy (_copy_out)
 
 
 @dataclass(frozen=True)
@@ -167,9 +169,7 @@ def choose_splitters(
     if want < 1:
         return np.empty(0, dtype=INDEX_DTYPE)
     if strategy == "spaced":
-        positions = np.unique(
-            (np.arange(1, want + 1, dtype=np.float64) * n / (want + 1)).astype(INDEX_DTYPE)
-        )
+        positions = _spaced(n, want)
     elif strategy == "random":
         # choose from [0, n) minus the tails: draw from [0, n - k), then
         # shift each draw past every tail at or below its target
@@ -195,6 +195,11 @@ def choose_splitters(
     return positions
 
 
+def _spaced(n: int, want: int) -> np.ndarray:
+    positions = np.arange(1, want + 1, dtype=np.float64) * n / (want + 1)
+    return np.unique(positions.astype(INDEX_DTYPE))
+
+
 def forest_tails(nxt: np.ndarray, heads: np.ndarray) -> np.ndarray:
     """Tail (self-loop) of each list in the forest, by pointer doubling."""
     ptr = nxt.copy()
@@ -213,9 +218,12 @@ def serial_forest_scan(
     carries: np.ndarray | None,
     out: np.ndarray,
 ) -> None:
-    """Scalar reference: exclusive scan of each list, seeded by its carry."""
+    """Scalar reference: exclusive scan of each list, seeded by its carry.
+    Proves the forest: ``n`` nodes visited in all, and distinct tails."""
     op = get_operator(op)
-    limit = nxt.shape[0]
+    check_range(nxt, heads)
+    budget = nxt.shape[0]  # node visits left
+    tails = set()
     for k in range(heads.shape[0]):
         acc = (
             carries[k]
@@ -223,19 +231,19 @@ def serial_forest_scan(
             else op.identity_for(values.dtype)
         )
         cur = int(heads[k])
-        for _ in range(limit):
+        for steps in range(1, budget + 1):
             out[cur] = acc
             acc = op.combine(acc, values[cur])
             succ = int(nxt[cur])
             if succ == cur:
                 break
-            if not 0 <= succ < limit:
-                raise ListStructureError(_OUT_OF_RANGE)
             cur = succ
         else:
-            raise ListStructureError(
-                "forest chain did not terminate within the node count"
-            )
+            raise ListStructureError("forest chains did not terminate within the node count")
+        budget -= steps
+        tails.add(cur)
+    if budget or len(tails) != heads.shape[0]:
+        raise ListStructureError("the chains merge, or miss a node; not a forest of lists")
 
 
 def wyllie_forest_scan(
@@ -253,15 +261,11 @@ def wyllie_forest_scan(
     works: each node's working value converges to the ⊕-sum of its
     chain prefix (heads pinned at the identity), and the per-chain head
     value plus carry are folded in at the end via the converged
-    head-pointer map.
+    head-pointer map.  The round trip and the convergence prove the forest.
     """
     op = get_operator(op)
     n = nxt.shape[0]
-    idx = np.arange(n, dtype=INDEX_DTYPE)
-    pred = np.empty(n, dtype=INDEX_DTYPE)
-    pred[heads] = heads
-    proper = nxt != idx
-    pred[nxt[proper]] = idx[proper]
+    pred = forest_predecessors(nxt, heads)
 
     ident = op.identity_for(values.dtype)
     work = values.copy()
@@ -275,6 +279,8 @@ def wyllie_forest_scan(
             stats.add_round()
             stats.add_work(n, phase="wyllie_forest")
             stats.add_gather(3 * n)
+    if np.any(pred[ptr] != ptr):
+        raise ListStructureError("pointer jumping did not converge: a cycle no head reaches")
     # ptr now maps every node to its chain head; fold head value + carry
     head_value = values.copy()
     if carries is not None:
@@ -338,17 +344,18 @@ def forest_list_scan(
         A backend that does not support ``op`` over this value dtype
         silently falls back to the NumPy reference.
 
-    Raises :class:`repro.lists.ListStructureError` when the successor
-    array has no self-loop, a list runs into a cycle, or a list runs
-    off the node array (a successor ``n`` or ``-1``).  Returns the
-    scan array (indexed by node), optionally with the list id array.
-    Nodes not reachable from any head keep arbitrary values.
+    Raises :class:`repro.lists.ListStructureError` unless every index
+    lies in ``[0, n)``, the heads are distinct, and every node is
+    reached exactly once, from one head, along a chain that ends at a
+    self-loop.  Returns the scan array (indexed by node), optionally
+    with the list id array.
     """
     op = get_operator(op)
     heads = np.asarray(heads, dtype=INDEX_DTYPE)
     n_lists = heads.shape[0]
     if n_lists == 0:
         raise ValueError("forest must contain at least one list")
+    check_range(nxt, heads)
     if carries is not None:
         carries = np.asarray(carries)
         if carries.shape[0] != n_lists:
@@ -515,7 +522,7 @@ def _scan_in_place(
                         live_before=int(x),
                         live_after=int(vp_next.size),
                     )
-        out[...] = rec_value[:n]
+        _copy_out(cut.rec, out)
         if stats is not None:
             stats.free(cut.words)
 
@@ -527,7 +534,9 @@ def _plan_splitters(
 
     The sublist count ``m`` (lists + splitters) and ``s1`` come from the
     config or the Section 4.4 tuning; a tuned ``m`` gives every list at
-    least two sublists.
+    least two sublists.  Spaced positions need only the tail count,
+    ``n_lists`` in a forest, and drop the tails among them in O(m); the
+    O(n) pass over every tail runs only when all of them are tails.
     """
     n = nxt.shape[0]
     m, s1 = cfg.m, cfg.s1
@@ -536,9 +545,12 @@ def _plan_splitters(
         m = m if m is not None else max(m_t, 2 * n_lists)
         s1 = s1 if s1 is not None else s1_t
     m = min(max(m, n_lists + 1), max(n_lists + 1, n // 2))
+    if cfg.splitters == "spaced":
+        positions = _spaced(n, min(m, n) - n_lists)
+        positions = positions[nxt[positions] != positions]
+        if positions.size:  # else every one is a tail: choose_splitters falls back
+            return positions, s1
     tails = np.flatnonzero(nxt == np.arange(n, dtype=INDEX_DTYPE))
-    if tails.size == 0:
-        raise ListStructureError("the successor array has no self-loop tail; not a valid list")
     return choose_splitters(n, m, tails, cfg.splitters, rng), s1
 
 
@@ -638,9 +650,9 @@ def _link(
     sublist's true tail value (from the input ``values``) into
     ``cut.sl_sum`` and returns the reduced successor array.
 
-    A sublist that ended on the sink ran off the node array (some
-    successor is ``n`` or ``-1``): that raises
-    :class:`ListStructureError`.
+    Raises :class:`ListStructureError` when a sublist ended on the
+    sink (it ran off the node array), when fewer sublists than lists
+    end at a self-loop tail, or when two end at one tail (a merge).
     """
     nxt = cut.rec["next"]
     sink = nxt.shape[0] - 1
@@ -653,9 +665,11 @@ def _link(
     chain_ends = np.flatnonzero(probe >= 0)
     if chain_ends.size < cut.n_lists:
         raise ListStructureError(
-            "the reduced list has fewer chain ends than lists; the "
-            "successor array appears to contain a cycle"
+            "the reduced list has fewer chain ends (self-loop tails) than "
+            "lists; the successor array appears to contain a cycle"
         )
+    if np.unique(cut.sl_tail).size != m:
+        raise ListStructureError("two sublists end at one tail: two chains merge")
     nxt[cut.sl_tail] = sink  # a processor past its tail stands on the sink
     # fold the splitter values (each sublist's true tail value) back
     # into the sublist sums; a chain's last sublist gets the value of
@@ -787,12 +801,24 @@ def _finish_phase3_serial(
             folded = op.combine(acc, values[cur])
             values[cur] = acc
             acc = folded
-            cur = int(nxt[cur])
+            nxt[cur], cur = sink, int(nxt[cur])  # mark visited (_copy_out), step
             steps += 1
             if steps > sink:
                 raise ListStructureError("cycle detected in straggler sublist")
         if stats is not None:
             stats.add_work(steps, phase="phase3_serial_tail")
+
+
+def _copy_out(rec: np.ndarray, out: np.ndarray) -> None:
+    """Copy the scan out, block by block, refusing a node Phase 3 never
+    left: its ``next`` is not the sink (a cycle or a branch off a list)."""
+    n = out.shape[0]
+    nxt, value = rec["next"][:n], rec["value"][:n]
+    for lo in range(0, n, _COPY_BLOCK):
+        block = slice(lo, lo + _COPY_BLOCK)
+        out[block] = value[block]
+        if nxt[block].min() < n:
+            raise ListStructureError("a node is not reached from any head")
 
 
 def _list_ids(nxt: np.ndarray, heads: np.ndarray) -> np.ndarray:

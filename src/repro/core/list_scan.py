@@ -1,9 +1,10 @@
 """Public dispatch API: one entry point over every implementation.
 
 ``list_scan`` / ``list_rank`` select an algorithm by name and handle
-validation, copying and common ergonomics.  This is the interface a
-downstream user of the library sees; the per-algorithm modules remain
-importable for research use.
+the common ergonomics.  Every algorithm raises ``ListStructureError``
+unless its input is a list (``docs/algorithm.md``).  This is the
+interface a downstream user of the library sees; the per-algorithm
+modules remain importable for research use.
 
 Algorithms
 ----------
@@ -95,7 +96,6 @@ def list_scan(
     op: Operator | str = SUM,
     inclusive: bool = False,
     algorithm: str = "sublist",
-    validate: bool = False,
     rng: np.random.Generator | int | None = None,
     stats: ScanStats | None = None,
     engine: Engine | None = None,
@@ -117,8 +117,6 @@ def list_scan(
         exclusive prescan, the paper's semantics).
     algorithm:
         One of :data:`ALGORITHMS`.
-    validate:
-        Run the strict structural validator first (O(n log n)).
     rng:
         Seed or generator for the randomized algorithms.
     stats:
@@ -156,8 +154,6 @@ def list_scan(
         Scan values indexed by node.
     """
     op = get_operator(op)
-    if validate:
-        validate_list_strict(lst)
     if engine is not None:
         dropped = [
             name
@@ -184,6 +180,8 @@ def list_scan(
     tracer = resolve_trace(trace)
     span = tracer.span if tracer is not None else null_span
     with span("list_scan", algorithm=algorithm, n=lst.n, inclusive=inclusive):
+        if algorithm in ("random_mate", "anderson_miller"):
+            validate_list_strict(lst)  # contractions: no traversal proves the list
         if algorithm == "sublist":
             from .sublist import sublist_list_scan
 
@@ -225,7 +223,6 @@ def list_scan(
 def list_rank(
     lst: LinkedList,
     algorithm: str = "sublist",
-    validate: bool = False,
     rng: np.random.Generator | int | None = None,
     stats: ScanStats | None = None,
     engine: Engine | None = None,
@@ -252,7 +249,6 @@ def list_rank(
         SUM,
         inclusive=False,
         algorithm=algorithm,
-        validate=validate,
         rng=rng,
         stats=stats,
         engine=engine,

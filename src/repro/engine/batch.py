@@ -31,6 +31,7 @@ import numpy as np
 
 from ..core.operators import Operator
 from ..lists.generate import INDEX_DTYPE
+from ..lists.validate import check_range
 from .queue import ScanRequest
 
 __all__ = ["size_class", "shard_key", "shard_requests", "FusedBatch"]
@@ -139,6 +140,7 @@ class FusedBatch:
         heads = np.empty(len(requests), dtype=INDEX_DTYPE)
         for k, req in enumerate(requests):
             lo, hi = int(offsets[k]), int(offsets[k + 1])
+            check_range(req.lst.next, [req.lst.head])  # no link into a neighbour's block
             nxt[lo:hi] = req.lst.next + lo
             values[lo:hi] = req.lst.values
             heads[k] = req.lst.head + lo

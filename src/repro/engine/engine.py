@@ -15,9 +15,10 @@ Pipeline for one batch (``run_batch``)::
 
 * Cache probes use the structural fingerprint (``engine.cache``); a
   hit answers the request without executing anything.
-* Misses are validated (``engine.errors``): malformed successor
-  arrays, shape/dtype mismatches and NaN-hostile inputs become
-  ``ok=False`` responses instead of exceptions out of the batch.
+* Misses are validated (``engine.errors``): shape/dtype mismatches
+  and NaN-hostile inputs become ``ok=False`` responses instead of
+  exceptions out of the batch.  The kernels prove the list structure
+  themselves; containment answers a non-list with ``bad-structure``.
 * Identical fingerprints in one batch *coalesce*: the first request
   executes, the duplicates receive copies of its result (or its
   structured error).
@@ -71,16 +72,12 @@ from ..core.list_scan import ALGORITHMS, list_scan
 from ..core.operators import Operator, SUM
 from ..core.stats import ScanStats
 from ..lists.generate import LinkedList
+from ..lists.validate import ListStructureError
 from ..trace.export import span_from_dict
 from ..trace.tracer import Span, Tracer, null_span, resolve_trace
 from .batch import DEFAULT_SIZE_CLASS_BASE, FusedBatch, shard_requests
 from .cache import ResultCache, fingerprint
-from .errors import (
-    EngineRequestError,
-    RequestError,
-    VALIDATION_MODES,
-    validate_request,
-)
+from .errors import EngineRequestError, RequestError, validate_request
 from .histogram import LatencyHistogram
 from .queue import ScanRequest, ScanResponse, SubmissionQueue
 from ..kernels.backend import resolve_backend
@@ -102,6 +99,12 @@ _log = logging.getLogger(__name__)
 #: A contained per-request outcome: ``(algorithm, batch_lists, result)``
 #: on success, a :class:`RequestError` on failure.
 _Outcome = tuple[str, int, np.ndarray] | RequestError
+
+
+def _execution_error(exc: Exception) -> RequestError:
+    """A failed execution: ``bad-structure`` for a non-list, else ``execution``."""
+    code = "bad-structure" if isinstance(exc, ListStructureError) else "execution"
+    return RequestError.from_exception(exc, code=code, phase="execute")
 
 
 @dataclass
@@ -309,12 +312,6 @@ class Engine:
         element-wise equal within documented tolerance for floats.
     size_class_base:
         Geometric growth factor between size classes.
-    validate:
-        Probe-time validation mode: ``"fast"`` (default, vectorized
-        O(n) structure/shape/dtype checks), ``"strict"`` (adds the
-        pointer-doubling reachability certificate), or ``"off"``.
-        Validation failures become ``ok=False`` responses, never
-        exceptions out of ``run_batch``.
     seed:
         Seed for the engine's random stream (splitter choices in the
         forest kernels; results are identical for every seed).
@@ -370,7 +367,6 @@ class Engine:
         max_workers: int | None = None,
         kernel_backend: str | None = None,
         size_class_base: float = DEFAULT_SIZE_CLASS_BASE,
-        validate: str = "fast",
         seed: int | None = 0,
         trace: str | Tracer | None = None,
         clock: Callable[[], float] | None = None,
@@ -378,11 +374,6 @@ class Engine:
         drift: "DriftConfig | None" = None,
         distributed: "DistributedConfig | None" = None,
     ) -> None:
-        if validate not in VALIDATION_MODES:
-            raise ValueError(
-                f"unknown validation mode {validate!r}; expected one of "
-                f"{VALIDATION_MODES}"
-            )
         if executor not in EXECUTORS:
             raise ValueError(
                 f"unknown executor {executor!r}; expected one of {EXECUTORS}"
@@ -407,7 +398,6 @@ class Engine:
         self.max_workers = max_workers
         self._backend = create_backend(executor, max_workers)
         self.size_class_base = size_class_base
-        self.validate = validate
         self.trace = resolve_trace(trace)
         self.distributed = distributed
         self.stats = EngineStats()
@@ -740,7 +730,7 @@ class Engine:
                             tracer.event(
                                 "cache_miss", request_id=req.request_id
                             )
-                        error = validate_request(req, self.validate)
+                        error = validate_request(req)
                     if error is not None:
                         n_errors += 1
                         if tracer is not None:
@@ -1013,11 +1003,7 @@ class Engine:
                     # the fused attempt *was* the solo run; quarantine now
                     with guarded(self._lock, "engine.stats"):
                         self.stats.quarantined += 1
-                    return [
-                        RequestError.from_exception(
-                            exc, code="execution", phase="execute"
-                        )
-                    ]
+                    return [_execution_error(exc)]
                 with guarded(self._lock, "engine.stats"):
                     self.stats.retries += 1
                 outcomes: list[_Outcome] = []
@@ -1029,11 +1015,7 @@ class Engine:
                         except Exception as solo_exc:
                             with guarded(self._lock, "engine.stats"):
                                 self.stats.quarantined += 1
-                            outcomes.append(
-                                RequestError.from_exception(
-                                    solo_exc, code="execution", phase="execute"
-                                )
-                            )
+                            outcomes.append(_execution_error(solo_exc))
                 return outcomes
 
     def _execute_shard(

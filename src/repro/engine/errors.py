@@ -1,13 +1,8 @@
 """Per-request error channel: structured failures for the serving path.
 
-PR 1's engine *failed open*: a single poisoned request raised out of
-``Engine.run_batch`` and took every other request in the batch down
-with it — exactly the failure mode distributed list-ranking systems
-engineer around.  The paper's load-balancing insight applies to
-requests too: one bad list must not empty the vector for everyone
-else.
-
-This module is the contract for the hardened path:
+The paper's load-balancing insight applies to requests too: one bad
+list must not empty the vector for everyone else.  This module is the
+contract:
 
 * :class:`RequestError` — the structured description of why one
   request failed (a stable machine-readable ``code``, a human-readable
@@ -20,17 +15,20 @@ This module is the contract for the hardened path:
   conveniences (``Engine.scan``, ``Engine.map_scan``,
   ``list_scan(engine=...)``) raise when the underlying request failed;
   it carries the structured error so callers never lose the code.
-* :func:`validate_request` — the probe-time validator: malformed
-  successor arrays, value arrays whose shape disagrees with the
-  operator, dtypes the operator cannot combine, and NaN values under
-  NaN-hostile operators (``min``/``max``) are all rejected *before*
-  they can poison a fused shard.
+* :func:`validate_request` — the probe-time validator: value arrays
+  whose shape disagrees with the operator, dtypes the operator cannot
+  combine, and NaN values under NaN-hostile operators (``min``/``max``)
+  are all rejected *before* they can poison a fused shard.  The list
+  structure is left to the scan kernels, which prove it (a fused shard
+  with a bad member is retried solo, so its shard-mates still get
+  their results).
 
 Error codes
 -----------
 
 ==================  ==================================================
 ``bad-structure``   the successor array does not encode a valid list
+                    (found by the scan kernels, phase ``execute``)
 ``bad-shape``       value array shape disagrees with the list length
                     or the operator's ``value_width``
 ``bad-dtype``       value dtype is not numeric/boolean (e.g. object
@@ -63,21 +61,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.operators import Operator
-from ..lists.validate import ListStructureError, validate_list, validate_list_strict
 from .queue import ScanRequest
 
 __all__ = [
     "RequestError",
     "EngineRequestError",
     "validate_request",
-    "VALIDATION_MODES",
 ]
-
-#: Accepted values for ``Engine(validate=...)``: ``"off"`` skips
-#: probe-time validation entirely, ``"fast"`` (default) runs the
-#: vectorized O(n) checks, ``"strict"`` adds the pointer-doubling
-#: reachability certificate (O(n log n), catches disjoint cycles).
-VALIDATION_MODES = ("off", "fast", "strict")
 
 
 @dataclass(frozen=True)
@@ -135,33 +125,16 @@ class EngineRequestError(RuntimeError):
         )
 
 
-def _validate_structure(request: ScanRequest, strict: bool) -> RequestError | None:
-    try:
-        if strict:
-            validate_list_strict(request.lst)
-        else:
-            validate_list(request.lst)
-    except ListStructureError as exc:
-        return RequestError.from_exception(exc, code="bad-structure", phase="validate")
-    except Exception as exc:  # corrupt enough to crash the validator itself
-        return RequestError.from_exception(exc, code="bad-structure", phase="validate")
-    return None
-
-
-def validate_request(
-    request: ScanRequest, mode: str = "fast"
-) -> RequestError | None:
-    """Probe one request before execution; ``None`` means clean.
+def validate_request(request: ScanRequest) -> RequestError | None:
+    """Probe one request's values before execution; ``None`` means clean.
 
     Checks, in order:
 
-    1. list structure (``lists.validate``; ``mode="strict"`` adds the
-       reachability certificate),
-    2. value-array shape against the list length and the operator's
+    1. value-array shape against the list length and the operator's
        ``value_width``,
-    3. value dtype (object/string arrays are rejected outright),
-    4. NaN values under a NaN-hostile operator,
-    5. a one-element ``op.combine`` probe, which catches
+    2. value dtype (object/string arrays are rejected outright),
+    3. NaN values under a NaN-hostile operator,
+    4. a one-element ``op.combine`` probe, which catches
        operator/dtype mismatches (e.g. ``xor`` over floats) without
        running the full scan.
 
@@ -169,16 +142,6 @@ def validate_request(
     surface it on the response instead of letting the kernel raise
     mid-shard.
     """
-    if mode == "off":
-        return None
-    if mode not in VALIDATION_MODES:
-        raise ValueError(
-            f"unknown validation mode {mode!r}; expected one of {VALIDATION_MODES}"
-        )
-    err = _validate_structure(request, strict=(mode == "strict"))
-    if err is not None:
-        return err
-
     op: Operator = request.op
     values = np.asarray(request.lst.values)
     width = op.value_width

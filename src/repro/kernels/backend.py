@@ -34,11 +34,12 @@ scan's record array (``core.forest``), one ``(next, value)`` record
 per node plus a last *sink* record, a self-loop; sublist tails are
 self-loops in Phase 1.  Before Phase 3 every sublist tail points at
 the sink.  Each Phase-3 step reads a node's value, writes the node's
-exclusive scan over it, and folds what it read; a processor past its
-tail stands on the sink and must fold nothing but the identity (the
-numpy backend resets the sink's value every step, the loops stop
-there).  ``pack_phase3`` retires the processors whose successor is
-the sink, writing the scan of one still standing on its tail.
+exclusive scan over it, folds what it read and points the node at the
+sink; a processor past its tail stands on the sink and must fold
+nothing but the identity (the numpy backend resets the sink's value
+every step, the loops stop there).  ``pack_phase3`` retires the
+processors whose successor is the sink, writing the scan of one still
+standing on its tail.  ``reduced_scan`` must cover all ``m`` sublists.
 
 Traversal/pack methods *return* the (possibly rebound) live arrays.
 The numpy backend rebinds fresh arrays; the loop backends mutate in
@@ -226,7 +227,7 @@ class NumpyBackend(KernelBackend):
             v = values[vp_next]
             values[vp_next] = vp_sum
             vp_sum = op.combine(vp_sum, v)
-            vp_next = nxt[vp_next]
+            nxt[vp_next], vp_next = sink, nxt[vp_next]  # mark visited, step
         return vp_next, vp_sum
 
     def pack_phase1(
@@ -420,8 +421,8 @@ class _LoopBackendBase(KernelBackend):
             from ..lists.validate import ListStructureError
 
             raise ListStructureError(
-                "reduced list did not terminate within its node count; "
-                "the successor array appears to contain a cycle"
+                "the reduced chains do not terminate or do not cover every "
+                "sublist; the successor array appears to contain a cycle"
             )
 
 

@@ -8,8 +8,8 @@ field views of the scan's record array; the calling convention is in
 
 * the Phase-1/Phase-3 lock-step gather traversal (per virtual
   processor: gather value, fold, follow successor — ``gap`` steps;
-  Phase 3 also writes the node's scan over the value it read and stops
-  on the sink);
+  Phase 3 also writes the node's scan over the value it read, points
+  the node it leaves at the sink, and stops on the sink);
 * the pack/compress step driven by ``core.schedule`` (scatter finished
   sublists out, compact the live virtual processors in place);
 * the Phase-2 reduced-list scan, as a Blelloch up-sweep/down-sweep
@@ -125,8 +125,9 @@ def build_kernels(jit: Callable[[Any], Any]) -> dict[str, Any]:
 
     @jit
     def phase3_traverse(nxt, values, vp_next, vp_sum, gap, code):  # type: ignore[no-untyped-def]
-        # write each node's scan over the value just read; a processor
-        # on the sink (the only self-loop left) is done
+        # write each node's scan over the value just read, and point the
+        # node at the sink; a processor on the sink (the only self-loop) is done
+        sink = nxt.shape[0] - 1
         for k in range(vp_next.shape[0]):
             cur = vp_next[k]
             acc = vp_sum[k]
@@ -137,12 +138,14 @@ def build_kernels(jit: Callable[[Any], Any]) -> dict[str, Any]:
                 v = values[cur]
                 values[cur] = acc
                 acc = combine(code, acc, v)
+                nxt[cur] = sink
                 cur = succ
             vp_next[k] = cur
             vp_sum[k] = acc
 
     @jit
     def phase3_traverse_pair(nxt, values, vp_next, vp_sum, gap, cc, xc, pc):  # type: ignore[no-untyped-def]
+        sink = nxt.shape[0] - 1
         for k in range(vp_next.shape[0]):
             cur = vp_next[k]
             af = vp_sum[k, 0]
@@ -159,6 +162,7 @@ def build_kernels(jit: Callable[[Any], Any]) -> dict[str, Any]:
                 ns = combine(pc, combine(xc, as_, vf), vs)
                 af = nf
                 as_ = ns
+                nxt[cur] = sink
                 cur = succ
             vp_next[k] = cur
             vp_sum[k, 0] = af
@@ -352,6 +356,7 @@ def build_kernels(jit: Callable[[Any], Any]) -> dict[str, Any]:
         # one chain per head: serialize the reduced chain in traversal
         # order, blocked-Blelloch-scan it, scatter the prefixes back.
         limit = order.shape[0]
+        covered = 0
         for k in range(heads.shape[0]):
             cur = heads[k]
             cnt = 0
@@ -373,7 +378,8 @@ def build_kernels(jit: Callable[[Any], Any]) -> dict[str, Any]:
             )
             for i in range(cnt):
                 out[order[i]] = scanned[i]
-        return 0
+            covered += cnt
+        return 0 if covered == limit else -1
 
     @jit
     def reduced_scan_pair(  # type: ignore[no-untyped-def]
@@ -394,6 +400,7 @@ def build_kernels(jit: Callable[[Any], Any]) -> dict[str, Any]:
         temp,
     ):
         limit = order.shape[0]
+        covered = 0
         for k in range(heads.shape[0]):
             cur = heads[k]
             cnt = 0
@@ -427,7 +434,8 @@ def build_kernels(jit: Callable[[Any], Any]) -> dict[str, Any]:
             for i in range(cnt):
                 out[order[i], 0] = scanned[i, 0]
                 out[order[i], 1] = scanned[i, 1]
-        return 0
+            covered += cnt
+        return 0 if covered == limit else -1
 
     return {
         "combine": combine,

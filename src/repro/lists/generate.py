@@ -105,7 +105,9 @@ class LinkedList:
         """
         loops = np.flatnonzero(self.next == np.arange(self.n, dtype=INDEX_DTYPE))
         if loops.size != 1:
-            raise ValueError(
+            from .validate import ListStructureError  # validate imports this module
+
+            raise ListStructureError(
                 f"list has {loops.size} self-loops; a valid list has exactly 1"
             )
         return int(loops[0])

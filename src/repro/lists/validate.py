@@ -1,6 +1,7 @@
 """Structural validation of linked lists.
 
-Two levels of checking are provided:
+Two validators give a verdict without a scan (the scans prove their own
+input with :func:`check_range` and :func:`forest_predecessors`):
 
 * :func:`validate_list` — vectorized O(n) heuristics (index ranges,
   unique self-loop, in-degree structure).  These catch all *local*
@@ -8,8 +9,8 @@ Two levels of checking are provided:
   distinguish a single chain from a chain plus a disjoint cycle.
 * :func:`validate_list_strict` — full traversal from the head plus a
   pointer-doubling reachability certificate; O(n log n) work but fully
-  sound.  Used by the test suite and by the public API when
-  ``validate=True`` is requested.
+  sound.  ``list_scan`` runs it before the randomized contractions,
+  which make no traversal that could prove the structure.
 
 Both raise :class:`ListStructureError` with a specific message on the
 first violation found.
@@ -23,6 +24,8 @@ from .generate import INDEX_DTYPE, LinkedList
 
 __all__ = [
     "ListStructureError",
+    "check_range",
+    "forest_predecessors",
     "validate_list",
     "validate_list_strict",
     "is_valid_list",
@@ -31,6 +34,36 @@ __all__ = [
 
 class ListStructureError(ValueError):
     """Raised when a successor array does not encode a single valid list."""
+
+
+def check_range(nxt: np.ndarray, heads: np.ndarray | list[int]) -> None:
+    """Raise, naming the first bad index, unless every successor and head lies
+    in ``[0, n)``: one pass, and no copy for int64, since viewed as unsigned a
+    negative index is huge."""
+    n = nxt.shape[0]
+    for name, index in (("next", nxt), ("head", np.asarray(heads))):
+        unsigned = index.view(np.uint64) if index.dtype == np.int64 else index.astype(np.uint64)
+        if unsigned.max(initial=0) >= n:
+            i = int(np.argmax(unsigned >= n))
+            raise ListStructureError(f"{name}[{i}] = {index[i]} is out of range, outside [0, {n})")
+
+
+def forest_predecessors(nxt: np.ndarray, heads: np.ndarray | list[int]) -> np.ndarray:
+    """Predecessor of every node of a forest, each head its own; raises unless
+    every other node has exactly one and no head has one (a disjoint cycle passes)."""
+    heads = np.asarray(heads, dtype=INDEX_DTYPE)
+    check_range(nxt, heads)
+    idx = np.arange(nxt.shape[0], dtype=INDEX_DTYPE)
+    proper = nxt != idx
+    src, dst = idx[proper], nxt[proper]
+    pred = np.full(nxt.shape[0], -1, dtype=INDEX_DTYPE)
+    pred[heads] = heads
+    pred[dst] = src
+    if np.unique(heads).size < heads.size or (pred < 0).any() or (pred[dst] != src).any():
+        raise ListStructureError("a node has no predecessor or two, or a head repeats")
+    if (pred[heads] != heads).any():
+        raise ListStructureError("a link enters a head")
+    return pred
 
 
 def validate_list(lst: LinkedList) -> None:
@@ -56,11 +89,7 @@ def validate_list(lst: LinkedList) -> None:
         raise ListStructureError("next must be one-dimensional")
     if nxt.dtype != INDEX_DTYPE:
         raise ListStructureError(f"next must have dtype {INDEX_DTYPE}, got {nxt.dtype}")
-    if np.any((nxt < 0) | (nxt >= n)):
-        bad = int(np.flatnonzero((nxt < 0) | (nxt >= n))[0])
-        raise ListStructureError(
-            f"next[{bad}] = {int(nxt[bad])} out of range [0, {n})"
-        )
+    check_range(nxt, [lst.head])
     idx = np.arange(n, dtype=INDEX_DTYPE)
     self_loops = np.flatnonzero(nxt == idx)
     if self_loops.size != 1:

@@ -56,20 +56,23 @@ class _Workload:
     def make(self, index: int) -> tuple[dict[str, Any], LinkedList | None]:
         """Build request ``index``: the wire message + reference list.
 
-        Every ``poison_every``-th request is structurally broken (every
-        node its own successor — a cycle that cannot cover the list),
-        which sails through wire validation and comes back as the
+        Every ``poison_every``-th request is structurally broken,
+        alternately every node pointing at node 0 and a valid chain
+        beside a disjoint 3-cycle (whose in-degrees are all right).
+        Both sail through wire validation and come back as the
         engine's structured ``bad-structure`` error; reference is None.
         Request ``index`` is the same on every call, so a shed request
         is resent unchanged.
         """
         n = int(self.sizes[index % len(self.sizes)])
         if self.poison_every and (index + 1) % self.poison_every == 0:
+            n = max(4, n)
+            cycle = [*range(1, n - 3), n - 4, n - 2, n - 1, n - 3]  # 0 → … → n-4, 3-cycle
             message = {
                 "id": index,
                 "type": "scan",
                 "client": self.name,
-                "next": [0] * max(2, n),
+                "next": [0] * n if (index + 1) // self.poison_every % 2 else cycle,
                 "head": 0,
                 "op": self.op,
             }

@@ -389,12 +389,12 @@ def parse_request(message: dict[str, Any], tag: object = None) -> ScanRequest:
     """Turn one ``scan``/``rank`` wire message into a :class:`ScanRequest`.
 
     Only *shape* is checked here (field presence and types; ``next``
-    and ``values`` may be JSON lists or decoded sections); structural
-    problems — out-of-range successors, broken cycles, NaN under a
-    hostile operator — flow through the engine's own probe-time
-    validation and come back as the same ``ok=False`` responses a
-    library caller would see.  Raises
-    :class:`ProtocolError` (``bad-field``) on shape problems.
+    and ``values`` may be JSON lists or decoded sections).  Structural
+    problems — out-of-range successors, broken cycles — are refused by
+    the scan kernels (``bad-structure``, phase ``execute``), NaN under a
+    hostile operator by the engine's probe-time validation; both come
+    back as the same ``ok=False`` responses a library caller would see.
+    Raises :class:`ProtocolError` (``bad-field``) on shape problems.
     """
     wire_id = message.get("id")
     kind = message.get("type", "scan")

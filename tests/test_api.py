@@ -60,10 +60,10 @@ class TestListScanDispatch:
         lst.head = 0
         lst.values = np.ones(3, dtype=np.int64)
         with pytest.raises(ListStructureError):
-            list_scan(lst, validate=True)
+            list_scan(lst)
 
     def test_validate_accepts_good(self, small_list):
-        got = list_scan(small_list, validate=True)
+        got = list_scan(small_list)
         assert np.array_equal(got, serial_list_scan(small_list))
 
     def test_kwargs_forwarded(self, rng):
@@ -133,7 +133,7 @@ class TestEngineArgumentCompatibility:
     def test_engine_with_validate_still_works(self, small_list):
         from repro.engine import Engine
 
-        got = list_scan(small_list, engine=Engine(), validate=True)
+        got = list_scan(small_list, engine=Engine())
         assert np.array_equal(got, serial_list_scan(small_list))
 
 

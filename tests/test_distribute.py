@@ -427,12 +427,11 @@ class TestEngineRouting:
         # again solo — the engine answers with a structured error, and
         # a healthy shard-mate still gets its result
         bad = blocked_list(30_000, 64, rng)
-        bad.next[15_000] = 10**9  # out of range, validation off
+        bad.next[15_000] = 10**9  # out of range; the kernels refuse it
         good = blocked_list(29_000, 64, rng, values=rng.integers(-9, 9, 29_000))
         with Engine(
             executor="sync",
             cache_capacity=0,
-            validate="off",
             distributed=DistributedConfig(min_nodes=10_000, num_chunks=4),
         ) as engine:
             responses = engine.run_batch(

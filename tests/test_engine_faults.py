@@ -21,9 +21,8 @@ from repro.engine import (
     EngineRequestError,
     RequestError,
     ScanRequest,
-    validate_request,
 )
-from repro.lists.generate import random_list, random_values
+from repro.lists.generate import list_order, random_list, random_values
 
 SENTINEL = -1234567
 
@@ -65,7 +64,7 @@ class TestValidationChannel:
         assert failed.result is None
         assert isinstance(failed.error, RequestError)
         assert failed.error.code == "bad-structure"
-        assert failed.error.phase == "validate"
+        assert failed.error.phase == "execute"
         for lst, resp in zip(lists, responses):
             np.testing.assert_array_equal(resp.result, serial_list_scan(lst, SUM))
         assert engine.stats.errors == 1
@@ -113,27 +112,20 @@ class TestValidationChannel:
         assert not resp.ok
         assert resp.error.code in ("fingerprint", "bad-dtype")
 
-    def test_validate_off_skips_probe(self):
-        bad = corrupt_list(32, 9)
-        engine = Engine(validate="off")
-        [resp] = engine.run_batch([ScanRequest(lst=bad)])
-        # without validation the kernel itself raises and the request
-        # is quarantined at execution time instead
-        assert not resp.ok and resp.error.phase == "execute"
-
     def test_strict_mode_catches_disjoint_cycle(self):
-        lst = healthy_list(32, 10)
-        # 3-cycle disjoint from the head chain, invisible to local checks?
-        # (in-degree changes make fast validation catch most corruptions;
-        # strict must catch it regardless)
-        [resp] = Engine(validate="strict").run_batch([ScanRequest(lst=lst)])
-        assert resp.ok  # healthy list passes strict mode
-
-    def test_unknown_validation_mode_rejected(self):
-        with pytest.raises(ValueError):
-            Engine(validate="paranoid")
-        with pytest.raises(ValueError):
-            validate_request(ScanRequest(lst=healthy_list(4, 0)), mode="nope")
+        """What only the old opt-in strict mode caught, the default
+        engine now refuses: a chain plus a disjoint 3-cycle, whose
+        in-degrees are all right, at serial and sublist sizes."""
+        for n in (32, 5000):
+            lst = healthy_list(n, 10)
+            order = list_order(lst)
+            lst.next[order[-4]] = order[-4]  # the chain ends early...
+            lst.next[order[-3:]] = order[[-2, -1, -3]]  # ...beside a 3-cycle
+            [resp] = Engine().run_batch([ScanRequest(lst=lst)])
+            assert not resp.ok and resp.error.code == "bad-structure"
+            assert resp.error.phase == "execute"
+        [resp] = Engine().run_batch([ScanRequest(lst=healthy_list(32, 10))])
+        assert resp.ok  # the healthy list still passes
 
 
 class TestExecutionContainment:

@@ -20,7 +20,7 @@ from repro.engine import Engine, ScanRequest
 from repro.lists.generate import random_list, random_values
 from repro.trace import Tracer, counting_clock
 
-from .test_engine_faults import POISON, SENTINEL, corrupt_list, healthy_list
+from .test_engine_faults import POISON, SENTINEL, healthy_list
 
 
 def _batch(count, n, seed0=0):
@@ -105,12 +105,12 @@ class TestEngineSpans:
 
     def test_validation_error_event(self):
         tracer = Tracer()
-        [resp] = Engine(trace=tracer).run_batch(
-            [ScanRequest(lst=corrupt_list(64, 3))]
-        )
+        lst = healthy_list(64, 3)
+        lst.values = np.ones(5, dtype=np.int64)  # wrong length
+        [resp] = Engine(trace=tracer).run_batch([ScanRequest(lst=lst)])
         assert not resp.ok
         (ev,) = tracer.last_root().find("admit").events_named("validation_error")
-        assert ev.attrs == {"request_id": resp.request_id, "code": "bad-structure"}
+        assert ev.attrs == {"request_id": resp.request_id, "code": "bad-shape"}
 
     def test_quarantine_retry_span(self):
         a, b, c = (healthy_list(100, s) for s in (1, 2, 3))

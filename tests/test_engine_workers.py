@@ -211,15 +211,13 @@ class TestSharedMemoryTransport:
 class TestProcessFaultContainment:
     def test_worker_failure_quarantines_not_crashes(self):
         # two same-size-class lists fuse into one shard; one has an
-        # out-of-range successor that only explodes *inside the worker*
-        # (validation off) — the healthy shard-mate must still get its
+        # out-of-range successor that only the kernel *inside the
+        # worker* refuses — the healthy shard-mate must still get its
         # result through the quarantine retry
         bad = random_list(64, np.random.default_rng(1))
-        bad.next[32] = 10**9  # IndexError in the kernel, not at validation
+        bad.next[32] = 10**9  # refused by the kernel, not at admission
         good = random_list(60, np.random.default_rng(2))
-        with Engine(
-            executor="processes", cache_capacity=0, validate="off", seed=3
-        ) as engine:
+        with Engine(executor="processes", cache_capacity=0, seed=3) as engine:
             responses = engine.run_batch(
                 [ScanRequest(lst=bad), ScanRequest(lst=good)]
             )

@@ -154,7 +154,7 @@ class TestConfigInteractions:
     def test_validate_then_scan(self, rng):
         lst = random_list(1000, rng)
         validate_list_strict(lst)
-        ranks = list_rank(lst, validate=True, rng=rng)
+        ranks = list_rank(lst, rng=rng)
         assert sorted(ranks) == list(range(1000))
 
     def test_simulator_and_host_agree(self, rng):

@@ -1,9 +1,19 @@
-"""Unit tests for the structural validators."""
+"""Unit tests for the structural validators, and the hostile-structure
+matrix: every scan path refuses a non-list."""
+
+import contextlib
+import signal
 
 import numpy as np
 import pytest
 
-from repro.lists.generate import INDEX_DTYPE, LinkedList, ordered_list, random_list
+from repro.baselines.serial import serial_list_scan
+from repro.core.forest import forest_list_scan, serial_forest_scan, wyllie_forest_scan
+from repro.core.list_scan import ALGORITHMS, list_scan
+from repro.core.operators import SUM
+from repro.distribute import DistributedConfig, sharded_list_scan
+from repro.engine import Engine, ScanRequest
+from repro.lists.generate import INDEX_DTYPE, LinkedList, list_order, ordered_list, random_list
 from repro.lists.validate import (
     ListStructureError,
     is_valid_list,
@@ -30,6 +40,10 @@ class TestValidateList:
     def test_rejects_out_of_range(self):
         with pytest.raises(ListStructureError, match="out of range"):
             validate_list(raw_list([1, 5], 0))
+
+    def test_range_error_names_the_bad_successor(self):
+        with pytest.raises(ListStructureError, match=r"next\[1\] = 7 "):
+            validate_list(raw_list([1, 7, 2], 0))
 
     def test_rejects_negative_index(self):
         with pytest.raises(ListStructureError, match="out of range"):
@@ -201,18 +215,18 @@ class TestCorruptionGuards:
         assert np.array_equal(lst.values, values)
 
     def test_engine_answers_fused_shard_with_cyclic_list(self):
-        """validate="off" fuses the cyclic list with three good ones;
-        the shard fails, and the quarantine answers every request."""
+        """The engine fuses the cyclic list with three good ones; the
+        shard fails, and the quarantine answers every request."""
         from repro.baselines.serial import serial_list_scan
         from repro.engine import Engine, ScanRequest
 
         rng = np.random.default_rng(5)
         good = [ScanRequest(lst=random_list(2000, rng)) for _ in range(3)]
         bad = ScanRequest(lst=raw_list(self._forest_with_cyclic_list(), 1997))
-        with Engine(executor="sync", validate="off", cache_capacity=0) as engine:
+        with Engine(executor="sync", cache_capacity=0) as engine:
             responses = engine.run_batch([*good, bad])
         assert [r.ok for r in responses] == [True, True, True, False]
-        assert responses[-1].error.code == "execution"
+        assert responses[-1].error.code == "bad-structure"
         for req, resp in zip(good, responses):
             assert np.array_equal(resp.result, serial_list_scan(req.lst))
 
@@ -233,15 +247,15 @@ class TestCorruptionGuards:
             serial_list_rank(lst)
 
     def test_engine_serial_request_with_disjoint_cycle_is_an_error(self):
-        """The default ``validate="fast"`` admits this list; the serial
-        walk's count must then refuse it."""
+        """The engine admits this list; the serial walk's count must
+        then refuse it."""
         from repro.engine import Engine, ScanRequest
 
         lst = raw_list(self._forest_with_cyclic_list(900), 0)
         with Engine(executor="sync", cache_capacity=0) as engine:
             (resp,) = engine.run_batch([ScanRequest(lst=lst, algorithm="serial")])
         assert not resp.ok
-        assert resp.error.code == "execution"
+        assert resp.error.code == "bad-structure"
         assert resp.result is None
 
     def test_serial_segment_raises_on_cycle(self):
@@ -264,3 +278,199 @@ class TestCorruptionGuards:
             serial_forest_scan(
                 nxt, np.ones(n, dtype=np.int64), np.array([0]), SUM, None, out
             )
+
+
+# ----------------------------------------------------------------------
+# hostile structures: every scan path refuses a non-list
+# ----------------------------------------------------------------------
+
+HOSTILE_SHAPES = (
+    "disjoint_cycle",
+    "rho",
+    "merge",
+    "successor_n_plus_5",
+    "successor_minus_2",
+    "edge_into_head",
+)
+
+
+@contextlib.contextmanager
+def within(seconds):
+    """Raise ``TimeoutError`` once the block runs past ``seconds``, so a
+    scan that spins fails its test instead of hanging the suite."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def hostile_list(shape, n, seed=0):
+    """A random ``n``-node list broken into one of :data:`HOSTILE_SHAPES`."""
+    rng = np.random.default_rng(seed)
+    lst = random_list(n, rng, values=rng.integers(-9, 9, n))
+    order = list_order(lst)
+    mid = order[n // 2]
+    if shape == "disjoint_cycle":  # the chain ends early, beside a 3-cycle
+        lst.next[order[-4]] = order[-4]
+        lst.next[order[-3:]] = order[[-2, -1, -3]]
+    elif shape == "rho":  # the tail runs back into the middle
+        lst.next[order[-1]] = mid
+    elif shape == "merge":  # skip a node, which still points onward
+        lst.next[mid] = order[n // 2 + 2]
+    elif shape == "successor_n_plus_5":
+        lst.next[mid] = n + 5
+    elif shape == "successor_minus_2":
+        lst.next[mid] = -2
+    else:  # "edge_into_head": halfway along, the chain turns back
+        lst.next[mid] = lst.head
+    return lst
+
+
+def good_lists(n, count=3):
+    return [
+        random_list(n, np.random.default_rng(s), values=np.arange(n) % 7)
+        for s in range(1, count + 1)
+    ]
+
+
+def fused_forest(bad, n):
+    """Three good ``n``-node lists and ``bad`` (second) in one node array,
+    offset as the engine fuses them."""
+    lists = good_lists(n)
+    lists.insert(1, bad)
+    nxt = np.concatenate([lst.next + k * n for k, lst in enumerate(lists)])
+    values = np.concatenate([lst.values for lst in lists])
+    heads = np.asarray([lst.head + k * n for k, lst in enumerate(lists)], dtype=INDEX_DTYPE)
+    return nxt, values, heads
+
+
+@pytest.mark.parametrize("n", [200, 5000])
+@pytest.mark.parametrize("shape", HOSTILE_SHAPES)
+class TestHostileStructures:
+    """Each case raises ``ListStructureError`` or answers
+    ``bad-structure``, never ``ok``, and never spins."""
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_list_scan(self, shape, n, algorithm):
+        lst = hostile_list(shape, n)
+        with within(60), pytest.raises(ListStructureError):
+            list_scan(lst, algorithm=algorithm, rng=0)
+
+    @pytest.mark.parametrize("backend", ["numpy", "python"])
+    def test_forest_list_scan(self, shape, n, backend):
+        lst = hostile_list(shape, n)
+        heads = np.asarray([lst.head], dtype=INDEX_DTYPE)
+        with within(60), pytest.raises(ListStructureError):
+            forest_list_scan(lst.next, lst.values, heads, SUM, rng=0, kernel_backend=backend)
+
+    @pytest.mark.parametrize("kernel", ["serial", "wyllie", "sublist"])
+    def test_fused_forest(self, shape, n, kernel):
+        nxt, values, heads = fused_forest(hostile_list(shape, n), n)
+        out = np.empty_like(values)
+        with within(60), pytest.raises(ListStructureError):
+            if kernel == "serial":
+                serial_forest_scan(nxt, values, heads, SUM, None, out)
+            elif kernel == "wyllie":
+                wyllie_forest_scan(nxt, values, heads, SUM, None, out)
+            else:
+                forest_list_scan(nxt, values, heads, SUM, rng=0, out=out)
+
+    @pytest.mark.parametrize("fused", [False, True])
+    def test_engine(self, shape, n, fused):
+        good = [ScanRequest(lst=lst) for lst in good_lists(n)] if fused else []
+        bad = ScanRequest(lst=hostile_list(shape, n))
+        with within(60), Engine(executor="sync", cache_capacity=0) as engine:
+            *answers, refused = engine.run_batch([*good, bad])
+        assert not refused.ok
+        assert refused.error.code == "bad-structure"
+        assert refused.error.phase == "execute"
+        for req, resp in zip(good, answers):
+            assert resp.ok
+            assert np.array_equal(resp.result, serial_list_scan(req.lst))
+
+    def test_sharded_list_scan(self, shape, n):
+        lst = hostile_list(shape, n)
+        with within(60), pytest.raises(ListStructureError):
+            sharded_list_scan(lst, config=DistributedConfig(num_chunks=4))
+
+
+class TestNoSpinNoBareErrors:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_anderson_miller_refuses_disjoint_cycle(self, seed):
+        """Splicing shrinks the 3-cycle to a self-looped remnant; that
+        raises instead of spinning forever."""
+        from repro.baselines.anderson_miller import anderson_miller_list_scan
+
+        lst = hostile_list("disjoint_cycle", 200)
+        with within(1), pytest.raises(ListStructureError):
+            anderson_miller_list_scan(lst, rng=seed)
+
+    @pytest.mark.parametrize("shape", ["successor_n_plus_5", "successor_minus_2"])
+    @pytest.mark.parametrize("walk", ["scan", "rank"])
+    def test_serial_walks_check_their_range(self, walk, shape):
+        from repro.baselines.serial import serial_list_rank
+
+        lst = hostile_list(shape, 200)
+        with pytest.raises(ListStructureError, match="outside"):
+            if walk == "scan":
+                serial_list_scan(lst)
+            else:
+                serial_list_rank(lst)
+
+    @pytest.mark.parametrize("backend", ["numpy", "python"])
+    def test_phase2_refuses_a_cycle_of_sublists(self, backend):
+        """A long disjoint cycle holds splitters of its own, so the
+        reduced list holds a cycle too: Phase 2 must refuse it, or
+        Phase 3 would write every node from garbage carries."""
+        rng = np.random.default_rng(3)
+        chain = random_list(20_000, rng)
+        cycle = 20_000 + (np.arange(1, 3_001) % 3_000)
+        nxt = np.concatenate([chain.next, cycle]).astype(INDEX_DTYPE)
+        values = np.ones(nxt.shape[0], dtype=np.int64)
+        heads = np.asarray([chain.head], dtype=INDEX_DTYPE)
+        with within(60), pytest.raises(ListStructureError):
+            forest_list_scan(nxt, values, heads, SUM, rng=0, kernel_backend=backend)
+
+    def test_wyllie_suffix_rho_is_a_structure_error(self):
+        """A rho has no self-loop at all: ``LinkedList.tail`` used to
+        raise a bare ``ValueError`` from the suffix variant."""
+        from repro.baselines.wyllie import wyllie_suffix
+
+        with pytest.raises(ListStructureError):
+            wyllie_suffix(hostile_list("rho", 200))
+
+
+def cross_linked_pair(n):
+    """Two bad ``n``-node lists that fuse into a good forest: A's tail
+    points one past its block, into B's node 0, and B holds two chains
+    (its head's, and the one from node 0, which its head never reaches)."""
+    if n == 2:
+        return raw_list([1, 2], 0), raw_list([0, 1], 1)
+    k = n // 2
+    b = np.arange(1, n + 1)
+    b[k], b[n - 1] = k, n - 1
+    return raw_list(np.arange(1, n + 1), 0), raw_list(b, k + 1)
+
+
+class TestFusedMembersStayInTheirBlocks:
+    """A successor outside its own list must not reach a shard-mate."""
+
+    @pytest.mark.parametrize("n", [2, 3000])
+    @pytest.mark.parametrize("route", ["fused", "distributed"])
+    def test_engine_refuses_two_bad_lists_that_fuse_into_a_forest(self, n, route):
+        a, b = cross_linked_pair(n)
+        nxt = np.concatenate([a.next, b.next + n])  # fused, the pair is a valid forest
+        forest_list_scan(nxt, np.ones(2 * n, dtype=np.int64), [a.head, b.head + n], SUM)
+        config = DistributedConfig(min_nodes=0, num_chunks=2) if route == "distributed" else None
+        with within(60), Engine(executor="sync", distributed=config) as engine:
+            responses = engine.run_batch([ScanRequest(lst=a), ScanRequest(lst=b)])
+            assert [r.ok for r in responses] == [False, False]
+            assert {r.error.code for r in responses} == {"bad-structure"}
+            assert len(engine.cache) == 0
