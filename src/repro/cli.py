@@ -6,7 +6,7 @@ Subcommands
 ``rank``      rank a generated list with a chosen algorithm, report timing
 ``scan``      scan a generated list under an operator
 ``batch``     run many lists through the batched execution engine and
-              report per-size-class throughput vs. sequential calls
+              report throughput vs. sequential calls
 ``simulate``  run an algorithm on the simulated Cray C-90 / Y-MP and
               print the cycle breakdown
 ``tune``      show the model-tuned parameters and pack schedule for a size
@@ -594,7 +594,7 @@ def _cmd_batch_memmap(args: argparse.Namespace) -> int:
 
 def _cmd_batch(args: argparse.Namespace) -> int:
     from .bench.harness import format_table
-    from .engine import Engine, ScanRequest, size_class
+    from .engine import Engine, ScanRequest
     from .lists.generate import random_values
 
     if args.memmap:
@@ -676,20 +676,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     )
     total_nodes = int(sizes.sum())
 
-    by_class = {}
-    for lst in lists:
-        cls = size_class(lst.n)
-        cnt, nodes = by_class.get(cls, (0, 0))
-        by_class[cls] = (cnt + 1, nodes + lst.n)
-    rows = [
-        [f"<= 2^{cls}", cnt, nodes, 100.0 * nodes / total_nodes]
-        for cls, (cnt, nodes) in sorted(by_class.items())
-    ]
-    print(format_table(
-        ["size class", "lists", "nodes", "% of nodes"],
-        rows,
-        title=f"batch of {args.count} lists, {total_nodes:,} nodes total",
-    ))
+    print(f"batch of {args.count} lists, {total_nodes:,} nodes total")
     speedup = t_seq / t_eng if t_eng > 0 else float("inf")
     print()
     print(format_table(

@@ -43,10 +43,12 @@ class DistributedConfig:
         Pin the partition explicitly (``num_chunks`` wins); ``None``
         derives from the budget and the backend width.
     ``min_nodes``
-        Engine routing threshold: fused shards at least this large go
-        through the sharded path.  ``None`` derives it from the budget
-        (shard when the whole working set would blow it); ``0`` shards
-        everything (tests / CLI demos).
+        Engine routing threshold: auto-routed shards of at least this
+        many nodes go through the sharded path.  ``None`` derives it
+        from the budget (shard when the whole working set would blow
+        it); ``0`` shards everything (tests / CLI demos).  A fused
+        shard holds at most ``engine.batch.FUSE_NODES`` nodes, so a
+        threshold above that cap routes only lone oversized lists.
     ``max_inflight``
         Chunks resident at once (drives lease-pool admission).
         ``None`` → backend width.

@@ -20,6 +20,7 @@ the hidden release/reacquire inside ``Condition.wait``.
 
 from __future__ import annotations
 
+import itertools
 import threading
 from collections.abc import Iterator
 from contextlib import contextmanager
@@ -27,6 +28,8 @@ from contextlib import contextmanager
 from ..sanitize.runtime import cv_wait, guarded, note_lease_admitted, note_lease_returned
 
 __all__ = ["LeaseGate"]
+
+_gate_ids = itertools.count()
 
 
 class LeaseGate:
@@ -44,22 +47,25 @@ class LeaseGate:
         self._outstanding = 0
         self._peak = 0
         self._cv = threading.Condition()
+        # one race-checked cell per gate: sharded scans running at once
+        # each hold their own gate, under their own lock
+        self._cell = f"lease.gate.{next(_gate_ids)}"
 
     @property
     def outstanding_bytes(self) -> int:
-        with guarded(self._cv, "lease.gate", "read"):
+        with guarded(self._cv, self._cell, "read"):
             return self._outstanding
 
     @property
     def peak_bytes(self) -> int:
         """High-water mark of reserved bytes (budget-compliance telemetry)."""
-        with guarded(self._cv, "lease.gate", "read"):
+        with guarded(self._cv, self._cell, "read"):
             return self._peak
 
     @contextmanager
     def admit(self, nbytes: int) -> Iterator[None]:
         nbytes = max(0, int(nbytes))
-        with guarded(self._cv, "lease.gate"):
+        with guarded(self._cv, self._cell):
             while self._outstanding > 0 and self._outstanding + nbytes > self.max_bytes:
                 cv_wait(self._cv)
             self._outstanding += nbytes
@@ -68,7 +74,7 @@ class LeaseGate:
         try:
             yield
         finally:
-            with guarded(self._cv, "lease.gate"):
+            with guarded(self._cv, self._cell):
                 self._outstanding -= nbytes
                 self._cv.notify_all()
             note_lease_returned(nbytes)

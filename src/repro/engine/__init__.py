@@ -5,9 +5,10 @@ independent traversals are kept at full vector width: the sublist
 algorithm wins precisely because it batches *m* sublist walks into one
 lock-step loop.  This subsystem applies the same discipline one level
 up — across *requests*.  Many independent ``rank``/``scan`` calls are
-coalesced into fused multi-list executions (a forest scan per size
-class), routed to an algorithm by the Section 4 cost model instead of a
-fixed crossover, and memoized in a structural result cache.
+coalesced into fused multi-list executions (one forest scan per shard
+of up to ``FUSE_NODES`` nodes), routed to an algorithm by the Section 4
+cost model instead of a fixed crossover, and memoized in a structural
+result cache.
 
 Modules
 -------
@@ -16,7 +17,7 @@ Modules
              (backpressure by request count and queued nodes)
 ``errors``   the per-request error channel: structured failures,
              probe-time validation, ``EngineRequestError``
-``batch``    size-class sharding and batch fusion into one forest
+``batch``    working-set sharding and batch fusion into one forest
 ``router``   cost-model algorithm routing (replaces the fixed
              ``_AUTO_SERIAL_BELOW`` crossover)
 ``cache``    LRU result cache keyed by a structural fingerprint
@@ -52,7 +53,6 @@ __all__ = [
     "fingerprint",
     "FusedBatch",
     "shard_requests",
-    "size_class",
     "EXECUTORS",
     "ExecutionBackend",
     "SyncBackend",
@@ -80,7 +80,6 @@ _EXPORTS = {
     "fingerprint": ("repro.engine.cache", "fingerprint"),
     "FusedBatch": ("repro.engine.batch", "FusedBatch"),
     "shard_requests": ("repro.engine.batch", "shard_requests"),
-    "size_class": ("repro.engine.batch", "size_class"),
     "EXECUTORS": ("repro.engine.workers", "EXECUTORS"),
     "ExecutionBackend": ("repro.engine.workers", "ExecutionBackend"),
     "SyncBackend": ("repro.engine.workers", "SyncBackend"),
@@ -91,7 +90,7 @@ _EXPORTS = {
 }
 
 if TYPE_CHECKING:  # pragma: no cover - static analysis only
-    from .batch import FusedBatch, shard_requests, size_class
+    from .batch import FusedBatch, shard_requests
     from .cache import ResultCache, fingerprint
     from .engine import Engine, EngineStats
     from .errors import EngineRequestError, RequestError, validate_request

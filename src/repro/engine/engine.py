@@ -8,7 +8,7 @@ Pipeline for one batch (``run_batch``)::
                                  responses      ok=False     fan-out of
                                                 responses    the primary
                                                    │
-                 size-class shards ◄───────────────┘ (unique misses)
+                capped shards ◄────────────────────┘ (unique misses)
                         │  fuse ──► route ──► execute (contained)
                         ▼                        (cost model)
                  responses ◄── unfuse / quarantine retry
@@ -22,9 +22,9 @@ Pipeline for one batch (``run_batch``)::
 * Identical fingerprints in one batch *coalesce*: the first request
   executes, the duplicates receive copies of its result (or its
   structured error).
-* Remaining unique misses shard by (size class, operator, inclusive,
-  dtype, forced algorithm) — ``engine.batch`` — and each shard fuses
-  into one forest.
+* Remaining unique misses shard by (operator, inclusive, dtype,
+  forced algorithm) into shards of at most ``FUSE_NODES`` nodes —
+  ``engine.batch`` — and each shard fuses into one forest.
 * The cost-model router (``engine.router``) picks serial / Wyllie /
   sublist per fused batch; the forest kernels of ``core.forest``
   execute all the shard's lists in one vectorized pass.
@@ -75,7 +75,7 @@ from ..lists.generate import LinkedList
 from ..lists.validate import ListStructureError
 from ..trace.export import span_from_dict
 from ..trace.tracer import Span, Tracer, null_span, resolve_trace
-from .batch import DEFAULT_SIZE_CLASS_BASE, FusedBatch, shard_requests
+from .batch import FusedBatch, shard_requests
 from .cache import ResultCache, fingerprint
 from .errors import EngineRequestError, RequestError, validate_request
 from .histogram import LatencyHistogram
@@ -310,8 +310,6 @@ class Engine:
         it), and the default router is calibrated for it.  Results are
         bit-identical across backends for integer operators and
         element-wise equal within documented tolerance for floats.
-    size_class_base:
-        Geometric growth factor between size classes.
     seed:
         Seed for the engine's random stream (splitter choices in the
         forest kernels; results are identical for every seed).
@@ -350,9 +348,10 @@ class Engine:
         (``repro.distribute``) instead of one fused kernel: chunks
         contract in parallel across this engine's worker pool, the
         reduced boundary list is solved by the same cost-model router,
-        and chunks expand in parallel.  Results stay bit-identical for
-        integer operators.  ``None`` (default) disables sharded
-        routing.  See ``docs/distributed.md``.
+        and chunks expand in parallel (``DistributedConfig.min_nodes``
+        says which shards route there under the fusion cap).  Results
+        stay bit-identical for integer operators.  ``None`` (default)
+        disables sharded routing.  See ``docs/distributed.md``.
     """
 
     def __init__(
@@ -366,7 +365,6 @@ class Engine:
         executor: str = "threads",
         max_workers: int | None = None,
         kernel_backend: str | None = None,
-        size_class_base: float = DEFAULT_SIZE_CLASS_BASE,
         seed: int | None = 0,
         trace: str | Tracer | None = None,
         clock: Callable[[], float] | None = None,
@@ -397,7 +395,6 @@ class Engine:
         self.executor = executor
         self.max_workers = max_workers
         self._backend = create_backend(executor, max_workers)
-        self.size_class_base = size_class_base
         self.trace = resolve_trace(trace)
         self.distributed = distributed
         self.stats = EngineStats()
@@ -756,7 +753,7 @@ class Engine:
                                 primary=primary,
                             )
 
-            shards = list(shard_requests(misses, self.size_class_base).values())
+            shards = shard_requests(misses)
 
             def _run_shard(shard: list[ScanRequest]) -> list[_Outcome]:
                 outcomes = self._execute_shard_contained(shard, parent=batch_span)

@@ -397,9 +397,19 @@ class ExecutionBackend:
         self.closes_effective = 0
         self._closed = False
         self._lock = threading.Lock()
+        self._pool_thread = threading.local()  # .member: a shard-pool thread
 
     def map_shards(self, fn: Callable[[Any], Any], shards: Sequence[Any]) -> list[Any]:
         return [fn(shard) for shard in shards]
+
+    def _join_pool(self) -> None:
+        self._pool_thread.member = True
+
+    def _inline(self, shards: Sequence[Any]) -> bool:
+        """Run on the calling thread: one shard, or a map from this
+        backend's own pool (a distributed shard mapping its chunks),
+        whose queued tasks would wait on the threads waiting on them."""
+        return len(shards) <= 1 or getattr(self._pool_thread, "member", False)
 
     def run_fused(
         self,
@@ -465,13 +475,14 @@ class ThreadBackend(ExecutionBackend):
                 self._pool = ThreadPoolExecutor(
                     max_workers=self.max_workers,
                     thread_name_prefix="repro-engine",
+                    initializer=self._join_pool,
                 )
                 self.pools_created += 1
                 sanitize.note_pool(self._pool, "threads")
             return self._pool
 
     def map_shards(self, fn: Callable[[Any], Any], shards: Sequence[Any]) -> list[Any]:
-        if len(shards) <= 1:
+        if self._inline(shards):
             return [fn(shard) for shard in shards]
         return list(self._ensure_pool().map(fn, shards))
 
@@ -531,12 +542,13 @@ class ProcessBackend(ExecutionBackend):
                 self._driver = ThreadPoolExecutor(
                     max_workers=self.max_workers,
                     thread_name_prefix="repro-engine-driver",
+                    initializer=self._join_pool,
                 )
                 sanitize.note_pool(self._driver, "driver-threads")
             return self._driver
 
     def map_shards(self, fn: Callable[[Any], Any], shards: Sequence[Any]) -> list[Any]:
-        if len(shards) <= 1:
+        if self._inline(shards):
             return [fn(shard) for shard in shards]
         return list(self._ensure_driver().map(fn, shards))
 

@@ -12,7 +12,9 @@ Contracts under test:
 * memmapped lists stream through the budget and leave no shm segments
   or stray files behind;
 * the engine routes oversized auto shards to the sharded path and
-  keeps small or forced shards on the fused kernels.
+  keeps small or forced shards on the fused kernels;
+* several shards routed there at once on one pool finish: each maps
+  its chunks inline on its own pool thread.
 """
 
 import glob
@@ -42,6 +44,7 @@ from repro.distribute import (
     write_memmap_list,
 )
 from repro.engine import Engine, ScanRequest
+from repro.engine.batch import FUSE_NODES
 from repro.engine.workers import create_backend
 from repro.lint.lockorder import instrumented_locks
 from repro.lists.generate import (
@@ -51,6 +54,8 @@ from repro.lists.generate import (
     random_list,
     reversed_list,
 )
+
+from .test_validate import within
 
 
 @pytest.fixture(autouse=True)
@@ -379,7 +384,9 @@ class TestOutOfCore:
 
 class TestEngineRouting:
     def test_oversized_auto_requests_route_distributed(self, rng):
-        big = blocked_list(50_000, 64, rng, values=rng.integers(-9, 9, 50_000))
+        # above the fusion cap the big list is a shard of its own
+        n = FUSE_NODES + 1000
+        big = blocked_list(n, 64, rng, values=rng.integers(-9, 9, n))
         small = random_list(500, rng, values=rng.integers(-9, 9, 500))
         expect_big = serial_list_scan(big)
         expect_small = serial_list_scan(small)
@@ -401,6 +408,55 @@ class TestEngineRouting:
         assert snap["distributed_runs"] == 1
         assert snap["distributed_chunks"] == 4
         assert snap["algorithms"]["distributed"] == 1
+
+    def test_fused_shard_reaching_pinned_min_nodes_routes_distributed(self, rng):
+        # two lists below the cap fuse; together they reach min_nodes
+        lists = [blocked_list(n, 64, rng, values=rng.integers(-9, 9, n)) for n in (6_000, 7_000)]
+        with Engine(
+            executor="threads",
+            max_workers=2,
+            cache_capacity=0,
+            distributed=DistributedConfig(min_nodes=10_000, num_chunks=4),
+        ) as engine:
+            responses = engine.run_batch([ScanRequest(lst=lst) for lst in lists])
+            assert engine.stats.shards == 1
+            assert engine.stats.distributed_runs == 1
+        for lst, resp in zip(lists, responses):
+            assert resp.ok and resp.algorithm == "distributed"
+            assert resp.batch_lists == 2
+            assert np.array_equal(resp.result, serial_list_scan(lst))
+
+    @pytest.mark.parametrize("executor", ["threads", "processes"])
+    def test_concurrent_distributed_shards_finish(self, rng, executor):
+        # a SUM and a MAX list are two shards, run at once on a 2-wide
+        # pool; each maps its chunks from a pool thread, which must run
+        # them inline rather than queue them behind itself
+        ops = (SUM, MAX)
+        lists = [blocked_list(20_000, 64, rng, values=rng.integers(-9, 9, 20_000)) for _ in ops]
+        engine = Engine(
+            executor=executor,
+            max_workers=2,
+            cache_capacity=0,
+            distributed=DistributedConfig(min_nodes=10_000, num_chunks=4),
+        )
+        try:
+            with within(60):
+                responses = engine.run_batch(
+                    [ScanRequest(lst=lst, op=op) for lst, op in zip(lists, ops)]
+                )
+        except TimeoutError:
+            # the pool threads wait on each other: cancel the chunk
+            # tasks queued behind them so close() can join them
+            backend = engine._backend
+            for pool in (backend._pool, getattr(backend, "_driver", None)):
+                if pool is not None:
+                    pool.shutdown(wait=False, cancel_futures=True)
+            raise
+        finally:
+            engine.close()
+        for lst, op, resp in zip(lists, ops, responses):
+            assert resp.ok and resp.algorithm == "distributed"
+            assert np.array_equal(resp.result, serial_list_scan(lst, op))
 
     def test_forced_algorithm_bypasses_sharding(self, rng):
         big = blocked_list(50_000, 64, rng, values=rng.integers(-9, 9, 50_000))

@@ -1,11 +1,12 @@
-"""Unit tests for size-class sharding and batch fusion."""
+"""Unit tests for working-set sharding and batch fusion."""
 
 import numpy as np
 import pytest
 
 from repro.baselines.serial import serial_list_scan
 from repro.core.operators import AFFINE, MAX, SUM
-from repro.engine.batch import FusedBatch, shard_requests, size_class
+from repro.engine import Engine
+from repro.engine.batch import FUSE_NODES, FusedBatch, shard_requests
 from repro.engine.queue import ScanRequest
 from repro.lists.generate import random_list, random_values
 
@@ -18,40 +19,23 @@ def make_request(n, seed=0, op=SUM, inclusive=False, algorithm="auto"):
     return ScanRequest(lst=lst, op=op, inclusive=inclusive, algorithm=algorithm)
 
 
-class TestSizeClass:
-    def test_tiny(self):
-        assert size_class(0) == 0
-        assert size_class(1) == 0
-
-    def test_powers_of_two_boundaries(self):
-        # class k holds (2^(k-1), 2^k]
-        assert size_class(2) == 1
-        assert size_class(3) == 2
-        assert size_class(4) == 2
-        assert size_class(1024) == 10
-        assert size_class(1025) == 11
-
-    def test_monotonic(self):
-        classes = [size_class(n) for n in range(1, 2000)]
-        assert classes == sorted(classes)
-
-    def test_custom_base_bounds_skew(self):
-        # within one class of base b, max/min length ratio <= b
-        for n in (10, 100, 1000):
-            assert size_class(n, base=4.0) <= size_class(n, base=2.0)
-
-    def test_bad_base_rejected(self):
-        with pytest.raises(ValueError):
-            size_class(10, base=1.0)
+def sizes(shards):
+    return [[req.n for req in shard] for shard in shards]
 
 
 class TestSharding:
-    def test_groups_by_size_class(self):
-        reqs = [make_request(10), make_request(12), make_request(5000)]
-        shards = shard_requests(reqs)
-        assert len(shards) == 2
-        sizes = sorted(len(v) for v in shards.values())
-        assert sizes == [1, 2]
+    def test_lists_of_any_size_under_the_cap_fuse(self):
+        reqs = [make_request(n, seed=n) for n in (10, 5000, 12, 70_000)]
+        assert sizes(shard_requests(reqs)) == [[10, 5000, 12, 70_000]]
+
+    def test_list_above_the_cap_runs_alone(self):
+        reqs = [make_request(n, seed=n) for n in (100, FUSE_NODES + 1, 200)]
+        assert sizes(shard_requests(reqs)) == [[100], [FUSE_NODES + 1], [200]]
+
+    def test_shard_closes_when_the_next_list_would_overflow(self):
+        half = FUSE_NODES // 2
+        reqs = [make_request(n, seed=n) for n in (half, half, 1, half)]
+        assert sizes(shard_requests(reqs)) == [[half, half], [1, half]]
 
     def test_separates_operators_and_flags(self):
         reqs = [
@@ -63,9 +47,20 @@ class TestSharding:
         assert len(shard_requests(reqs)) == 4
 
     def test_preserves_insertion_order(self):
-        reqs = [make_request(100, seed=i) for i in range(6)]
-        (shard,) = shard_requests(reqs).values()
-        assert [r.request_id for r in shard] == [r.request_id for r in reqs]
+        # interleaved keys stay in separate shards, each in arrival order
+        reqs = [make_request(100, seed=i, op=(SUM, MAX)[i % 2]) for i in range(6)]
+        by_sum, by_max = shard_requests(reqs)
+        assert [r.request_id for r in by_sum] == [r.request_id for r in reqs[0::2]]
+        assert [r.request_id for r in by_max] == [r.request_id for r in reqs[1::2]]
+
+    def test_mixed_small_batch_runs_as_one_shard(self):
+        reqs = [make_request((64, 256, 1024, 4096)[k % 4], seed=k) for k in range(28)]
+        with Engine(executor="sync", cache_capacity=0) as engine:
+            responses = engine.run_batch(reqs)
+            assert engine.stats.shards == 1
+        for req, resp in zip(reqs, responses):
+            assert resp.ok and resp.batch_lists == 28
+            np.testing.assert_array_equal(resp.result, serial_list_scan(req.lst, SUM))
 
 
 class TestFusedBatch:

@@ -131,7 +131,7 @@ class TestValidationChannel:
 class TestExecutionContainment:
     @pytest.mark.parametrize("parallel", [False, True])
     def test_operator_raises_mid_shard_partial_results(self, parallel):
-        # three same-size-class requests fuse into one shard; one of
+        # three same-operator requests fuse into one shard; one of
         # them carries the sentinel that makes POISON.combine raise
         def make(seed):
             lst = random_list(100, seed, values=np.arange(100, dtype=np.int64))

@@ -32,7 +32,10 @@ class TestEngineSpans:
     def test_batch_span_tree(self, parallel):
         tracer = Tracer(clock=counting_clock())
         engine = Engine(trace=tracer, max_workers=4)
-        reqs = _batch(3, 3000) + _batch(2, 40, seed0=10)  # two size classes
+        # two operators: two shards
+        reqs = _batch(3, 3000) + [
+            ScanRequest(lst=healthy_list(40, 10 + k), op="max") for k in range(2)
+        ]
         responses = engine.run_batch(reqs, parallel=parallel)
         assert all(r.ok for r in responses)
 

@@ -210,7 +210,7 @@ class TestSharedMemoryTransport:
 
 class TestProcessFaultContainment:
     def test_worker_failure_quarantines_not_crashes(self):
-        # two same-size-class lists fuse into one shard; one has an
+        # two same-operator lists fuse into one shard; one has an
         # out-of-range successor that only the kernel *inside the
         # worker* refuses — the healthy shard-mate must still get its
         # result through the quarantine retry
@@ -345,7 +345,7 @@ class TestWorkerCrashRecovery:
         with Engine(
             executor="processes", max_workers=1, cache_capacity=0, seed=5
         ) as engine:
-            # two same-size-class lists fuse and offload -> pool built
+            # two same-operator lists fuse and offload -> pool built
             warm = engine.run_batch(
                 [ScanRequest(lst=random_list(n, rng)) for n in (400, 500)]
             )
