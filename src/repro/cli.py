@@ -370,7 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bc.add_argument("--seed", type=int, default=0)
     p_bc.add_argument(
         "--stats", action="store_true",
-        help="fetch the server stats snapshot into the report",
+        help="fetch the server stats snapshot into the report and print "
+             "its containment counters",
     )
     p_bc.add_argument(
         "--shutdown", action="store_true",
@@ -1082,6 +1083,11 @@ def _cmd_bench_client(args: argparse.Namespace) -> int:
     if lat["count"]:
         print(f"  latency p50 {1000 * lat['p50']:.2f}ms  "
               f"p95 {1000 * lat['p95']:.2f}ms  p99 {1000 * lat['p99']:.2f}ms")
+    if report.get("server_stats"):
+        # containment: how much fusion the server kept under poison
+        eng = report["server_stats"]["engine"]
+        print(f"  server retries {eng['retries']}  quarantined {eng['quarantined']}  "
+              f"solo runs {eng['solo_runs']}  fused lists {eng['fused_lists']}")
     if args.shutdown:
         print(f"  shutdown acknowledged: {report.get('shutdown')}")
 

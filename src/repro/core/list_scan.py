@@ -25,10 +25,7 @@ Algorithms
                     `core.early_reconnect`
 ``"auto"``          cost-model routing: the Section 3/4 kernel
                     equations predict each algorithm's time and the
-                    cheapest wins (`engine.router`).  When no
-                    calibration is available the historic fixed
-                    crossover applies — serial below 4K nodes, sublist
-                    above, mirroring the paper's Figure 1
+                    cheapest wins (`engine.router`)
 ==================  ====================================================
 
 Batched execution: pass ``engine=`` (a :class:`repro.engine.Engine`)
@@ -55,30 +52,15 @@ if TYPE_CHECKING:  # pragma: no cover - annotation only (avoids a cycle)
 
 __all__ = ["list_scan", "list_rank", "ALGORITHMS"]
 
-#: Fallback crossover below which "auto" uses the serial traversal,
-#: applied only when cost-model routing is unavailable (no calibration,
-#: or the router cannot be constructed).  The paper's crossovers on the
-#: C-90 (serial fastest on short lists, the sublist algorithm on long
-#: ones) have the same structure.  The primary "auto" path routes via
-#: ``repro.engine.router``, which evaluates the Section 3/4 kernel cost
-#: equations instead of trusting this constant.
-_AUTO_SERIAL_BELOW = 4096
-
 
 def _auto_algorithm(n: int) -> str:
-    """Resolve ``algorithm="auto"`` for an ``n``-node list.
+    """Resolve ``algorithm="auto"`` for an ``n``-node list with the
+    cost-model router (imported here, since ``repro.engine`` imports
+    this module)."""
+    from ..engine.router import route_algorithm
 
-    Routes through the cost-model router when available; falls back to
-    the fixed :data:`_AUTO_SERIAL_BELOW` crossover only when the router
-    subsystem cannot be *imported* (a stripped deployment).  A router
-    that imports but then raises is a genuine bug and propagates — the
-    fallback must not mask it.
-    """
-    try:
-        from ..engine.router import route_algorithm
-    except ImportError:
-        return "serial" if n < _AUTO_SERIAL_BELOW else "sublist"
     return route_algorithm(n)
+
 
 ALGORITHMS = (
     "sublist",

@@ -48,6 +48,7 @@ from ..engine.workers import (
 )
 from ..kernels.backend import KernelBackend
 from ..lists.generate import INDEX_DTYPE, LinkedList
+from ..lists.validate import ListStructureError
 from ..trace.tracer import Tracer, null_span, resolve_trace
 from .chunks import (
     ChunkResult,
@@ -215,6 +216,15 @@ def _sharded_scan(
             entries_per_chunk = find_entries(
                 lambda lo, hi: nxt_io.fetch(lo, hi), plan, heads
             )
+        for c, entries in enumerate(entries_per_chunk):
+            # every chunk holds a node, and in a forest a chain from a
+            # head reaches it: the chain enters the chunk at that head,
+            # or across an edge from another chunk
+            if entries.shape[0] == 0:
+                lo, hi = plan.bounds(c)
+                raise ListStructureError(
+                    f"no head reaches nodes [{lo}, {hi}): not a forest of lists"
+                )
         entries_all = (
             np.concatenate(entries_per_chunk)
             if entries_per_chunk
@@ -231,11 +241,6 @@ def _sharded_scan(
             def run_contract(c: int) -> ChunkResult:
                 lo, hi = plan.bounds(c)
                 entries = entries_per_chunk[c]
-                if hi == lo or entries.shape[0] == 0:
-                    return ChunkResult(
-                        exits=np.empty(0, dtype=INDEX_DTYPE),
-                        sums=np.empty(0, dtype=values.dtype),
-                    )
                 seed = seed_root + c
                 if offload:
                     chunk_bytes = (
@@ -344,8 +349,6 @@ def _sharded_scan(
             def run_expand(c: int) -> None:
                 lo, hi = plan.bounds(c)
                 entries = entries_per_chunk[c]
-                if hi == lo or entries.shape[0] == 0:
-                    return
                 carries = carries_all[entry_cuts[c] : entry_cuts[c + 1]]
                 seed = seed_root + c  # same seed → same splitters as Phase 1
                 if offload:

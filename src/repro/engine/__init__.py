@@ -7,8 +7,7 @@ lock-step loop.  This subsystem applies the same discipline one level
 up — across *requests*.  Many independent ``rank``/``scan`` calls are
 coalesced into fused multi-list executions (one forest scan per shard
 of up to ``FUSE_NODES`` nodes), routed to an algorithm by the Section 4
-cost model instead of a fixed crossover, and memoized in a structural
-result cache.
+cost model, and memoized in a structural result cache.
 
 Modules
 -------
@@ -18,13 +17,14 @@ Modules
 ``errors``   the per-request error channel: structured failures,
              probe-time validation, ``EngineRequestError``
 ``batch``    working-set sharding and batch fusion into one forest
-``router``   cost-model algorithm routing (replaces the fixed
-             ``_AUTO_SERIAL_BELOW`` crossover)
+``router``   cost-model algorithm routing from a cost table (the
+             paper's C-90 table, or a fitted profile)
 ``cache``    LRU result cache keyed by a structural fingerprint
 ``workers``  persistent execution backends: ``sync`` / ``threads`` /
              ``processes`` (shared-memory array transport)
-``engine``   the :class:`Engine` facade: backend-driven shard
-             execution, per-batch stats
+``engine``   the :class:`Engine` facade: one shard path for every
+             routable request (a lone request is a forest of one),
+             backend-driven shard execution, per-batch stats
 
 The public surface re-exported here is loaded lazily (PEP 562) so that
 ``core.list_scan`` can import ``engine.router`` for ``auto`` routing

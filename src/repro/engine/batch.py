@@ -87,9 +87,10 @@ class FusedBatch:
     """Many independent lists concatenated into one forest problem.
 
     ``nxt``/``values`` are fresh arrays concatenated from the
-    requests' own; the forest scan only reads them.  List *k* occupies
-    the index range ``[offsets[k], offsets[k+1])`` and keeps its
-    self-loop tail; ``heads[k]`` is its head in fused coordinates.
+    requests' own, except that a batch of one holds its request's own
+    arrays: the forest scan only reads them.  List *k* occupies the
+    index range ``[offsets[k], offsets[k+1])`` and keeps its self-loop
+    tail; ``heads[k]`` is its head in fused coordinates.
     """
 
     requests: list[ScanRequest]
@@ -105,7 +106,9 @@ class FusedBatch:
         """Concatenate the requests' lists into one forest.
 
         All requests must share the operator (by name), the inclusive
-        flag and the value dtype — i.e. come from one shard.
+        flag and the value dtype — i.e. come from one shard.  Each
+        member is range-checked on its own, so no successor reaches
+        into a neighbour's block.
         """
         if not requests:
             raise ValueError("cannot fuse an empty batch")
@@ -121,21 +124,26 @@ class FusedBatch:
                     "fused requests must share operator, inclusive flag "
                     "and value dtype; shard before fusing"
                 )
+        for req in requests:
+            check_range(req.lst.next, [req.lst.head])
         sizes = np.asarray([req.n for req in requests], dtype=INDEX_DTYPE)
         offsets = np.zeros(len(requests) + 1, dtype=INDEX_DTYPE)
         np.cumsum(sizes, out=offsets[1:])
-        nxt = np.empty(int(offsets[-1]), dtype=INDEX_DTYPE)
-        values = np.empty(
-            (int(offsets[-1]),) + first.lst.values.shape[1:],
-            dtype=first.lst.values.dtype,
+        heads = offsets[:-1] + np.asarray(
+            [req.lst.head for req in requests], dtype=INDEX_DTYPE
         )
-        heads = np.empty(len(requests), dtype=INDEX_DTYPE)
-        for k, req in enumerate(requests):
-            lo, hi = int(offsets[k]), int(offsets[k + 1])
-            check_range(req.lst.next, [req.lst.head])  # no link into a neighbour's block
-            nxt[lo:hi] = req.lst.next + lo
-            values[lo:hi] = req.lst.values
-            heads[k] = req.lst.head + lo
+        if len(requests) == 1:
+            nxt, values = first.lst.next, first.lst.values
+        else:
+            nxt = np.empty(int(offsets[-1]), dtype=INDEX_DTYPE)
+            values = np.empty(
+                (int(offsets[-1]),) + first.lst.values.shape[1:],
+                dtype=first.lst.values.dtype,
+            )
+            for k, req in enumerate(requests):
+                lo, hi = int(offsets[k]), int(offsets[k + 1])
+                nxt[lo:hi] = req.lst.next + lo
+                values[lo:hi] = req.lst.values
         return cls(
             requests=list(requests),
             nxt=nxt,
@@ -158,8 +166,11 @@ class FusedBatch:
         """Slice a fused result array back into per-request results.
 
         Returns copies, so the (large) fused array does not stay alive
-        through views held by callers or the result cache.
+        through views held by callers or the result cache; a batch of
+        one hands ``out`` itself back.
         """
+        if self.n_lists == 1:
+            return [out]
         return [
             out[int(self.offsets[k]) : int(self.offsets[k + 1])].copy()
             for k in range(self.n_lists)

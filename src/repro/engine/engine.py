@@ -10,8 +10,10 @@ Pipeline for one batch (``run_batch``)::
                                                    │
                 capped shards ◄────────────────────┘ (unique misses)
                         │  fuse ──► route ──► execute (contained)
-                        ▼                        (cost model)
-                 responses ◄── unfuse / quarantine retry
+                        │         cost model   inline / worker process /
+                        │         or capacity  sharded scan
+                        ▼
+                 responses ◄── unfuse / quarantine retry (shards of one)
 
 * Cache probes use the structural fingerprint (``engine.cache``); a
   hit answers the request without executing anything.
@@ -24,23 +26,26 @@ Pipeline for one batch (``run_batch``)::
   structured error).
 * Remaining unique misses shard by (operator, inclusive, dtype,
   forced algorithm) into shards of at most ``FUSE_NODES`` nodes —
-  ``engine.batch`` — and each shard fuses into one forest.
+  ``engine.batch`` — and each shard fuses into one forest.  A lone
+  request is a forest of one, and takes the same path.
 * The cost-model router (``engine.router``) picks serial / Wyllie /
-  sublist per fused batch; the forest kernels of ``core.forest``
-  execute all the shard's lists in one vectorized pass.
+  sublist per shard; the forest kernels of ``core.forest`` execute all
+  the shard's lists in one vectorized pass.  With a
+  ``DistributedConfig``, a shard past its memory budget runs through
+  the sharded scan of ``repro.distribute`` instead.
 * Shards execute under *containment*: a raising shard is retried once
-  with every member quarantined to solo execution, so one poisoned
-  request cannot shadow its shard-mates.  Requests that still fail
-  return structured errors; everything else gets its result.
+  with every member re-run as a shard of one, so one poisoned request
+  cannot shadow its shard-mates.  Requests that still fail return
+  structured errors; everything else gets its result.
 * Results are unfused, cached, and returned in request order.
 
 Drivers: shard execution goes through a persistent backend
 (``engine.workers``) chosen at construction — ``executor="sync"``
 (reference loop), ``"threads"`` (one long-lived thread pool reused
-across batches; shards share no arrays since fusion copies, and NumPy
-releases the GIL in the bulk operations) or ``"processes"`` (fused
-kernels execute in a long-lived process pool, arrays crossing through
-shared memory).  ``run_batch(parallel=None)`` resolves to whatever the
+across batches; the kernels only read their input, and NumPy releases
+the GIL in the bulk operations) or ``"processes"`` (shard kernels
+execute in a long-lived process pool, arrays crossing through shared
+memory).  ``run_batch(parallel=None)`` resolves to whatever the
 backend supports; ``parallel=False`` forces the inline loop on any
 backend.  Every driver honors the containment contract, and a traced
 batch stays one connected span tree — worker processes ship their
@@ -49,8 +54,9 @@ batch root.  ``Engine.close()`` (or using the engine as a context
 manager) tears the backend's pools down exactly once.
 
 Requests with a forced algorithm outside the routable set (e.g.
-``random_mate``) cannot fuse — those run per list through the ordinary
-dispatch API, so the engine accepts *every* algorithm the library has.
+``random_mate``) have no forest kernel — those run per list through
+the dispatch API (``list_scan``), so the engine accepts *every*
+algorithm the library has.
 """
 
 from __future__ import annotations
@@ -119,8 +125,9 @@ class EngineStats:
         execution failures, and error fan-out to coalesced
         duplicates).
     ``retries``
-        fused shards whose execution raised and was retried once in
-        quarantine mode (every member solo).
+        shards of several requests whose execution raised and was
+        retried once in quarantine mode (every member as a shard of
+        one).
     ``quarantined``
         requests whose execution failed even in isolation and were
         answered with a structured error instead of a result.
@@ -142,11 +149,11 @@ class EngineStats:
 
     ``element_ops`` / ``kernel_rounds`` / ``kernel_packs`` aggregate
     the :class:`~repro.core.stats.ScanStats` of *successful* kernel
-    executions only.  Every execution attempt — the fused try and each
-    quarantine solo re-run — collects into a fresh ``ScanStats`` and
-    merges here only if it succeeds, so a fused attempt that dies
-    half-way through Phase 1 cannot double-count the work its members
-    then redo solo.
+    executions only.  Every execution attempt — the shard's try and each
+    quarantine re-run — collects into a fresh ``ScanStats`` and merges
+    here only if it succeeds, so a fused attempt that dies half-way
+    through Phase 1 cannot double-count the work its members then redo
+    alone.
 
     Latency histograms
     ------------------
@@ -171,9 +178,9 @@ class EngineStats:
     requests: int = 0
     batches: int = 0
     shards: int = 0
-    fused_lists: int = 0  # lists that executed inside a fused forest
+    fused_lists: int = 0  # lists that executed in a shard of two or more
     fused_nodes: int = 0
-    solo_runs: int = 0  # lists executed alone (unfusable or singleton)
+    solo_runs: int = 0  # lists executed alone (a shard of one, or unfusable)
     distributed_runs: int = 0  # shards routed to the sharded scan
     distributed_chunks: int = 0  # chunk contractions across those runs
     cache_hits: int = 0
@@ -327,8 +334,8 @@ class Engine:
         admission events (``queue_wait``, ``cache_hit``/``cache_miss``,
         ``validation_error``, ``coalesced``), per-shard spans with the
         routing decision (including the cost model's predicted clocks
-        per candidate), the fused kernel's own phase spans, and
-        ``quarantine_retry``/``solo`` spans.  See ``docs/tracing.md``.
+        per candidate), the kernel's own phase spans, and
+        ``quarantine_retry`` spans.  See ``docs/tracing.md``.
     calibration:
         Optional fitted :class:`repro.calibrate.CalibrationProfile` to
         install at construction (equivalent to calling
@@ -463,8 +470,10 @@ class Engine:
 
         Idempotent — calling it again (or exiting the context manager
         after an explicit close) is a no-op returning ``[]``.  A closed
-        engine rejects further submissions and pooled dispatch;
-        single-shard batches still execute inline.
+        engine rejects further submissions and pooled dispatch: a
+        single-shard batch still executes inline, except that on the
+        ``processes`` backend a shard whose kernel would offload is
+        answered with ``execution`` errors.
         """
         pending = self.queue.close()
         error = RequestError(
@@ -566,11 +575,14 @@ class Engine:
     ) -> None:
         """Judge one executed run against the active calibration.
 
-        Called after shard/solo execution with the engine lock *not*
+        Called after each shard execution with the engine lock *not*
         held.  Inactive (zero overhead beyond the clock reads) until a
         fitted profile is installed — comparing host wall time against
         the paper's C-90 clock predictions would only measure how much
-        slower this machine is than a 1994 supercomputer.
+        slower this machine is than a 1994 supercomputer.  A run the
+        cost model has no candidate for (``distributed``) carries no
+        prediction, and the detector keeps only fitted kinds in its
+        window.
 
         ``epoch`` is the drift detector that was active when the run
         *started* (callers capture ``self._drift`` before timing).  A
@@ -590,10 +602,9 @@ class Engine:
             return
         predicted_ns: float | None = None
         router = self.router
-        if router.calibrated and algorithm in router.candidates:
+        if algorithm in router.candidates:
             predicted_ns = (
-                router.predicted_clocks(n, algorithm, n_lists)
-                * router.costs.clock_ns  # type: ignore[union-attr]
+                router.predicted_clocks(n, algorithm, n_lists) * router.costs.clock_ns
             )
         verdict = detector.observe_run(
             algorithm, n, seconds, predicted_ns, n_lists=n_lists
@@ -929,45 +940,6 @@ class Engine:
             (child,) = self._seeds.spawn(1)
         return np.random.default_rng(child)
 
-    def _solo_scan(self, req: ScanRequest) -> tuple[str, np.ndarray]:
-        """Run one request alone through the dispatch API.
-
-        Each solo run collects its *own* fresh kernel
-        :class:`ScanStats`, merged into the engine counters only on
-        success — a quarantine re-run never inherits (or re-adds) the
-        work of the fused attempt that failed before it.
-        """
-        tracer = self.trace
-        span = tracer.span if tracer is not None else null_span
-        algorithm = (
-            req.algorithm
-            if req.algorithm != "auto"
-            else self.router.choose(req.n, 1)
-        )
-        kstats = ScanStats()
-        epoch = self._drift  # calibration epoch this run is measured under
-        t0 = self.clock()
-        with span(
-            "solo", request_id=req.request_id, n=req.n, algorithm=algorithm
-        ):
-            result = list_scan(
-                req.lst,
-                req.op,
-                inclusive=req.inclusive,
-                algorithm=algorithm,
-                rng=self._child_rng(),
-                stats=kstats,
-                trace=tracer,
-                kernel_backend=self.kernel_backend,
-            )
-        elapsed = self.clock() - t0
-        with guarded(self._lock, "engine.stats"):
-            self.stats.solo_runs += 1
-            self.stats.count_algorithm(algorithm)
-            self.stats.merge_kernel_stats(kstats)
-        self._observe_execution(algorithm, req.n, 1, elapsed, epoch=epoch)
-        return algorithm, result
-
     def _execute_shard_contained(
         self, shard: list[ScanRequest], parent: Span | None = None
     ) -> list[_Outcome]:
@@ -975,10 +947,10 @@ class Engine:
 
         Returns one outcome per request, aligned with the shard: a
         ``(algorithm, batch_lists, result)`` tuple on success, a
-        :class:`RequestError` on failure.  A fused execution that
-        raises is retried once in quarantine mode — every member runs
-        solo — so a single poisoned request cannot take down its
-        shard-mates.
+        :class:`RequestError` on failure.  A shard of several requests
+        that raises is retried once in quarantine mode — every member
+        re-runs as a shard of one — so a single poisoned request cannot
+        take down its shard-mates.
 
         ``parent`` pins the shard's trace span under the batch span —
         required under the thread-pool driver, where this method runs
@@ -997,86 +969,85 @@ class Engine:
                 return [(algorithm, len(shard), result) for result in results]
             except Exception as exc:
                 if len(shard) == 1:
-                    # the fused attempt *was* the solo run; quarantine now
                     with guarded(self._lock, "engine.stats"):
                         self.stats.quarantined += 1
                     return [_execution_error(exc)]
                 with guarded(self._lock, "engine.stats"):
                     self.stats.retries += 1
-                outcomes: list[_Outcome] = []
                 with span("quarantine_retry", lists=len(shard)):
-                    for req in shard:
-                        try:
-                            algorithm, result = self._solo_scan(req)
-                            outcomes.append((algorithm, 1, result))
-                        except Exception as solo_exc:
-                            with guarded(self._lock, "engine.stats"):
-                                self.stats.quarantined += 1
-                            outcomes.append(_execution_error(solo_exc))
-                return outcomes
+                    return [
+                        outcome
+                        for req in shard
+                        for outcome in self._execute_shard_contained([req])
+                    ]
 
     def _execute_shard(
         self, shard: list[ScanRequest]
     ) -> tuple[str, list[np.ndarray]]:
-        """Run one fusable shard; returns ``(algorithm, per-request results)``.
+        """Run one shard; returns ``(algorithm, per-request results)``.
 
-        The fused execution collects a fresh kernel
-        :class:`ScanStats` for *this attempt only*; the counters merge
-        into the engine stats after the kernel returns.  If the kernel
-        raises, the attempt's partial counters are discarded with it —
-        the quarantine solo re-runs start from zero (see
-        :meth:`_solo_scan`), so failed attempts never double-count.
+        The shard fuses into one forest — a lone request is a forest of
+        one — and runs on the routed kernel: inline, in a worker
+        process, or through the sharded scan when its working set is
+        past the distributed memory budget.  Forced algorithms without
+        a forest kernel run per list through the dispatch API.
+
+        Each attempt collects a fresh kernel :class:`ScanStats`, merged
+        into the engine stats only after the kernel returns: an attempt
+        that raises discards its partial counters, so the quarantine
+        re-runs start from zero and never double-count.
         """
         forced = shard[0].algorithm  # uniform within a shard (shard key)
         tracer = self.trace
         span = tracer.span if tracer is not None else null_span
+        kstats = ScanStats()
 
-        # unroutable forced algorithms have no forest kernel: run per list
         if forced != "auto" and forced not in CANDIDATES:
-            results = [self._solo_scan(req)[1] for req in shard]
+            results = [
+                list_scan(
+                    req.lst,
+                    req.op,
+                    inclusive=req.inclusive,
+                    algorithm=forced,
+                    rng=self._child_rng(),
+                    stats=kstats,
+                    trace=tracer,
+                    kernel_backend=self.kernel_backend,
+                )
+                for req in shard
+            ]
+            with guarded(self._lock, "engine.stats"):
+                self.stats.solo_runs += len(shard)
+                self.stats.count_algorithm(forced, len(shard))
+                self.stats.merge_kernel_stats(kstats)
             return forced, results
-
-        # capacity routing: shards whose fused working set would blow
-        # the distributed memory budget run through the sharded
-        # three-phase scan instead (checked before the singleton
-        # shortcut — one oversized request is the common case).
-        if forced == "auto" and self.distributed is not None:
-            total_nodes = sum(req.n for req in shard)
-            value_dtype = np.result_type(
-                *(req.lst.values.dtype for req in shard)
-            )
-            if self.distributed.should_shard(total_nodes, value_dtype):
-                return self._execute_distributed(shard)
-
-        if len(shard) == 1:
-            algorithm, result = self._solo_scan(shard[0])
-            return algorithm, [result]
 
         rng = self._child_rng()
         batch = FusedBatch.fuse(shard)
-        algorithm = (
-            forced
-            if forced != "auto"
-            else self.router.choose(batch.n_nodes, batch.n_lists)
-        )
+        router = self.router
+        if forced != "auto":
+            algorithm = forced
+        elif self.distributed is not None and self.distributed.should_shard(
+            batch.n_nodes, batch.values.dtype
+        ):
+            # capacity routing: past the memory budget, whatever the cost model says
+            algorithm = "distributed"
+        else:
+            algorithm = router.choose(batch.n_nodes, batch.n_lists)
         if tracer is not None:
-            predicted: dict[str, float] = {}
-            if self.router.calibrated:
-                for candidate in self.router.candidates:
-                    predicted[candidate] = float(
-                        self.router.predicted_clocks(
-                            batch.n_nodes, candidate, batch.n_lists
-                        )
-                    )
             tracer.event(
                 "route",
                 algorithm=algorithm,
                 forced=forced != "auto",
                 n_nodes=batch.n_nodes,
                 n_lists=batch.n_lists,
-                predicted_clocks=predicted,
+                predicted_clocks={
+                    candidate: float(
+                        router.predicted_clocks(batch.n_nodes, candidate, batch.n_lists)
+                    )
+                    for candidate in router.candidates
+                },
             )
-        kstats = ScanStats()
         backend = self._backend
         # a kernel leaves this process only when the worker can
         # rehydrate the operator faithfully — by builtin name, or as a
@@ -1085,8 +1056,8 @@ class Engine:
         ship = (
             shippable_operator(batch.op) if backend.offloads_kernels else None
         )
-        offload = ship is not None
         traced = tracer is not None and tracer.enabled
+        report: dict[str, Any] = {}
         epoch = self._drift  # calibration epoch this run is measured under
         t0 = self.clock()
         with span(
@@ -1095,7 +1066,25 @@ class Engine:
             lists=batch.n_lists,
             nodes=batch.n_nodes,
         ) as exec_span:
-            if offload:
+            if algorithm == "distributed":
+                from ..distribute import sharded_forest_scan
+
+                out = sharded_forest_scan(
+                    batch.nxt,
+                    batch.values,
+                    batch.heads,
+                    batch.op,
+                    inclusive=batch.inclusive,
+                    config=self.distributed,
+                    backend=backend,
+                    router=router,
+                    rng=rng,
+                    stats=kstats,
+                    trace=tracer,
+                    kernel_backend=self._kernel_backend,
+                    report=report,
+                )
+            elif ship is not None:
                 # randomness crosses as a seed drawn from this shard's
                 # generator; trace spans come back as serialized
                 # records and are adopted under the execute span, so
@@ -1121,8 +1110,7 @@ class Engine:
                         parent=exec_span,
                     )
             else:
-                out = np.empty_like(batch.values)
-                run_fused_kernel(
+                out = run_fused_kernel(
                     batch.nxt,
                     batch.values,
                     batch.heads,
@@ -1131,71 +1119,24 @@ class Engine:
                     algorithm,
                     rng,
                     kstats,
-                    out,
+                    np.empty_like(batch.values),
                     tracer,
                     kernel_backend=self._kernel_backend,
                 )
         elapsed = self.clock() - t0
         results = batch.unfuse(out)
         with guarded(self._lock, "engine.stats"):
-            self.stats.fused_lists += batch.n_lists
-            self.stats.fused_nodes += batch.n_nodes
+            if batch.n_lists == 1:
+                self.stats.solo_runs += 1
+            else:
+                self.stats.fused_lists += batch.n_lists
+                self.stats.fused_nodes += batch.n_nodes
+            if algorithm == "distributed":
+                self.stats.distributed_runs += 1
+                self.stats.distributed_chunks += int(report.get("num_chunks", 0))
             self.stats.count_algorithm(algorithm, batch.n_lists)
             self.stats.merge_kernel_stats(kstats)
         self._observe_execution(
             algorithm, batch.n_nodes, batch.n_lists, elapsed, epoch=epoch
         )
         return algorithm, results
-
-    def _execute_distributed(
-        self, shard: list[ScanRequest]
-    ) -> tuple[str, list[np.ndarray]]:
-        """Run one oversized shard through the three-phase sharded scan.
-
-        The fused forest is partitioned into chunks that contract in
-        parallel on this engine's backend; the reduced boundary list is
-        solved by the same router-selected kernels; expansion restores
-        per-node results.  The drift detector is not fed — the cost
-        model has no ``distributed`` candidate to predict against.
-        Failures propagate to :meth:`_execute_shard_contained`, whose
-        quarantine retry re-runs every member solo through the ordinary
-        kernels.
-        """
-        from ..distribute import sharded_forest_scan
-
-        tracer = self.trace
-        span = tracer.span if tracer is not None else null_span
-        rng = self._child_rng()
-        batch = FusedBatch.fuse(shard)
-        kstats = ScanStats()
-        report: dict[str, Any] = {}
-        with span(
-            "execute",
-            algorithm="distributed",
-            lists=batch.n_lists,
-            nodes=batch.n_nodes,
-        ):
-            out = sharded_forest_scan(
-                batch.nxt,
-                batch.values,
-                batch.heads,
-                batch.op,
-                inclusive=batch.inclusive,
-                config=self.distributed,
-                backend=self._backend,
-                router=self.router,
-                rng=rng,
-                stats=kstats,
-                trace=tracer,
-                kernel_backend=self._kernel_backend,
-                report=report,
-            )
-        results = batch.unfuse(out)
-        with guarded(self._lock, "engine.stats"):
-            self.stats.fused_lists += batch.n_lists
-            self.stats.fused_nodes += batch.n_nodes
-            self.stats.distributed_runs += 1
-            self.stats.distributed_chunks += int(report.get("num_chunks", 0))
-            self.stats.count_algorithm("distributed", batch.n_lists)
-            self.stats.merge_kernel_stats(kstats)
-        return "distributed", results

@@ -20,8 +20,8 @@ contract:
   combine, and NaN values under NaN-hostile operators (``min``/``max``)
   are all rejected *before* they can poison a fused shard.  The list
   structure is left to the scan kernels, which prove it (a fused shard
-  with a bad member is retried solo, so its shard-mates still get
-  their results).
+  with a bad member is retried with every member alone, so its
+  shard-mates still get their results).
 
 Error codes
 -----------

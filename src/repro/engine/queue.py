@@ -111,7 +111,8 @@ class ScanResponse:
 
     ``algorithm`` is the algorithm that actually produced the result
     (after routing); ``batch_lists`` is how many requests were fused
-    into the execution that served this one (1 for solo or cached).
+    into the execution that served this one (1 for a lone or cached
+    request).
 
     Error channel: ``ok`` is True iff the request produced a result.
     On failure ``result`` is ``None`` and ``error`` carries a

@@ -1,12 +1,9 @@
 """Cost-model algorithm routing.
 
-The dispatch API's historic ``"auto"`` mode used a fixed crossover
-(``_AUTO_SERIAL_BELOW = 4096`` nodes: serial below, sublist above).
-The paper, however, gives us something much better — the Section 3/4
-kernel equations predict the running time of *every* algorithm as a
-function of the problem size, and Section 4.4 shows the predictions
-track measurements closely.  The :class:`Router` evaluates those
-predictions and picks the cheapest algorithm:
+The paper's Section 3/4 kernel equations predict the running time of
+*every* algorithm as a function of the problem size, and Section 4.4
+shows the predictions track measurements closely.  The :class:`Router`
+evaluates those predictions and picks the cheapest algorithm:
 
 * ``serial``  — ``T = 34·n + 255`` clocks (the measured traversal);
 * ``wyllie``  — ``⌈log₂(n/k)⌉`` rounds of ``9·n + 180`` clocks for a
@@ -14,11 +11,9 @@ predictions and picks the cheapest algorithm:
 * ``sublist`` — the full Eq. 3 schedule-sum plus Phase-2 dispatch cost
   at the model-tuned ``(m, S₁)`` (``analysis.predict.predict_run``).
 
-Predictions use a calibration (:class:`KernelCosts`) — the paper's
-published C-90 table by default, or any table derived by
-``machine.calibration`` for another machine.  A router constructed
-*without* a calibration (``costs=None``) falls back to the historic
-fixed crossover, so routing degrades gracefully rather than failing.
+Every router prices from a cost table (:class:`KernelCosts`): the
+paper's published C-90 table by default, or a table fitted for another
+machine (``machine.calibration``, ``repro.calibrate``).
 
 Decisions are cached per √2-rounded size bucket (the same bucketing as
 ``core.tuning``), so repeated routing is O(1) after the first call for
@@ -41,10 +36,7 @@ from ..analysis.predict import predict_run
 from ..kernels.backend import KernelBackend, resolve_backend
 from ..sanitize.runtime import atomic_read, atomic_write
 
-__all__ = ["Router", "route_algorithm", "DEFAULT_SERIAL_BELOW", "default_router"]
-
-#: The historic fixed crossover, kept as the no-calibration fallback.
-DEFAULT_SERIAL_BELOW = 4096
+__all__ = ["Router", "route_algorithm", "default_router"]
 
 #: Algorithms the router chooses between.  All three have forest
 #: (multi-list) kernels, so a routed batch can always be executed fused.
@@ -65,7 +57,7 @@ class _RouterState:
 
     __slots__ = ("costs", "choices")
 
-    def __init__(self, costs: KernelCosts | None) -> None:
+    def __init__(self, costs: KernelCosts) -> None:
         self.costs = costs
         self.choices: dict[tuple[int, int], str] = {}
 
@@ -83,10 +75,7 @@ class Router:
     Parameters
     ----------
     costs:
-        Kernel calibration driving the predictions.  ``None`` disables
-        model routing and falls back to the fixed crossover.
-    serial_below:
-        The fallback crossover used when ``costs`` is ``None``.
+        Kernel calibration driving the predictions.
     candidates:
         Algorithm names to consider (subset of :data:`CANDIDATES`).
     kernel_backend:
@@ -102,8 +91,7 @@ class Router:
 
     def __init__(
         self,
-        costs: KernelCosts | None = PAPER_C90_COSTS,
-        serial_below: int = DEFAULT_SERIAL_BELOW,
+        costs: KernelCosts = PAPER_C90_COSTS,
         candidates: tuple[str, ...] = CANDIDATES,
         kernel_backend: str | KernelBackend | None = None,
     ) -> None:
@@ -114,25 +102,15 @@ class Router:
             raise ValueError("router needs at least one candidate")
         backend = resolve_backend(kernel_backend)
         self.kernel_backend = backend.name
-        self.serial_below = serial_below
         self.candidates = tuple(candidates)
-        self._state = _RouterState(
-            backend.scaled_costs(costs) if costs is not None else None
-        )
+        self._state = _RouterState(backend.scaled_costs(costs))
 
     @property
-    def costs(self) -> KernelCosts | None:
+    def costs(self) -> KernelCosts:
         """The active cost table (after backend scaling, if any)."""
         return self._state.costs
 
-    @property
-    def calibrated(self) -> bool:
-        """Whether model routing (vs. the fixed fallback) is active."""
-        return self._state.costs is not None
-
-    def set_costs(
-        self, costs: KernelCosts | None, scale_backend: bool = False
-    ) -> None:
+    def set_costs(self, costs: KernelCosts, scale_backend: bool = False) -> None:
         """Install a new calibration and invalidate the decision cache.
 
         The swap is atomic: the new table and a fresh empty cache are
@@ -148,7 +126,7 @@ class Router:
         already include its speedup, and scaling again would double
         count it.
         """
-        if costs is not None and scale_backend:
+        if scale_backend:
             costs = resolve_backend(self.kernel_backend).scaled_costs(costs)
         self._state = _RouterState(costs)
         atomic_write("router.state")
@@ -176,10 +154,7 @@ class Router:
     def predicted_clocks(self, n: int, algorithm: str, n_lists: int = 1) -> float:
         """Model-predicted clocks for one algorithm on ``n`` total nodes
         spread over ``n_lists`` independent lists."""
-        costs = self._state.costs
-        if costs is None:
-            raise ValueError("router has no calibration; predictions unavailable")
-        return self._predicted(costs, n, algorithm, n_lists)
+        return self._predicted(self._state.costs, n, algorithm, n_lists)
 
     def choose(self, n: int, n_lists: int = 1) -> str:
         """The cheapest candidate for ``n`` nodes over ``n_lists`` lists."""
@@ -187,8 +162,6 @@ class Router:
         n_lists = max(int(n_lists), 1)
         atomic_read("router.state")
         state = self._state  # one snapshot: costs + cache stay paired
-        if state.costs is None:
-            return "serial" if n < self.serial_below else "sublist"
         if n <= 8:
             return "serial" if "serial" in self.candidates else self.candidates[0]
         key = (_bucket(n), _bucket(n_lists))
@@ -204,8 +177,7 @@ class Router:
 
     def crossover(self, lo: int = 2, hi: int = 1 << 22) -> int:
         """Smallest ``n`` (within [lo, hi], up to bucket resolution) at
-        which the router stops choosing ``serial`` — the model-derived
-        analogue of the old fixed constant."""
+        which the router stops choosing ``serial``."""
         if self.choose(lo) != "serial":
             return lo
         if self.choose(hi) == "serial":
@@ -232,5 +204,5 @@ def default_router() -> Router:
 
 def route_algorithm(n: int, n_lists: int = 1, router: Router | None = None) -> str:
     """Route an ``n``-node problem through ``router`` (default: the
-    process-wide calibrated router)."""
+    process-wide router on the paper's table)."""
     return (router or default_router()).choose(n, n_lists)

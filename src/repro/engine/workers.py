@@ -31,10 +31,10 @@ the engine a real backend, chosen by ``Engine(executor=...)``:
     (see :func:`_pool_mp_context`).
 
 Fault containment is unchanged: a worker that raises surfaces the
-exception through its future, the engine's quarantine retry runs the
-shard's members solo in the parent, and a crashed worker (a
-``BrokenProcessPool``) additionally drops the pool so the next batch
-gets a fresh one.  Tracing is unchanged too: workers record kernel
+exception through its future, the engine's quarantine retry re-runs
+the shard's members as shards of one (offloaded like any shard), and
+a crashed worker (a ``BrokenProcessPool``) additionally drops the
+pool so the next dispatch gets a fresh one.  Tracing is unchanged too: workers record kernel
 spans with their own tracer and return them as serialized records; the
 engine adopts them under the batch root (``Tracer.adopt``), so a
 traced batch is one connected tree no matter where it ran.

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
+import signal
+
 import numpy as np
 import pytest
 
@@ -30,3 +33,21 @@ def make_affine_values(rng: np.random.Generator, n: int) -> np.ndarray:
     return np.stack(
         [rng.integers(1, 3, n), rng.integers(-5, 6, n)], axis=1
     ).astype(np.int64)
+
+
+@contextlib.contextmanager
+def within(seconds):
+    """Raise ``TimeoutError`` once the block runs past ``seconds``, so a
+    scan or a pool that hangs fails its test instead of stalling the
+    suite (main thread only: the deadline is a ``SIGALRM``)."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

@@ -82,8 +82,7 @@ class TestListScanDispatch:
 
 class TestAutoRouting:
     def test_router_errors_propagate(self, monkeypatch, rng):
-        # regression: a genuine router bug used to be silently masked
-        # by the fixed-crossover fallback (bare `except Exception`)
+        # a genuine router bug propagates out of list_scan unmasked
         import repro.engine.router as router_mod
 
         def boom(n):
@@ -93,18 +92,6 @@ class TestAutoRouting:
         lst = random_list(100, rng)
         with pytest.raises(RuntimeError, match="router bug"):
             list_scan(lst, algorithm="auto")
-
-    def test_import_error_falls_back_to_fixed_crossover(self, monkeypatch, rng):
-        import sys
-
-        # a stripped deployment without the router subsystem: setting
-        # the module entry to None makes `from ..engine.router import
-        # route_algorithm` raise ImportError
-        monkeypatch.setitem(sys.modules, "repro.engine.router", None)
-        lst = random_list(100, rng, values=rng.integers(-9, 9, 100))
-        assert np.array_equal(
-            list_scan(lst, algorithm="auto"), serial_list_scan(lst)
-        )
 
 
 class TestEngineArgumentCompatibility:

@@ -111,6 +111,49 @@ class TestCommands:
         ) == 2
         assert "cannot reach" in capsys.readouterr().err
 
+    def test_bench_client_stats_prints_containment_counters(self, capsys):
+        import asyncio
+        import re
+        import threading
+
+        from repro.engine import Engine
+        from repro.serve import ScanServer, ServeConfig
+
+        server = ScanServer(
+            Engine(executor="sync"), ServeConfig(port=0, allow_shutdown=True)
+        )
+        started = threading.Event()
+
+        async def serve():
+            await server.start()
+            started.set()
+            await server.wait_closed()
+
+        # a daemon, so a failed run cannot keep the suite from exiting
+        thread = threading.Thread(target=asyncio.run, args=(serve(),), daemon=True)
+        thread.start()
+        try:
+            assert started.wait(timeout=30)
+            assert main(
+                ["bench-client", "--port", str(server.port), "--clients", "2",
+                 "--requests", "8", "--sizes", "16,64", "--poison", "4",
+                 "--stats", "--shutdown"]
+            ) == 0
+        finally:
+            thread.join(timeout=30)
+        assert not thread.is_alive()
+        line = re.search(
+            r"server retries (\d+)  quarantined (\d+)  solo runs (\d+)  "
+            r"fused lists (\d+)",
+            capsys.readouterr().out,
+        )
+        assert line is not None
+        snap = server.engine.stats.snapshot()
+        assert [int(v) for v in line.groups()] == [
+            snap["retries"], snap["quarantined"], snap["solo_runs"], snap["fused_lists"]
+        ]
+        assert snap["quarantined"] > 0  # poison reached the kernels
+
     @pytest.mark.parametrize("algo", ["sublist", "wyllie", "serial"])
     def test_simulate(self, algo, capsys):
         assert main(["simulate", "-n", "20000", "--algorithm", algo]) == 0

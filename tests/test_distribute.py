@@ -55,7 +55,7 @@ from repro.lists.generate import (
     reversed_list,
 )
 
-from .test_validate import within
+from .conftest import within
 
 
 @pytest.fixture(autouse=True)

@@ -8,7 +8,8 @@ from repro.core.operators import AFFINE, MAX, SUM
 from repro.engine import Engine
 from repro.engine.batch import FUSE_NODES, FusedBatch, shard_requests
 from repro.engine.queue import ScanRequest
-from repro.lists.generate import random_list, random_values
+from repro.lists.generate import list_order, random_list, random_values
+from repro.lists.validate import ListStructureError
 
 from .conftest import make_affine_values
 
@@ -132,3 +133,70 @@ class TestFusedBatch:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             FusedBatch.fuse([])
+
+    def test_lone_request_is_a_forest_of_one_over_its_own_arrays(self):
+        req = make_request(90, seed=4)
+        batch = FusedBatch.fuse([req])
+        assert batch.nxt is req.lst.next and batch.values is req.lst.values
+        assert list(batch.heads) == [req.lst.head]
+        assert list(batch.offsets) == [0, 90]
+        out = np.empty_like(batch.values)
+        [part] = batch.unfuse(out)
+        assert part is out
+
+    def test_lone_request_is_range_checked(self):
+        req = make_request(30, seed=5)
+        req.lst.next[7] = 30  # one past the end
+        with pytest.raises(ListStructureError, match="out of range"):
+            FusedBatch.fuse([req])
+
+
+def float_pair(n=3000, seed=9):
+    """A float ``n``-node list holding one 1e16 value, and a second,
+    shorter list to fuse it with."""
+    rng = np.random.default_rng(seed)
+    big = random_list(n, rng, values=rng.random(n))
+    big.values[list_order(big)[n // 3]] = 1e16
+    return big, random_list(500, rng, values=rng.random(500))
+
+
+class TestLoneShard:
+    """A lone request runs as a forest of one: the same kernels, and so
+    the same answer, as when it fuses with another request."""
+
+    def _lone_and_fused(self, algorithm, inclusive):
+        big, other = float_pair()
+        reqs = [
+            ScanRequest(lst=lst, algorithm=algorithm, inclusive=inclusive)
+            for lst in (big, other)
+        ]
+        with Engine(executor="sync", cache_capacity=0) as engine:
+            [lone] = engine.run_batch(reqs[:1])
+            fused, _ = engine.run_batch(reqs)
+        assert lone.ok and fused.ok and fused.batch_lists == 2
+        return lone.result, fused.result
+
+    @pytest.mark.parametrize("inclusive", [False, True])
+    @pytest.mark.parametrize("algorithm", ["serial", "wyllie"])
+    def test_lone_equals_fused_bit_for_bit(self, algorithm, inclusive):
+        lone, fused = self._lone_and_fused(algorithm, inclusive)
+        np.testing.assert_array_equal(lone, fused)
+
+    @pytest.mark.parametrize("inclusive", [False, True])
+    def test_lone_sublist_agrees_with_fused(self, inclusive):
+        # the splitters differ with the forest, so the float sums
+        # associate differently
+        lone, fused = self._lone_and_fused("sublist", inclusive)
+        np.testing.assert_allclose(lone, fused, rtol=1e-9)
+
+    def test_lone_serial_counts_its_element_ops(self):
+        big, other = float_pair()
+        with Engine(executor="sync", cache_capacity=0) as engine:
+            engine.run_batch([ScanRequest(lst=big, algorithm="serial")])
+            assert engine.stats.element_ops == big.n
+            assert engine.stats.solo_runs == 1 and engine.stats.fused_lists == 0
+            engine.run_batch(
+                [ScanRequest(lst=lst, algorithm="serial") for lst in (big, other)]
+            )
+            assert engine.stats.element_ops == 2 * big.n + other.n
+            assert engine.stats.fused_lists == 2

@@ -1,12 +1,11 @@
-"""Unit tests for the cost-model router and the ``auto`` fallback."""
+"""Unit tests for the cost-model router and ``auto`` routing through it."""
 
 import pytest
 
 from repro.analysis.cost_model import PAPER_C90_COSTS
-from repro.core.list_scan import _AUTO_SERIAL_BELOW, _auto_algorithm, list_scan
+from repro.core.list_scan import _auto_algorithm, list_scan
 from repro.engine.router import (
     CANDIDATES,
-    DEFAULT_SERIAL_BELOW,
     Router,
     default_router,
     route_algorithm,
@@ -62,21 +61,6 @@ class TestRouterModel:
             Router().predicted_clocks(100, "quantum")
 
 
-class TestFallback:
-    def test_uncalibrated_router_uses_fixed_crossover(self):
-        router = Router(costs=None)
-        assert not router.calibrated
-        assert router.choose(DEFAULT_SERIAL_BELOW - 1) == "serial"
-        assert router.choose(DEFAULT_SERIAL_BELOW) == "sublist"
-
-    def test_fallback_constant_matches_dispatch_api(self):
-        assert DEFAULT_SERIAL_BELOW == _AUTO_SERIAL_BELOW
-
-    def test_uncalibrated_predictions_unavailable(self):
-        with pytest.raises(ValueError):
-            Router(costs=None).predicted_clocks(100, "serial")
-
-
 class TestHotSwap:
     def test_set_costs_invalidates_decision_cache(self):
         import dataclasses
@@ -95,16 +79,6 @@ class TestHotSwap:
         # and back: the second swap restores the original decision
         router.set_costs(PAPER_C90_COSTS)
         assert router.choose(n) == "sublist"
-
-    def test_set_costs_none_reverts_to_fixed_fallback(self):
-        router = Router()
-        assert router.calibrated
-        router.set_costs(None)
-        assert not router.calibrated
-        assert router.choose(DEFAULT_SERIAL_BELOW - 1) == "serial"
-        assert router.choose(DEFAULT_SERIAL_BELOW) == "sublist"
-        with pytest.raises(ValueError):
-            router.predicted_clocks(100, "serial")
 
     def test_set_costs_default_skips_backend_scaling(self):
         # fitted profiles are measured through the active backend, so

@@ -2,9 +2,9 @@
 
 The traced serving path must expose the whole lifecycle as a span
 tree — ``run_batch`` → ``admit`` / ``shard`` / ``respond``, with
-``route``/``cache_hit``/``coalesced``/``queue_wait`` events and
-``quarantine_retry``/``solo`` spans where the batch took those paths —
-without changing any result.
+``route``/``cache_hit``/``coalesced``/``queue_wait`` events and a
+``quarantine_retry`` span where the batch took that path — without
+changing any result.
 
 The regression half pins the per-attempt kernel-stats contract: a
 fused execution that raises discards its partial ``ScanStats``; the
@@ -49,7 +49,7 @@ class TestEngineSpans:
         assert len(shards) == 2  # thread-pool shards pinned via parent=
         for shard in shards:
             assert shard.t1 is not None
-            assert shard.find("execute") is not None or shard.find("solo") is not None
+            assert shard.find("execute") is not None
         # every span closed, even under the pool driver
         for span in root.walk():
             assert span.t1 is not None, span.name
@@ -63,13 +63,8 @@ class TestEngineSpans:
         assert route.attrs["algorithm"] in ("serial", "wyllie", "sublist")
         assert route.attrs["forced"] is False
         assert route.attrs["n_lists"] == 3
-        if engine.router.calibrated:
-            assert set(route.attrs["predicted_clocks"]) == set(
-                engine.router.candidates
-            )
-            assert all(
-                v > 0 for v in route.attrs["predicted_clocks"].values()
-            )
+        assert set(route.attrs["predicted_clocks"]) == set(engine.router.candidates)
+        assert all(v > 0 for v in route.attrs["predicted_clocks"].values())
 
     def test_queue_wait_events_from_submission_path(self):
         tracer = Tracer()
@@ -125,12 +120,18 @@ class TestEngineSpans:
             [ScanRequest(lst=x, op=POISON) for x in (a, b, c)]
         )
         assert [r.ok for r in responses] == [True, False, True]
-        (shard,) = tracer.last_root().find_all("shard")
+        shard = tracer.last_root().find("shard")
+        assert shard.attrs["lists"] == 3
         retry = shard.find("quarantine_retry")
         assert retry is not None
         assert retry.attrs == {"lists": 3}
-        solos = retry.find_all("solo")
-        assert len(solos) == 3  # every member re-ran solo
+        # every member re-ran as a shard of one, routed like any shard
+        members = retry.find_all("shard")
+        assert [m.attrs["lists"] for m in members] == [1, 1, 1]
+        for member in members:
+            (route,) = member.events_named("route")
+            assert route.attrs["n_lists"] == 1
+            assert member.find("execute") is not None
         assert engine.stats.retries == 1 and engine.stats.quarantined == 1
 
     def test_trace_off_engine_records_nothing_and_matches(self):

@@ -16,7 +16,10 @@ The contracts under test:
 """
 
 import concurrent.futures
+import contextlib
 import glob
+import os
+import signal
 
 import numpy as np
 import pytest
@@ -35,6 +38,8 @@ from repro.engine.workers import (
 )
 from repro.lists.generate import random_list, random_values
 from repro.trace import Tracer
+
+from .conftest import within
 
 
 def mixed_requests(count=200, max_n=2000, seed=0, algorithm="auto"):
@@ -288,16 +293,28 @@ class TestWorkerCrashRecovery:
     """A SIGKILLed worker must not leak shm or poison the backend: the
     failing dispatch raises ``BrokenProcessPool``, every lease is
     released, the dead pool is dropped, and the next dispatch builds a
-    fresh one (the shm teardown / pool-recovery regression)."""
+    fresh one (the shm teardown / pool-recovery regression).  Each test
+    runs under a deadline, so a pool that hangs fails the test instead
+    of stalling the suite."""
 
     @staticmethod
     def _worker_pids(backend):
         return [p.pid for p in backend._pool._processes.values()]
 
-    def test_killed_worker_releases_segments_and_recovers(self):
-        import os
-        import signal
+    @contextlib.contextmanager
+    def _deadline(self, backend, seconds=60):
+        """Fail the block after ``seconds``; on timeout, kill the pool's
+        workers first, so the caller's ``close()`` cannot wait on them."""
+        try:
+            with within(seconds):
+                yield
+        except TimeoutError:
+            for pid in list(getattr(backend._pool, "_processes", None) or ()):
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)
+            raise
 
+    def test_killed_worker_releases_segments_and_recovers(self):
         from concurrent.futures.process import BrokenProcessPool
 
         rng = np.random.default_rng(0)
@@ -308,56 +325,58 @@ class TestWorkerCrashRecovery:
         heads = np.array([0], dtype=np.int64)
         backend = ProcessBackend(max_workers=1)
         try:
-            out, _, _ = backend.run_fused(
-                nxt, values, heads, "sum", False, "serial", 0, False
-            )
-            expect = out.copy()
-            assert backend.pools_created == 1
-            before = set(glob.glob("/dev/shm/psm_*"))
-            for pid in self._worker_pids(backend):
-                os.kill(pid, signal.SIGKILL)
-            with pytest.raises(BrokenProcessPool):
-                backend.run_fused(
+            with self._deadline(backend):
+                out, _, _ = backend.run_fused(
                     nxt, values, heads, "sum", False, "serial", 0, False
                 )
-            # every lease of the failed dispatch released, pool dropped
-            assert set(glob.glob("/dev/shm/psm_*")) - before == set()
-            assert backend._pool is None
-            # next dispatch: fresh pool, correct answer
-            out, _, _ = backend.run_fused(
-                nxt, values, heads, "sum", False, "serial", 0, False
-            )
-            np.testing.assert_array_equal(out, expect)
-            assert backend.pools_created == 2
-            assert set(glob.glob("/dev/shm/psm_*")) - before == set()
+                expect = out.copy()
+                assert backend.pools_created == 1
+                before = set(glob.glob("/dev/shm/psm_*"))
+                for pid in self._worker_pids(backend):
+                    os.kill(pid, signal.SIGKILL)
+                with pytest.raises(BrokenProcessPool):
+                    backend.run_fused(
+                        nxt, values, heads, "sum", False, "serial", 0, False
+                    )
+                # every lease of the failed dispatch released, pool dropped
+                assert set(glob.glob("/dev/shm/psm_*")) - before == set()
+                assert backend._pool is None
+                # next dispatch: fresh pool, correct answer
+                out, _, _ = backend.run_fused(
+                    nxt, values, heads, "sum", False, "serial", 0, False
+                )
+                np.testing.assert_array_equal(out, expect)
+                assert backend.pools_created == 2
+                assert set(glob.glob("/dev/shm/psm_*")) - before == set()
         finally:
             backend.close()
 
     def test_engine_answers_through_quarantine_after_worker_death(self):
-        import os
-        import signal
-
         rng = np.random.default_rng(1)
         reqs = [
             ScanRequest(lst=random_list(n, rng, values=random_values(n, rng)))
             for n in (3000, 3100)
         ]
-        with Engine(
-            executor="processes", max_workers=1, cache_capacity=0, seed=5
-        ) as engine:
-            # two same-operator lists fuse and offload -> pool built
-            warm = engine.run_batch(
-                [ScanRequest(lst=random_list(n, rng)) for n in (400, 500)]
-            )
-            assert all(r.ok for r in warm)
-            assert engine._backend.pools_created == 1
-            for pid in self._worker_pids(engine._backend):
-                os.kill(pid, signal.SIGKILL)
-            responses = engine.run_batch(reqs)
-            # the fused attempt died with the pool; quarantine solos
-            # run inline in the parent and still answer every request
-            assert all(r.ok for r in responses)
-            assert engine.stats.retries == 1
+        engine = Engine(executor="processes", max_workers=1, cache_capacity=0, seed=5)
+        try:
+            with self._deadline(engine._backend):
+                # two same-operator lists fuse and offload -> pool built
+                warm = engine.run_batch(
+                    [ScanRequest(lst=random_list(n, rng)) for n in (400, 500)]
+                )
+                assert all(r.ok for r in warm)
+                assert engine._backend.pools_created == 1
+                for pid in self._worker_pids(engine._backend):
+                    os.kill(pid, signal.SIGKILL)
+                responses = engine.run_batch(reqs)
+                # the fused attempt died with the pool; each member
+                # re-runs as a shard of one, offloaded to a fresh pool,
+                # and every request is still answered
+                assert all(r.ok for r in responses)
+                assert engine.stats.retries == 1
+                assert engine._backend.pools_created == 2
+        finally:
+            engine.close()
         with Engine(executor="sync", cache_capacity=0, seed=5) as ref:
             for got, ref_resp in zip(responses, ref.run_batch(reqs)):
                 np.testing.assert_array_equal(got.result, ref_resp.result)

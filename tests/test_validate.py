@@ -1,9 +1,6 @@
 """Unit tests for the structural validators, and the hostile-structure
 matrix: every scan path refuses a non-list."""
 
-import contextlib
-import signal
-
 import numpy as np
 import pytest
 
@@ -20,6 +17,8 @@ from repro.lists.validate import (
     validate_list,
     validate_list_strict,
 )
+
+from .conftest import within
 
 
 def raw_list(nxt, head, n=None):
@@ -294,23 +293,6 @@ HOSTILE_SHAPES = (
 )
 
 
-@contextlib.contextmanager
-def within(seconds):
-    """Raise ``TimeoutError`` once the block runs past ``seconds``, so a
-    scan that spins fails its test instead of hanging the suite."""
-
-    def expire(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 def hostile_list(shape, n, seed=0):
     """A random ``n``-node list broken into one of :data:`HOSTILE_SHAPES`."""
     rng = np.random.default_rng(seed)
@@ -474,3 +456,33 @@ class TestFusedMembersStayInTheirBlocks:
             assert [r.ok for r in responses] == [False, False]
             assert {r.error.code for r in responses} == {"bad-structure"}
             assert len(engine.cache) == 0
+
+
+def unreached_half(shape, n=4000):
+    """A chain over the first half of ``n`` nodes, from head 0, beside a
+    second half that no head reaches: a chain of its own or a cycle."""
+    nxt = np.arange(1, n + 1)
+    nxt[n // 2 - 1] = n // 2 - 1
+    nxt[n - 1] = n - 1 if shape == "headless_chain" else n // 2
+    return raw_list(nxt, 0)
+
+
+@pytest.mark.parametrize("shape", ["headless_chain", "disjoint_cycle"])
+class TestChunkNoHeadReaches:
+    """Cut in two chunks, the second holds no head and no edge enters
+    it: the sharded scan must refuse it, not skip it and answer from
+    unwritten memory."""
+
+    config = DistributedConfig(min_nodes=0, num_chunks=2)
+
+    def test_sharded_list_scan(self, shape):
+        with within(60), pytest.raises(ListStructureError, match=r"nodes \[2000, 4000\)"):
+            sharded_list_scan(unreached_half(shape), config=self.config)
+
+    def test_engine_distributed_route(self, shape):
+        with within(60), Engine(executor="sync", distributed=self.config) as engine:
+            [resp] = engine.run_batch([ScanRequest(lst=unreached_half(shape))])
+            assert not resp.ok
+            assert resp.error.code == "bad-structure"
+            assert "nodes [2000, 4000)" in resp.error.message  # the sharded scan's check
+            assert engine.stats.distributed_runs == 0
