@@ -182,11 +182,14 @@ def wyllie_list_scan(
 
     ``variant`` selects the dataflow: ``"suffix"`` (the paper's,
     invertible operators only), ``"prefix"`` (any operator), or
-    ``"auto"`` (suffix when the operator allows, else prefix).
+    ``"auto"`` (suffix when the operator allows it and the values are
+    exact, bool or integer, else prefix: on floats ``total ⊖ suffix``
+    cancels catastrophically).
     """
     op = get_operator(op)
     if variant == "auto":
-        variant = "suffix" if op.invertible else "prefix"
+        exact = lst.values.dtype.kind in "biu"
+        variant = "suffix" if op.invertible and exact else "prefix"
     if variant == "suffix":
         return wyllie_suffix(lst, op, inclusive=inclusive, stats=stats)
     if variant == "prefix":

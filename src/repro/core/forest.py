@@ -12,37 +12,44 @@ into *m* sublists that are processed independently and in parallel:
   ``(next, value)`` record per node plus a last *sink* record (a
   self-loop holding the identity), and cut the copy: choose
   ``m − n_lists`` splitter positions, never a list tail; each becomes
-  the (self-looped, identity-valued) tail of the sublist that precedes
-  it, and its old successor becomes the head of the next sublist.  The
-  self-loop/identity trick removes every conditional from the hot
-  loops: a finished virtual processor just keeps folding the identity
-  into its sum.  One node step reads one record, so one cache line.
+  the tail of the sublist that precedes it, and its old successor
+  becomes the head of the next sublist.  Every sublist tail keeps its
+  value and points at the sink; the pass that copies the records finds
+  the list tails.
 * **Phase 1** — the *m* virtual processors traverse their sublists in
-  lock-step vector steps, accumulating sublist sums; after
-  ``s_1, s_2, …`` steps (the pack schedule of ``core.schedule``) the
-  completed sublists are packed out.
-* **Find sublist list** — the write-index/read-back trick links the
-  sublist sums into a *reduced forest*: one chain per list, ended by
-  the sublist that reaches the list's own tail.  Every sublist tail
-  then points at the sink.
+  lock-step vector steps.  At each node processor *p* writes its
+  running exclusive prefix over the node's value and its *mark*
+  ``n + 1 + p`` over the node's successor, folds the value it read and
+  steps on.  Past its tail it stands on the sink, which folds the
+  identity, until the next pack (after ``s_1, s_2, …`` steps, the
+  schedule of ``core.schedule``) retires it with its sublist's sum.
+  One node step reads and writes one record, so one cache line.
+* **Find sublist list** — each sublist tail's mark names the processor
+  that owns it, and the owner of a splitter continues with the sublist
+  that starts after it.  That links the sublist sums into a *reduced
+  forest*: one chain per list, ended by the owner of the list's tail.
 * **Phase 2** — scan the reduced forest with the kernel backend's
   blocked scan, recursively, with Wyllie, or serially, by size.
-* **Phase 3** — traverse the sublists again, writing each node's
-  exclusive scan (Phase-2 carry ⊕ prefix within the sublist) over the
-  value it has just read; a processor past its tail stands on the sink
-  and folds the identity.  One sequential copy of the value column is
-  the result.
+* **Phase 3** — one streaming pass over the records: a node's
+  exclusive scan is its owner's Phase-2 carry ⊕ the prefix Phase 1 left
+  in its value.
 
-The input arrays are only read, so there is no Restore step and
-read-only inputs are fine.  Every kernel here proves that its input is
-a forest of lists, or raises ``ListStructureError`` (``docs/algorithm.md``).
+The paper's Phase 3 walks every sublist a second time.  On the C-90,
+which had no caches, that cost about as much as keeping per-node
+state; on a cached host it fetches every record line at random again,
+so this Phase 3 reads the owner and prefix Phase 1 stored instead, and
+each node is visited at random once.  The input arrays are only read,
+so there is no Restore step and read-only inputs are fine.  Every
+kernel here proves that its input is a forest of lists, or raises
+``ListStructureError`` (``docs/algorithm.md``).
 
 Optional per-list ``carries`` seed each chain; the Section 6
 early-reconnect variant (``core.early_reconnect``) uses them to rescan
 its straggler suffixes, which form a forest.  This is the *host*
 backend: NumPy array operations (or a ``kernels`` backend) per
 data-parallel step, measured in real time by the benchmark suite.  The
-cycle-accounted Cray C-90 version lives in ``simulate.sublist_sim``.
+cycle-accounted Cray C-90 version, with the paper's Phase 3, lives in
+``simulate.sublist_sim``.
 
 Public entry point: :func:`forest_list_scan`.  It can also return the
 *list id* of every node (which original list it belongs to).
@@ -55,7 +62,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..analysis.cost_model import KernelCosts, PAPER_C90_COSTS
-from ..kernels.backend import KernelBackend, resolve_backend
+from ..kernels.backend import REVISITED, STREAM_BLOCK, KernelBackend, resolve_backend
 from ..lists.generate import INDEX_DTYPE
 from ..lists.validate import ListStructureError, check_range, forest_predecessors
 from ..trace.tracer import Tracer, null_span, resolve_trace
@@ -72,9 +79,6 @@ __all__ = [
     "wyllie_forest_scan",
     "forest_tails",
 ]
-
-_OUT_OF_RANGE = "a successor index lies outside [0, n); not a valid list"
-_COPY_BLOCK = 1 << 15  # records per block of the final copy (_copy_out)
 
 
 @dataclass(frozen=True)
@@ -104,7 +108,7 @@ class SublistConfig:
     tail_growth:
         Growth factor for pack gaps past the expected schedule.
     short_vector_fallback:
-        When > 0, Phases 1/3 finish the last stragglers *serially* once
+        When > 0, Phase 1 finishes the last stragglers *serially* once
         the live vector is shorter than this, instead of spinning short
         vector steps — the practical form of the paper's Section 6
         note that machines with long vector half-performance lengths
@@ -406,8 +410,8 @@ def _scan_in_place(
     """Exclusive scan of every list of the forest into ``out``.
 
     Reads ``nxt``/``values`` only: the phases cut and overwrite the
-    record copy that Initialize makes, and Phase 3 leaves each node's
-    scan in its record.  ``tracer`` records per-phase spans and
+    record copy that Initialize makes, and Phase 3 writes ``out`` from
+    it.  ``tracer`` records per-phase spans and
     per-pack live-count events; every hook is guarded so the untraced
     path only pays branch checks, once per pack or phase.  ``backend``
     runs the hot loops; the caller must have checked
@@ -436,94 +440,23 @@ def _scan_in_place(
             )
 
         cut = _cut(nxt, values, heads, positions, op, stats, tracer)
-        rec_next, rec_value = cut.rec["next"], cut.rec["value"]
-        # PHASE 1: reduce each sublist to its sum, packing on schedule
         with span("phase1", m=m):
-            gaps1 = ScheduleIterator(schedule, cfg.tail_growth)
-            vp_next = cut.sl_head.copy()
-            vp_sum = op.identity_array(m, values.dtype)
-            vp_proc = np.arange(m, dtype=INDEX_DTYPE)
-            total_steps = 0
-            while vp_next.size:
-                if cfg.short_vector_fallback and vp_next.size <= cfg.short_vector_fallback:
-                    if tracer is not None:
-                        tracer.event("serial_tail", step=total_steps, live=int(vp_next.size))
-                    _finish_phase1_serial(
-                        rec_next, rec_value, op, vp_next, vp_sum, vp_proc, cut, stats
-                    )
-                    break
-                gap = next(gaps1)
-                total_steps = _guard_steps(total_steps, gap, n)
-                x = vp_next.size
-                vp_next, vp_sum = backend.traverse_phase1(
-                    rec_next, rec_value, vp_next, vp_sum, gap, op
-                )
-                if stats is not None:
-                    stats.add_round(gap)
-                    stats.add_work(gap * x, phase="phase1")
-                    stats.add_gather(2 * gap * x)
-                vp_next, vp_sum, vp_proc, n_finished = backend.pack_phase1(
-                    rec_next, vp_next, vp_sum, vp_proc, cut.sl_sum, cut.sl_tail
-                )
-                if stats is not None:
-                    stats.add_pack()
-                    stats.add_gather(x)
-                    stats.add_scatter(2 * n_finished + 3 * vp_next.size)
+            fallback = cfg.short_vector_fallback
+            live = _phase1(cut, schedule, cfg, op, stats, tracer, backend, fallback)
+            if live[0].size:
                 if tracer is not None:
-                    tracer.event(
-                        "pack",
-                        step=total_steps,
-                        gap=int(gap),
-                        live_before=int(x),
-                        live_after=int(vp_next.size),
-                        finished=int(n_finished),
-                    )
-
+                    tracer.event("serial_tail", live=int(live[0].size))
+                _finish_phase1_serial(cut, *live, op, stats)
         with span("find_sublist_list", m=m):
-            sl_next = _link(values, cut, op, stats)
+            sl_next = _link(cut, stats)
         sl_carries = _phase2(
             sl_next, cut.sl_sum, n_lists, carries, op, cfg, rng, stats, depth, tracer, backend
         )
-
-        # PHASE 3: expand the carries back along each sublist, writing
-        # each node's scan over its value
         with span("phase3", m=m):
-            gaps3 = ScheduleIterator(schedule, cfg.tail_growth)
-            vp_next = cut.sl_head.copy()
-            vp_sum = sl_carries
-            total_steps = 0
-            while vp_next.size:
-                if cfg.short_vector_fallback and vp_next.size <= cfg.short_vector_fallback:
-                    if tracer is not None:
-                        tracer.event("serial_tail", step=total_steps, live=int(vp_next.size))
-                    _finish_phase3_serial(rec_next, rec_value, op, vp_next, vp_sum, stats)
-                    break
-                gap = next(gaps3)
-                total_steps = _guard_steps(total_steps, gap, n)
-                x = vp_next.size
-                vp_next, vp_sum = backend.traverse_phase3(
-                    rec_next, rec_value, vp_next, vp_sum, gap, op
-                )
-                if stats is not None:
-                    stats.add_round(gap)
-                    stats.add_work(gap * x, phase="phase3")
-                    stats.add_gather(2 * gap * x)
-                    stats.add_scatter(gap * x)
-                vp_next, vp_sum = backend.pack_phase3(rec_next, rec_value, vp_next, vp_sum)
-                if stats is not None:
-                    stats.add_pack()
-                    stats.add_gather(x)
-                    stats.add_scatter(x + vp_next.size)
-                if tracer is not None:
-                    tracer.event(
-                        "pack",
-                        step=total_steps,
-                        gap=int(gap),
-                        live_before=int(x),
-                        live_after=int(vp_next.size),
-                    )
-        _copy_out(cut.rec, out)
+            backend.traverse_phase3(cut.rec["next"], cut.rec["value"], sl_carries, op, out)
         if stats is not None:
+            stats.add_work(n, phase="phase3")
+            stats.add_gather(n)  # each node's carry
             stats.free(cut.words)
 
 
@@ -561,23 +494,23 @@ class _Cut:
     ``rec`` is the record copy of the forest the phases run on: record
     ``i < n`` holds node *i*'s ``next`` and ``value``, record ``n`` is
     the sink.  Sublists ``[0, n_lists)`` start at the list heads, the
-    rest at the successors of the splitter ``positions``.  ``sl_value``
-    holds each splitter's input value (the identity for the head
-    sublists).
+    rest at the successors of the splitters.  ``tails`` holds every
+    sublist tail: the ``n_lists`` list tails, then the splitters, the
+    one at ``tails[n_lists + j]`` ending the sublist before sublist
+    ``n_lists + j``.  Phase 1 fills ``sl_sum``.
     """
 
     n_lists: int
-    positions: np.ndarray
     rec: np.ndarray
     sl_head: np.ndarray
-    sl_value: np.ndarray
     sl_sum: np.ndarray
-    sl_tail: np.ndarray
+    tails: np.ndarray
 
     @property
     def words(self) -> int:
-        """Auxiliary words of the records and the per-sublist arrays."""
-        return 2 * self.rec.shape[0] + 6 * self.sl_head.shape[0]
+        """Auxiliary words of the records and the per-sublist arrays
+        (``sl_head``, ``sl_sum``, ``tails`` and the reduced links)."""
+        return 2 * self.rec.shape[0] + 4 * self.sl_head.shape[0]
 
 
 def _cut(
@@ -593,94 +526,138 @@ def _cut(
 
     One aligned ``(next, value)`` record per node puts a node step's
     two gathers on one cache line.  Record ``n``, the *sink*, is a
-    self-loop holding the identity.  Each splitter becomes a
-    self-looped, identity-valued sublist tail in the copy; the input
-    arrays are only read.
+    self-loop holding the identity.  Every sublist tail (each splitter,
+    and each list tail, which the copy finds block by block) keeps its
+    value and points at the sink.  The input arrays are only read.
+
+    Raises :class:`ListStructureError` unless the forest holds exactly
+    ``n_lists`` self-loops.
     """
     span = tracer.span if tracer is not None else null_span
     n = nxt.shape[0]
     n_lists = heads.shape[0]
     m = n_lists + positions.shape[0]
-    ident = op.identity_for(values.dtype)
     with span("initialize", m=m):
         record = np.dtype(
             [("next", INDEX_DTYPE), ("value", values.dtype, values.shape[1:])], align=True
         )
         rec = np.empty(n + 1, dtype=record)
         rec_next, rec_value = rec["next"], rec["value"]
-        rec_next[:n] = nxt
-        rec_value[:n] = values
+        ramp = np.arange(min(n, STREAM_BLOCK), dtype=INDEX_DTYPE)
+        loops: list[np.ndarray] = []
+        for lo in range(0, n, STREAM_BLOCK):
+            block = slice(lo, min(lo + STREAM_BLOCK, n))
+            seg = nxt[block]
+            rec_next[block] = seg
+            rec_value[block] = values[block]
+            loops.append(np.flatnonzero(seg - ramp[: seg.shape[0]] == lo) + lo)
+        tails = np.concatenate([*loops, positions]).astype(INDEX_DTYPE, copy=False)
+        if tails.shape[0] != m:
+            raise ListStructureError(
+                f"{tails.shape[0] - positions.shape[0]} self-loop tails for {n_lists} "
+                "lists: a chain runs into a cycle, or no head reaches a tail"
+            )
+        rec_next[tails] = n  # every sublist tail points at the sink
         rec_next[n] = n
-        rec_value[n] = ident
+        rec_value[n] = op.identity_for(values.dtype)
         sl_head = np.empty(m, dtype=INDEX_DTYPE)
         sl_head[:n_lists] = heads
         sl_head[n_lists:] = nxt[positions]  # gather heads
-        sl_value = op.identity_array(m, values.dtype)
-        sl_value[n_lists:] = values[positions]  # gather splitter values
-        rec_value[positions] = ident  # identity at sublist tails
-        rec_next[positions] = positions  # self-loops at sublist tails
-        cut = _Cut(
-            n_lists,
-            positions,
-            rec,
-            sl_head,
-            sl_value,
-            sl_sum=op.identity_array(m, values.dtype),
-            sl_tail=np.full(m, -1, dtype=INDEX_DTYPE),
-        )
+        cut = _Cut(n_lists, rec, sl_head, op.identity_array(m, values.dtype), tails)
     if stats is not None:
         stats.alloc(cut.words)
-        stats.add_gather(2 * m)
-        stats.add_scatter(2 * m)
+        stats.add_gather(m)
+        stats.add_scatter(m)
     return cut
 
 
-def _link(
-    values: np.ndarray,
+def _phase1(
     cut: _Cut,
+    schedule: np.ndarray,
+    cfg: SublistConfig,
     op: Operator,
     stats: ScanStats | None,
-) -> np.ndarray:
+    tracer: Tracer | None,
+    backend: KernelBackend,
+    switch: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """PHASE 1: walk every sublist in lock step, packing on schedule.
+
+    Each step leaves the node's exclusive prefix within its sublist in
+    its value and the walker's mark in its ``next``; the pack retires
+    the processors standing on the sink into ``cut.sl_sum``.  Stops
+    once ``switch`` or fewer processors are live and returns their
+    ``(vp_next, vp_sum, vp_proc)``, empty when every sublist is done.
+    A processor that steps onto a mark (a merge or a cycle) raises
+    :class:`ListStructureError`, in the backend or here.
+    """
+    rec_next, rec_value = cut.rec["next"], cut.rec["value"]
+    sink = rec_next.shape[0] - 1
+    m = cut.sl_head.shape[0]
+    gaps = ScheduleIterator(schedule, cfg.tail_growth)
+    vp_next = cut.sl_head.copy()
+    vp_sum = op.identity_array(m, rec_value.dtype)
+    vp_proc = np.arange(m, dtype=INDEX_DTYPE)
+    total_steps = 0
+    while vp_next.size > switch:
+        gap = next(gaps)
+        total_steps += gap
+        x = vp_next.size
+        vp_next, vp_sum = backend.traverse_phase1(
+            rec_next, rec_value, vp_next, vp_sum, vp_proc, gap, op
+        )
+        if stats is not None:
+            stats.add_round(gap)
+            stats.add_work(gap * x, phase="phase1")
+            stats.add_gather(2 * gap * x)
+            stats.add_scatter(2 * gap * x)
+        vp_next, vp_sum, vp_proc, n_finished = backend.pack_phase1(
+            sink, vp_next, vp_sum, vp_proc, cut.sl_sum
+        )
+        if stats is not None:
+            stats.add_pack()
+            stats.add_scatter(n_finished + 3 * vp_next.size)
+        if tracer is not None:
+            tracer.event(
+                "pack",
+                step=total_steps,
+                gap=int(gap),
+                live_before=int(x),
+                live_after=int(vp_next.size),
+                finished=int(n_finished),
+            )
+    if vp_next.size and vp_next.max() > sink:
+        raise ListStructureError(REVISITED)
+    return vp_next, vp_sum, vp_proc
+
+
+def _link(cut: _Cut, stats: ScanStats | None) -> np.ndarray:
     """FIND_SUBLIST_LIST: link the sublist sums into the reduced forest.
 
-    Scatter the *negated* sublist index at each splitter so it is
-    distinguishable from the original self-loops; a sublist whose tail
-    is a list tail reads no index back and ends its list's chain.
-    Then points every sublist tail at the sink for Phase 3, folds each
-    sublist's true tail value (from the input ``values``) into
-    ``cut.sl_sum`` and returns the reduced successor array.
+    Phase 1 left at every sublist tail the mark of the processor that
+    owns it.  The owner of the splitter ``tails[n_lists + j]`` continues
+    with sublist ``n_lists + j``; the owner of a list tail ends its
+    list's chain.  Returns the reduced successor array.
 
-    Raises :class:`ListStructureError` when a sublist ended on the
-    sink (it ran off the node array), when fewer sublists than lists
-    end at a self-loop tail, or when two end at one tail (a merge).
+    Raises :class:`ListStructureError` unless the ``m`` tails have
+    ``m`` distinct owners: a tail no processor reached, or one that two
+    shared, means chains merge or run into a cycle.
     """
-    nxt = cut.rec["next"]
-    sink = nxt.shape[0] - 1
-    if np.any(cut.sl_tail == sink):
-        raise ListStructureError(_OUT_OF_RANGE)
+    rec_next = cut.rec["next"]
+    n = rec_next.shape[0] - 1
     m = cut.sl_head.shape[0]
-    nxt[cut.positions] = -np.arange(cut.n_lists, m, dtype=INDEX_DTYPE)
-    probe = nxt[cut.sl_tail]  # gather: index written by my successor
-    sl_next = np.where(probe < 0, -probe, np.arange(m, dtype=INDEX_DTYPE)).astype(INDEX_DTYPE)
-    chain_ends = np.flatnonzero(probe >= 0)
-    if chain_ends.size < cut.n_lists:
+    owner = rec_next[cut.tails] - (n + 1)
+    if owner.min() < 0 or np.bincount(owner, minlength=m).max() > 1:
         raise ListStructureError(
-            "the reduced list has fewer chain ends (self-loop tails) than "
-            "lists; the successor array appears to contain a cycle"
+            "a sublist tail is reached by no chain, or by two: "
+            "the chains merge, or one runs into a cycle"
         )
-    if np.unique(cut.sl_tail).size != m:
-        raise ListStructureError("two sublists end at one tail: two chains merge")
-    nxt[cut.sl_tail] = sink  # a processor past its tail stands on the sink
-    # fold the splitter values (each sublist's true tail value) back
-    # into the sublist sums; a chain's last sublist gets the value of
-    # its list's tail
-    addback = cut.sl_value[sl_next]
-    addback[chain_ends] = values[cut.sl_tail[chain_ends]]
-    cut.sl_sum = op.combine(cut.sl_sum, addback)
+    sl_next = np.arange(m, dtype=INDEX_DTYPE)
+    sl_next[owner[cut.n_lists :]] = np.arange(cut.n_lists, m, dtype=INDEX_DTYPE)
     if stats is not None:
         stats.add_work(m, phase="find_sublist")
-        stats.add_gather(2 * m)
-        stats.add_scatter(2 * m)
+        stats.add_gather(m)
+        stats.add_scatter(m)
     return sl_next
 
 
@@ -734,91 +711,33 @@ def _phase2(
     return out
 
 
-def _guard_steps(total: int, gap: int, n: int) -> int:
-    """Bound the traversal against corrupted (cyclic) inputs.
-
-    A valid forest finishes every virtual processor within ``n`` steps
-    (no sublist is longer than the node count); a structure containing
-    a cycle that never reaches a self-loop would otherwise spin forever.
-    """
-    total += gap
-    if total > 4 * n + 64:
-        raise ListStructureError(
-            "traversal exceeded the maximum possible list length; the "
-            "successor array appears to contain a cycle without a "
-            "self-loop tail (run validate_list_strict to diagnose)"
-        )
-    return total
-
-
 def _finish_phase1_serial(
-    nxt: np.ndarray,
-    values: np.ndarray,
-    op: Operator,
+    cut: _Cut,
     vp_next: np.ndarray,
     vp_sum: np.ndarray,
     vp_proc: np.ndarray,
-    cut: _Cut,
+    op: Operator,
     stats: ScanStats | None,
 ) -> None:
     """Scalar completion of the last Phase-1 stragglers (Section 6 ablation)."""
-    limit = nxt.shape[0] + 1
-    for k in range(vp_next.size):
-        cur = int(vp_next[k])
-        acc = vp_sum[k]
-        steps = 0
-        while True:
-            succ = int(nxt[cur])
-            if succ == cur:
-                break
-            acc = op.combine(acc, values[cur])
-            cur = succ
-            steps += 1
-            if steps > limit:
-                raise ListStructureError("cycle detected in straggler sublist")
-        proc = int(vp_proc[k])
-        cut.sl_sum[proc] = acc
-        cut.sl_tail[proc] = cur
-        if stats is not None:
-            stats.add_work(steps, phase="phase1_serial_tail")
-
-
-def _finish_phase3_serial(
-    nxt: np.ndarray,
-    values: np.ndarray,
-    op: Operator,
-    vp_next: np.ndarray,
-    vp_sum: np.ndarray,
-    stats: ScanStats | None,
-) -> None:
-    """Scalar completion of the last Phase-3 stragglers, up to the sink."""
+    nxt, values = cut.rec["next"], cut.rec["value"]
     sink = nxt.shape[0] - 1
     for k in range(vp_next.size):
-        cur = int(vp_next[k])
-        acc = vp_sum[k]
+        cur, acc, proc = int(vp_next[k]), vp_sum[k], int(vp_proc[k])
         steps = 0
         while cur != sink:
+            succ = int(nxt[cur])
+            if succ > sink:
+                raise ListStructureError(REVISITED)
             folded = op.combine(acc, values[cur])
             values[cur] = acc
             acc = folded
-            nxt[cur], cur = sink, int(nxt[cur])  # mark visited (_copy_out), step
+            nxt[cur] = sink + 1 + proc
+            cur = succ
             steps += 1
-            if steps > sink:
-                raise ListStructureError("cycle detected in straggler sublist")
+        cut.sl_sum[proc] = acc
         if stats is not None:
-            stats.add_work(steps, phase="phase3_serial_tail")
-
-
-def _copy_out(rec: np.ndarray, out: np.ndarray) -> None:
-    """Copy the scan out, block by block, refusing a node Phase 3 never
-    left: its ``next`` is not the sink (a cycle or a branch off a list)."""
-    n = out.shape[0]
-    nxt, value = rec["next"][:n], rec["value"][:n]
-    for lo in range(0, n, _COPY_BLOCK):
-        block = slice(lo, lo + _COPY_BLOCK)
-        out[block] = value[block]
-        if nxt[block].min() < n:
-            raise ListStructureError("a node is not reached from any head")
+            stats.add_work(steps, phase="phase1_serial_tail")
 
 
 def _list_ids(nxt: np.ndarray, heads: np.ndarray) -> np.ndarray:

@@ -35,7 +35,17 @@ from ..core.operators import Operator, get_operator
 from ..lists.generate import LinkedList
 from ..sanitize.runtime import guarded
 
-__all__ = ["fingerprint", "ResultCache"]
+__all__ = ["fingerprint", "refuse_object_dtype", "ResultCache"]
+
+
+def refuse_object_dtype(lst: LinkedList) -> None:
+    """Raise ``TypeError`` for object-dtype arrays, which no fingerprint
+    can key (see :func:`fingerprint`)."""
+    if lst.next.dtype.hasobject or np.asarray(lst.values).dtype.hasobject:
+        raise TypeError(
+            "cannot fingerprint object-dtype arrays: their byte "
+            "serialization is identity-based, not structural"
+        )
 
 
 def fingerprint(
@@ -55,11 +65,7 @@ def fingerprint(
     cache-corruption hazard rather than a usable key.
     """
     op = get_operator(op)
-    if lst.next.dtype.hasobject or np.asarray(lst.values).dtype.hasobject:
-        raise TypeError(
-            "cannot fingerprint object-dtype arrays: their byte "
-            "serialization is identity-based, not structural"
-        )
+    refuse_object_dtype(lst)
     h = hashlib.sha256(b"repro-scan-v1|")
     h.update(op.name.encode())
     h.update(b"|i" if inclusive else b"|x")

@@ -16,7 +16,10 @@ Pipeline for one batch (``run_batch``)::
                  responses ◄── unfuse / quarantine retry (shards of one)
 
 * Cache probes use the structural fingerprint (``engine.cache``); a
-  hit answers the request without executing anything.
+  hit answers the request without executing anything.  A
+  cache-disabled engine hashes a request only to coalesce it: only
+  when another request of the batch shares its cheap key (size, head,
+  operator, flag, dtype, value shape, forced algorithm).
 * Misses are validated (``engine.errors``): shape/dtype mismatches
   and NaN-hostile inputs become ``ok=False`` responses instead of
   exceptions out of the batch.  The kernels prove the list structure
@@ -64,6 +67,7 @@ from __future__ import annotations
 import logging
 import threading
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from collections.abc import Callable, Sequence
 from typing import Any, TYPE_CHECKING
@@ -81,8 +85,8 @@ from ..lists.generate import LinkedList
 from ..lists.validate import ListStructureError
 from ..trace.export import span_from_dict
 from ..trace.tracer import Span, Tracer, null_span, resolve_trace
-from .batch import FusedBatch, shard_requests
-from .cache import ResultCache, fingerprint
+from .batch import FusedBatch, shard_key, shard_requests
+from .cache import ResultCache, fingerprint, refuse_object_dtype
 from .errors import EngineRequestError, RequestError, validate_request
 from .histogram import LatencyHistogram
 from .queue import ScanRequest, ScanResponse, SubmissionQueue
@@ -688,6 +692,7 @@ class Engine:
             keys: dict[int, bytes] = {}
             primaries: dict[bytes, int] = {}  # fingerprint -> primary id
             followers: dict[int, list[ScanRequest]] = {}  # primary -> dups
+            unhashed = self._unhashed(requests)
             with span("admit"):
                 for req in requests:
                     # order this thread after the submitter (queue
@@ -705,12 +710,15 @@ class Engine:
                     error: RequestError | None = None
                     key: bytes | None = None
                     try:
-                        key = fingerprint(req.lst, req.op, req.inclusive)
+                        if req.request_id in unhashed:
+                            refuse_object_dtype(req.lst)
+                        else:
+                            key = fingerprint(req.lst, req.op, req.inclusive)
                     except Exception as exc:
                         error = RequestError.from_exception(
                             exc, code="fingerprint", phase="validate"
                         )
-                    if error is None:
+                    if error is None and key is not None:
                         hit = self.cache.get(key)
                         if hit is not None:
                             # A hit implies a structurally identical
@@ -738,6 +746,7 @@ class Engine:
                             tracer.event(
                                 "cache_miss", request_id=req.request_id
                             )
+                    if error is None:
                         error = validate_request(req)
                     if error is not None:
                         n_errors += 1
@@ -748,6 +757,9 @@ class Engine:
                                 code=error.code,
                             )
                         responses[req.request_id] = self._failure(req, error)
+                        continue
+                    if key is None:  # alone in the batch: nothing to coalesce
+                        misses.append(req)
                         continue
                     primary = primaries.get(key)
                     if primary is None:
@@ -789,7 +801,8 @@ class Engine:
                             resp = self._failure(req, outcome)
                         else:
                             algorithm, width, result = outcome
-                            self.cache.put(keys[req.request_id], result)
+                            if req.request_id in keys:
+                                self.cache.put(keys[req.request_id], result)
                             resp = ScanResponse(
                                 request_id=req.request_id,
                                 result=result,
@@ -838,6 +851,20 @@ class Engine:
             if requests:
                 self.stats.latency["execute"].observe(elapsed)
         return [responses[req.request_id] for req in requests]
+
+    def _unhashed(self, requests: Sequence[ScanRequest]) -> set[int]:
+        """Ids of the requests a cache-disabled engine need not hash.
+
+        Without a cache a fingerprint only serves coalescing, and two
+        requests can share one only if they share the cheap key: size,
+        head and the shard key (operator, value shape, flag, dtype,
+        forced algorithm).  Empty when the cache is on.
+        """
+        if self.cache.capacity:
+            return set()
+        cheap = [(req.n, req.lst.head, *shard_key(req)) for req in requests]
+        counts = Counter(cheap)
+        return {req.request_id for req, key in zip(requests, cheap) if counts[key] == 1}
 
     # ------------------------------------------------------------------
     # serving-layer telemetry

@@ -1,7 +1,7 @@
 """Pluggable kernel backends for the hot scan loops.
 
 A :class:`KernelBackend` implements the three hottest kernels of the
-sublist algorithm — the Phase-1/Phase-3 lock-step gather traversal, the
+sublist algorithm — the Phase-1 lock-step traversal, the
 schedule-driven pack/compress, and the Phase-2 reduced-list scan —
 behind one interface, so ``core.forest`` (which ``core.sublist`` wraps
 for one list) stays the single implementation of the *algorithm* while
@@ -31,15 +31,17 @@ auto-detection (numba if importable, else numpy).
 
 Calling convention: ``nxt``/``values`` are the two field views of the
 scan's record array (``core.forest``), one ``(next, value)`` record
-per node plus a last *sink* record, a self-loop; sublist tails are
-self-loops in Phase 1.  Before Phase 3 every sublist tail points at
-the sink.  Each Phase-3 step reads a node's value, writes the node's
-exclusive scan over it, folds what it read and points the node at the
-sink; a processor past its tail stands on the sink and must fold
-nothing but the identity (the numpy backend resets the sink's value
-every step, the loops stop there).  ``pack_phase3`` retires the
-processors whose successor is the sink, writing the scan of one still
-standing on its tail.  ``reduced_scan`` must cover all ``m`` sublists.
+per node plus a last *sink* record ``n``, a self-loop holding the
+identity; every sublist tail points at the sink.  Each Phase-1 step of
+processor ``p`` writes its running exclusive prefix over the node's
+value and its *mark* ``n + 1 + p`` over the node's ``next``, folds the
+value it read and steps to the old successor.  A processor on the sink
+must fold nothing but the identity (the numpy backend resets the sink
+every step, the loops stop there), and ``pack_phase1`` retires it.  A
+successor past the sink is a mark: the node was visited before, so
+chains merge or cycle, and the backend raises ``ListStructureError``.
+``traverse_phase3`` is one streaming pass shared by every backend.
+``reduced_scan`` must cover all ``m`` sublists.
 
 Traversal/pack methods *return* the (possibly rebound) live arrays.
 The numpy backend rebinds fresh arrays; the loop backends mutate in
@@ -58,6 +60,7 @@ import numpy as np
 from ..analysis.cost_model import KernelCosts
 from ..core.operators import Operator
 from ..lists.generate import INDEX_DTYPE
+from ..lists.validate import ListStructureError
 from .loops import BLOCK, HAVE_NUMBA, jit_kernels, py_kernels
 from .pairs import PairSpec, pair_for
 
@@ -74,6 +77,13 @@ __all__ = [
 
 #: Environment variable consulted when no explicit backend is given.
 ENV_VAR = "REPRO_KERNEL_BACKEND"
+
+#: Records per block of the streaming passes (the Initialize copy and
+#: Phase 3): a block's temporaries stay in cache.
+STREAM_BLOCK = 1 << 15
+
+#: What a Phase-1 processor that steps onto a mark has found.
+REVISITED = "a chain reaches a node already visited: chains merge, or one runs into a cycle"
 
 
 class KernelBackend:
@@ -110,7 +120,7 @@ class KernelBackend:
             final_pack_per_elem=costs.final_pack_per_elem * self.pack_scale,
         )
 
-    # -- Phase 1/3 lock-step traversal ---------------------------------
+    # -- Phase 1 lock-step traversal and pack ---------------------------
 
     def traverse_phase1(
         self,
@@ -118,51 +128,58 @@ class KernelBackend:
         values: np.ndarray,
         vp_next: np.ndarray,
         vp_sum: np.ndarray,
+        vp_proc: np.ndarray,
         gap: int,
         op: Operator,
     ) -> tuple[np.ndarray, np.ndarray]:
+        """``gap`` steps of every live processor (see module doc)."""
         raise NotImplementedError
-
-    def traverse_phase3(
-        self,
-        nxt: np.ndarray,
-        values: np.ndarray,
-        vp_next: np.ndarray,
-        vp_sum: np.ndarray,
-        gap: int,
-        op: Operator,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Write each visited node's scan over its value (see module doc)."""
-        raise NotImplementedError
-
-    # -- pack/compress --------------------------------------------------
 
     def pack_phase1(
         self,
-        nxt: np.ndarray,
+        sink: int,
         vp_next: np.ndarray,
         vp_sum: np.ndarray,
         vp_proc: np.ndarray,
         sl_sum: np.ndarray,
-        sl_tail: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-        """Scatter finished sublists out, compact the live set.
+        """Scatter the sums of the processors on the sink into ``sl_sum``,
+        compact the live set.
 
         Returns ``(vp_next, vp_sum, vp_proc, finished_count)``.
         """
         raise NotImplementedError
 
-    def pack_phase3(
+    # -- Phase 3 ----------------------------------------------------------
+
+    def traverse_phase3(
         self,
         nxt: np.ndarray,
         values: np.ndarray,
-        vp_next: np.ndarray,
-        vp_sum: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Retire the processors on their tail or the sink, compact.
+        carry: np.ndarray,
+        op: Operator,
+        out: np.ndarray,
+    ) -> None:
+        """Expand the Phase-2 carries: ``out[i] = carry[p] ⊕ values[i]``,
+        ``p`` the owner whose mark ``n + 1 + p`` Phase 1 left in
+        ``nxt[i]``.  One streaming pass, block by block, the same for
+        every backend; a node without a mark was reached from no head,
+        and the pass raises :class:`ListStructureError`."""
+        n = out.shape[0]
+        for lo in range(0, n, STREAM_BLOCK):
+            block = slice(lo, min(lo + STREAM_BLOCK, n))
+            owner = nxt[block] - (n + 1)
+            if owner.min() < 0:
+                raise ListStructureError("a node is not reached from any head")
+            if op.ufunc is not None:  # straight into out, no temporary to copy
+                op.ufunc(carry[owner], values[block], out=out[block])
+            else:
+                out[block] = op.combine(carry[owner], values[block])
 
-        A processor standing on its tail writes its scan there first.
-        """
+    def pack_phase3(self, *args: Any) -> None:
+        """Never called: Phase 3 streams and has no pack.  The name stays
+        because ``perfbench/layers.py`` patches every ``kernels.*`` hook
+        it times through ``inspect.getattr_static``."""
         raise NotImplementedError
 
     # -- Phase-2 reduced scan -------------------------------------------
@@ -203,63 +220,39 @@ class NumpyBackend(KernelBackend):
         values: np.ndarray,
         vp_next: np.ndarray,
         vp_sum: np.ndarray,
+        vp_proc: np.ndarray,
         gap: int,
         op: Operator,
     ) -> tuple[np.ndarray, np.ndarray]:
-        for _ in range(gap):
-            vp_sum = op.combine(vp_sum, values[vp_next])
-            vp_next = nxt[vp_next]
-        return vp_next, vp_sum
-
-    def traverse_phase3(
-        self,
-        nxt: np.ndarray,
-        values: np.ndarray,
-        vp_next: np.ndarray,
-        vp_sum: np.ndarray,
-        gap: int,
-        op: Operator,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        sink = values.shape[0] - 1
+        sink = nxt.shape[0] - 1
         ident = op.identity_for(values.dtype)
+        mark = vp_proc + (sink + 1)
         for _ in range(gap):
-            values[sink] = ident  # what a processor past its tail folds
-            v = values[vp_next]
-            values[vp_next] = vp_sum
+            nxt[sink], values[sink] = sink, ident  # what a processor past its tail reads
+            try:
+                v = values[vp_next]
+            except IndexError:  # a processor stepped onto a mark, past the sink
+                raise ListStructureError(REVISITED) from None
+            values[vp_next] = vp_sum  # the exclusive prefix within the sublist
             vp_sum = op.combine(vp_sum, v)
-            nxt[vp_next], vp_next = sink, nxt[vp_next]  # mark visited, step
+            succ = nxt[vp_next]
+            nxt[vp_next] = mark
+            vp_next = succ
         return vp_next, vp_sum
 
     def pack_phase1(
         self,
-        nxt: np.ndarray,
+        sink: int,
         vp_next: np.ndarray,
         vp_sum: np.ndarray,
         vp_proc: np.ndarray,
         sl_sum: np.ndarray,
-        sl_tail: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-        done = vp_next == nxt[vp_next]
+        done = vp_next == sink
         finished = vp_proc[done]
         sl_sum[finished] = vp_sum[done]
-        sl_tail[finished] = vp_next[done]
         keep = ~done
         return vp_next[keep], vp_sum[keep], vp_proc[keep], int(finished.size)
-
-    def pack_phase3(
-        self,
-        nxt: np.ndarray,
-        values: np.ndarray,
-        vp_next: np.ndarray,
-        vp_sum: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        done = nxt[vp_next] == nxt.shape[0] - 1  # on a tail or the sink
-        if np.any(done):
-            values[vp_next[done]] = vp_sum[done]  # tails get their final scan
-            keep = ~done
-            vp_next = vp_next[keep]
-            vp_sum = vp_sum[keep]
-        return vp_next, vp_sum
 
 
 class _LoopBackendBase(KernelBackend):
@@ -303,80 +296,36 @@ class _LoopBackendBase(KernelBackend):
         values: np.ndarray,
         vp_next: np.ndarray,
         vp_sum: np.ndarray,
+        vp_proc: np.ndarray,
         gap: int,
         op: Operator,
     ) -> tuple[np.ndarray, np.ndarray]:
         spec = self._spec(op)
         k = self.kernels()
         if spec.width == 1:
-            k["phase1_traverse"](nxt, values, vp_next, vp_sum, gap, spec.companion)
+            rc = k["phase1_traverse"](nxt, values, vp_next, vp_sum, vp_proc, gap, spec.companion)
         else:
-            k["phase1_traverse_pair"](
-                nxt, values, vp_next, vp_sum, gap,
+            rc = k["phase1_traverse_pair"](
+                nxt, values, vp_next, vp_sum, vp_proc, gap,
                 spec.companion, spec.cross, spec.plus,
             )
-        return vp_next, vp_sum
-
-    def traverse_phase3(
-        self,
-        nxt: np.ndarray,
-        values: np.ndarray,
-        vp_next: np.ndarray,
-        vp_sum: np.ndarray,
-        gap: int,
-        op: Operator,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        spec = self._spec(op)
-        k = self.kernels()
-        if spec.width == 1:
-            k["phase3_traverse"](nxt, values, vp_next, vp_sum, gap, spec.companion)
-        else:
-            k["phase3_traverse_pair"](
-                nxt, values, vp_next, vp_sum, gap,
-                spec.companion, spec.cross, spec.plus,
-            )
+        if rc != 0:
+            raise ListStructureError(REVISITED)
         return vp_next, vp_sum
 
     def pack_phase1(
         self,
-        nxt: np.ndarray,
+        sink: int,
         vp_next: np.ndarray,
         vp_sum: np.ndarray,
         vp_proc: np.ndarray,
         sl_sum: np.ndarray,
-        sl_tail: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
         k = self.kernels()
         total = vp_next.shape[0]
-        if vp_sum.ndim == 2:
-            live = k["pack_phase1_pair"](
-                nxt, vp_next, vp_sum, vp_proc, sl_sum, sl_tail
-            )
-        else:
-            live = k["pack_phase1"](
-                nxt, vp_next, vp_sum, vp_proc, sl_sum, sl_tail
-            )
-        live = int(live)
-        return (
-            vp_next[:live],
-            vp_sum[:live],
-            vp_proc[:live],
-            total - live,
-        )
-
-    def pack_phase3(
-        self,
-        nxt: np.ndarray,
-        values: np.ndarray,
-        vp_next: np.ndarray,
-        vp_sum: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        k = self.kernels()
-        if vp_sum.ndim == 2:
-            live = int(k["pack_phase3_pair"](nxt, values, vp_next, vp_sum))
-        else:
-            live = int(k["pack_phase3"](nxt, values, vp_next, vp_sum))
-        return vp_next[:live], vp_sum[:live]
+        pack = k["pack_phase1_pair"] if vp_sum.ndim == 2 else k["pack_phase1"]
+        live = int(pack(sink, vp_next, vp_sum, vp_proc, sl_sum))
+        return vp_next[:live], vp_sum[:live], vp_proc[:live], total - live
 
     def reduced_scan(
         self,
@@ -418,8 +367,6 @@ class _LoopBackendBase(KernelBackend):
                 BLOCK, out, order, ordered, scanned, temp,
             )
         if rc != 0:
-            from ..lists.validate import ListStructureError
-
             raise ListStructureError(
                 "the reduced chains do not terminate or do not cover every "
                 "sublist; the successor array appears to contain a cycle"

@@ -6,10 +6,11 @@ hottest of them as explicit scalar loops over the same arrays (the
 field views of the scan's record array; the calling convention is in
 ``kernels.backend``):
 
-* the Phase-1/Phase-3 lock-step gather traversal (per virtual
-  processor: gather value, fold, follow successor — ``gap`` steps;
-  Phase 3 also writes the node's scan over the value it read, points
-  the node it leaves at the sink, and stops on the sink);
+* the Phase-1 lock-step traversal (per virtual processor, ``gap``
+  steps: write the running exclusive prefix over the node's value and
+  the processor's mark over its successor, fold the value read, follow
+  the old successor; stop on the sink, and return an error code on a
+  successor past the sink, a mark, since numba does not bounds-check);
 * the pack/compress step driven by ``core.schedule`` (scatter finished
   sublists out, compact the live virtual processors in place);
 * the Phase-2 reduced-list scan, as a Blelloch up-sweep/down-sweep
@@ -25,6 +26,9 @@ factory :func:`build_kernels` produces either build from the same
 source, so the interpreted build (the ``"python"`` backend) tests
 exactly the code the ``"numba"`` backend compiles, on hosts without
 numba.
+
+Phase 3 is one streaming pass that every backend shares
+(``kernels.backend``).
 
 Numerics: the traversal and pack kernels perform the same per-element
 operations in the same order as the NumPy path, so their results are
@@ -91,69 +95,47 @@ def build_kernels(jit: Callable[[Any], Any]) -> dict[str, Any]:
         return np.int64(x) | np.int64(y)
 
     # ------------------------------------------------------------------
-    # lock-step gather traversal (Phases 1 and 3)
+    # Phase-1 lock-step traversal: each node visited once, left holding
+    # its prefix within the sublist and its walker's mark.  A successor
+    # past the sink is a mark (a merge or a cycle): return -1.
     # ------------------------------------------------------------------
 
     @jit
-    def phase1_traverse(nxt, values, vp_next, vp_sum, gap, code):  # type: ignore[no-untyped-def]
-        for k in range(vp_next.shape[0]):
-            cur = vp_next[k]
-            acc = vp_sum[k]
-            for _ in range(gap):
-                acc = combine(code, acc, values[cur])
-                cur = nxt[cur]
-            vp_next[k] = cur
-            vp_sum[k] = acc
-
-    @jit
-    def phase1_traverse_pair(nxt, values, vp_next, vp_sum, gap, cc, xc, pc):  # type: ignore[no-untyped-def]
-        for k in range(vp_next.shape[0]):
-            cur = vp_next[k]
-            af = vp_sum[k, 0]
-            as_ = vp_sum[k, 1]
-            for _ in range(gap):
-                vf = values[cur, 0]
-                vs = values[cur, 1]
-                nf = combine(cc, af, vf)
-                ns = combine(pc, combine(xc, as_, vf), vs)
-                af = nf
-                as_ = ns
-                cur = nxt[cur]
-            vp_next[k] = cur
-            vp_sum[k, 0] = af
-            vp_sum[k, 1] = as_
-
-    @jit
-    def phase3_traverse(nxt, values, vp_next, vp_sum, gap, code):  # type: ignore[no-untyped-def]
-        # write each node's scan over the value just read, and point the
-        # node at the sink; a processor on the sink (the only self-loop) is done
+    def phase1_traverse(nxt, values, vp_next, vp_sum, vp_proc, gap, code):  # type: ignore[no-untyped-def]
         sink = nxt.shape[0] - 1
         for k in range(vp_next.shape[0]):
             cur = vp_next[k]
             acc = vp_sum[k]
+            mark = sink + 1 + vp_proc[k]
             for _ in range(gap):
-                succ = nxt[cur]
-                if succ == cur:
+                if cur == sink:
                     break
+                succ = nxt[cur]
+                if succ > sink:
+                    return -1
                 v = values[cur]
                 values[cur] = acc
                 acc = combine(code, acc, v)
-                nxt[cur] = sink
+                nxt[cur] = mark
                 cur = succ
             vp_next[k] = cur
             vp_sum[k] = acc
+        return 0
 
     @jit
-    def phase3_traverse_pair(nxt, values, vp_next, vp_sum, gap, cc, xc, pc):  # type: ignore[no-untyped-def]
+    def phase1_traverse_pair(nxt, values, vp_next, vp_sum, vp_proc, gap, cc, xc, pc):  # type: ignore[no-untyped-def]
         sink = nxt.shape[0] - 1
         for k in range(vp_next.shape[0]):
             cur = vp_next[k]
             af = vp_sum[k, 0]
             as_ = vp_sum[k, 1]
+            mark = sink + 1 + vp_proc[k]
             for _ in range(gap):
-                succ = nxt[cur]
-                if succ == cur:
+                if cur == sink:
                     break
+                succ = nxt[cur]
+                if succ > sink:
+                    return -1
                 vf = values[cur, 0]
                 vs = values[cur, 1]
                 values[cur, 0] = af
@@ -162,25 +144,25 @@ def build_kernels(jit: Callable[[Any], Any]) -> dict[str, Any]:
                 ns = combine(pc, combine(xc, as_, vf), vs)
                 af = nf
                 as_ = ns
-                nxt[cur] = sink
+                nxt[cur] = mark
                 cur = succ
             vp_next[k] = cur
             vp_sum[k, 0] = af
             vp_sum[k, 1] = as_
+        return 0
 
     # ------------------------------------------------------------------
-    # pack/compress (the step core.schedule's gap sequence drives)
+    # pack/compress (the step core.schedule's gap sequence drives):
+    # retire the processors on the sink
     # ------------------------------------------------------------------
 
     @jit
-    def pack_phase1(nxt, vp_next, vp_sum, vp_proc, sl_sum, sl_tail):  # type: ignore[no-untyped-def]
+    def pack_phase1(sink, vp_next, vp_sum, vp_proc, sl_sum):  # type: ignore[no-untyped-def]
         live = 0
         for k in range(vp_next.shape[0]):
             cur = vp_next[k]
-            if nxt[cur] == cur:
-                proc = vp_proc[k]
-                sl_sum[proc] = vp_sum[k]
-                sl_tail[proc] = cur
+            if cur == sink:
+                sl_sum[vp_proc[k]] = vp_sum[k]
             else:
                 vp_next[live] = cur
                 vp_sum[live] = vp_sum[k]
@@ -189,50 +171,19 @@ def build_kernels(jit: Callable[[Any], Any]) -> dict[str, Any]:
         return live
 
     @jit
-    def pack_phase1_pair(nxt, vp_next, vp_sum, vp_proc, sl_sum, sl_tail):  # type: ignore[no-untyped-def]
+    def pack_phase1_pair(sink, vp_next, vp_sum, vp_proc, sl_sum):  # type: ignore[no-untyped-def]
         live = 0
         for k in range(vp_next.shape[0]):
             cur = vp_next[k]
-            if nxt[cur] == cur:
+            if cur == sink:
                 proc = vp_proc[k]
                 sl_sum[proc, 0] = vp_sum[k, 0]
                 sl_sum[proc, 1] = vp_sum[k, 1]
-                sl_tail[proc] = cur
             else:
                 vp_next[live] = cur
                 vp_sum[live, 0] = vp_sum[k, 0]
                 vp_sum[live, 1] = vp_sum[k, 1]
                 vp_proc[live] = vp_proc[k]
-                live += 1
-        return live
-
-    @jit
-    def pack_phase3(nxt, values, vp_next, vp_sum):  # type: ignore[no-untyped-def]
-        sink = nxt.shape[0] - 1
-        live = 0
-        for k in range(vp_next.shape[0]):
-            cur = vp_next[k]
-            if nxt[cur] == sink:  # on a tail (write its scan) or the sink
-                values[cur] = vp_sum[k]
-            else:
-                vp_next[live] = cur
-                vp_sum[live] = vp_sum[k]
-                live += 1
-        return live
-
-    @jit
-    def pack_phase3_pair(nxt, values, vp_next, vp_sum):  # type: ignore[no-untyped-def]
-        sink = nxt.shape[0] - 1
-        live = 0
-        for k in range(vp_next.shape[0]):
-            cur = vp_next[k]
-            if nxt[cur] == sink:
-                values[cur, 0] = vp_sum[k, 0]
-                values[cur, 1] = vp_sum[k, 1]
-            else:
-                vp_next[live] = cur
-                vp_sum[live, 0] = vp_sum[k, 0]
-                vp_sum[live, 1] = vp_sum[k, 1]
                 live += 1
         return live
 
@@ -441,12 +392,8 @@ def build_kernels(jit: Callable[[Any], Any]) -> dict[str, Any]:
         "combine": combine,
         "phase1_traverse": phase1_traverse,
         "phase1_traverse_pair": phase1_traverse_pair,
-        "phase3_traverse": phase3_traverse,
-        "phase3_traverse_pair": phase3_traverse_pair,
         "pack_phase1": pack_phase1,
         "pack_phase1_pair": pack_phase1_pair,
-        "pack_phase3": pack_phase3,
-        "pack_phase3_pair": pack_phase3_pair,
         "blocked_exscan": blocked_exscan,
         "blocked_exscan_pair": blocked_exscan_pair,
         "reduced_scan": reduced_scan,

@@ -61,12 +61,18 @@ class _Workload:
         beside a disjoint 3-cycle (whose in-degrees are all right).
         Both sail through wire validation and come back as the
         engine's structured ``bad-structure`` error; reference is None.
+        A poisoned request's values come from the client's seed, so two
+        clients' poison differs and never coalesces into one bad member.
         Request ``index`` is the same on every call, so a shed request
         is resent unchanged.
         """
         n = int(self.sizes[index % len(self.sizes)])
-        if self.poison_every and (index + 1) % self.poison_every == 0:
+        poisoned = self.poison_every and (index + 1) % self.poison_every == 0
+        if poisoned:
             n = max(4, n)
+        rng = np.random.default_rng([self.seed, index])
+        values = rng.integers(-100, 100, size=n)
+        if poisoned:
             cycle = [*range(1, n - 3), n - 4, n - 2, n - 1, n - 3]  # 0 → … → n-4, 3-cycle
             message = {
                 "id": index,
@@ -74,11 +80,10 @@ class _Workload:
                 "client": self.name,
                 "next": [0] * n if (index + 1) // self.poison_every % 2 else cycle,
                 "head": 0,
+                "values": values,
                 "op": self.op,
             }
             return message, None
-        rng = np.random.default_rng([self.seed, index])
-        values = rng.integers(-100, 100, size=n)
         lst = random_list(n, rng=rng, values=values)
         message = {
             "id": index,

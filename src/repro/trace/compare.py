@@ -94,7 +94,6 @@ class DeviationReport:
     n: int
     m: int
     s1: float
-    phase: str  #: which traversal phase the trajectory came from
     points: list[TrajectoryPoint] = field(default_factory=list)
     # trajectory vs g(s)
     max_rel_dev: float = 0.0
@@ -122,7 +121,6 @@ class DeviationReport:
                 "n": self.n,
                 "m": self.m,
                 "s1": self.s1,
-                "phase": self.phase,
                 "observed_seconds": self.observed_seconds,
                 "trajectory": {
                     "points": [p.as_dict() for p in self.points],
@@ -218,9 +216,11 @@ def _fit_decay_ratio(steps: np.ndarray, observed: np.ndarray, n: int, m: int) ->
 def compare_trace(
     trace: Tracer | Span | Iterable[Span],
     costs: KernelCosts = PAPER_C90_COSTS,
-    phase: str = "phase1",
 ) -> DeviationReport:
     """Compare one traced sublist scan against the Section 4 model.
+
+    The trajectory is Phase 1's, the only phase that packs on the host
+    (its Phase 3 is a streaming pass).
 
     Parameters
     ----------
@@ -230,9 +230,6 @@ def compare_trace(
     costs:
         Calibration used to regenerate the Eq. 6 schedule and the
         predicted cycle count.
-    phase:
-        ``"phase1"`` (default — the phase the model is written for) or
-        ``"phase3"``.
 
     Raises
     ------
@@ -257,13 +254,13 @@ def compare_trace(
             "by an incompatible tracer version?"
         ) from None
 
-    phase_span = scan.find(phase)
+    phase_span = scan.find("phase1")
     if phase_span is None:
-        raise ValueError(f"scan span has no {phase!r} child span")
+        raise ValueError("scan span has no 'phase1' child span")
     packs = phase_span.events_named("pack")
     if not packs:
         raise ValueError(
-            f"{phase} recorded no pack events (serial base case or "
+            "phase1 recorded no pack events (serial base case or "
             "short-vector fallback before the first pack)"
         )
 
@@ -307,7 +304,6 @@ def compare_trace(
         n=n,
         m=m,
         s1=s1,
-        phase=phase,
         points=points,
         max_rel_dev=float(np.max(np.abs(rel_dev))) if points else 0.0,
         rms_rel_dev=float(np.sqrt(np.mean(rel_dev**2))) if points else 0.0,

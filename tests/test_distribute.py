@@ -75,9 +75,10 @@ def lock_order_audit():
     graph.assert_acyclic()
 
 
-@pytest.fixture(scope="module")
+@pytest.fixture
 def process_backend():
-    """One process pool shared by the module (pool startup is slow)."""
+    """A process pool per test, closed at its teardown: inside the
+    sanitizer plugin's per-test scope, so a leak warning is a real leak."""
     backend = create_backend("processes", 2)
     yield backend
     backend.close()

@@ -217,6 +217,37 @@ class TestCoalescing:
         assert all(r.ok for r in responses)
         np.testing.assert_array_equal(responses[0].result, responses[1].result)
 
+    def test_cache_disabled_engine_hashes_only_to_coalesce(self, monkeypatch):
+        """Without a cache a fingerprint serves only coalescing: a request
+        that shares its cheap key (size, head, shard key) with no other
+        request of the batch is not hashed."""
+        import repro.engine.engine as engine_module
+
+        hashed = []
+        fingerprint = engine_module.fingerprint
+        monkeypatch.setattr(
+            engine_module,
+            "fingerprint",
+            lambda lst, *args: hashed.append(lst) or fingerprint(lst, *args),
+        )
+        lst, other = healthy_list(150, 22), healthy_list(90, 21)
+        engine = Engine(cache_capacity=0)
+        [lone] = engine.run_batch([ScanRequest(lst=lst)])
+        assert lone.ok and hashed == []
+        responses = engine.run_batch(
+            [ScanRequest(lst=lst), ScanRequest(lst=other), ScanRequest(lst=lst)]
+        )
+        assert hashed == [lst, lst]
+        assert engine.stats.coalesced == 1 and responses[2].coalesced
+        for resp, ref in zip(responses, (lst, other, lst)):
+            np.testing.assert_array_equal(resp.result, serial_list_scan(ref, SUM))
+
+    def test_unhashed_object_dtype_request_keeps_fingerprint_code(self):
+        lst = healthy_list(8, 8)
+        lst.values = np.array([object() for _ in range(8)], dtype=object)
+        [resp] = Engine(cache_capacity=0).run_batch([ScanRequest(lst=lst)])
+        assert not resp.ok and resp.error.code == "fingerprint"
+
     def test_coalesced_results_are_independent_copies(self):
         lst = healthy_list(64, 23)
         engine = Engine()

@@ -246,13 +246,16 @@ class TestCompare:
         random_report = compare_trace(tr2)
         assert report.rms_rel_dev > 2 * random_report.rms_rel_dev
 
-    def test_compare_phase3(self):
+    def test_only_phase1_packs(self):
+        """Phase 3 is one streaming pass: the packs, and the trajectory
+        compare_trace reads, are Phase 1's alone."""
         lst = random_list(30_000, rng=7)
         tr = Tracer()
         sublist_list_scan(lst, "sum", trace=tr, rng=7)
-        report = compare_trace(tr, phase="phase3")
-        assert report.phase == "phase3"
-        assert report.observed_packs > 0
+        scan = find_scan_span(tr, "sublist_scan")
+        assert scan.find("phase3").events_named("pack") == []
+        packs = scan.find("phase1").events_named("pack")
+        assert compare_trace(tr).observed_packs == len(packs) > 0
 
     def test_compare_requires_scan_span(self):
         tr = Tracer(clock=counting_clock())

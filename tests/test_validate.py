@@ -5,7 +5,12 @@ import numpy as np
 import pytest
 
 from repro.baselines.serial import serial_list_scan
-from repro.core.forest import forest_list_scan, serial_forest_scan, wyllie_forest_scan
+from repro.core.forest import (
+    SublistConfig,
+    forest_list_scan,
+    serial_forest_scan,
+    wyllie_forest_scan,
+)
 from repro.core.list_scan import ALGORITHMS, list_scan
 from repro.core.operators import SUM
 from repro.distribute import DistributedConfig, sharded_list_scan
@@ -170,25 +175,15 @@ class TestCorruptionGuards:
         nxt[n - 3 :] = [n - 2, n - 1, n - 3]
         return nxt
 
-    @pytest.mark.parametrize(
-        "seed, splitters, message",
-        [
-            # spaced splitters miss the 3-cycle: the traversal bound stops it
-            (0, "spaced", "traversal exceeded"),
-            (1, "spaced", "traversal exceeded"),
-            # seed 0's random splitters cut it: too few reduced chain ends
-            (0, "random", "fewer chain ends"),
-        ],
-    )
-    def test_forest_scan_raises_on_cycle(self, seed, splitters, message):
-        from repro.core.forest import SublistConfig, forest_list_scan
-        from repro.core.operators import SUM
-
+    @pytest.mark.parametrize("seed, splitters", [(0, "spaced"), (1, "spaced"), (0, "random")])
+    def test_forest_scan_raises_on_cycle(self, seed, splitters):
+        """The cyclic list has no self-loop tail: whichever nodes the
+        splitters cut, Initialize counts one self-loop for two lists."""
         nxt = self._forest_with_cyclic_list()
         work = nxt.copy()
         values = np.ones(nxt.shape[0], dtype=np.int64)
         config = SublistConfig(splitters=splitters)
-        with pytest.raises(ListStructureError, match=message):
+        with pytest.raises(ListStructureError, match="1 self-loop tails for 2 lists"):
             forest_list_scan(work, values, np.array([0, 1997]), SUM, config=config, rng=seed)
         assert np.array_equal(work, nxt)
         assert np.all(values == 1)
@@ -381,6 +376,32 @@ class TestHostileStructures:
         lst = hostile_list(shape, n)
         with within(60), pytest.raises(ListStructureError):
             sharded_list_scan(lst, config=DistributedConfig(num_chunks=4))
+
+
+class TestMarks:
+    """Phase 1 marks every node it visits with its processor; a chain that
+    reaches a mark raises ``ListStructureError`` on every backend (the
+    compiled loops test for it, since numba does not bounds-check), never
+    a bare ``IndexError``, and the engine answers ``bad-structure``."""
+
+    @pytest.mark.parametrize("backend", ["numpy", "python"])
+    def test_merge_reads_a_mark(self, backend):
+        # list A 0→…→9, list B 10→…→19 merging into A at node 5, and an
+        # isolated self-loop 20 keeping the tail count at two lists
+        nxt = np.arange(1, 22, dtype=INDEX_DTYPE)
+        nxt[9], nxt[19], nxt[20] = 9, 5, 20
+        values = np.ones(21, dtype=np.int64)
+        config = SublistConfig(serial_cutoff=4, m=3)
+        with pytest.raises(ListStructureError, match="already visited"):
+            forest_list_scan(nxt, values, [0, 10], SUM, config=config, kernel_backend=backend)
+
+    @pytest.mark.parametrize("backend", ["numpy", "python"])
+    @pytest.mark.parametrize("shape", HOSTILE_SHAPES)
+    def test_engine_answers_bad_structure(self, shape, backend):
+        engine = Engine(executor="sync", cache_capacity=0, kernel_backend=backend)
+        with within(60), engine:
+            [resp] = engine.run_batch([ScanRequest(lst=hostile_list(shape, 5000))])
+        assert not resp.ok and resp.error.code == "bad-structure"
 
 
 class TestNoSpinNoBareErrors:

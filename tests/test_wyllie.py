@@ -12,10 +12,12 @@ from repro.baselines.wyllie import (
     wyllie_rounds,
     wyllie_suffix,
 )
+from repro.core.list_scan import list_scan
 from repro.core.operators import AFFINE, MAX, SUM, XOR
 from repro.core.stats import ScanStats
 from repro.lists.generate import (
     from_order,
+    list_order,
     ordered_list,
     random_list,
     reversed_list,
@@ -114,6 +116,17 @@ class TestDispatch:
     def test_auto_picks_suffix_for_sum(self, small_list):
         got = wyllie_list_scan(small_list, SUM, variant="auto")
         assert np.array_equal(got, serial_list_scan(small_list))
+
+    def test_auto_float_sum_does_not_cancel(self):
+        """One 1e16 value among floats: ``total ⊖ suffix`` would lose the
+        small prefixes, so "auto" takes the prefix form for floats."""
+        n = 3000
+        rng = np.random.default_rng(9)
+        lst = random_list(n, rng, values=rng.random(n))
+        lst.values[list_order(lst)[n // 3]] = 1e16
+        expect = serial_list_scan(lst)
+        np.testing.assert_allclose(wyllie_list_scan(lst, SUM), expect, rtol=1e-9)
+        np.testing.assert_allclose(list_scan(lst, algorithm="wyllie"), expect, rtol=1e-9)
 
     def test_auto_picks_prefix_for_max(self, small_list):
         got = wyllie_list_scan(small_list, MAX, variant="auto")
