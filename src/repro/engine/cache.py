@@ -4,18 +4,31 @@ Every scan is a pure function of ``(successor array, head, values,
 operator, inclusive flag)``, so results can be memoized across
 requests: serving layers frequently re-rank the same list (the same
 graph arriving from many users, retries, or idempotent replays), and a
-cache hit replaces an O(n) traversal with an O(n) hash — and with an
-O(1) lookup when the caller reuses a fingerprint.
+cache hit replaces an O(n) traversal with one pass over the arrays.
 
-The key is a SHA-256 digest, truncated to 128 bits, over the list's
-structure and the scan semantics; the arrays are hashed in place, with
-no byte copies.  SHA-256 is chosen for speed on CPUs with SHA
-extensions (x86 SHA-NI, ARMv8 SHA2), where OpenSSL hashes it about
-twice as fast as BLAKE2b; without them SHA-256 is the slower of the
-two.  Operators are identified *by name* — the built-in operator
-table is canonical; a custom operator must use a unique name to be
-cached correctly (two different combine functions registered under
-one name would collide).
+The key is 128 bits of SHA-256 over a short header (operator name,
+inclusive flag, head, values dtype and shape) and two AES-GMAC tags,
+one over each array.  AES-GMAC is AES-128-GCM with no plaintext and
+the array bytes as associated data: GHASH, a polynomial hash under a
+secret key, reads memory about twenty times as fast as SHA-256 does,
+even with SHA-NI (``docs/engine.md``, "Cache keying", has the
+measurement).  The arrays go in as zero-copy byte views, in chunks
+of at most 2^30 bytes (OpenSSL's GCM refuses 2^31), each under its own
+nonce built from the field and the chunk index.  Two distinct inputs
+collide with probability at most (l+1)/2^128 for l 16-byte blocks,
+unless they were chosen with knowledge of the key; no tag leaves the
+process, only the SHA-256 over the tags does.
+
+The 16-byte key comes from ``os.urandom`` on the first call, once per
+process, so **fingerprints are per process**: the engine is their one
+caller and nothing persists or ships one.  ``cryptography`` (about
+7 MB of resident memory) is imported on that first call, not at
+import time, so a process that never hashes never loads it.
+
+Operators are identified *by name* — the built-in operator table is
+canonical; a custom operator must use a unique name to be cached
+correctly (two different combine functions registered under one name
+would collide).
 
 Entries are value copies in both directions: ``put`` stores a copy and
 ``get`` returns a fresh copy, so callers can mutate results without
@@ -26,8 +39,10 @@ by total stored bytes.  All operations are thread-safe.
 from __future__ import annotations
 
 import hashlib
+import os
 import threading
 from collections import OrderedDict
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -35,7 +50,45 @@ from ..core.operators import Operator, get_operator
 from ..lists.generate import LinkedList
 from ..sanitize.runtime import guarded
 
+if TYPE_CHECKING:
+    from cryptography.hazmat.primitives.ciphers.aead import AESGCM
+
 __all__ = ["fingerprint", "refuse_object_dtype", "ResultCache"]
+
+#: Largest associated-data chunk one GMAC tag covers (OpenSSL's GCM
+#: refuses 2^31 bytes or more).
+_CHUNK_BYTES = 1 << 30
+
+_gmac: AESGCM | None = None
+_gmac_lock = threading.Lock()
+
+
+def _mac() -> AESGCM:
+    """The process's GMAC, keyed from ``os.urandom`` on first use."""
+    global _gmac
+    gmac = _gmac
+    if gmac is None:
+        with guarded(_gmac_lock, "engine.fingerprint_key"):
+            if _gmac is None:
+                from cryptography.hazmat.primitives.ciphers.aead import AESGCM
+
+                _gmac = AESGCM(os.urandom(16))
+            gmac = _gmac
+    return gmac
+
+
+def _tags(gmac: AESGCM, field: bytes, array: np.ndarray) -> list[bytes]:
+    """One GMAC tag per chunk of ``array``'s bytes, read in place.
+
+    The nonce is the 4-byte ``field`` name and the chunk index, so each
+    chunk of each field is tagged under its own nonce.  An empty array
+    still gets one tag.
+    """
+    data = memoryview(np.ascontiguousarray(array)).cast("B")
+    return [
+        gmac.encrypt(field + index.to_bytes(8, "little"), b"", data[start : start + _CHUNK_BYTES])
+        for index, start in enumerate(range(0, max(len(data), 1), _CHUNK_BYTES))
+    ]
 
 
 def refuse_object_dtype(lst: LinkedList) -> None:
@@ -63,15 +116,19 @@ def fingerprint(
     structurally equal problems would fingerprint differently (and a
     mutated value would *keep* its stale digest) — a silent
     cache-corruption hazard rather than a usable key.
+
+    The digest is keyed per process (see the module docstring): equal
+    within one process, unrelated across processes.
     """
     op = get_operator(op)
     refuse_object_dtype(lst)
+    gmac = _mac()
     h = hashlib.sha256(b"repro-scan-v1|")
     h.update(op.name.encode())
     h.update(b"|i" if inclusive else b"|x")
     h.update(f"|{lst.head}|{lst.values.dtype.str}|{lst.values.shape}|".encode())
-    h.update(np.ascontiguousarray(lst.next))
-    h.update(np.ascontiguousarray(lst.values))
+    for tag in _tags(gmac, b"next", lst.next) + _tags(gmac, b"vals", lst.values):
+        h.update(tag)
     return h.digest()[:16]
 
 

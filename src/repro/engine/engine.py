@@ -15,11 +15,13 @@ Pipeline for one batch (``run_batch``)::
                         ▼
                  responses ◄── unfuse / quarantine retry (shards of one)
 
-* Cache probes use the structural fingerprint (``engine.cache``); a
-  hit answers the request without executing anything.  A
-  cache-disabled engine hashes a request only to coalesce it: only
-  when another request of the batch shares its cheap key (size, head,
-  operator, flag, dtype, value shape, forced algorithm).
+* Cache probes use the structural fingerprint (``engine.cache``, a
+  per-process AES-GMAC of the arrays); a hit answers the request
+  without executing anything.  A cache-disabled engine never probes,
+  and hashes a request only to coalesce it: only when another request
+  of the batch shares its cheap key (size, head, the head's successor
+  and value bytes, operator, flag, dtype, value shape, forced
+  algorithm).
 * Misses are validated (``engine.errors``): shape/dtype mismatches
   and NaN-hostile inputs become ``ok=False`` responses instead of
   exceptions out of the batch.  The kernels prove the list structure
@@ -718,7 +720,7 @@ class Engine:
                         error = RequestError.from_exception(
                             exc, code="fingerprint", phase="validate"
                         )
-                    if error is None and key is not None:
+                    if error is None and key is not None and self.cache.capacity:
                         hit = self.cache.get(key)
                         if hit is not None:
                             # A hit implies a structurally identical
@@ -740,7 +742,8 @@ class Engine:
                             continue
                         # counted at the probe site: only requests that
                         # actually reached the cache can miss it —
-                        # fingerprint failures above never probe.
+                        # fingerprint failures above and a disabled
+                        # cache never probe.
                         n_misses += 1
                         if tracer is not None:
                             tracer.event(
@@ -857,12 +860,23 @@ class Engine:
 
         Without a cache a fingerprint only serves coalescing, and two
         requests can share one only if they share the cheap key: size,
-        head and the shard key (operator, value shape, flag, dtype,
-        forced algorithm).  Empty when the cache is on.
+        head, the bytes of ``next[head]`` and ``values[head]``, and the
+        shard key (operator, value shape, flag, dtype, forced
+        algorithm).  Slices, not indexing, keep a head out of range
+        from raising here.  Empty when the cache is on.
         """
         if self.cache.capacity:
             return set()
-        cheap = [(req.n, req.lst.head, *shard_key(req)) for req in requests]
+        cheap = [
+            (
+                req.n,
+                req.lst.head,
+                req.lst.next[req.lst.head : req.lst.head + 1].tobytes(),
+                req.lst.values[req.lst.head : req.lst.head + 1].tobytes(),
+                *shard_key(req),
+            )
+            for req in requests
+        ]
         counts = Counter(cheap)
         return {req.request_id for req, key in zip(requests, cheap) if counts[key] == 1}
 

@@ -242,6 +242,41 @@ class TestCoalescing:
         for resp, ref in zip(responses, (lst, other, lst)):
             np.testing.assert_array_equal(resp.result, serial_list_scan(ref, SUM))
 
+    def test_cheap_key_reads_the_head_node(self, monkeypatch):
+        """Requests that share size and head but not the head node's
+        successor and value are never hashed; sharing those too, they
+        are hashed and still execute apart unless identical."""
+        import repro.engine.engine as engine_module
+
+        hashed = []
+        fingerprint = engine_module.fingerprint
+        monkeypatch.setattr(
+            engine_module,
+            "fingerprint",
+            lambda lst, *args: hashed.append(lst) or fingerprint(lst, *args),
+        )
+        base = healthy_list(64, 24)
+        head_value = base.copy()
+        head_value.values[base.head] += 1
+        tail_value = base.copy()
+        tail_value.values[base.next[base.head]] += 1
+        engine = Engine(cache_capacity=0)
+        responses = engine.run_batch(
+            [ScanRequest(lst=x) for x in (base, head_value, tail_value)]
+        )
+        assert hashed == [base, tail_value]
+        assert engine.stats.coalesced == 0
+        for resp, ref in zip(responses, (base, head_value, tail_value)):
+            np.testing.assert_array_equal(resp.result, serial_list_scan(ref, SUM))
+
+    def test_disabled_cache_is_never_probed(self):
+        lst = healthy_list(150, 22)
+        engine = Engine(cache_capacity=0)
+        engine.run_batch([ScanRequest(lst=lst), ScanRequest(lst=lst.copy())])
+        assert engine.stats.coalesced == 1
+        assert engine.stats.cache_misses == 0 and engine.stats.cache_hits == 0
+        assert engine.cache.stats()["misses"] == 0
+
     def test_unhashed_object_dtype_request_keeps_fingerprint_code(self):
         lst = healthy_list(8, 8)
         lst.values = np.array([object() for _ in range(8)], dtype=object)
