@@ -42,15 +42,14 @@ import numpy as np
 from ..baselines.serial import serial_list_scan
 from ..kernels.backend import resolve_backend
 from ..lists.generate import INDEX_DTYPE, LinkedList
-from ..lists.validate import check_range
 from .forest import (
+    Forest,
     SublistConfig,
     _Cut,
     _cut,
     _link,
     _phase1,
     _phase2,
-    _plan_splitters,
     forest_list_scan,
 )
 from .operators import Operator, SUM, get_operator
@@ -90,24 +89,22 @@ def early_reconnect_list_scan(
         serial_list_scan(lst, op, inclusive=inclusive, out=out)
         return out
 
-    heads = np.asarray([lst.head], dtype=INDEX_DTYPE)
-    check_range(nxt, heads)
-    positions, s1 = _plan_splitters(nxt, 1, cfg, gen)
-    m = int(positions.size) + 1
+    forest = Forest.of(nxt, values, [lst.head])
+    cut, s1 = _cut(forest, op, cfg, gen, stats, None)
+    m = cut.sl_head.shape[0]
     if switch_count is None:
         switch_count = m // 8
     backend = resolve_backend(None)
     if not backend.supports(op, values):
         backend = resolve_backend("numpy")
 
-    cut = _cut(nxt, values, heads, positions, op, stats, None)
     schedule = optimal_schedule(n, m, s1, cfg.costs, guard=cfg.schedule_guard)
     vp_next, vp_sum, vp_proc = _phase1(cut, schedule, cfg, op, stats, None, backend, switch_count)
     if vp_next.size:
         _reconnect(cut, vp_next, vp_sum, vp_proc, op, cfg, gen, stats)
     sl_next = _link(cut, stats)
     carries = _phase2(sl_next, cut.sl_sum, 1, None, op, cfg, gen, stats, 0, None, backend)
-    backend.traverse_phase3(cut.rec["next"], cut.rec["value"], carries, op, out)
+    backend.traverse_phase3(cut.rec["next"], cut.rec["value"], carries, op, [out], forest.offsets)
     if stats is not None:
         stats.free(cut.words)
 

@@ -1,21 +1,26 @@
 """The paper's list-scan algorithm (Sections 2.4 and 3) over a forest.
 
-A *forest* is a set of disjoint linked lists sharing one node array:
-each list has its own head and its own self-loop tail.  The paper's
-virtual processors never ask which list a sublist came from, so this
-module is the one implementation of the algorithm for any number of
-lists; a single list is the forest with one head (``core.sublist`` is
-that one-list wrapper).  The algorithm randomly breaks the *n* nodes
-into *m* sublists that are processed independently and in parallel:
+A *forest* is a set of disjoint linked lists, each with its own head
+and its own self-loop tail.  The paper's virtual processors never ask
+which list a sublist came from, so this module is the one
+implementation of the algorithm for any number of lists; a single list
+is the forest with one head (``core.sublist`` is that one-list
+wrapper).  A :class:`Forest` may keep its lists in separate node
+arrays, its *members*: one node array with any number of heads is a
+forest of one member, and the engine's fused shard is a forest of one
+member per request.  The algorithm randomly breaks the *n* nodes into
+*m* sublists that are processed independently and in parallel:
 
-* **Initialize** — copy the forest into one record array, a
-  ``(next, value)`` record per node plus a last *sink* record (a
-  self-loop holding the identity), and cut the copy: choose
-  ``m − n_lists`` splitter positions, never a list tail; each becomes
-  the tail of the sublist that precedes it, and its old successor
-  becomes the head of the next sublist.  Every sublist tail keeps its
-  value and points at the sink; the pass that copies the records finds
-  the list tails.
+* **Initialize** — copy each member once, block by block, into its
+  block of one record array, a ``(next, value)`` record per node plus a
+  last *sink* record (a self-loop holding the identity).  On the way
+  the copy adds the member's offset to its successors, range-checks
+  them against the member, so no successor reaches another member's
+  block, and finds the member's self-loops, the list tails.  Then cut
+  the copy: choose ``m − n_lists`` splitter positions, never a list
+  tail; each becomes the tail of the sublist that precedes it, and its
+  old successor becomes the head of the next sublist.  Every sublist
+  tail keeps its value and points at the sink.
 * **Phase 1** — the *m* virtual processors traverse their sublists in
   lock-step vector steps.  At each node processor *p* writes its
   running exclusive prefix over the node's value and its *mark*
@@ -30,7 +35,8 @@ into *m* sublists that are processed independently and in parallel:
   forest*: one chain per list, ended by the owner of the list's tail.
 * **Phase 2** — scan the reduced forest with the kernel backend's
   blocked scan, recursively, with Wyllie, or serially, by size.
-* **Phase 3** — one streaming pass over the records: a node's
+* **Phase 3** — one streaming pass over each member's block of the
+  records, straight into that member's own result array: a node's
   exclusive scan is its owner's Phase-2 carry ⊕ the prefix Phase 1 left
   in its value.
 
@@ -38,10 +44,12 @@ The paper's Phase 3 walks every sublist a second time.  On the C-90,
 which had no caches, that cost about as much as keeping per-node
 state; on a cached host it fetches every record line at random again,
 so this Phase 3 reads the owner and prefix Phase 1 stored instead, and
-each node is visited at random once.  The input arrays are only read,
-so there is no Restore step and read-only inputs are fine.  Every
-kernel here proves that its input is a forest of lists, or raises
-``ListStructureError`` (``docs/algorithm.md``).
+each node is visited at random once.  The members are only read, so
+there is no Restore step and read-only inputs are fine, and they are
+never concatenated: each is copied once into the records, and its
+result is written once.  Every kernel here proves that its input is a
+forest of lists, or raises ``ListStructureError``
+(``docs/algorithm.md``).
 
 Optional per-list ``carries`` seed each chain; the Section 6
 early-reconnect variant (``core.early_reconnect``) uses them to rescan
@@ -51,20 +59,22 @@ data-parallel step, measured in real time by the benchmark suite.  The
 cycle-accounted Cray C-90 version, with the paper's Phase 3, lives in
 ``simulate.sublist_sim``.
 
-Public entry point: :func:`forest_list_scan`.  It can also return the
+Public entry points: :func:`forest_scan` over a :class:`Forest`, and
+:func:`forest_list_scan` over one node array, which can also return the
 *list id* of every node (which original list it belongs to).
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..analysis.cost_model import KernelCosts, PAPER_C90_COSTS
 from ..kernels.backend import REVISITED, STREAM_BLOCK, KernelBackend, resolve_backend
-from ..lists.generate import INDEX_DTYPE
-from ..lists.validate import ListStructureError, check_range, forest_predecessors
+from ..lists.generate import INDEX_DTYPE, LinkedList
+from ..lists.validate import ListStructureError, check_indices, check_range, forest_predecessors
 from ..trace.tracer import Tracer, null_span, resolve_trace
 from .operators import Operator, SUM, get_operator
 from .schedule import ScheduleIterator, optimal_schedule
@@ -72,8 +82,10 @@ from .stats import ScanStats
 from .tuning import SERIAL_CUTOFF, WYLLIE_CUTOFF, tuned_parameters
 
 __all__ = [
+    "Forest",
     "SublistConfig",
     "choose_splitters",
+    "forest_scan",
     "forest_list_scan",
     "serial_forest_scan",
     "wyllie_forest_scan",
@@ -143,6 +155,125 @@ class SublistConfig:
             raise ValueError("m must be >= 2 when given")
         if self.s1 is not None and self.s1 <= 0:
             raise ValueError("s1 must be positive when given")
+
+
+@dataclass(frozen=True)
+class Forest:
+    """A forest whose lists live in separate node arrays, its *members*.
+
+    Member ``k`` is the node arrays ``nexts[k]``/``values[k]``, in its
+    own coordinates; in the forest's coordinates its nodes are
+    ``[offsets[k], offsets[k + 1])`` and its lists are
+    ``heads[head_offsets[k] : head_offsets[k + 1]]``.  ``heads`` holds
+    every list's head, member by member, in the forest's coordinates.
+    The scan never concatenates the members: Initialize copies each
+    into its block of the records, and Phase 3 writes each member's
+    result into an array of its own.  The member arrays are only read.
+    """
+
+    nexts: tuple[np.ndarray, ...]
+    values: tuple[np.ndarray, ...]
+    heads: np.ndarray
+    offsets: np.ndarray
+    head_offsets: np.ndarray
+
+    @classmethod
+    def of(cls, nxt: np.ndarray, values: np.ndarray, heads: np.ndarray | Sequence[int]) -> Forest:
+        """One node array and the heads of its lists: a forest of one member.
+
+        Raises :class:`ListStructureError` unless every head lies in
+        ``[0, n)``.
+        """
+        heads = np.asarray(heads, dtype=INDEX_DTYPE)
+        n = nxt.shape[0]
+        check_indices("head", heads, n)
+        return cls(
+            (nxt,),
+            (values,),
+            heads,
+            np.asarray([0, n], dtype=INDEX_DTYPE),
+            np.asarray([0, heads.shape[0]], dtype=INDEX_DTYPE),
+        )
+
+    @classmethod
+    def of_lists(cls, lists: Sequence[LinkedList]) -> Forest:
+        """Each list its own member, with its one head.
+
+        Raises :class:`ListStructureError` unless every head lies in its
+        own list.
+        """
+        sizes = np.asarray([lst.n for lst in lists], dtype=INDEX_DTYPE)
+        local = np.asarray([lst.head for lst in lists], dtype=INDEX_DTYPE)
+        bad = np.flatnonzero((local < 0) | (local >= sizes))
+        if bad.size:
+            k = int(bad[0])
+            raise ListStructureError(
+                f"head of list {k} = {local[k]} is out of range, outside [0, {sizes[k]})"
+            )
+        offsets = np.zeros(len(lists) + 1, dtype=INDEX_DTYPE)
+        np.cumsum(sizes, out=offsets[1:])
+        return cls(
+            tuple(lst.next for lst in lists),
+            tuple(lst.values for lst in lists),
+            offsets[:-1] + local,
+            offsets,
+            np.arange(len(lists) + 1, dtype=INDEX_DTYPE),
+        )
+
+    @property
+    def n(self) -> int:
+        """Nodes in all members."""
+        return int(self.offsets[-1])
+
+    @property
+    def shape(self) -> tuple[int]:
+        """``(n,)``, the node axis a forest stands for where a node array
+        used to (``perfbench/layers.py`` counts a shard's nodes from the
+        first argument of ``engine.workers.run_fused_kernel`` this way)."""
+        return (self.n,)
+
+    def slices(self) -> list[slice]:
+        """Each member's block of the forest's coordinates."""
+        bounds = self.offsets.tolist()
+        return [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+    def members(self) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, slice]]:
+        """Each member as ``(next, values, heads, lists)``: its heads in
+        its own coordinates, and its lists' slice of ``heads``."""
+        cuts = self.head_offsets.tolist()
+        for k, (lo, hi) in enumerate(zip(cuts[:-1], cuts[1:])):
+            heads = self.heads[lo:hi] - self.offsets[k]
+            yield self.nexts[k], self.values[k], heads, slice(lo, hi)
+
+    def check(self) -> None:
+        """Raise :class:`ListStructureError` unless every successor lies
+        in its own member.  Offset into one node array, a successor past
+        the end of one member would be a valid index into the next, and
+        two bad lists could join into a good forest.  The scan checks
+        this block by block as it copies; :meth:`copy_into` does not."""
+        for nxt in self.nexts:
+            check_indices("next", nxt, nxt.shape[0])
+
+    def copy_into(self, nxt: np.ndarray, values: np.ndarray) -> None:
+        """Write the forest into one successor and one value array, each
+        member once, straight into its block, its offset added.  Call
+        :meth:`check` first."""
+        for member_next, member_values, block in zip(self.nexts, self.values, self.slices()):
+            np.add(member_next, block.start, out=nxt[block])
+            values[block] = member_values
+
+    def contiguous(self) -> tuple[np.ndarray, np.ndarray]:
+        """The forest as one successor and one value array, checked
+        (:meth:`check`): a forest of one member is its own arrays, a
+        larger one is copied into fresh arrays (:meth:`copy_into`)."""
+        self.check()
+        if len(self.nexts) == 1:
+            return self.nexts[0], self.values[0]
+        first = self.values[0]
+        nxt = np.empty(self.n, dtype=INDEX_DTYPE)
+        values = np.empty((self.n, *first.shape[1:]), dtype=first.dtype)
+        self.copy_into(nxt, values)
+        return nxt, values
 
 
 def choose_splitters(
@@ -266,6 +397,15 @@ def wyllie_forest_scan(
     chain prefix (heads pinned at the identity), and the per-chain head
     value plus carry are folded in at the end via the converged
     head-pointer map.  The round trip and the convergence prove the forest.
+
+    The rounds stop once every pointer stands on a head
+    (``ptr[ptr] == ptr``), so a forest takes its longest chain's
+    ⌈log₂⌉ rounds, at most ⌈log₂(n − 1)⌉: from then on a round would
+    fold the heads' identity and change nothing.  The test runs only
+    from the round whose jump spans the average chain, since the
+    longest chain is at least that long; one list never runs it.  A
+    cycle no head reaches never passes the test unless its pointers
+    stand still on it, and the final check refuses those.
     """
     op = get_operator(op)
     n = nxt.shape[0]
@@ -276,9 +416,13 @@ def wyllie_forest_scan(
     work[heads] = ident
     ptr = pred.copy()
     rounds = max(0, int(np.ceil(np.log2(max(n - 1, 2)))) if n > 2 else 0)
-    for _ in range(rounds):
+    reach = -(-n // max(len(heads), 1)) - 1  # the farthest node is at least this far
+    for done in range(rounds):
+        jumped = ptr[ptr]
+        if 1 << done >= reach and np.array_equal(jumped, ptr):
+            break
         work = op.combine(work[ptr], work)
-        ptr = ptr[ptr]
+        ptr = jumped
         if stats is not None:
             stats.add_round()
             stats.add_work(n, phase="wyllie_forest")
@@ -299,10 +443,66 @@ def wyllie_forest_scan(
         out[heads] = ident
 
 
+def forest_scan(
+    forest: Forest,
+    outs: Sequence[np.ndarray],
+    op: Operator | str = SUM,
+    carries: np.ndarray | None = None,
+    inclusive: bool = False,
+    config: SublistConfig | None = None,
+    rng: np.random.Generator | int | None = None,
+    stats: ScanStats | None = None,
+    trace: str | Tracer | None = None,
+    kernel_backend: str | KernelBackend | None = None,
+) -> None:
+    """Exclusive (or inclusive) scan of every list of a :class:`Forest`.
+
+    Member *k*'s scan is written into ``outs[k]``, an array shaped like
+    its values.  The members are only read: Initialize copies each once
+    into the records, and Phase 3 writes each result once.  The other
+    parameters are those of :func:`forest_list_scan`; ``carries`` holds
+    one seed per list, in the order of ``forest.heads``.
+
+    Raises :class:`repro.lists.ListStructureError` unless every
+    successor lies in its own member, the heads are distinct, and every
+    node is reached exactly once, from one head, along a chain that
+    ends at a self-loop.
+    """
+    op = get_operator(op)
+    n_lists = forest.heads.shape[0]
+    if n_lists == 0:
+        raise ValueError("forest must contain at least one list")
+    if carries is not None:
+        carries = np.asarray(carries)
+        if carries.shape[0] != n_lists:
+            raise ValueError("carries must have one entry per list")
+    backend = resolve_backend(kernel_backend)
+    if not backend.supports(op, forest.values[0]):
+        backend = resolve_backend("numpy")
+    if stats is not None:
+        stats.alloc(forest.n)  # the output vectors
+    gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+    _scan_in_place(
+        forest,
+        op,
+        config or SublistConfig(),
+        gen,
+        stats,
+        outs,
+        depth=0,
+        tracer=resolve_trace(trace),
+        backend=backend,
+        carries=carries,
+    )
+    if inclusive:
+        for out, values in zip(outs, forest.values):
+            out[...] = op.combine(out, values)
+
+
 def forest_list_scan(
     nxt: np.ndarray,
     values: np.ndarray,
-    heads: np.ndarray,
+    heads: np.ndarray | Sequence[int],
     op: Operator | str = SUM,
     carries: np.ndarray | None = None,
     inclusive: bool = False,
@@ -314,7 +514,8 @@ def forest_list_scan(
     trace: str | Tracer | None = None,
     kernel_backend: str | KernelBackend | None = None,
 ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
-    """Exclusive (or inclusive) scan of every list in a forest.
+    """Exclusive (or inclusive) scan of every list in a forest over one
+    node array: :func:`forest_scan` over the forest of one member.
 
     Parameters
     ----------
@@ -330,6 +531,8 @@ def forest_list_scan(
         the identity.  This is what the early-reconnect caller uses.
     config:
         :class:`SublistConfig` tuning knobs (``None`` = defaults).
+    out:
+        Where to write the scan (``None`` = a fresh array).
     return_list_ids:
         Also return, for every node, the index into ``heads`` of the
         list containing it.
@@ -354,82 +557,55 @@ def forest_list_scan(
     self-loop.  Returns the scan array (indexed by node), optionally
     with the list id array.
     """
-    op = get_operator(op)
-    heads = np.asarray(heads, dtype=INDEX_DTYPE)
-    n_lists = heads.shape[0]
-    if n_lists == 0:
-        raise ValueError("forest must contain at least one list")
-    check_range(nxt, heads)
-    if carries is not None:
-        carries = np.asarray(carries)
-        if carries.shape[0] != n_lists:
-            raise ValueError("carries must have one entry per list")
-    backend = resolve_backend(kernel_backend)
-    if not backend.supports(op, values):
-        backend = resolve_backend("numpy")
+    forest = Forest.of(nxt, values, heads)
     if out is None:
         out = np.empty_like(values)
-    if stats is not None:
-        stats.alloc(nxt.shape[0])  # the output vector
-    gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-    _scan_in_place(
-        nxt,
-        values,
-        heads,
-        op,
-        config or SublistConfig(),
-        gen,
-        stats,
-        out,
-        depth=0,
-        tracer=resolve_trace(trace),
-        backend=backend,
-        carries=carries,
+    forest_scan(
+        forest, [out], op, carries, inclusive, config, rng, stats, trace, kernel_backend
     )
-    if inclusive:
-        out = op.combine(out, values)
     if return_list_ids:
-        return out, _list_ids(nxt, heads)
+        return out, _list_ids(nxt, forest.heads)
     return out
 
 
 def _scan_in_place(
-    nxt: np.ndarray,
-    values: np.ndarray,
-    heads: np.ndarray,
+    forest: Forest,
     op: Operator,
     cfg: SublistConfig,
     rng: np.random.Generator,
     stats: ScanStats | None,
-    out: np.ndarray,
+    outs: Sequence[np.ndarray],
     depth: int,
     tracer: Tracer | None,
     backend: KernelBackend,
     carries: np.ndarray | None = None,
 ) -> None:
-    """Exclusive scan of every list of the forest into ``out``.
+    """Exclusive scan of every list of the forest, member *k*'s into
+    ``outs[k]``.
 
-    Reads ``nxt``/``values`` only: the phases cut and overwrite the
-    record copy that Initialize makes, and Phase 3 writes ``out`` from
-    it.  ``tracer`` records per-phase spans and
+    Reads the members only: the phases cut and overwrite the record
+    copy that Initialize makes, and Phase 3 writes ``outs`` from it.
+    ``tracer`` records per-phase spans and
     per-pack live-count events; every hook is guarded so the untraced
     path only pays branch checks, once per pack or phase.  ``backend``
     runs the hot loops; the caller must have checked
     ``backend.supports(op, values)``.
     """
-    n = nxt.shape[0]
-    n_lists = heads.shape[0]
+    n = forest.n
+    n_lists = forest.heads.shape[0]
     span = tracer.span if tracer is not None else null_span
     if n <= cfg.serial_cutoff or n < 4 * n_lists or depth >= cfg.max_depth:
         with span("serial_scan", n=n, n_lists=n_lists, depth=depth):
-            serial_forest_scan(nxt, values, heads, op, carries, out)
+            for (nxt, values, heads, lists), out in zip(forest.members(), outs):
+                seeds = carries[lists] if carries is not None else None
+                serial_forest_scan(nxt, values, heads, op, seeds, out)
         if stats is not None:
             stats.add_work(n, phase="serial")
         return
 
     with span("sublist_scan", n=n, n_lists=n_lists, depth=depth) as scan_span:
-        positions, s1 = _plan_splitters(nxt, n_lists, cfg, rng)
-        m = n_lists + int(positions.size)
+        cut, s1 = _cut(forest, op, cfg, rng, stats, tracer)
+        m = cut.sl_head.shape[0]
         schedule = optimal_schedule(n, m, s1, cfg.costs, guard=cfg.schedule_guard)
         if scan_span is not None:
             scan_span.attrs.update(
@@ -438,8 +614,6 @@ def _scan_in_place(
                 splitters=cfg.splitters,
                 scheduled_packs=int(np.asarray(schedule).size),
             )
-
-        cut = _cut(nxt, values, heads, positions, op, stats, tracer)
         with span("phase1", m=m):
             fallback = cfg.short_vector_fallback
             live = _phase1(cut, schedule, cfg, op, stats, tracer, backend, fallback)
@@ -453,7 +627,9 @@ def _scan_in_place(
             sl_next, cut.sl_sum, n_lists, carries, op, cfg, rng, stats, depth, tracer, backend
         )
         with span("phase3", m=m):
-            backend.traverse_phase3(cut.rec["next"], cut.rec["value"], sl_carries, op, out)
+            backend.traverse_phase3(
+                cut.rec["next"], cut.rec["value"], sl_carries, op, outs, forest.offsets
+            )
         if stats is not None:
             stats.add_work(n, phase="phase3")
             stats.add_gather(n)  # each node's carry
@@ -461,17 +637,19 @@ def _scan_in_place(
 
 
 def _plan_splitters(
-    nxt: np.ndarray, n_lists: int, cfg: SublistConfig, rng: np.random.Generator
+    nxt: np.ndarray, tails: np.ndarray, cfg: SublistConfig, rng: np.random.Generator
 ) -> tuple[np.ndarray, float]:
     """Splitter choice: the cut positions and the first pack point.
 
-    The sublist count ``m`` (lists + splitters) and ``s1`` come from the
-    config or the Section 4.4 tuning; a tuned ``m`` gives every list at
-    least two sublists.  Spaced positions need only the tail count,
-    ``n_lists`` in a forest, and drop the tails among them in O(m); the
-    O(n) pass over every tail runs only when all of them are tails.
+    ``nxt`` is the forest's successors and ``tails`` its list tails,
+    both as Initialize's copy finds them.  The sublist count ``m``
+    (lists + splitters) and ``s1`` come from the config or the Section
+    4.4 tuning; a tuned ``m`` gives every list at least two sublists.
+    Spaced positions need only the tail count, ``n_lists`` in a forest,
+    and drop the tails among them in O(m).
     """
     n = nxt.shape[0]
+    n_lists = tails.shape[0]
     m, s1 = cfg.m, cfg.s1
     if m is None or s1 is None:
         m_t, s1_t = tuned_parameters(n, cfg.costs)
@@ -483,7 +661,6 @@ def _plan_splitters(
         positions = positions[nxt[positions] != positions]
         if positions.size:  # else every one is a tail: choose_splitters falls back
             return positions, s1
-    tails = np.flatnonzero(nxt == np.arange(n, dtype=INDEX_DTYPE))
     return choose_splitters(n, m, tails, cfg.splitters, rng), s1
 
 
@@ -514,61 +691,79 @@ class _Cut:
 
 
 def _cut(
-    nxt: np.ndarray,
-    values: np.ndarray,
-    heads: np.ndarray,
-    positions: np.ndarray,
+    forest: Forest,
     op: Operator,
+    cfg: SublistConfig,
+    rng: np.random.Generator,
     stats: ScanStats | None,
     tracer: Tracer | None,
-) -> _Cut:
-    """INITIALIZE (Section 3): copy the forest into records and cut them.
+) -> tuple[_Cut, float]:
+    """INITIALIZE (Section 3): copy the members into records and cut them.
 
     One aligned ``(next, value)`` record per node puts a node step's
-    two gathers on one cache line.  Record ``n``, the *sink*, is a
-    self-loop holding the identity.  Every sublist tail (each splitter,
-    and each list tail, which the copy finds block by block) keeps its
-    value and points at the sink.  The input arrays are only read.
+    two gathers on one cache line.  Each member is copied once, block
+    by block, into its block of the records, its offset added to its
+    successors; while a block is in cache the copy range-checks it
+    against its member and finds its self-loops, the list tails.
+    Record ``n``, the *sink*, is a self-loop holding the identity.
+    Then the splitters are chosen (:func:`_plan_splitters`), and every
+    sublist tail, each splitter and each list tail, keeps its value and
+    points at the sink.  The members are only read.  Returns the cut
+    and the first pack point.
 
-    Raises :class:`ListStructureError` unless the forest holds exactly
-    ``n_lists`` self-loops.
+    Raises :class:`ListStructureError` unless every successor lies in
+    its own member and the forest holds exactly ``n_lists`` self-loops.
     """
     span = tracer.span if tracer is not None else null_span
-    n = nxt.shape[0]
-    n_lists = heads.shape[0]
-    m = n_lists + positions.shape[0]
-    with span("initialize", m=m):
+    n = forest.n
+    n_lists = forest.heads.shape[0]
+    first = forest.values[0]
+    with span("initialize") as init_span:
         record = np.dtype(
-            [("next", INDEX_DTYPE), ("value", values.dtype, values.shape[1:])], align=True
+            [("next", INDEX_DTYPE), ("value", first.dtype, first.shape[1:])], align=True
         )
         rec = np.empty(n + 1, dtype=record)
         rec_next, rec_value = rec["next"], rec["value"]
         ramp = np.arange(min(n, STREAM_BLOCK), dtype=INDEX_DTYPE)
         loops: list[np.ndarray] = []
-        for lo in range(0, n, STREAM_BLOCK):
-            block = slice(lo, min(lo + STREAM_BLOCK, n))
-            seg = nxt[block]
-            rec_next[block] = seg
-            rec_value[block] = values[block]
-            loops.append(np.flatnonzero(seg - ramp[: seg.shape[0]] == lo) + lo)
-        tails = np.concatenate([*loops, positions]).astype(INDEX_DTYPE, copy=False)
-        if tails.shape[0] != m:
+        for nxt, values, block in zip(forest.nexts, forest.values, forest.slices()):
+            size, start = nxt.shape[0], block.start
+            for lo in range(0, size, STREAM_BLOCK):
+                hi = min(lo + STREAM_BLOCK, size)
+                seg = nxt[lo:hi]
+                check_indices("next", seg, size, lo)
+                dest = slice(start + lo, start + hi)
+                if start:
+                    np.add(seg, start, out=rec_next[dest])
+                else:  # a plain copy runs about twice as fast as adding 0
+                    rec_next[dest] = seg
+                rec_value[dest] = values[lo:hi]
+                here = ramp[: hi - lo]  # a self-loop: seg[i] == lo + i
+                hits = seg == here if lo == 0 else seg - here == lo
+                loops.append(hits.nonzero()[0] + (start + lo))
+        list_tails = np.concatenate(loops).astype(INDEX_DTYPE, copy=False)
+        if list_tails.shape[0] != n_lists:
             raise ListStructureError(
-                f"{tails.shape[0] - positions.shape[0]} self-loop tails for {n_lists} "
+                f"{list_tails.shape[0]} self-loop tails for {n_lists} "
                 "lists: a chain runs into a cycle, or no head reaches a tail"
             )
+        positions, s1 = _plan_splitters(rec_next[:n], list_tails, cfg, rng)
+        m = n_lists + positions.shape[0]
+        sl_head = np.empty(m, dtype=INDEX_DTYPE)
+        sl_head[:n_lists] = forest.heads
+        sl_head[n_lists:] = rec_next[positions]  # gather heads
+        tails = np.concatenate([list_tails, positions])
         rec_next[tails] = n  # every sublist tail points at the sink
         rec_next[n] = n
-        rec_value[n] = op.identity_for(values.dtype)
-        sl_head = np.empty(m, dtype=INDEX_DTYPE)
-        sl_head[:n_lists] = heads
-        sl_head[n_lists:] = nxt[positions]  # gather heads
-        cut = _Cut(n_lists, rec, sl_head, op.identity_array(m, values.dtype), tails)
+        rec_value[n] = op.identity_for(first.dtype)
+        cut = _Cut(n_lists, rec, sl_head, op.identity_array(m, first.dtype), tails)
+        if init_span is not None:
+            init_span.attrs["m"] = m
     if stats is not None:
         stats.alloc(cut.words)
         stats.add_gather(m)
         stats.add_scatter(m)
-    return cut
+    return cut, s1
 
 
 def _phase1(
@@ -695,8 +890,9 @@ def _phase2(
                 stats.add_work(m, phase="phase2_blocked")
         elif m > cfg.wyllie_cutoff and depth + 1 < cfg.max_depth:
             method = "recursive"
+            reduced = Forest.of(nxt, sums, heads)
             _scan_in_place(
-                nxt, sums, heads, op, cfg, rng, stats, out, depth + 1, tracer, backend, carries
+                reduced, op, cfg, rng, stats, [out], depth + 1, tracer, backend, carries
             )
         elif m > cfg.serial_cutoff:
             method = "wyllie"

@@ -33,6 +33,7 @@ from typing import Any
 
 import numpy as np
 
+from ..core.forest import Forest
 from ..core.operators import SUM, Operator, get_operator
 from ..core.stats import ScanStats
 from ..engine.router import Router, default_router
@@ -329,15 +330,13 @@ def _sharded_scan(
                 algorithm=reduced_algorithm,
             ):
                 run_fused_kernel(
-                    reduced_nxt,
-                    sums_all,
-                    reduced_heads,
+                    Forest.of(reduced_nxt, sums_all, reduced_heads),
                     op,
                     False,  # exclusive: carries are prefixes *before* each entry
                     reduced_algorithm,
                     np.random.default_rng(seed_root + plan.num_chunks),
                     kstats,
-                    carries_all,
+                    [carries_all],
                     tracer,
                     kernel_backend=kernel_backend,
                 )

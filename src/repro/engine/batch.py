@@ -1,11 +1,17 @@
 """Working-set sharding and batch fusion.
 
-Fusing concatenates the node arrays of many independent lists into one
-shared array — exactly the *forest* representation of
-``core.forest`` — so a single vectorized pass scans them all.  This is
-the paper's multi-list trick applied across requests: the virtual
+Fusing makes many independent lists one *forest* — the
+:class:`~repro.core.forest.Forest` of ``core.forest``, one member per
+request — so a single vectorized pass scans them all.  This is the
+paper's multi-list trick applied across requests: the virtual
 processors never cared that the sublists came from one list, and they
-do not care that these come from different callers.
+do not care that these come from different callers.  Fusing copies
+nothing: each member stays in its request's own arrays, and the batch
+keeps only their offsets and heads.  The scan copies each member once
+into its records and writes each member's result into that request's
+own result array; only the paths that need one node array (the
+``processes`` executor's shared-memory export, the sharded scan, and
+Wyllie) build it, straight from the members.
 
 Why a cap?  Length skew costs the sublist kernel no vector width: a
 sublist ends at a splitter or a tail, whichever list it came from, and
@@ -28,9 +34,8 @@ from collections.abc import Sequence
 
 import numpy as np
 
+from ..core.forest import Forest
 from ..core.operators import Operator
-from ..lists.generate import INDEX_DTYPE
-from ..lists.validate import check_range
 from .queue import ScanRequest
 
 __all__ = ["FUSE_NODES", "shard_key", "shard_requests", "FusedBatch"]
@@ -47,8 +52,8 @@ def shard_key(request: ScanRequest) -> ShardKey:
     The key uses the values' actual trailing shape rather than the
     operator's advertised ``value_width``: if a custom operator's
     metadata disagrees with the arrays it is handed, the requests must
-    not be concatenated into one forest (the fused assignment would
-    broadcast or raise mid-shard).
+    not share one forest (their values could not share one record
+    array).
     """
     op: Operator = request.op  # normalized by ScanRequest.__post_init__
     return (
@@ -84,31 +89,28 @@ def shard_requests(requests: Sequence[ScanRequest]) -> list[list[ScanRequest]]:
 
 @dataclass
 class FusedBatch:
-    """Many independent lists concatenated into one forest problem.
+    """A shard's requests as one forest, without concatenating them.
 
-    ``nxt``/``values`` are fresh arrays concatenated from the
-    requests' own, except that a batch of one holds its request's own
-    arrays: the forest scan only reads them.  List *k* occupies the
-    index range ``[offsets[k], offsets[k+1])`` and keeps its self-loop
-    tail; ``heads[k]`` is its head in fused coordinates.
+    ``forest`` has one member per request, over the request's own
+    arrays.  List *k* occupies the index range ``[offsets[k],
+    offsets[k+1])`` of the forest's coordinates and keeps its self-loop
+    tail; ``heads[k]`` is its head in those coordinates.
     """
 
     requests: list[ScanRequest]
-    nxt: np.ndarray
-    values: np.ndarray
-    heads: np.ndarray
-    offsets: np.ndarray  # length n_lists + 1
+    forest: Forest
     op: Operator
     inclusive: bool
 
     @classmethod
     def fuse(cls, requests: Sequence[ScanRequest]) -> "FusedBatch":
-        """Concatenate the requests' lists into one forest.
+        """Make the requests' lists one forest.
 
         All requests must share the operator (by name), the inclusive
-        flag and the value dtype — i.e. come from one shard.  Each
-        member is range-checked on its own, so no successor reaches
-        into a neighbour's block.
+        flag and the value dtype — i.e. come from one shard.  Each head
+        is checked against its own list here; each successor is checked
+        against its own list by whichever kernel reads it, so no
+        successor reaches into a neighbour's block.
         """
         if not requests:
             raise ValueError("cannot fuse an empty batch")
@@ -124,54 +126,37 @@ class FusedBatch:
                     "fused requests must share operator, inclusive flag "
                     "and value dtype; shard before fusing"
                 )
-        for req in requests:
-            check_range(req.lst.next, [req.lst.head])
-        sizes = np.asarray([req.n for req in requests], dtype=INDEX_DTYPE)
-        offsets = np.zeros(len(requests) + 1, dtype=INDEX_DTYPE)
-        np.cumsum(sizes, out=offsets[1:])
-        heads = offsets[:-1] + np.asarray(
-            [req.lst.head for req in requests], dtype=INDEX_DTYPE
-        )
-        if len(requests) == 1:
-            nxt, values = first.lst.next, first.lst.values
-        else:
-            nxt = np.empty(int(offsets[-1]), dtype=INDEX_DTYPE)
-            values = np.empty(
-                (int(offsets[-1]),) + first.lst.values.shape[1:],
-                dtype=first.lst.values.dtype,
-            )
-            for k, req in enumerate(requests):
-                lo, hi = int(offsets[k]), int(offsets[k + 1])
-                nxt[lo:hi] = req.lst.next + lo
-                values[lo:hi] = req.lst.values
         return cls(
             requests=list(requests),
-            nxt=nxt,
-            values=values,
-            heads=heads,
-            offsets=offsets,
+            forest=Forest.of_lists([req.lst for req in requests]),
             op=op,
             inclusive=bool(first.inclusive),
         )
 
     @property
+    def heads(self) -> np.ndarray:
+        return self.forest.heads
+
+    @property
+    def offsets(self) -> np.ndarray:
+        return self.forest.offsets
+
+    @property
     def n_nodes(self) -> int:
-        return int(self.offsets[-1])
+        return self.forest.n
 
     @property
     def n_lists(self) -> int:
         return len(self.requests)
 
     def unfuse(self, out: np.ndarray) -> list[np.ndarray]:
-        """Slice a fused result array back into per-request results.
+        """Slice a result over the whole forest (the sharded scan's)
+        back into per-request results.
 
-        Returns copies, so the (large) fused array does not stay alive
-        through views held by callers or the result cache; a batch of
-        one hands ``out`` itself back.
+        Returns copies, so the (large) forest-wide array does not stay
+        alive through views held by callers or the result cache; a
+        batch of one hands ``out`` itself back.
         """
         if self.n_lists == 1:
             return [out]
-        return [
-            out[int(self.offsets[k]) : int(self.offsets[k + 1])].copy()
-            for k in range(self.n_lists)
-        ]
+        return [out[block].copy() for block in self.forest.slices()]

@@ -59,6 +59,9 @@ __all__ = ["fingerprint", "refuse_object_dtype", "ResultCache"]
 #: refuses 2^31 bytes or more).
 _CHUNK_BYTES = 1 << 30
 
+#: The chunk-index part of a field's first nonce.
+_FIRST_CHUNK = (0).to_bytes(8, "little")
+
 _gmac: AESGCM | None = None
 _gmac_lock = threading.Lock()
 
@@ -77,18 +80,21 @@ def _mac() -> AESGCM:
     return gmac
 
 
-def _tags(gmac: AESGCM, field: bytes, array: np.ndarray) -> list[bytes]:
-    """One GMAC tag per chunk of ``array``'s bytes, read in place.
+def _tags(gmac: AESGCM, field: bytes, array: np.ndarray) -> bytes:
+    """The GMAC tags of ``array``'s bytes, read in place, one per chunk.
 
     The nonce is the 4-byte ``field`` name and the chunk index, so each
-    chunk of each field is tagged under its own nonce.  An empty array
+    chunk of each field is tagged under its own nonce.  An array of one
+    chunk, the usual case, is one ``encrypt`` call; an empty array
     still gets one tag.
     """
     data = memoryview(np.ascontiguousarray(array)).cast("B")
-    return [
+    if len(data) <= _CHUNK_BYTES:
+        return gmac.encrypt(field + _FIRST_CHUNK, b"", data)
+    return b"".join(
         gmac.encrypt(field + index.to_bytes(8, "little"), b"", data[start : start + _CHUNK_BYTES])
-        for index, start in enumerate(range(0, max(len(data), 1), _CHUNK_BYTES))
-    ]
+        for index, start in enumerate(range(0, len(data), _CHUNK_BYTES))
+    )
 
 
 def refuse_object_dtype(lst: LinkedList) -> None:
@@ -127,8 +133,8 @@ def fingerprint(
     h.update(op.name.encode())
     h.update(b"|i" if inclusive else b"|x")
     h.update(f"|{lst.head}|{lst.values.dtype.str}|{lst.values.shape}|".encode())
-    for tag in _tags(gmac, b"next", lst.next) + _tags(gmac, b"vals", lst.values):
-        h.update(tag)
+    h.update(_tags(gmac, b"next", lst.next))
+    h.update(_tags(gmac, b"vals", lst.values))
     return h.digest()[:16]
 
 

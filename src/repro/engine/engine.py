@@ -13,7 +13,7 @@ Pipeline for one batch (``run_batch``)::
                         │         cost model   inline / worker process /
                         │         or capacity  sharded scan
                         ▼
-                 responses ◄── unfuse / quarantine retry (shards of one)
+                 responses ◄── per-request results / quarantine retry
 
 * Cache probes use the structural fingerprint (``engine.cache``, a
   per-process AES-GMAC of the arrays); a hit answers the request
@@ -31,8 +31,9 @@ Pipeline for one batch (``run_batch``)::
   structured error).
 * Remaining unique misses shard by (operator, inclusive, dtype,
   forced algorithm) into shards of at most ``FUSE_NODES`` nodes —
-  ``engine.batch`` — and each shard fuses into one forest.  A lone
-  request is a forest of one, and takes the same path.
+  ``engine.batch`` — and each shard fuses into one forest of
+  members, one per request, without copying.  A lone request is a
+  forest of one, and takes the same path.
 * The cost-model router (``engine.router``) picks serial / Wyllie /
   sublist per shard; the forest kernels of ``core.forest`` execute all
   the shard's lists in one vectorized pass.  With a
@@ -42,7 +43,8 @@ Pipeline for one batch (``run_batch``)::
   with every member re-run as a shard of one, so one poisoned request
   cannot shadow its shard-mates.  Requests that still fail return
   structured errors; everything else gets its result.
-* Results are unfused, cached, and returned in request order.
+* The kernel writes each request's result into an array of its own;
+  results are cached and returned in request order.
 
 Drivers: shard execution goes through a persistent backend
 (``engine.workers``) chosen at construction — ``executor="sync"``
@@ -1065,11 +1067,12 @@ class Engine:
 
         rng = self._child_rng()
         batch = FusedBatch.fuse(shard)
+        forest = batch.forest
         router = self.router
         if forced != "auto":
             algorithm = forced
         elif self.distributed is not None and self.distributed.should_shard(
-            batch.n_nodes, batch.values.dtype
+            batch.n_nodes, shard[0].lst.values.dtype
         ):
             # capacity routing: past the memory budget, whatever the cost model says
             algorithm = "distributed"
@@ -1110,10 +1113,11 @@ class Engine:
             if algorithm == "distributed":
                 from ..distribute import sharded_forest_scan
 
+                nxt, values = forest.contiguous()
                 out = sharded_forest_scan(
-                    batch.nxt,
-                    batch.values,
-                    batch.heads,
+                    nxt,
+                    values,
+                    forest.heads,
                     batch.op,
                     inclusive=batch.inclusive,
                     config=self.distributed,
@@ -1125,6 +1129,7 @@ class Engine:
                     kernel_backend=self._kernel_backend,
                     report=report,
                 )
+                results = batch.unfuse(out)
             elif ship is not None:
                 # randomness crosses as a seed drawn from this shard's
                 # generator; trace spans come back as serialized
@@ -1132,10 +1137,8 @@ class Engine:
                 # the batch tree stays connected across processes.
                 op_name, pair, identity = ship
                 seed = int(rng.integers(0, 2**63))
-                out, kstats, worker_spans = backend.run_fused(
-                    batch.nxt,
-                    batch.values,
-                    batch.heads,
+                results, kstats, worker_spans = backend.run_fused(
+                    forest,
                     op_name,
                     batch.inclusive,
                     algorithm,
@@ -1151,21 +1154,18 @@ class Engine:
                         parent=exec_span,
                     )
             else:
-                out = run_fused_kernel(
-                    batch.nxt,
-                    batch.values,
-                    batch.heads,
+                results = run_fused_kernel(
+                    forest,
                     batch.op,
                     batch.inclusive,
                     algorithm,
                     rng,
                     kstats,
-                    np.empty_like(batch.values),
+                    [np.empty_like(values) for values in forest.values],
                     tracer,
                     kernel_backend=self._kernel_backend,
                 )
         elapsed = self.clock() - t0
-        results = batch.unfuse(out)
         with guarded(self._lock, "engine.stats"):
             if batch.n_lists == 1:
                 self.stats.solo_runs += 1

@@ -20,12 +20,14 @@ the engine a real backend, chosen by ``Engine(executor=...)``:
     thread pool.  The driver threads run the engine's containment
     wrappers (retry/quarantine bookkeeping stays in the parent, under
     the parent's locks); the fused *kernels* execute in worker
-    processes.  The concatenated successor/value arrays cross the
-    process boundary through ``multiprocessing.shared_memory`` — the
-    parent copies each fused array into a segment, the worker maps it
-    by name, and the result comes back through a third segment — so no
-    O(n) payload is ever pickled.  Tiny shards (below
-    :data:`SHM_MIN_BYTES`) skip the segment setup and ship inline.
+    processes.  A shard's forest crosses the process boundary as one
+    successor and one value array in ``multiprocessing.shared_memory``
+    — the parent writes each member once, straight into its block of a
+    segment, the worker maps it by name, and the result comes back
+    through a third segment, from which the parent copies each member's
+    result once — so no O(n) payload is ever pickled.  Tiny shards
+    (below :data:`SHM_MIN_BYTES`) skip the segment setup and ship
+    inline.
     Workers start via ``forkserver``/``spawn``, never ``fork`` — the
     pool is driven from threads, and fork-under-threads deadlocks
     (see :func:`_pool_mp_context`).
@@ -56,11 +58,12 @@ from typing import Any
 
 import numpy as np
 
-from ..core.forest import forest_list_scan, serial_forest_scan, wyllie_forest_scan
+from ..core.forest import Forest, forest_scan, serial_forest_scan, wyllie_forest_scan
 from ..core.operators import BUILTIN_OPERATORS, Operator, get_operator
 from ..core.stats import ScanStats
 from ..kernels.backend import KernelBackend, resolve_backend
 from ..kernels.pairs import PairSpec, operator_from_pair, pair_for
+from ..lists.generate import INDEX_DTYPE
 from ..sanitize import runtime as sanitize
 from ..trace.tracer import Tracer
 
@@ -87,56 +90,49 @@ SHM_MIN_BYTES = 1 << 15
 
 
 def run_fused_kernel(
-    nxt: np.ndarray,
-    values: np.ndarray,
-    heads: np.ndarray,
+    forest: Forest,
     op: Operator,
     inclusive: bool,
     algorithm: str,
     rng: np.random.Generator,
     kstats: ScanStats,
-    out: np.ndarray,
+    outs: list[np.ndarray],
     tracer: Tracer | None = None,
     kernel_backend: str | KernelBackend | None = None,
-) -> np.ndarray:
-    """Execute one fused forest problem with the routed algorithm.
+) -> list[np.ndarray]:
+    """Execute one shard's forest with the routed algorithm.
 
     This is the single kernel dispatch shared by every driver: the
     engine calls it inline (``sync``/``threads``, and any shard the
     process driver cannot ship), and :func:`_run_fused_task` calls it
-    inside a worker process.  ``out`` is filled in place; the return
-    value is always ``out``.  ``kernel_backend`` selects the hot-loop
+    inside a worker process.  Member *k*'s scan is written into
+    ``outs[k]``; the return value is always ``outs``.  The sublist and
+    serial kernels read every member where it lies; Wyllie jumps
+    pointers over one node array, so it runs on
+    :meth:`~repro.core.forest.Forest.contiguous` and its result is
+    copied into ``outs``.  ``kernel_backend`` selects the hot-loop
     backend for the sublist kernel (``docs/kernels.md``); serial and
     Wyllie have no pluggable loops.
     """
     if algorithm == "serial":
-        serial_forest_scan(nxt, values, heads, op, None, out)
-        kstats.add_work(nxt.shape[0], phase="forest_serial")
-        if inclusive:
-            out[...] = op.combine(out, values)
+        for (nxt, values, heads, _), out in zip(forest.members(), outs):
+            serial_forest_scan(nxt, values, heads, op, None, out)
+        kstats.add_work(forest.n, phase="forest_serial")
     elif algorithm == "wyllie":
-        wyllie_forest_scan(nxt, values, heads, op, None, out, stats=kstats)
-        if inclusive:
-            out[...] = op.combine(out, values)
+        nxt, values = forest.contiguous()
+        out = outs[0] if len(outs) == 1 else np.empty_like(values)
+        wyllie_forest_scan(nxt, values, forest.heads, op, None, out, stats=kstats)
+        if len(outs) > 1:
+            for dest, block in zip(outs, forest.slices()):
+                dest[...] = out[block]
     else:  # "sublist" and any future routable default
-        res = forest_list_scan(
-            nxt,
-            values,
-            heads,
-            op,
-            inclusive=inclusive,
-            rng=rng,
-            stats=kstats,
-            out=out,
-            trace=tracer,
-            kernel_backend=kernel_backend,
+        forest_scan(
+            forest, outs, op, rng=rng, stats=kstats, trace=tracer, kernel_backend=kernel_backend
         )
-        if res is not out:
-            # inclusive scans come back as a fresh array (the kernel
-            # combines out-of-place); fold it into the caller's buffer
-            # so shared-memory output slots see the final result
-            out[...] = res
-    return out
+    if inclusive:
+        for out, values in zip(outs, forest.values):
+            out[...] = op.combine(out, values)
+    return outs
 
 
 # ----------------------------------------------------------------------
@@ -181,6 +177,36 @@ def _export_array(arr: np.ndarray, leases: list[Any], min_bytes: int) -> _ArrayR
     view[...] = arr
     del view
     return _ArrayRef(shape=arr.shape, dtype=arr.dtype.str, shm_name=shm.name)
+
+
+def _export_forest(
+    forest: Forest, leases: list[Any], min_bytes: int
+) -> tuple[_ArrayRef, _ArrayRef]:
+    """Ship a forest to a worker as one successor and one value array.
+
+    Each member is written once, straight into its block of the
+    destination (:meth:`~repro.core.forest.Forest.copy_into`): a shared
+    segment, or below ``min_bytes`` an array that travels inline.  The
+    members are range-checked first, so no segment holds a bad forest.
+    Created segments are appended to ``leases``, as in
+    :func:`_export_array`.
+    """
+    forest.check()
+    first = forest.values[0]
+    refs, dests = [], []
+    for shape, dtype in (
+        ((forest.n,), np.dtype(INDEX_DTYPE)),
+        ((forest.n, *first.shape[1:]), first.dtype),
+    ):
+        ref = _alloc_out(shape, dtype, leases, min_bytes)
+        if ref.shm_name is None:
+            ref.inline = np.empty(shape, dtype=dtype)
+            dests.append(ref.inline)
+        else:  # the segment _alloc_out just leased
+            dests.append(np.ndarray(shape, dtype=dtype, buffer=leases[-1].buf))
+        refs.append(ref)
+    forest.copy_into(*dests)
+    return refs[0], refs[1]
 
 
 def _alloc_out(
@@ -347,15 +373,13 @@ def _run_fused_task(
         kstats = ScanStats()
         rng = np.random.default_rng(task.seed)
         run_fused_kernel(
-            nxt,
-            values,
-            task.heads,
+            Forest.of(nxt, values, task.heads),
             op,
             task.inclusive,
             task.algorithm,
             rng,
             kstats,
-            out,
+            [out],
             tracer,
             kernel_backend=kernel_backend,
         )
@@ -413,9 +437,7 @@ class ExecutionBackend:
 
     def run_fused(
         self,
-        nxt: np.ndarray,
-        values: np.ndarray,
-        heads: np.ndarray,
+        forest: Forest,
         op_name: str,
         inclusive: bool,
         algorithm: str,
@@ -424,7 +446,7 @@ class ExecutionBackend:
         kernel_backend: str = "numpy",
         pair: tuple[int, int, int, int] | None = None,
         identity: Any = None,
-    ) -> tuple[np.ndarray, ScanStats, list[dict[str, Any]]]:
+    ) -> tuple[list[np.ndarray], ScanStats, list[dict[str, Any]]]:
         raise NotImplementedError(f"{self.name!r} backend executes kernels inline")
 
     def run_task(self, fn: Callable[..., Any], /, *args: Any) -> Any:
@@ -573,9 +595,7 @@ class ProcessBackend(ExecutionBackend):
 
     def run_fused(
         self,
-        nxt: np.ndarray,
-        values: np.ndarray,
-        heads: np.ndarray,
+        forest: Forest,
         op_name: str,
         inclusive: bool,
         algorithm: str,
@@ -584,20 +604,27 @@ class ProcessBackend(ExecutionBackend):
         kernel_backend: str = "numpy",
         pair: tuple[int, int, int, int] | None = None,
         identity: Any = None,
-    ) -> tuple[np.ndarray, ScanStats, list[dict[str, Any]]]:
-        """Execute one fused kernel in a worker process.
+    ) -> tuple[list[np.ndarray], ScanStats, list[dict[str, Any]]]:
+        """Execute one shard's forest in a worker process.
 
-        The parent owns every shared segment: they are created here,
-        and closed+unlinked here on every path (including worker
-        crashes), so a poisoned shard cannot leak ``/dev/shm`` space.
+        Returns ``(results, kstats, spans)``, one result array per
+        member.  The forest crosses as one node array
+        (:func:`_export_forest`), and each member's result is copied
+        once out of the worker's output.  The parent owns every shared
+        segment: they are created here, and closed+unlinked here on
+        every path (including worker crashes), so a poisoned shard
+        cannot leak ``/dev/shm`` space.
         """
         leases: list[Any] = []
         try:
+            nxt_ref, values_ref = _export_forest(forest, leases, self.shm_min_bytes)
             task = _FusedTask(
-                nxt=_export_array(nxt, leases, self.shm_min_bytes),
-                values=_export_array(values, leases, self.shm_min_bytes),
-                out=_alloc_out(values.shape, values.dtype, leases, self.shm_min_bytes),
-                heads=np.ascontiguousarray(heads),
+                nxt=nxt_ref,
+                values=values_ref,
+                out=_alloc_out(
+                    values_ref.shape, np.dtype(values_ref.dtype), leases, self.shm_min_bytes
+                ),
+                heads=np.ascontiguousarray(forest.heads),
                 op_name=op_name,
                 inclusive=bool(inclusive),
                 algorithm=algorithm,
@@ -614,12 +641,12 @@ class ProcessBackend(ExecutionBackend):
                 out = np.asarray(payload)
             else:
                 out_shm = leases[-1]  # the _alloc_out segment
-                view = np.ndarray(
+                out = np.ndarray(
                     task.out.shape, dtype=np.dtype(task.out.dtype), buffer=out_shm.buf
                 )
-                out = view.copy()
-                del view
-            return out, kstats, spans
+            results = [out[block].copy() for block in forest.slices()]
+            del out  # a view into the segment must die before it closes
+            return results, kstats, spans
         finally:
             _release(leases, unlink=True)
 

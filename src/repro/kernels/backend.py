@@ -52,6 +52,7 @@ returned arrays as owning and never alias the inputs afterwards.
 from __future__ import annotations
 
 import os
+from collections.abc import Sequence
 from dataclasses import replace
 from typing import Any
 
@@ -158,23 +159,28 @@ class KernelBackend:
         values: np.ndarray,
         carry: np.ndarray,
         op: Operator,
-        out: np.ndarray,
+        outs: Sequence[np.ndarray],
+        offsets: np.ndarray,
     ) -> None:
         """Expand the Phase-2 carries: ``out[i] = carry[p] ⊕ values[i]``,
         ``p`` the owner whose mark ``n + 1 + p`` Phase 1 left in
-        ``nxt[i]``.  One streaming pass, block by block, the same for
-        every backend; a node without a mark was reached from no head,
-        and the pass raises :class:`ListStructureError`."""
-        n = out.shape[0]
-        for lo in range(0, n, STREAM_BLOCK):
-            block = slice(lo, min(lo + STREAM_BLOCK, n))
-            owner = nxt[block] - (n + 1)
-            if owner.min() < 0:
-                raise ListStructureError("a node is not reached from any head")
-            if op.ufunc is not None:  # straight into out, no temporary to copy
-                op.ufunc(carry[owner], values[block], out=out[block])
-            else:
-                out[block] = op.combine(carry[owner], values[block])
+        ``nxt[i]``, each member's records ``[offsets[k], offsets[k + 1])``
+        into its own ``outs[k]``.  One streaming pass, block by block, the
+        same for every backend; a node without a mark was reached from no
+        head, and the pass raises :class:`ListStructureError`."""
+        mark = nxt.shape[0]  # n + 1: the sink is the last record
+        for out, start in zip(outs, offsets.tolist()):
+            size = out.shape[0]
+            for lo in range(0, size, STREAM_BLOCK):
+                hi = min(lo + STREAM_BLOCK, size)
+                block = slice(start + lo, start + hi)
+                owner = nxt[block] - mark
+                if owner.min() < 0:
+                    raise ListStructureError("a node is not reached from any head")
+                if op.ufunc is not None:  # straight into out, no temporary to copy
+                    op.ufunc(carry[owner], values[block], out=out[lo:hi])
+                else:
+                    out[lo:hi] = op.combine(carry[owner], values[block])
 
     def pack_phase3(self, *args: Any) -> None:
         """Never called: Phase 3 streams and has no pack.  The name stays

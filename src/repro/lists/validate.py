@@ -24,6 +24,7 @@ from .generate import INDEX_DTYPE, LinkedList
 
 __all__ = [
     "ListStructureError",
+    "check_indices",
     "check_range",
     "forest_predecessors",
     "validate_list",
@@ -36,16 +37,24 @@ class ListStructureError(ValueError):
     """Raised when a successor array does not encode a single valid list."""
 
 
+def check_indices(name: str, index: np.ndarray, n: int, first: int = 0) -> None:
+    """Raise, naming the first bad entry ``name[first + i]``, unless every
+    entry of ``index`` lies in ``[0, n)``: one pass, and no copy for int64,
+    since viewed as unsigned a negative index is huge."""
+    unsigned = index.view(np.uint64) if index.dtype == np.int64 else index.astype(np.uint64)
+    if unsigned.max(initial=0) >= n:
+        i = int(np.argmax(unsigned >= n))
+        raise ListStructureError(
+            f"{name}[{first + i}] = {index[i]} is out of range, outside [0, {n})"
+        )
+
+
 def check_range(nxt: np.ndarray, heads: np.ndarray | list[int]) -> None:
     """Raise, naming the first bad index, unless every successor and head lies
-    in ``[0, n)``: one pass, and no copy for int64, since viewed as unsigned a
-    negative index is huge."""
+    in ``[0, n)`` (:func:`check_indices`)."""
     n = nxt.shape[0]
-    for name, index in (("next", nxt), ("head", np.asarray(heads))):
-        unsigned = index.view(np.uint64) if index.dtype == np.int64 else index.astype(np.uint64)
-        if unsigned.max(initial=0) >= n:
-            i = int(np.argmax(unsigned >= n))
-            raise ListStructureError(f"{name}[{i}] = {index[i]} is out of range, outside [0, {n})")
+    check_indices("next", nxt, n)
+    check_indices("head", np.asarray(heads), n)
 
 
 def forest_predecessors(nxt: np.ndarray, heads: np.ndarray | list[int]) -> np.ndarray:

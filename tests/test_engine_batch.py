@@ -3,15 +3,21 @@
 import numpy as np
 import pytest
 
+import tracemalloc
+
+from repro import list_scan
 from repro.baselines.serial import serial_list_scan
-from repro.core.operators import AFFINE, MAX, SUM
+from repro.core.operators import AFFINE, MAX, SUM, XOR
+from repro.core.stats import ScanStats
 from repro.engine import Engine
 from repro.engine.batch import FUSE_NODES, FusedBatch, shard_requests
 from repro.engine.queue import ScanRequest
+from repro.engine.workers import run_fused_kernel
 from repro.lists.generate import list_order, random_list, random_values
 from repro.lists.validate import ListStructureError
 
-from .conftest import make_affine_values
+from .conftest import make_affine_values, within
+from .test_validate import HOSTILE_SHAPES, hostile_list
 
 
 def make_request(n, seed=0, op=SUM, inclusive=False, algorithm="auto"):
@@ -71,20 +77,25 @@ class TestFusedBatch:
         assert batch.n_nodes == 180
         assert batch.n_lists == 3
         assert list(batch.offsets) == [0, 50, 110, 180]
-        # each fused list keeps exactly one self-loop tail in its range
-        idx = np.arange(batch.n_nodes)
-        loops = np.flatnonzero(batch.nxt == idx)
+        # fusing copies nothing: each member is its request's own list
+        for req, nxt, values in zip(reqs, batch.forest.nexts, batch.forest.values):
+            assert nxt is req.lst.next and values is req.lst.values
+        # each list keeps exactly one self-loop tail in its range of the
+        # one node array the contiguous paths build
+        nxt, _ = batch.forest.contiguous()
+        loops = np.flatnonzero(nxt == np.arange(batch.n_nodes))
         assert loops.size == 3
-        for k in range(3):
+        for k, req in enumerate(reqs):
             lo, hi = batch.offsets[k], batch.offsets[k + 1]
-            assert lo <= batch.heads[k] < hi
+            assert batch.heads[k] == lo + req.lst.head
             assert ((loops >= lo) & (loops < hi)).sum() == 1
 
     def test_does_not_alias_inputs(self):
         reqs = [make_request(40, seed=1), make_request(40, seed=2)]
         batch = FusedBatch.fuse(reqs)
-        batch.nxt[:] = 0
-        batch.values[:] = 0
+        nxt, values = batch.forest.contiguous()
+        nxt[:] = 0
+        values[:] = 0
         for req in reqs:
             assert req.lst.next.max() > 0
             assert np.any(req.lst.values != 0)
@@ -94,10 +105,9 @@ class TestFusedBatch:
         batch = FusedBatch.fuse(reqs)
         from repro.core.forest import serial_forest_scan
 
-        out = np.empty_like(batch.values)
-        serial_forest_scan(
-            batch.nxt, batch.values, batch.heads, batch.op, None, out
-        )
+        nxt, values = batch.forest.contiguous()
+        out = np.empty_like(values)
+        serial_forest_scan(nxt, values, batch.heads, batch.op, None, out)
         parts = batch.unfuse(out)
         for req, part in zip(reqs, parts):
             np.testing.assert_array_equal(part, serial_list_scan(req.lst, SUM))
@@ -105,7 +115,7 @@ class TestFusedBatch:
     def test_unfuse_returns_copies(self):
         reqs = [make_request(20, seed=1), make_request(20, seed=2)]
         batch = FusedBatch.fuse(reqs)
-        out = np.zeros_like(batch.values)
+        out = np.zeros(batch.n_nodes, dtype=np.int64)
         parts = batch.unfuse(out)
         out[:] = 99
         assert np.all(parts[0] == 0)
@@ -120,7 +130,19 @@ class TestFusedBatch:
             for n in (16, 20)
         ]
         batch = FusedBatch.fuse(reqs)
-        assert batch.values.shape == (36, 2)
+        _, values = batch.forest.contiguous()
+        assert values.shape == (36, 2)
+        results = run_fused_kernel(
+            batch.forest,
+            AFFINE,
+            False,
+            "sublist",
+            np.random.default_rng(0),
+            ScanStats(),
+            [np.empty_like(req.lst.values) for req in reqs],
+        )
+        for req, got in zip(reqs, results):
+            np.testing.assert_allclose(got, serial_list_scan(req.lst, AFFINE), rtol=1e-9)
 
     def test_rejects_mixed_shard(self):
         with pytest.raises(ValueError):
@@ -137,18 +159,37 @@ class TestFusedBatch:
     def test_lone_request_is_a_forest_of_one_over_its_own_arrays(self):
         req = make_request(90, seed=4)
         batch = FusedBatch.fuse([req])
-        assert batch.nxt is req.lst.next and batch.values is req.lst.values
+        nxt, values = batch.forest.contiguous()
+        assert nxt is req.lst.next and values is req.lst.values
         assert list(batch.heads) == [req.lst.head]
         assert list(batch.offsets) == [0, 90]
-        out = np.empty_like(batch.values)
+        out = np.empty_like(values)
         [part] = batch.unfuse(out)
         assert part is out
 
     def test_lone_request_is_range_checked(self):
         req = make_request(30, seed=5)
         req.lst.next[7] = 30  # one past the end
+        batch = FusedBatch.fuse([req])
+        for algorithm in ("serial", "wyllie", "sublist"):
+            with pytest.raises(ListStructureError, match="out of range"):
+                run_fused_kernel(
+                    batch.forest,
+                    SUM,
+                    False,
+                    algorithm,
+                    np.random.default_rng(0),
+                    ScanStats(),
+                    [np.empty_like(req.lst.values)],
+                )
+
+    def test_each_head_is_checked_against_its_own_list(self):
+        # offset into the forest, head 40 of a 40-node list would be
+        # node 0 of the next list
+        reqs = [make_request(40, seed=1), make_request(40, seed=2)]
+        reqs[0].lst.head = 40
         with pytest.raises(ListStructureError, match="out of range"):
-            FusedBatch.fuse([req])
+            FusedBatch.fuse(reqs)
 
 
 def float_pair(n=3000, seed=9):
@@ -200,3 +241,107 @@ class TestLoneShard:
             )
             assert engine.stats.element_ops == 2 * big.n + other.n
             assert engine.stats.fused_lists == 2
+
+
+#: Value kinds the fused path must answer exactly as ``list_scan``:
+#: ``(operator, values of n nodes, exact)``; floats and ``AFFINE`` maps
+#: re-associate, so they agree within a tolerance.
+KINDS = {
+    "int64": (SUM, lambda rng, n: rng.integers(-1000, 1000, n), True),
+    "int32": (SUM, lambda rng, n: rng.integers(-1000, 1000, n).astype(np.int32), True),
+    "bool": (XOR, lambda rng, n: rng.integers(0, 2, n).astype(bool), True),
+    "float": (SUM, lambda rng, n: rng.random(n), False),
+    "affine": (
+        AFFINE,
+        lambda rng, n: np.stack([rng.uniform(0.95, 1.05, n), rng.random(n)], axis=1),
+        False,
+    ),
+}
+
+
+def mixed_lists(rng, count, values):
+    """``count`` random lists of log-uniform sizes from 1 to 5,000 nodes."""
+    sizes = np.rint(np.exp(rng.uniform(0, np.log(5000), count))).astype(int)
+    return [random_list(int(n), rng, values=values(rng, int(n))) for n in sizes]
+
+
+def assert_matches_list_scan(responses, lists, op, inclusive, exact):
+    for lst, resp in zip(lists, responses):
+        assert resp.ok, resp.error
+        expect = list_scan(lst, op, inclusive=inclusive)
+        if exact:
+            assert resp.result.dtype == expect.dtype
+            np.testing.assert_array_equal(resp.result, expect)
+        else:
+            np.testing.assert_allclose(resp.result, expect, rtol=1e-9)
+
+
+@pytest.mark.parametrize("backend", ["numpy", "python"])
+@pytest.mark.parametrize("executor", ["sync", "threads"])
+class TestFusedPathOracle:
+    """A fused shard copies each member once into the scan's records and
+    writes each member's result into its own array: every member gets
+    exactly what ``list_scan`` gives it alone."""
+
+    @pytest.mark.parametrize("inclusive", [False, True])
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_matches_list_scan(self, executor, backend, kind, inclusive):
+        op, values, exact = KINDS[kind]
+        rng = np.random.default_rng(sorted(KINDS).index(kind) + 10 * inclusive)
+        with Engine(executor=executor, cache_capacity=0, kernel_backend=backend) as engine:
+            for count in (1, int(rng.integers(2, 40)), 40):
+                lists = mixed_lists(rng, count, values)
+                reqs = [
+                    ScanRequest(lst=lst, op=op, inclusive=inclusive, algorithm="sublist")
+                    for lst in lists
+                ]
+                responses = engine.run_batch(reqs)
+                # one shard: identical tiny lists coalesce, so it may hold fewer
+                assert len({resp.batch_lists for resp in responses}) == 1
+                assert_matches_list_scan(responses, lists, op, inclusive, exact)
+
+    @pytest.mark.parametrize("algorithm", ["serial", "wyllie"])
+    def test_serial_and_wyllie_shards_match_list_scan(self, executor, backend, algorithm):
+        rng = np.random.default_rng(7)
+        with Engine(executor=executor, cache_capacity=0, kernel_backend=backend) as engine:
+            for kind in ("int64", "affine"):
+                op, values, exact = KINDS[kind]
+                lists = mixed_lists(rng, 12, values)
+                reqs = [ScanRequest(lst=lst, op=op, algorithm=algorithm) for lst in lists]
+                assert_matches_list_scan(engine.run_batch(reqs), lists, op, False, exact)
+
+    @pytest.mark.parametrize("shape", HOSTILE_SHAPES)
+    def test_a_bad_member_answers_alone(self, executor, backend, shape):
+        rng = np.random.default_rng(3)
+        good = mixed_lists(rng, 6, lambda rng, n: rng.integers(-9, 9, n))
+        lists = [*good[:3], hostile_list(shape, 2000), *good[3:]]
+        reqs = [ScanRequest(lst=lst, algorithm="sublist") for lst in lists]
+        engine = Engine(executor=executor, cache_capacity=0, kernel_backend=backend)
+        with within(60), engine:
+            responses = engine.run_batch(reqs)
+        bad = responses.pop(3)
+        assert not bad.ok and bad.error.code == "bad-structure"
+        assert_matches_list_scan(responses, good, SUM, False, True)
+
+
+class TestFusedShardMemory:
+    def test_inline_sublist_shard_builds_no_concatenated_forest(self):
+        """27 lists of 2^18 int64 nodes in all: the scan's records (16
+        bytes a node) and the results (8) must be most of the peak.  A
+        concatenated successor and value array (16 more) or a fused
+        result array (8 more) would take it past 32 bytes a node."""
+        rng = np.random.default_rng(23)
+        sizes = rng.multinomial((1 << 18) - 27, np.ones(27) / 27) + 1
+        lists = [random_list(int(n), rng, values=rng.integers(-9, 9, int(n))) for n in sizes]
+        reqs = [ScanRequest(lst=lst, algorithm="sublist") for lst in lists]
+        with Engine(executor="sync", cache_capacity=0) as engine:
+            engine.run_batch(reqs[:2])  # lazy imports and tables
+            tracemalloc.start()
+            try:
+                responses = engine.run_batch(reqs)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert all(resp.ok and resp.batch_lists == 27 for resp in responses)
+        n = int(sizes.sum())
+        assert 24 * n < peak < 32 * n

@@ -1,5 +1,6 @@
 """Unit tests for the structural fingerprint and the LRU result cache."""
 
+import hashlib
 import os
 import pathlib
 import subprocess
@@ -185,7 +186,8 @@ class TestFingerprint:
         # bytes, 12 full chunks of 64 and a partial one
         monkeypatch.setattr(cache_module, "_CHUNK_BYTES", 64)
         lst = make_list(101, seed=4)
-        assert len(cache_module._tags(cache_module._mac(), b"next", lst.next)) == 13
+        tags = cache_module._tags(cache_module._mac(), b"next", lst.next)
+        assert len(tags) == 13 * 16  # 13 tags of 16 bytes
         key = fingerprint(lst, SUM)
         assert fingerprint(lst.copy(), SUM) == key
         seen = {key}
@@ -202,6 +204,34 @@ class TestFingerprint:
             array = getattr(other, field)
             array[:16] = np.concatenate([array[8:16], array[:8]])
             assert fingerprint(other, SUM) != key
+
+
+    @pytest.mark.parametrize("chunk_bytes", [None, 64])
+    def test_key_is_gmac_of_each_field_under_its_chunk_nonces(self, monkeypatch, chunk_bytes):
+        """Under a known key the fingerprint is SHA-256 over the header
+        and one AES-GMAC tag per chunk of each field, the nonce the field
+        name and the chunk index: the tags, and so the keys, are pinned."""
+        from cryptography.hazmat.primitives.ciphers.aead import AESGCM
+
+        key = bytes(range(16))
+        monkeypatch.setattr(cache_module, "_gmac", AESGCM(key))
+        size = chunk_bytes or cache_module._CHUNK_BYTES
+        if chunk_bytes:
+            monkeypatch.setattr(cache_module, "_CHUNK_BYTES", chunk_bytes)
+        reference = AESGCM(key)
+        for kind in ("int", "bool", "float", "affine"):
+            lst, op = problem(kind, n=101, seed=6)
+            for inclusive in (False, True):
+                h = hashlib.sha256(b"repro-scan-v1|")
+                h.update(op.name.encode())
+                h.update(b"|i" if inclusive else b"|x")
+                h.update(f"|{lst.head}|{lst.values.dtype.str}|{lst.values.shape}|".encode())
+                for field, array in ((b"next", lst.next), (b"vals", lst.values)):
+                    data = array.tobytes()
+                    for index, start in enumerate(range(0, max(len(data), 1), size)):
+                        nonce = field + index.to_bytes(8, "little")
+                        h.update(reference.encrypt(nonce, b"", data[start : start + size]))
+                assert fingerprint(lst, op, inclusive) == h.digest()[:16]
 
 
 def test_cryptography_loads_only_to_hash():

@@ -24,6 +24,7 @@ import signal
 import numpy as np
 import pytest
 
+from repro.core.forest import Forest
 from repro.core.operators import SUM, Operator
 from repro.engine import Engine, ScanRequest
 from repro.engine.workers import (
@@ -203,8 +204,8 @@ class TestSharedMemoryTransport:
             nxt = np.array([1, 2, 2], dtype=np.int64)  # tail self-loops
             values = np.array([5, 7, 9], dtype=np.int64)
             heads = np.array([0], dtype=np.int64)
-            out, kstats, spans = backend.run_fused(
-                nxt, values, heads, "sum", False, "serial", 0, False
+            [out], kstats, spans = backend.run_fused(
+                Forest.of(nxt, values, heads), "sum", False, "serial", 0, False
             )
             np.testing.assert_array_equal(out, [0, 5, 12])
             assert kstats.element_ops > 0
@@ -322,29 +323,23 @@ class TestWorkerCrashRecovery:
         nxt = np.arange(1, n + 1, dtype=np.int64)
         nxt[-1] = n - 1
         values = rng.integers(-9, 9, n)
-        heads = np.array([0], dtype=np.int64)
+        forest = Forest.of(nxt, values, [0])
         backend = ProcessBackend(max_workers=1)
         try:
             with self._deadline(backend):
-                out, _, _ = backend.run_fused(
-                    nxt, values, heads, "sum", False, "serial", 0, False
-                )
+                [out], _, _ = backend.run_fused(forest, "sum", False, "serial", 0, False)
                 expect = out.copy()
                 assert backend.pools_created == 1
                 before = set(glob.glob("/dev/shm/psm_*"))
                 for pid in self._worker_pids(backend):
                     os.kill(pid, signal.SIGKILL)
                 with pytest.raises(BrokenProcessPool):
-                    backend.run_fused(
-                        nxt, values, heads, "sum", False, "serial", 0, False
-                    )
+                    backend.run_fused(forest, "sum", False, "serial", 0, False)
                 # every lease of the failed dispatch released, pool dropped
                 assert set(glob.glob("/dev/shm/psm_*")) - before == set()
                 assert backend._pool is None
                 # next dispatch: fresh pool, correct answer
-                out, _, _ = backend.run_fused(
-                    nxt, values, heads, "sum", False, "serial", 0, False
-                )
+                [out], _, _ = backend.run_fused(forest, "sum", False, "serial", 0, False)
                 np.testing.assert_array_equal(out, expect)
                 assert backend.pools_created == 2
                 assert set(glob.glob("/dev/shm/psm_*")) - before == set()

@@ -3,15 +3,20 @@
 import numpy as np
 import pytest
 
+from repro.baselines.serial import serial_list_scan
 from repro.core.forest import (
+    Forest,
     SublistConfig,
     forest_list_scan,
+    forest_scan,
     forest_tails,
     serial_forest_scan,
     wyllie_forest_scan,
 )
 from repro.core.operators import AFFINE, MAX, SUM
-from repro.lists.generate import INDEX_DTYPE
+from repro.core.stats import ScanStats
+from repro.lists.generate import INDEX_DTYPE, random_list
+from repro.lists.validate import ListStructureError
 
 #: Small lists still run the three phases, not the serial base case.
 SMALL = SublistConfig(serial_cutoff=8)
@@ -99,6 +104,90 @@ class TestWyllieForestScan:
         got = np.empty_like(values)
         wyllie_forest_scan(nxt, values, heads, AFFINE, None, got)
         assert np.array_equal(got, ref)
+
+
+class TestWyllieRounds:
+    """Pointer jumping stops once every pointer is home, so a forest
+    takes its longest chain's rounds, never more than one n-node list."""
+
+    def rounds(self, nxt, values, heads):
+        stats = ScanStats()
+        got = np.empty_like(values)
+        wyllie_forest_scan(nxt, values, heads, SUM, None, got, stats=stats)
+        ref = np.empty_like(values)
+        serial_forest_scan(nxt, values, heads, SUM, None, ref)
+        assert np.array_equal(got, ref)
+        return stats.rounds
+
+    def test_fused_lists_take_their_longest_chains_rounds(self, rng):
+        # 16 lists of 1,024 nodes: ⌈log₂ 1,023⌉ = 10 rounds, not the
+        # ⌈log₂ 16,383⌉ = 14 the whole forest would take
+        nxt, heads = make_forest([1024] * 16, rng)
+        values = rng.integers(-9, 9, nxt.shape[0])
+        assert self.rounds(nxt, values, heads) <= 11
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 17, 1000, 1025, 4096])
+    def test_one_list_takes_log2_n_minus_1_rounds(self, n, rng):
+        nxt, heads = make_forest([n], rng)
+        values = rng.integers(-9, 9, n)
+        assert self.rounds(nxt, values, heads) == int(np.ceil(np.log2(n - 1)))
+
+    def test_a_power_of_two_cycle_that_stands_still_is_refused(self):
+        # two 2-node lists beside a 4-cycle: after two rounds every
+        # pointer of the cycle is back on its own node, so the
+        # convergence test passes and stops the rounds; the head check
+        # after them refuses the cycle
+        nxt = np.asarray([1, 1, 3, 3, 5, 6, 7, 4], dtype=INDEX_DTYPE)
+        values = np.ones(8, dtype=np.int64)
+        stats = ScanStats()
+        with pytest.raises(ListStructureError, match="did not converge"):
+            wyllie_forest_scan(nxt, values, [0, 2], SUM, None, np.empty_like(values), stats)
+        assert stats.rounds == 2
+
+
+class TestMembers:
+    """A forest whose lists keep their own node arrays scans like the
+    same lists concatenated into one."""
+
+    @pytest.mark.parametrize("inclusive", [False, True])
+    def test_members_match_one_node_array(self, inclusive, rng):
+        lists = [
+            random_list(n, rng, values=rng.integers(-9, 9, n))
+            for n in (1, 2, 300, 40, 5000, 7, 1000)
+        ]
+        forest = Forest.of_lists(lists)
+        outs = [np.empty_like(lst.values) for lst in lists]
+        forest_scan(forest, outs, SUM, inclusive=inclusive, config=SMALL, rng=0)
+        for lst, out in zip(lists, outs):
+            assert np.array_equal(out, serial_list_scan(lst, SUM, inclusive=inclusive))
+        nxt, values = forest.contiguous()
+        whole = forest_list_scan(
+            nxt, values, forest.heads, SUM, inclusive=inclusive, config=SMALL, rng=0
+        )
+        assert np.array_equal(np.concatenate(outs), whole)
+
+    def test_members_are_only_read(self, rng):
+        lists = [random_list(n, rng, values=rng.integers(-9, 9, n)) for n in (50, 60)]
+        for lst in lists:
+            lst.next.flags.writeable = False
+            lst.values.flags.writeable = False
+        outs = [np.empty_like(lst.values) for lst in lists]
+        forest_scan(Forest.of_lists(lists), outs, SUM, config=SMALL, rng=0)
+        for lst, out in zip(lists, outs):
+            assert np.array_equal(out, serial_list_scan(lst, SUM))
+
+    def test_a_successor_into_the_next_member_is_refused(self, rng):
+        # offset into one node array, a's tail pointing one past its end
+        # would be b's head: two bad lists joining into a good forest
+        a = random_list(40, rng)
+        a.next[a.tail] = 40
+        b = random_list(40, rng)
+        forest = Forest.of_lists([a, b])
+        outs = [np.empty(40, dtype=np.int64) for _ in range(2)]
+        with pytest.raises(ListStructureError, match=r"next\[\d+\] = 40 is out of range"):
+            forest_scan(forest, outs, SUM, config=SMALL, rng=0)
+        with pytest.raises(ListStructureError, match="out of range"):
+            forest.contiguous()
 
 
 class TestForestListScan:

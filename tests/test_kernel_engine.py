@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro.baselines.serial import serial_list_scan
+from repro.core.forest import Forest
 from repro.core.operators import AFFINE, SUM, XOR, Operator
 from repro.engine import Engine
 from repro.engine.router import CANDIDATES, Router
@@ -181,10 +182,8 @@ class TestWorkerBackendDegradation:
         heads = np.array([lst.head], dtype=lst.next.dtype)
         backend = ProcessBackend(max_workers=1)
         try:
-            out, _, _ = backend.run_fused(
-                lst.next,
-                lst.values,
-                heads,
+            [out], _, _ = backend.run_fused(
+                Forest.of(lst.next, lst.values, heads),
                 "sum",
                 False,
                 "sublist",
