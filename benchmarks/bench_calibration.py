@@ -1,6 +1,6 @@
 """Calibration sweep: fit-ready timings plus a fit sanity check.
 
-Times the three routable algorithms (forced, no engine overhead)
+Times the three fitted kinds (forced, no engine overhead)
 across a size sweep and registers every observation via
 ``record_fit_sample`` — so the session's JSON artifact doubles as the
 input for ``repro-c90 calibrate fit --from-bench``.  Then fits a
@@ -10,10 +10,10 @@ profile from those very samples in-process and records two claims:
   residuals — the paper's Section 4.4 "the equations predict the
   measurements" claim, transplanted to this host;
 * the fitted profile's routing differs from the static C-90 table
-  somewhere in the sweep range (on a CPython/NumPy host the serial
-  crossover sits far below the C-90's, because the interpreted
-  traversal is much slower *relative to* the vectorized kernels than
-  the C-90's scalar unit was relative to its vector unit).
+  somewhere in the sweep range (on a CPython/NumPy host the
+  Wyllie/sublist crossover moves, because pointer jumping's few large
+  array operations cost far less *relative to* the sublist kernels'
+  many small ones than they did on the C-90).
 """
 
 from __future__ import annotations
@@ -103,7 +103,7 @@ def test_calibration_sweep_and_fit(smoke, full_sweep):
         unit="probe sizes rerouted",
         ok=changed >= 1,
         note=(
-            f"serial crossover {static.crossover():,} -> "
+            f"wyllie->sublist crossover {static.crossover():,} -> "
             f"{fitted.crossover():,} nodes"
         ),
     )

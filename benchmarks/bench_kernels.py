@@ -18,7 +18,7 @@ import pytest
 from repro.bench.harness import print_table, record
 from repro.bench.workloads import get_random_list
 from repro.core.operators import AFFINE, SUM
-from repro.core.sublist import sublist_list_scan
+from repro.core.forest import forest_list_scan
 from repro.kernels import HAVE_NUMBA, available_backends
 from repro.machine.calibration import compare_with_paper
 from repro.machine.config import CRAY_C90
@@ -94,7 +94,9 @@ def _time_backend(lst, op, backend, repeats=3):
     result = None
     for _ in range(repeats):
         t0 = time.perf_counter()
-        result = sublist_list_scan(lst, op, rng=0, kernel_backend=backend)
+        result = forest_list_scan(
+            lst.next, lst.values, [lst.head], op, rng=0, kernel_backend=backend
+        )
         best = min(best, time.perf_counter() - t0)
     return best, result
 

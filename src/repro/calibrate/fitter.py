@@ -1,6 +1,8 @@
 """Least-squares refits of the paper's cost model for the host machine.
 
-Three fits, one per routable kind (matching the router's candidates):
+Three fits, one per kind of the cost table (the router prices
+``wyllie`` and ``sublist``; the ``serial`` coefficients price the
+sublist model's serial Phase 2):
 
 ``serial``
     ``T(n) = a·n + b`` directly — the host's pointer-chasing traversal

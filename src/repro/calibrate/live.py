@@ -2,8 +2,8 @@
 
 ``repro-c90 calibrate fit --live`` needs timings without a prior bench
 run or trace artifact: generate randomly-ordered lists (the paper's
-canonical workload), force each routable algorithm in turn, and time
-the scans with an injectable clock.  Sizes are chosen so the whole
+canonical workload), force each algorithm the profile fits in turn,
+and time the scans with an injectable clock.  Sizes are chosen so the whole
 sweep finishes in a few seconds — the serial traversal is a Python
 pointer-chase and gets a smaller sweep than the vectorized kernels.
 
@@ -42,7 +42,6 @@ def measure_samples(
     repeats: int = 3,
     seed: int = 0,
     clock: Callable[[], float] = time.perf_counter,
-    kernel_backend: str | None = None,
 ) -> list[FitSample]:
     """Time forced-algorithm scans and return fit-ready samples.
 
@@ -58,8 +57,9 @@ def measure_samples(
     seed:
         Seed for the random list layouts (and the sublist algorithm's
         splitter draws), so a sweep is reproducible.
-    clock / kernel_backend:
-        Injectable timer and sublist kernel backend.
+    clock:
+        Injectable timer.  The sublist scans run on the process's
+        kernel backend (``docs/kernels.md``).
     """
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
@@ -71,11 +71,8 @@ def measure_samples(
             lst = random_list(int(n), rng=rng)
             best = float("inf")
             for _ in range(repeats):
-                kwargs: dict[str, object] = {"rng": rng}
-                if algorithm == "sublist" and kernel_backend is not None:
-                    kwargs["kernel_backend"] = kernel_backend
                 t0 = clock()
-                list_scan(lst, algorithm=algorithm, **kwargs)
+                list_scan(lst, algorithm=algorithm, rng=rng)
                 elapsed = clock() - t0
                 if elapsed < best:
                     best = elapsed

@@ -128,13 +128,6 @@ def build_parser() -> argparse.ArgumentParser:
              "(>1 executes shards concurrently)",
     )
     p_batch.add_argument(
-        "--kernel-backend", default=None,
-        choices=("numpy", "python", "numba"),
-        help="hot-loop kernel backend (default: REPRO_KERNEL_BACKEND "
-             "env var, else numba when importable, else numpy; "
-             "see docs/kernels.md)",
-    )
-    p_batch.add_argument(
         "--repeat", type=int, default=1,
         help="resubmit the whole batch this many times (exercises the cache)",
     )
@@ -311,13 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument(
         "--workers", type=int, default=None,
         help="worker-pool width for the threads/processes executors",
-    )
-    p_serve.add_argument(
-        "--kernel-backend", default=None,
-        choices=("numpy", "python", "numba"),
-        help="hot-loop kernel backend (default: REPRO_KERNEL_BACKEND "
-             "env var, else numba when importable, else numpy; "
-             "see docs/kernels.md)",
     )
     p_serve.add_argument(
         "--allow-shutdown", action="store_true",
@@ -652,7 +638,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         cache_capacity=0 if args.no_cache else max(256, 2 * args.count),
         executor=args.executor,
         max_workers=args.workers,
-        kernel_backend=args.kernel_backend,
         calibration=calibration,
         distributed=distributed,
     )
@@ -994,7 +979,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         max_pending=args.max_pending,
         executor=args.executor,
         max_workers=args.workers,
-        kernel_backend=args.kernel_backend,
         calibration=calibration,
     )
 
@@ -1190,7 +1174,7 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     print(f"calibrate check: OK: {args.profile}")
     print(f"  schema v{profile.schema_version}, source={profile.source}, "
           f"kinds={','.join(profile.fitted_kinds)}")
-    print(f"  serial crossover {fitted.crossover():,} nodes "
+    print(f"  wyllie->sublist crossover {fitted.crossover():,} nodes "
           f"(static C-90 table: {Router().crossover():,})")
     return 0
 

@@ -39,7 +39,6 @@ from dataclasses import replace
 
 import numpy as np
 
-from ..baselines.serial import serial_list_scan
 from ..kernels.backend import resolve_backend
 from ..lists.generate import INDEX_DTYPE, LinkedList
 from .forest import (
@@ -51,6 +50,7 @@ from .forest import (
     _phase1,
     _phase2,
     forest_list_scan,
+    wyllie_forest_scan,
 )
 from .operators import Operator, SUM, get_operator
 from .schedule import optimal_schedule
@@ -85,8 +85,11 @@ def early_reconnect_list_scan(
     if out is None:
         out = np.empty_like(values)
 
-    if n <= max(cfg.serial_cutoff, 4):
-        serial_list_scan(lst, op, inclusive=inclusive, out=out)
+    if n <= max(cfg.serial_cutoff, 4):  # too small to cut: direct, as core.forest scans it
+        heads = np.asarray([lst.head], dtype=INDEX_DTYPE)
+        wyllie_forest_scan(nxt, values, heads, op, None, out, stats=stats)
+        if inclusive:
+            out[...] = op.combine(out, values)
         return out
 
     forest = Forest.of(nxt, values, [lst.head])

@@ -34,7 +34,7 @@ member per request.  The algorithm randomly breaks the *n* nodes into
   that starts after it.  That links the sublist sums into a *reduced
   forest*: one chain per list, ended by the owner of the list's tail.
 * **Phase 2** — scan the reduced forest with the kernel backend's
-  blocked scan, recursively, with Wyllie, or serially, by size.
+  blocked scan, or by size recursively or with Wyllie.
 * **Phase 3** — one streaming pass over each member's block of the
   records, straight into that member's own result array: a node's
   exclusive scan is its owner's Phase-2 carry ⊕ the prefix Phase 1 left
@@ -51,13 +51,21 @@ result is written once.  Every kernel here proves that its input is a
 forest of lists, or raises ``ListStructureError``
 (``docs/algorithm.md``).
 
+A forest too small to cut, of at most ``SublistConfig.serial_cutoff``
+nodes or fewer than four per list, is scanned directly with Wyllie's
+pointer jumping, as is a Phase 2 that small: on the C-90 the paper
+switched to the serial scan there, but on the host the serial scan is
+a Python loop that loses to the vectorized Wyllie on every forest but
+a lone list of a few nodes.  :func:`serial_forest_scan` stays as the
+oracle the tests compare against.
+
 Optional per-list ``carries`` seed each chain; the Section 6
 early-reconnect variant (``core.early_reconnect``) uses them to rescan
 its straggler suffixes, which form a forest.  This is the *host*
 backend: NumPy array operations (or a ``kernels`` backend) per
 data-parallel step, measured in real time by the benchmark suite.  The
-cycle-accounted Cray C-90 version, with the paper's Phase 3, lives in
-``simulate.sublist_sim``.
+cycle-accounted Cray C-90 version, with the paper's Phase 3 and serial
+Phase 2, lives in ``simulate.sublist_sim``.
 
 Public entry points: :func:`forest_scan` over a :class:`Forest`, and
 :func:`forest_list_scan` over one node array, which can also return the
@@ -66,7 +74,7 @@ Public entry points: :func:`forest_scan` over a :class:`Forest`, and
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -89,6 +97,7 @@ __all__ = [
     "forest_list_scan",
     "serial_forest_scan",
     "wyllie_forest_scan",
+    "wyllie_scan",
     "forest_tails",
 ]
 
@@ -111,10 +120,13 @@ class SublistConfig:
         *with* replacement, deduplicated by the paper's write-index/
         read-back competition.
     serial_cutoff / wyllie_cutoff:
-        Phase-2 dispatch: serial scan for reduced lists up to
-        ``serial_cutoff`` nodes, Wyllie up to ``wyllie_cutoff``, and a
-        recursive invocation beyond ("We determined empirically the
-        size m should be when we switch between algorithms").
+        Where the host stops cutting: a forest of at most
+        ``serial_cutoff`` nodes is scanned directly, with Wyllie, and a
+        reduced forest of Phase 2 with Wyllie up to ``wyllie_cutoff``
+        nodes and recursively beyond ("We determined empirically the
+        size m should be when we switch between algorithms").  The
+        paper's serial scan below ``serial_cutoff`` is the C-90's
+        (``simulate.sublist_sim``); on the host it is only the oracle.
     schedule_guard:
         Guard mode passed to :func:`repro.core.schedule.optimal_schedule`.
     tail_growth:
@@ -130,7 +142,7 @@ class SublistConfig:
         Kernel cost table used for schedule generation and tuning.
     max_depth:
         Recursion depth limit for Phase 2; a scan this deep runs
-        serially.
+        Wyllie.
     """
 
     m: int | None = None
@@ -163,9 +175,8 @@ class Forest:
 
     Member ``k`` is the node arrays ``nexts[k]``/``values[k]``, in its
     own coordinates; in the forest's coordinates its nodes are
-    ``[offsets[k], offsets[k + 1])`` and its lists are
-    ``heads[head_offsets[k] : head_offsets[k + 1]]``.  ``heads`` holds
-    every list's head, member by member, in the forest's coordinates.
+    ``[offsets[k], offsets[k + 1])``.  ``heads`` holds every list's
+    head, member by member, in the forest's coordinates.
     The scan never concatenates the members: Initialize copies each
     into its block of the records, and Phase 3 writes each member's
     result into an array of its own.  The member arrays are only read.
@@ -175,7 +186,6 @@ class Forest:
     values: tuple[np.ndarray, ...]
     heads: np.ndarray
     offsets: np.ndarray
-    head_offsets: np.ndarray
 
     @classmethod
     def of(cls, nxt: np.ndarray, values: np.ndarray, heads: np.ndarray | Sequence[int]) -> Forest:
@@ -192,7 +202,6 @@ class Forest:
             (values,),
             heads,
             np.asarray([0, n], dtype=INDEX_DTYPE),
-            np.asarray([0, heads.shape[0]], dtype=INDEX_DTYPE),
         )
 
     @classmethod
@@ -217,7 +226,6 @@ class Forest:
             tuple(lst.values for lst in lists),
             offsets[:-1] + local,
             offsets,
-            np.arange(len(lists) + 1, dtype=INDEX_DTYPE),
         )
 
     @property
@@ -236,14 +244,6 @@ class Forest:
         """Each member's block of the forest's coordinates."""
         bounds = self.offsets.tolist()
         return [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
-
-    def members(self) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, slice]]:
-        """Each member as ``(next, values, heads, lists)``: its heads in
-        its own coordinates, and its lists' slice of ``heads``."""
-        cuts = self.head_offsets.tolist()
-        for k, (lo, hi) in enumerate(zip(cuts[:-1], cuts[1:])):
-            heads = self.heads[lo:hi] - self.offsets[k]
-            yield self.nexts[k], self.values[k], heads, slice(lo, hi)
 
     def check(self) -> None:
         """Raise :class:`ListStructureError` unless every successor lies
@@ -296,7 +296,7 @@ def choose_splitters(
     Degenerate inputs fall back instead of failing: ``m`` larger than
     the node count clamps to the ``n − len(tails)`` non-tail nodes, and
     a forest with no non-tail node has nothing to split, so the result
-    is empty and the caller's serial path takes over.
+    is empty.
     """
     tails = np.unique(np.asarray(tail, dtype=INDEX_DTYPE))
     k = tails.size
@@ -354,7 +354,8 @@ def serial_forest_scan(
     out: np.ndarray,
 ) -> None:
     """Scalar reference: exclusive scan of each list, seeded by its carry.
-    Proves the forest: ``n`` nodes visited in all, and distinct tails."""
+    Proves the forest: ``n`` nodes visited in all, and distinct tails.
+    The oracle the tests compare every path against; no scan calls it."""
     op = get_operator(op)
     check_range(nxt, heads)
     budget = nxt.shape[0]  # node visits left
@@ -441,6 +442,26 @@ def wyllie_forest_scan(
         out[heads] = carries
     else:
         out[heads] = ident
+
+
+def wyllie_scan(
+    forest: Forest,
+    outs: Sequence[np.ndarray],
+    op: Operator,
+    carries: np.ndarray | None = None,
+    stats: ScanStats | None = None,
+) -> None:
+    """:func:`wyllie_forest_scan` over a :class:`Forest`, member *k*'s
+    exclusive scan into ``outs[k]``.  Pointer jumping runs over one node
+    array, so a forest of several members is copied into one
+    (:meth:`Forest.contiguous`) and each member's block of the result
+    copied out."""
+    nxt, values = forest.contiguous()
+    out = outs[0] if len(outs) == 1 else np.empty_like(values)
+    wyllie_forest_scan(nxt, values, forest.heads, op, carries, out, stats=stats)
+    if len(outs) > 1:
+        for dest, block in zip(outs, forest.slices()):
+            dest[...] = out[block]
 
 
 def forest_scan(
@@ -545,11 +566,14 @@ def forest_list_scan(
         (``repro.trace.compare`` overlays the two).  Hooks fire per
         phase and per pack, never per element.
     kernel_backend:
-        How the hot loops run — ``"numpy"`` / ``"python"`` /
-        ``"numba"`` / a :class:`repro.kernels.KernelBackend` instance /
-        ``None`` for env-var-then-auto selection (``docs/kernels.md``).
-        A backend that does not support ``op`` over this value dtype
-        silently falls back to the NumPy reference.
+        How the hot loops run: ``None`` (the default) is the process's
+        backend (``docs/kernels.md``); a name (``"numpy"`` /
+        ``"python"`` / ``"numba"``) or a
+        :class:`repro.kernels.KernelBackend` overrides it for this
+        call, which is how the tests run the interpreted twin and the
+        engine's workers run their parent's backend.  A backend that
+        does not support ``op`` over this value dtype silently falls
+        back to the NumPy reference.
 
     Raises :class:`repro.lists.ListStructureError` unless every index
     lies in ``[0, n)``, the heads are distinct, and every node is
@@ -595,12 +619,8 @@ def _scan_in_place(
     n_lists = forest.heads.shape[0]
     span = tracer.span if tracer is not None else null_span
     if n <= cfg.serial_cutoff or n < 4 * n_lists or depth >= cfg.max_depth:
-        with span("serial_scan", n=n, n_lists=n_lists, depth=depth):
-            for (nxt, values, heads, lists), out in zip(forest.members(), outs):
-                seeds = carries[lists] if carries is not None else None
-                serial_forest_scan(nxt, values, heads, op, seeds, out)
-        if stats is not None:
-            stats.add_work(n, phase="serial")
+        with span("wyllie_scan", n=n, n_lists=n_lists, depth=depth):
+            wyllie_scan(forest, outs, op, carries, stats)
         return
 
     with span("sublist_scan", n=n, n_lists=n_lists, depth=depth) as scan_span:
@@ -873,7 +893,7 @@ def _phase2(
 
     Chain *k* starts at sublist *k*, seeded by ``carries[k]``.  The
     backend's blocked scan takes every size it supports; otherwise the
-    size picks a recursive scan, Wyllie, or a serial scan.
+    size picks a recursive scan or Wyllie.
     """
     span = tracer.span if tracer is not None else null_span
     m = sums.shape[0]
@@ -894,14 +914,9 @@ def _phase2(
             _scan_in_place(
                 reduced, op, cfg, rng, stats, [out], depth + 1, tracer, backend, carries
             )
-        elif m > cfg.serial_cutoff:
+        else:
             method = "wyllie"
             wyllie_forest_scan(nxt, sums, heads, op, carries, out, stats=stats)
-        else:
-            method = "serial"
-            serial_forest_scan(nxt, sums, heads, op, carries, out)
-            if stats is not None:
-                stats.add_work(m, phase="phase2_serial")
         if phase2_span is not None:
             phase2_span.attrs["method"] = method
     return out

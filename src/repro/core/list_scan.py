@@ -14,7 +14,8 @@ Algorithms
                     small constants; `core.sublist` over `core.forest`
 ``"wyllie"``        pointer jumping — O(n log n) work; best for short
                     lists; `baselines.wyllie`
-``"serial"``        direct traversal — the O(n) reference;
+``"serial"``        direct traversal — the O(n) reference and the
+                    oracle every other path is tested against;
                     `baselines.serial`
 ``"random_mate"``   Miller/Reif randomized contraction;
                     `baselines.random_mate`
@@ -24,20 +25,20 @@ Algorithms
                     compacted and rescanned at full vector width;
                     `core.early_reconnect`
 ``"auto"``          cost-model routing: the Section 3/4 kernel
-                    equations predict each algorithm's time and the
-                    cheapest wins (`engine.router`)
+                    equations predict the time of Wyllie and the
+                    sublist algorithm, and the cheaper wins
+                    (`engine.router`)
 ==================  ====================================================
 
-Batched execution: pass ``engine=`` (a :class:`repro.engine.Engine`)
-to serve the call through the batched engine — structural result
-cache, cost-model routing and the engine's stats counters — instead of
-dispatching directly.
+The hot loops of the sublist algorithm run on the process's kernel
+backend (``docs/kernels.md``).  Batched execution — structural result
+cache, cost-model routing per shard and stats counters — is
+:meth:`repro.engine.Engine.scan` and :meth:`~repro.engine.Engine.rank`.
 """
 
 from __future__ import annotations
 
-
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 import numpy as np
 
@@ -46,9 +47,6 @@ from ..lists.validate import validate_list_strict
 from ..trace.tracer import Tracer, null_span, resolve_trace
 from .operators import Operator, SUM, get_operator
 from .stats import ScanStats
-
-if TYPE_CHECKING:  # pragma: no cover - annotation only (avoids a cycle)
-    from ..engine.engine import Engine
 
 __all__ = ["list_scan", "list_rank", "ALGORITHMS"]
 
@@ -80,9 +78,7 @@ def list_scan(
     algorithm: str = "sublist",
     rng: np.random.Generator | int | None = None,
     stats: ScanStats | None = None,
-    engine: Engine | None = None,
     trace: str | Tracer | None = None,
-    kernel_backend: str | None = None,
     **kwargs: Any,
 ) -> np.ndarray:
     """Scan a linked list under a binary associative operator.
@@ -104,28 +100,12 @@ def list_scan(
     stats:
         Optional :class:`~repro.core.stats.ScanStats` to fill with
         work/space accounting.
-    engine:
-        Optional :class:`repro.engine.Engine`; when given, the call is
-        served through the batched engine (result cache + cost-model
-        routing) rather than dispatched directly.  The engine manages
-        its own RNG stream and statistics and forwards nothing to the
-        kernels, so passing ``rng``, ``stats``, ``trace`` or
-        implementation ``**kwargs`` together with ``engine`` raises
-        :class:`TypeError` instead of silently dropping them (attach a
-        tracer to the engine itself via ``Engine(trace=...)``).
     trace:
         ``None`` (default — tracing hooks are skipped entirely),
         ``"off"`` (hooks run against a disabled tracer; the overhead
         configuration the benchmarks measure) or a
         :class:`repro.trace.Tracer` collecting per-phase spans and
         pack events.  See ``docs/tracing.md``.
-    kernel_backend:
-        Kernel backend for the hot loops of the sublist algorithm
-        (``"numpy"`` / ``"python"`` / ``"numba"`` / ``None`` for
-        env-var-then-auto selection; ``docs/kernels.md``).  Ignored by
-        the other algorithms, which have no pluggable kernels.
-        Incompatible with ``engine=`` — the engine selects its own
-        backend (``Engine(kernel_backend=...)``).
     **kwargs:
         Forwarded to the selected implementation (e.g. ``config=`` for
         the sublist algorithm, ``variant=`` for Wyllie).
@@ -136,26 +116,6 @@ def list_scan(
         Scan values indexed by node.
     """
     op = get_operator(op)
-    if engine is not None:
-        dropped = [
-            name
-            for name, value in (
-                ("rng", rng),
-                ("stats", stats),
-                ("trace", trace),
-                ("kernel_backend", kernel_backend),
-            )
-            if value is not None
-        ]
-        dropped.extend(sorted(kwargs))
-        if dropped:
-            raise TypeError(
-                "list_scan(engine=...) serves the call through the batched "
-                "engine, which manages its own RNG stream, statistics and "
-                "tracer (Engine(trace=...)) and forwards no implementation "
-                f"kwargs; incompatible argument(s): {', '.join(dropped)}"
-            )
-        return engine.scan(lst, op, inclusive=inclusive, algorithm=algorithm)
     if algorithm == "auto":
         algorithm = _auto_algorithm(lst.n)
 
@@ -168,8 +128,7 @@ def list_scan(
             from .sublist import sublist_list_scan
 
             return sublist_list_scan(
-                lst, op, inclusive=inclusive, rng=rng, stats=stats,
-                trace=tracer, kernel_backend=kernel_backend, **kwargs,
+                lst, op, inclusive=inclusive, rng=rng, stats=stats, trace=tracer, **kwargs
             )
         if algorithm == "wyllie":
             from ..baselines.wyllie import wyllie_list_scan
@@ -178,7 +137,10 @@ def list_scan(
         if algorithm == "serial":
             from ..baselines.serial import serial_list_scan
 
-            return serial_list_scan(lst, op, inclusive=inclusive, **kwargs)
+            out = serial_list_scan(lst, op, inclusive=inclusive, **kwargs)
+            if stats is not None:
+                stats.add_work(lst.n, phase="serial")
+            return out
         if algorithm == "random_mate":
             from ..baselines.random_mate import random_mate_list_scan
 
@@ -207,9 +169,7 @@ def list_rank(
     algorithm: str = "sublist",
     rng: np.random.Generator | int | None = None,
     stats: ScanStats | None = None,
-    engine: Engine | None = None,
     trace: str | Tracer | None = None,
-    kernel_backend: str | None = None,
     **kwargs: Any,
 ) -> np.ndarray:
     """Rank every node: its link distance from the head (head = 0).
@@ -218,12 +178,8 @@ def list_rank(
     "list ranking is the list scan where plus is the operator and the
     values to be summed are all equal to one" (Section 1).
 
-    ``engine=`` serves the ranking through a batched
-    :class:`repro.engine.Engine` and ``trace=`` attaches a
-    :class:`repro.trace.Tracer`, exactly as for :func:`list_scan` —
-    including the guard: combining ``engine=`` with ``rng``, ``stats``,
-    ``trace``, ``kernel_backend`` or implementation ``**kwargs`` raises
-    :class:`TypeError` instead of silently dropping them.
+    ``trace=`` attaches a :class:`repro.trace.Tracer`, exactly as for
+    :func:`list_scan`.
     """
     ones = LinkedList(lst.next, lst.head, np.ones(lst.n, dtype=np.int64))
     return list_scan(
@@ -233,8 +189,6 @@ def list_rank(
         algorithm=algorithm,
         rng=rng,
         stats=stats,
-        engine=engine,
         trace=trace,
-        kernel_backend=kernel_backend,
         **kwargs,
     )

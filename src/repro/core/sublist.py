@@ -18,7 +18,6 @@ import numpy as np
 # Not called here: perfbench/layers.py patches this name through
 # inspect.getattr_static, which raises if the attribute is missing.
 from ..baselines.wyllie import wyllie_list_scan  # noqa: F401
-from ..kernels.backend import KernelBackend
 from ..lists.generate import INDEX_DTYPE, LinkedList
 from ..trace.tracer import Tracer
 from .forest import SublistConfig, choose_splitters, forest_list_scan
@@ -42,7 +41,6 @@ def sublist_list_scan(
     stats: ScanStats | None = None,
     out: np.ndarray | None = None,
     trace: str | Tracer | None = None,
-    kernel_backend: str | KernelBackend | None = None,
 ) -> np.ndarray:
     """List scan with the paper's sublist algorithm.
 
@@ -58,11 +56,8 @@ def sublist_list_scan(
     and per pack, never per element, so the untraced path pays only a
     handful of branch checks.
 
-    ``kernel_backend`` selects how the hot loops run (``"numpy"`` /
-    ``"python"`` / ``"numba"`` / a :class:`repro.kernels.KernelBackend`
-    instance / ``None`` for env-var-then-auto selection; see
-    ``docs/kernels.md``).  A backend that does not support ``op`` over
-    this value dtype silently falls back to the NumPy reference.
+    The hot loops run on the process's kernel backend
+    (``docs/kernels.md``).
 
     Returns the exclusive (default) or inclusive scan indexed by node.
     """
@@ -77,7 +72,6 @@ def sublist_list_scan(
         stats=stats,
         out=out,
         trace=trace,
-        kernel_backend=kernel_backend,
     )
     return cast(np.ndarray, result)  # no list ids were asked for
 

@@ -32,11 +32,10 @@ import numpy as np
 from ..core.forest import forest_list_scan, forest_tails, wyllie_forest_scan
 from ..core.operators import Operator, get_operator
 from ..core.stats import ScanStats
-from ..kernels.backend import KernelBackend, resolve_backend
-from ..kernels.pairs import PairSpec, operator_from_pair
+from ..kernels.backend import KernelBackend
 from ..lists.generate import INDEX_DTYPE
 from ..trace.tracer import Tracer
-from ..engine.workers import _ArrayRef, _attach_array, _release
+from ..engine.workers import _ArrayRef, _attach_array, _release, _task_backend
 
 __all__ = ["contract_chunk", "expand_chunk", "ChunkResult"]
 
@@ -86,7 +85,7 @@ def _local_scan(
     rng: np.random.Generator,
     stats: ScanStats | None,
     trace: Tracer | None,
-    kernel_backend: str | KernelBackend | None,
+    kernel_backend: KernelBackend | None,
 ) -> None:
     """Exclusive scan of every segment, seeded by its carry."""
     n_c = loc_nxt.shape[0]
@@ -117,13 +116,15 @@ def contract_chunk(
     rng: np.random.Generator,
     stats: ScanStats | None = None,
     trace: Tracer | None = None,
-    kernel_backend: str | KernelBackend | None = None,
+    kernel_backend: KernelBackend | None = None,
 ) -> ChunkResult:
     """Phase 1: reduce the chunk to one boundary pair per entry.
 
     ``nxt_c`` / ``values_c`` are the chunk's slices ``[lo:hi)`` of the
     global arrays; ``entries`` its sorted global entry ids.  Neither
-    input is modified, and both may be read-only.
+    input is modified, and both may be read-only.  ``kernel_backend``
+    is the sharded scan's resolved backend, as for
+    ``engine.workers.run_fused_kernel``.
     """
     if entries.shape[0] == 0:
         empty_i = np.empty(0, dtype=INDEX_DTYPE)
@@ -157,7 +158,7 @@ def expand_chunk(
     rng: np.random.Generator,
     stats: ScanStats | None = None,
     trace: Tracer | None = None,
-    kernel_backend: str | KernelBackend | None = None,
+    kernel_backend: KernelBackend | None = None,
 ) -> None:
     """Phase 3: final per-node values for the chunk, written to ``out_c``.
 
@@ -186,8 +187,8 @@ class _ChunkTask:
     """One chunk crossing the process boundary.
 
     Arrays travel as :class:`repro.engine.workers._ArrayRef` (shared
-    memory above the inline threshold), the operator by name / pair
-    opcode exactly like :class:`repro.engine.workers._FusedTask`.
+    memory above the inline threshold), the operator and the kernel
+    backend by name, exactly like :class:`repro.engine.workers._FusedTask`.
     ``out`` is only set for expansion: a shared slot the worker fills,
     or ``None``/inline → the result rides back in the return payload.
     """
@@ -200,27 +201,10 @@ class _ChunkTask:
     op_name: str
     seed: int
     traced: bool
-    kernel_backend: str = "numpy"
-    pair: tuple[int, int, int, int] | None = None
-    identity: Any = None
+    kernel_backend: str
     inclusive: bool = False
     carries: _ArrayRef | None = None
     out: _ArrayRef | None = None
-
-
-def _task_operator(task: _ChunkTask) -> Operator:
-    if task.pair is not None:
-        return operator_from_pair(
-            task.op_name, PairSpec.from_tuple(task.pair), task.identity
-        )
-    return get_operator(task.op_name)
-
-
-def _task_backend(task: _ChunkTask) -> KernelBackend:
-    try:
-        return resolve_backend(task.kernel_backend)
-    except ValueError:  # pragma: no cover - worker env without numba
-        return resolve_backend("numpy")
 
 
 def _contract_chunk_task(
@@ -243,11 +227,11 @@ def _contract_chunk_task(
             task.lo,
             task.hi,
             entries,
-            _task_operator(task),
+            get_operator(task.op_name),
             np.random.default_rng(task.seed),
             stats=kstats,
             trace=tracer,
-            kernel_backend=_task_backend(task),
+            kernel_backend=_task_backend(task.kernel_backend),
         )
         spans = [span_to_dict(root) for root in tracer.roots] if tracer else []
         exits = result.exits.copy() if result.exits.base is not None else result.exits
@@ -286,13 +270,13 @@ def _expand_chunk_task(
             task.hi,
             entries,
             carries,
-            _task_operator(task),
+            get_operator(task.op_name),
             task.inclusive,
             out_c,
             np.random.default_rng(task.seed),
             stats=kstats,
             trace=tracer,
-            kernel_backend=_task_backend(task),
+            kernel_backend=_task_backend(task.kernel_backend),
         )
         spans = [span_to_dict(root) for root in tracer.roots] if tracer else []
         payload = out_c if task.out.shm_name is None else None

@@ -6,8 +6,8 @@ The distributed shape (Sanders/Schimek/Uhl/Weidmann, PAPERS.md):
    parallel, to one ``(exit, segment-sum)`` pair per entry node
    (:func:`repro.distribute.chunks.contract_chunk`).
 2. **Reduce** — the entry nodes form a list at most as long as the
-   boundary set; the existing serial/Wyllie/sublist kernels solve it
-   in the parent, router-selected like any fused shard.
+   boundary set; the Wyllie or sublist kernel solves it in the
+   parent, router-selected like any fused shard.
 3. **Expand** — each chunk reruns its local scan seeded with the entry
    carries from the reduced solve, producing final values in parallel.
 
@@ -47,7 +47,6 @@ from ..engine.workers import (
     run_fused_kernel,
     shippable_operator,
 )
-from ..kernels.backend import KernelBackend
 from ..lists.generate import INDEX_DTYPE, LinkedList
 from ..lists.validate import ListStructureError
 from ..trace.tracer import Tracer, null_span, resolve_trace
@@ -65,14 +64,6 @@ from .oocore import drop_resident_range, flush_range
 from .partition import find_entries, plan_chunks
 
 __all__ = ["sharded_forest_scan", "sharded_list_scan", "sharded_list_rank"]
-
-
-def _kernel_backend_name(kernel_backend: str | KernelBackend | None) -> str:
-    if kernel_backend is None:
-        return "numpy"
-    if isinstance(kernel_backend, str):
-        return kernel_backend
-    return getattr(kernel_backend, "name", "numpy")
 
 
 class _ChunkIO:
@@ -116,7 +107,6 @@ def sharded_forest_scan(
     out: np.ndarray | None = None,
     stats: ScanStats | None = None,
     trace: str | Tracer | None = None,
-    kernel_backend: str | KernelBackend | None = None,
     report: dict[str, Any] | None = None,
 ) -> np.ndarray:
     """Scan a forest too large for one fused kernel, in chunks.
@@ -125,9 +115,11 @@ def sharded_forest_scan(
     ``np.memmap`` instances — memmapped inputs stream chunk by chunk
     inside the configured memory budget.  ``backend`` is an engine
     :class:`~repro.engine.workers.ExecutionBackend` (shared with the
-    caller) or an executor name to build privately; ``router`` picks
-    the Phase-2 algorithm for the reduced list.  ``report``, when a
-    dict, is filled with partition/reduction telemetry.
+    caller) or an executor name to build privately; every chunk, inline
+    or offloaded, runs on its kernel backend (``ExecutionBackend.kernels``,
+    resolved when the backend is built).  ``router`` picks the Phase-2
+    algorithm for the reduced list.  ``report``, when a dict, is filled
+    with partition/reduction telemetry.
 
     The inputs are never modified.  Returns ``out``.
     """
@@ -152,8 +144,7 @@ def sharded_forest_scan(
     try:
         return _sharded_scan(
             nxt, values, heads, op, inclusive, cfg, exec_backend,
-            router or default_router(), gen, out, stats, tracer, span,
-            kernel_backend, report,
+            router or default_router(), gen, out, stats, tracer, span, report,
         )
     finally:
         if own_backend:
@@ -174,18 +165,17 @@ def _sharded_scan(
     stats: ScanStats | None,
     tracer: Tracer | None,
     span: Any,
-    kernel_backend: str | KernelBackend | None,
     report: dict[str, Any] | None,
 ) -> np.ndarray:
     n = int(nxt.shape[0])
     workers = int(getattr(backend, "max_workers", None) or 1)
     num_chunks = cfg.resolve_num_chunks(n, values.dtype, workers)
-    ship = shippable_operator(op) if backend.offloads_kernels else None
-    offload = ship is not None
+    op_name = shippable_operator(op) if backend.offloads_kernels else None
+    offload = op_name is not None
+    kernels = backend.kernels
     gate = LeaseGate(cfg.memory_budget_bytes)
     seed_root = int(gen.integers(0, 2**63))
     traced = tracer is not None and tracer.enabled
-    kb_name = _kernel_backend_name(kernel_backend)
     nxt_io = _ChunkIO(nxt)
     values_io = _ChunkIO(values)
     out_io = _ChunkIO(out)
@@ -251,8 +241,7 @@ def _sharded_scan(
                     with gate.admit(chunk_bytes):
                         leases: list[Any] = []
                         try:
-                            assert ship is not None
-                            op_name, pair, identity = ship
+                            assert op_name is not None
                             task = _ChunkTask(
                                 nxt=_export_array(
                                     nxt_io.fetch(lo, hi), leases, SHM_MIN_BYTES
@@ -266,9 +255,7 @@ def _sharded_scan(
                                 op_name=op_name,
                                 seed=seed,
                                 traced=traced,
-                                kernel_backend=kb_name,
-                                pair=pair,
-                                identity=identity,
+                                kernel_backend=kernels.name,
                             )
                             exits, sums, kstats, spans = backend.run_task(
                                 _contract_chunk_task, task
@@ -296,7 +283,7 @@ def _sharded_scan(
                         op,
                         np.random.default_rng(seed),
                         stats=kstats,
-                        kernel_backend=kernel_backend,
+                        kernel_backend=kernels,
                     )
                 merge_stats(kstats)
                 return result
@@ -304,7 +291,7 @@ def _sharded_scan(
             chunk_results = backend.map_shards(run_contract, list(range(plan.num_chunks)))
 
         # ---------------- Phase 2: solve the reduced list --------------
-        reduced_algorithm = "serial"
+        reduced_algorithm: str | None = None
         carries_all = np.empty(0, dtype=values.dtype)
         if n_reduced > 0:
             exits_all = np.concatenate([r.exits for r in chunk_results])
@@ -338,7 +325,7 @@ def _sharded_scan(
                     kstats,
                     [carries_all],
                     tracer,
-                    kernel_backend=kernel_backend,
+                    kernel_backend=kernels,
                 )
             merge_stats(kstats)
 
@@ -360,8 +347,7 @@ def _sharded_scan(
                     with gate.admit(chunk_bytes):
                         leases: list[Any] = []
                         try:
-                            assert ship is not None
-                            op_name, pair, identity = ship
+                            assert op_name is not None
                             out_ref = _alloc_out(
                                 (hi - lo,), values.dtype, leases, SHM_MIN_BYTES
                             )
@@ -378,9 +364,7 @@ def _sharded_scan(
                                 op_name=op_name,
                                 seed=seed,
                                 traced=traced,
-                                kernel_backend=kb_name,
-                                pair=pair,
-                                identity=identity,
+                                kernel_backend=kernels.name,
                                 inclusive=inclusive,
                                 carries=_export_array(carries, leases, SHM_MIN_BYTES),
                                 out=out_ref,
@@ -424,7 +408,7 @@ def _sharded_scan(
                         out_c,
                         np.random.default_rng(seed),
                         stats=kstats,
-                        kernel_backend=kernel_backend,
+                        kernel_backend=kernels,
                     )
                 out_io.store(lo, hi, out_c)
                 merge_stats(kstats)

@@ -34,8 +34,8 @@ Pipeline for one batch (``run_batch``)::
   ``engine.batch`` — and each shard fuses into one forest of
   members, one per request, without copying.  A lone request is a
   forest of one, and takes the same path.
-* The cost-model router (``engine.router``) picks serial / Wyllie /
-  sublist per shard; the forest kernels of ``core.forest`` execute all
+* The cost-model router (``engine.router``) picks Wyllie or sublist
+  per shard; the forest kernels of ``core.forest`` execute all
   the shard's lists in one vectorized pass.  With a
   ``DistributedConfig``, a shard past its memory budget runs through
   the sharded scan of ``repro.distribute`` instead.
@@ -61,9 +61,13 @@ batch root.  ``Engine.close()`` (or using the engine as a context
 manager) tears the backend's pools down exactly once.
 
 Requests with a forced algorithm outside the routable set (e.g.
-``random_mate``) have no forest kernel — those run per list through
-the dispatch API (``list_scan``), so the engine accepts *every*
-algorithm the library has.
+``random_mate``, or the ``serial`` oracle) have no forest kernel —
+those run per list through the dispatch API (``list_scan``), so the
+engine accepts *every* algorithm the library has.
+
+Every kernel of an engine's life runs on one kernel backend, the
+process's (``docs/kernels.md``), resolved once, at construction, by its
+execution backend; worker tasks carry its name.
 """
 
 from __future__ import annotations
@@ -94,7 +98,6 @@ from .cache import ResultCache, fingerprint, refuse_object_dtype
 from .errors import EngineRequestError, RequestError, validate_request
 from .histogram import LatencyHistogram
 from .queue import ScanRequest, ScanResponse, SubmissionQueue
-from ..kernels.backend import resolve_backend
 from ..sanitize.runtime import (
     atomic_read,
     atomic_write,
@@ -316,15 +319,6 @@ class Engine:
     max_workers:
         Worker-pool width for the pooled backends (``None`` → the
         executor's own default, ``os.cpu_count()``-based).
-    kernel_backend:
-        Hot-loop kernel backend for the scan kernels (``"numpy"`` /
-        ``"python"`` / ``"numba"`` / ``None`` for
-        ``REPRO_KERNEL_BACKEND``-then-auto selection; see
-        ``docs/kernels.md``).  Worker processes select the same backend
-        by name (degrading to ``"numpy"`` if their environment lacks
-        it), and the default router is calibrated for it.  Results are
-        bit-identical across backends for integer operators and
-        element-wise equal within documented tolerance for floats.
     seed:
         Seed for the engine's random stream (splitter choices in the
         forest kernels; results are identical for every seed).
@@ -379,7 +373,6 @@ class Engine:
         max_pending_nodes: int | None = None,
         executor: str = "threads",
         max_workers: int | None = None,
-        kernel_backend: str | None = None,
         seed: int | None = 0,
         trace: str | Tracer | None = None,
         clock: Callable[[], float] | None = None,
@@ -391,13 +384,10 @@ class Engine:
             raise ValueError(
                 f"unknown executor {executor!r}; expected one of {EXECUTORS}"
             )
-        self._kernel_backend = resolve_backend(kernel_backend)
-        self.kernel_backend = self._kernel_backend.name
-        self.router = (
-            router
-            if router is not None
-            else Router(kernel_backend=self._kernel_backend)
-        )
+        self._backend = create_backend(executor, max_workers)
+        #: name of the kernel backend every kernel of this engine runs on
+        self.kernel_backend = self._backend.kernels.name
+        self.router = router if router is not None else Router()
         self.cache = (
             cache
             if cache is not None
@@ -409,7 +399,6 @@ class Engine:
         )
         self.executor = executor
         self.max_workers = max_workers
-        self._backend = create_backend(executor, max_workers)
         self.trace = resolve_trace(trace)
         self.distributed = distributed
         self.stats = EngineStats()
@@ -610,7 +599,7 @@ class Engine:
             return
         predicted_ns: float | None = None
         router = self.router
-        if algorithm in router.candidates:
+        if algorithm in CANDIDATES:
             predicted_ns = (
                 router.predicted_clocks(n, algorithm, n_lists) * router.costs.clock_ns
             )
@@ -1055,7 +1044,6 @@ class Engine:
                     rng=self._child_rng(),
                     stats=kstats,
                     trace=tracer,
-                    kernel_backend=self.kernel_backend,
                 )
                 for req in shard
             ]
@@ -1089,14 +1077,13 @@ class Engine:
                     candidate: float(
                         router.predicted_clocks(batch.n_nodes, candidate, batch.n_lists)
                     )
-                    for candidate in router.candidates
+                    for candidate in CANDIDATES
                 },
             )
         backend = self._backend
-        # a kernel leaves this process only when the worker can
-        # rehydrate the operator faithfully — by builtin name, or as a
-        # pair-formulated opcode tuple (kernels.pairs); other custom
-        # operators (and the sync/threads backends) execute inline.
+        # a kernel leaves this process only for a builtin operator,
+        # which crosses by name; a custom operator (and the
+        # sync/threads backends) executes inline.
         ship = (
             shippable_operator(batch.op) if backend.offloads_kernels else None
         )
@@ -1126,7 +1113,6 @@ class Engine:
                     rng=rng,
                     stats=kstats,
                     trace=tracer,
-                    kernel_backend=self._kernel_backend,
                     report=report,
                 )
                 results = batch.unfuse(out)
@@ -1135,18 +1121,9 @@ class Engine:
                 # generator; trace spans come back as serialized
                 # records and are adopted under the execute span, so
                 # the batch tree stays connected across processes.
-                op_name, pair, identity = ship
                 seed = int(rng.integers(0, 2**63))
                 results, kstats, worker_spans = backend.run_fused(
-                    forest,
-                    op_name,
-                    batch.inclusive,
-                    algorithm,
-                    seed,
-                    traced,
-                    kernel_backend=self.kernel_backend,
-                    pair=pair,
-                    identity=identity,
+                    forest, ship, batch.inclusive, algorithm, seed, traced
                 )
                 if traced and worker_spans:
                     tracer.adopt(
@@ -1163,7 +1140,7 @@ class Engine:
                     kstats,
                     [np.empty_like(values) for values in forest.values],
                     tracer,
-                    kernel_backend=self._kernel_backend,
+                    kernel_backend=backend.kernels,
                 )
         elapsed = self.clock() - t0
         with guarded(self._lock, "engine.stats"):

@@ -12,8 +12,8 @@ contract:
   ``ok=False`` while every healthy request in the batch still gets its
   result.
 * :class:`EngineRequestError` — the exception the *result-returning*
-  conveniences (``Engine.scan``, ``Engine.map_scan``,
-  ``list_scan(engine=...)``) raise when the underlying request failed;
+  conveniences (``Engine.scan``, ``Engine.rank``, ``Engine.map_scan``)
+  raise when the underlying request failed;
   it carries the structured error so callers never lose the code.
 * :func:`validate_request` — the probe-time validator: value arrays
   whose shape disagrees with the operator, dtypes the operator cannot
@@ -110,8 +110,8 @@ class EngineRequestError(RuntimeError):
 
     ``Engine.run_batch`` never raises for a single bad request — it
     returns ``ok=False`` responses.  The conveniences that return bare
-    arrays (``Engine.scan``, ``Engine.map_scan``,
-    ``list_scan(engine=...)``) have no response to attach the error to,
+    arrays (``Engine.scan``, ``Engine.rank``, ``Engine.map_scan``) have
+    no response to attach the error to,
     so they raise this exception instead, carrying the structured
     :class:`RequestError` as :attr:`error`.
     """

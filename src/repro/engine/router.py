@@ -3,17 +3,23 @@
 The paper's Section 3/4 kernel equations predict the running time of
 *every* algorithm as a function of the problem size, and Section 4.4
 shows the predictions track measurements closely.  The :class:`Router`
-evaluates those predictions and picks the cheapest algorithm:
+evaluates those predictions and picks the cheaper of the two vectorized
+forest kernels:
 
-* ``serial``  — ``T = 34·n + 255`` clocks (the measured traversal);
 * ``wyllie``  — ``⌈log₂(n/k)⌉`` rounds of ``9·n + 180`` clocks for a
   forest of ``k`` chains (one chain for a single list);
 * ``sublist`` — the full Eq. 3 schedule-sum plus Phase-2 dispatch cost
   at the model-tuned ``(m, S₁)`` (``analysis.predict.predict_run``).
 
+The serial scan is not a candidate.  On the C-90 it won below a few
+hundred nodes; on the host it is a Python loop that loses to Wyllie on
+every forest but a lone list of a few nodes, so it is the oracle the
+tests compare against, and a request that forces it runs per list.
+
 Every router prices from a cost table (:class:`KernelCosts`): the
 paper's published C-90 table by default, or a table fitted for another
-machine (``machine.calibration``, ``repro.calibrate``).
+machine (``machine.calibration``, ``repro.calibrate``), scaled by the
+factors of the process's kernel backend.
 
 Decisions are cached per √2-rounded size bucket (the same bucketing as
 ``core.tuning``), so repeated routing is O(1) after the first call for
@@ -33,14 +39,14 @@ import math
 
 from ..analysis.cost_model import KernelCosts, PAPER_C90_COSTS
 from ..analysis.predict import predict_run
-from ..kernels.backend import KernelBackend, resolve_backend
+from ..kernels.backend import resolve_backend
 from ..sanitize.runtime import atomic_read, atomic_write
 
 __all__ = ["Router", "route_algorithm", "default_router"]
 
-#: Algorithms the router chooses between.  All three have forest
+#: Algorithms the router chooses between.  Both have forest
 #: (multi-list) kernels, so a routed batch can always be executed fused.
-CANDIDATES = ("serial", "wyllie", "sublist")
+CANDIDATES = ("wyllie", "sublist")
 
 
 class _RouterState:
@@ -70,47 +76,26 @@ def _bucket(n: int) -> int:
 
 
 class Router:
-    """Pick the cheapest algorithm for an ``n``-node problem.
+    """Pick the cheaper algorithm for an ``n``-node problem.
 
-    Parameters
-    ----------
-    costs:
-        Kernel calibration driving the predictions.
-    candidates:
-        Algorithm names to consider (subset of :data:`CANDIDATES`).
-    kernel_backend:
-        The kernel backend the predictions describe (name, instance, or
-        ``None`` for env-var-then-auto selection — see
-        ``docs/kernels.md``).  The backend's calibration factors are
-        applied to the per-element rank-step and pack coefficients of
-        ``costs`` (Section 3/4's ``a`` and ``c``), so a compiled
-        backend shifts the serial/wyllie/sublist crossovers the way a
-        faster traversal would on real hardware.  The reference
-        backends scale by 1.0, leaving decisions identical.
+    ``costs`` is the kernel calibration driving the predictions, scaled
+    by the factors of the process's kernel backend
+    (``KernelBackend.scaled_costs``, ``docs/kernels.md``): a compiled
+    backend lowers the per-element rank-step and pack coefficients
+    (Section 3/4's ``a`` and ``c``) and so shifts the Wyllie/sublist
+    crossover the way a faster traversal would on real hardware.  The
+    reference backends scale by 1.0, leaving decisions identical.
     """
 
-    def __init__(
-        self,
-        costs: KernelCosts = PAPER_C90_COSTS,
-        candidates: tuple[str, ...] = CANDIDATES,
-        kernel_backend: str | KernelBackend | None = None,
-    ) -> None:
-        unknown = set(candidates) - set(CANDIDATES)
-        if unknown:
-            raise ValueError(f"unroutable algorithms: {sorted(unknown)}")
-        if not candidates:
-            raise ValueError("router needs at least one candidate")
-        backend = resolve_backend(kernel_backend)
-        self.kernel_backend = backend.name
-        self.candidates = tuple(candidates)
-        self._state = _RouterState(backend.scaled_costs(costs))
+    def __init__(self, costs: KernelCosts = PAPER_C90_COSTS) -> None:
+        self._state = _RouterState(resolve_backend().scaled_costs(costs))
 
     @property
     def costs(self) -> KernelCosts:
         """The active cost table (after backend scaling, if any)."""
         return self._state.costs
 
-    def set_costs(self, costs: KernelCosts, scale_backend: bool = False) -> None:
+    def set_costs(self, costs: KernelCosts) -> None:
         """Install a new calibration and invalidate the decision cache.
 
         The swap is atomic: the new table and a fresh empty cache are
@@ -119,15 +104,11 @@ class Router:
         either the old ``(costs, cache)`` pair or the new one — never
         a stale decision served against the new table.
 
-        ``scale_backend`` applies this router's kernel-backend factors
-        to the table first, as the constructor does for the paper
-        table.  It defaults to off because fitted calibration profiles
-        are measured *through* the active backend — their coefficients
-        already include its speedup, and scaling again would double
-        count it.
+        The table is installed as given, without the backend scaling
+        the constructor applies: fitted calibration profiles are
+        measured *through* the active backend, so their coefficients
+        already include its speedup.
         """
-        if scale_backend:
-            costs = resolve_backend(self.kernel_backend).scaled_costs(costs)
         self._state = _RouterState(costs)
         atomic_write("router.state")
 
@@ -136,9 +117,6 @@ class Router:
     ) -> float:
         n = max(int(n), 1)
         n_lists = max(int(n_lists), 1)
-        if algorithm == "serial":
-            # one traversal in total; per-chain startup once per list
-            return costs.serial_per_elem * n + costs.serial_const * n_lists
         if algorithm == "wyllie":
             # pointer jumping converges in log2 of the longest chain;
             # with balanced sharding that is ≈ n / n_lists
@@ -162,14 +140,12 @@ class Router:
         n_lists = max(int(n_lists), 1)
         atomic_read("router.state")
         state = self._state  # one snapshot: costs + cache stay paired
-        if n <= 8:
-            return "serial" if "serial" in self.candidates else self.candidates[0]
         key = (_bucket(n), _bucket(n_lists))
         cached = state.choices.get(key)
         if cached is not None:
             return cached
         best = min(
-            self.candidates,
+            CANDIDATES,
             key=lambda alg: self._predicted(state.costs, key[0], alg, key[1]),
         )
         state.choices[key] = best
@@ -177,17 +153,18 @@ class Router:
 
     def crossover(self, lo: int = 2, hi: int = 1 << 22) -> int:
         """Smallest ``n`` (within [lo, hi], up to bucket resolution) at
-        which the router stops choosing ``serial``."""
-        if self.choose(lo) != "serial":
+        which a lone list routes to ``sublist``, not ``wyllie``: the
+        crossover of the paper's Fig. 1."""
+        if self.choose(lo) == "sublist":
             return lo
-        if self.choose(hi) == "serial":
+        if self.choose(hi) != "sublist":
             return hi
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            if self.choose(mid) == "serial":
-                lo = mid
-            else:
+            if self.choose(mid) == "sublist":
                 hi = mid
+            else:
+                lo = mid
         return hi
 
 

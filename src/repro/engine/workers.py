@@ -58,11 +58,10 @@ from typing import Any
 
 import numpy as np
 
-from ..core.forest import Forest, forest_scan, serial_forest_scan, wyllie_forest_scan
+from ..core.forest import Forest, forest_scan, wyllie_scan
 from ..core.operators import BUILTIN_OPERATORS, Operator, get_operator
 from ..core.stats import ScanStats
 from ..kernels.backend import KernelBackend, resolve_backend
-from ..kernels.pairs import PairSpec, operator_from_pair, pair_for
 from ..lists.generate import INDEX_DTYPE
 from ..sanitize import runtime as sanitize
 from ..trace.tracer import Tracer
@@ -98,7 +97,7 @@ def run_fused_kernel(
     kstats: ScanStats,
     outs: list[np.ndarray],
     tracer: Tracer | None = None,
-    kernel_backend: str | KernelBackend | None = None,
+    kernel_backend: KernelBackend | None = None,
 ) -> list[np.ndarray]:
     """Execute one shard's forest with the routed algorithm.
 
@@ -106,25 +105,15 @@ def run_fused_kernel(
     engine calls it inline (``sync``/``threads``, and any shard the
     process driver cannot ship), and :func:`_run_fused_task` calls it
     inside a worker process.  Member *k*'s scan is written into
-    ``outs[k]``; the return value is always ``outs``.  The sublist and
-    serial kernels read every member where it lies; Wyllie jumps
-    pointers over one node array, so it runs on
-    :meth:`~repro.core.forest.Forest.contiguous` and its result is
-    copied into ``outs``.  ``kernel_backend`` selects the hot-loop
-    backend for the sublist kernel (``docs/kernels.md``); serial and
-    Wyllie have no pluggable loops.
+    ``outs[k]``; the return value is always ``outs``.  The sublist
+    kernel reads every member where it lies; Wyllie jumps pointers
+    over one node array (:func:`~repro.core.forest.wyllie_scan`).
+    ``kernel_backend`` is the caller's resolved backend for the
+    sublist kernel's hot loops (``docs/kernels.md``); Wyllie has no
+    pluggable loops.
     """
-    if algorithm == "serial":
-        for (nxt, values, heads, _), out in zip(forest.members(), outs):
-            serial_forest_scan(nxt, values, heads, op, None, out)
-        kstats.add_work(forest.n, phase="forest_serial")
-    elif algorithm == "wyllie":
-        nxt, values = forest.contiguous()
-        out = outs[0] if len(outs) == 1 else np.empty_like(values)
-        wyllie_forest_scan(nxt, values, forest.heads, op, None, out, stats=kstats)
-        if len(outs) > 1:
-            for dest, block in zip(outs, forest.slices()):
-                dest[...] = out[block]
+    if algorithm == "wyllie":
+        wyllie_scan(forest, outs, op, stats=kstats)
     else:  # "sublist" and any future routable default
         forest_scan(
             forest, outs, op, rng=rng, stats=kstats, trace=tracer, kernel_backend=kernel_backend
@@ -311,17 +300,23 @@ def _pool_mp_context() -> Any:
     return mp.get_context("spawn")  # pragma: no cover - non-POSIX hosts
 
 
+def _task_backend(name: str) -> KernelBackend:
+    """A worker's kernel backend: the one its parent resolved, by name,
+    or numpy when this worker's environment lacks it (the parent found
+    numba, this worker cannot import it) rather than failing the task."""
+    try:
+        return resolve_backend(name)
+    except ValueError:
+        return resolve_backend("numpy")
+
+
 @dataclass
 class _FusedTask:
     """Everything a worker process needs to run one fused shard.
 
-    Only plain data crosses: the operator travels *by name* plus, for
-    non-builtin pair-formulated operators, its ``PairSpec`` opcode
-    tuple and identity (rehydrated via
-    ``kernels.pairs.operator_from_pair``; ``pair`` is ``None`` for a
-    builtin, which resolves against the builtin table).  The kernel
-    backend travels by name, randomness as an integer seed, tracing as
-    a bool.
+    Only plain data crosses: the operator travels by its builtin name,
+    the parent's resolved kernel backend by name, randomness as an
+    integer seed, tracing as a bool.
     """
 
     nxt: _ArrayRef
@@ -333,9 +328,7 @@ class _FusedTask:
     algorithm: str
     seed: int
     traced: bool
-    kernel_backend: str = "numpy"
-    pair: tuple[int, int, int, int] | None = None
-    identity: Any = None
+    kernel_backend: str
 
 
 def _run_fused_task(
@@ -356,32 +349,19 @@ def _run_fused_task(
         nxt = _attach_array(task.nxt, holds)
         values = _attach_array(task.values, holds)
         out = _attach_array(task.out, holds)
-        if task.pair is not None:
-            op = operator_from_pair(
-                task.op_name, PairSpec.from_tuple(task.pair), task.identity
-            )
-        else:
-            op = get_operator(task.op_name)
-        try:
-            kernel_backend = resolve_backend(task.kernel_backend)
-        except ValueError:
-            # e.g. the parent auto-detected numba but this worker's
-            # environment lacks it — degrade to the reference backend
-            # rather than failing the shard
-            kernel_backend = resolve_backend("numpy")
         tracer = Tracer() if task.traced else None
         kstats = ScanStats()
         rng = np.random.default_rng(task.seed)
         run_fused_kernel(
             Forest.of(nxt, values, task.heads),
-            op,
+            get_operator(task.op_name),
             task.inclusive,
             task.algorithm,
             rng,
             kstats,
             [out],
             tracer,
-            kernel_backend=kernel_backend,
+            kernel_backend=_task_backend(task.kernel_backend),
         )
         spans = [span_to_dict(root) for root in tracer.roots] if tracer else []
         payload = out if task.out.shm_name is None else None
@@ -408,6 +388,10 @@ class ExecutionBackend:
     the engine process.  Pools are created lazily and torn down exactly
     once by :meth:`close` (idempotent; ``pools_created`` /
     ``closes_effective`` expose the lifecycle for tests).
+
+    ``kernels`` is the kernel backend every kernel dispatched through
+    this backend runs on, inline or in a worker process, resolved once,
+    at construction (``docs/kernels.md``).
     """
 
     name = "sync"
@@ -417,6 +401,7 @@ class ExecutionBackend:
     offloads_kernels = False
 
     def __init__(self) -> None:
+        self.kernels = resolve_backend()
         self.pools_created = 0
         self.closes_effective = 0
         self._closed = False
@@ -443,9 +428,6 @@ class ExecutionBackend:
         algorithm: str,
         seed: int,
         traced: bool,
-        kernel_backend: str = "numpy",
-        pair: tuple[int, int, int, int] | None = None,
-        identity: Any = None,
     ) -> tuple[list[np.ndarray], ScanStats, list[dict[str, Any]]]:
         raise NotImplementedError(f"{self.name!r} backend executes kernels inline")
 
@@ -601,9 +583,6 @@ class ProcessBackend(ExecutionBackend):
         algorithm: str,
         seed: int,
         traced: bool,
-        kernel_backend: str = "numpy",
-        pair: tuple[int, int, int, int] | None = None,
-        identity: Any = None,
     ) -> tuple[list[np.ndarray], ScanStats, list[dict[str, Any]]]:
         """Execute one shard's forest in a worker process.
 
@@ -630,9 +609,7 @@ class ProcessBackend(ExecutionBackend):
                 algorithm=algorithm,
                 seed=int(seed),
                 traced=bool(traced),
-                kernel_backend=kernel_backend,
-                pair=pair,
-                identity=identity,
+                kernel_backend=self.kernels.name,
             )
             with self._lock:
                 self.tasks_offloaded += 1
@@ -662,33 +639,14 @@ class ProcessBackend(ExecutionBackend):
             sanitize.note_pool_closed(pool)
 
 
-def shippable_operator(
-    op: Operator,
-) -> tuple[str, tuple[int, int, int, int] | None, Any] | None:
-    """How (and whether) ``op`` can cross a process boundary.
+def shippable_operator(op: Operator) -> str | None:
+    """The name ``op`` crosses a process boundary by, or ``None``.
 
-    Returns ``(name, pair, identity)`` when a worker can rehydrate the
-    operator faithfully, else ``None``:
-
-    * a builtin (the name round-trips to the *identical* object) ships
-      by name alone — ``pair`` is ``None``;
-    * a registered pair-formulated operator (``kernels.pairs``) ships
-      as its opcode tuple plus a plain-data identity, rehydrated via
-      ``operator_from_pair`` — the :func:`~repro.kernels.register_pair`
-      contract guarantees equivalence.
-
-    Anything else (a custom combine with no pair form, a look-alike
-    shadowing a registered name, a non-plain identity) executes inline.
+    Only a builtin operator ships: its name round-trips to the
+    *identical* object in the worker.  A custom operator (or a
+    look-alike shadowing a builtin name) executes inline, on numpy.
     """
-    if BUILTIN_OPERATORS.get(op.name) is op:
-        return op.name, None, None
-    spec = pair_for(op)
-    if spec is None:
-        return None
-    identity = op.identity
-    if identity is not None and not isinstance(identity, (int, float, tuple)):
-        return None
-    return op.name, spec.as_tuple(), identity
+    return op.name if BUILTIN_OPERATORS.get(op.name) is op else None
 
 
 def offloadable_operator(op: Operator) -> bool:

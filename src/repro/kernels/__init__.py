@@ -1,7 +1,7 @@
 """Pluggable compiled-kernel backends for the hot scan loops.
 
-See ``kernels.backend`` for the backend matrix and selection
-precedence, ``kernels.pairs`` for the ``(companion, cross, plus)``
+See ``kernels.backend`` for the backend matrix and how a process
+selects its backend, ``kernels.pairs`` for the ``(companion, cross, plus)``
 operator-pair formulation, and ``kernels.loops`` for the loop kernels
 themselves.  Documentation: ``docs/kernels.md``.
 """
@@ -17,13 +17,7 @@ from .backend import (
     resolve_backend,
 )
 from .loops import BLOCK, HAVE_NUMBA
-from .pairs import (
-    OPCODE_UFUNCS,
-    PairSpec,
-    operator_from_pair,
-    pair_for,
-    register_pair,
-)
+from .pairs import PairSpec, pair_for
 
 __all__ = [
     "ENV_VAR",
@@ -36,9 +30,6 @@ __all__ = [
     "resolve_backend",
     "BLOCK",
     "HAVE_NUMBA",
-    "OPCODE_UFUNCS",
     "PairSpec",
-    "operator_from_pair",
     "pair_for",
-    "register_pair",
 ]

@@ -11,23 +11,26 @@ the inner loops swap:
     The reference: exactly the array expressions the core modules have
     always run (it *is* those expressions, hoisted behind the
     interface).  Always available; the universal fallback.  Supports
-    every operator, including unregistered custom ones.
+    every operator, including custom ones.
 ``numba``
     The compiled loops of ``kernels.loops`` under ``numba.njit``.
-    Auto-selected when numba is importable.  Requires a
-    pair-formulated operator (``kernels.pairs``) and a signed-integer
-    or float dtype; anything else falls back to ``numpy`` per call
-    site.
+    Auto-selected when numba is importable.  Requires a builtin
+    operator (the pair formulations of ``kernels.pairs``) and a
+    signed-integer or float dtype; anything else falls back to
+    ``numpy`` per call site.
 ``python``
     The *same* loop source, interpreted.  Far slower than ``numpy`` —
-    it exists so the compiled code path (loop bodies, pack compaction,
-    blocked Phase-2 scan) is exercised by tests on hosts without
-    numba, not for production use.
+    a test fixture, so the compiled code path (loop bodies, pack
+    compaction, blocked Phase-2 scan) is exercised on hosts without
+    numba, not a production choice.
 
-Selection precedence: explicit argument (``Engine(kernel_backend=…)``,
-``list_scan(kernel_backend=…)``, ``--kernel-backend``) beats the
-``REPRO_KERNEL_BACKEND`` environment variable, which beats
-auto-detection (numba if importable, else numpy).
+Selection: a process runs one backend, numba when importable, numpy
+otherwise; the ``REPRO_KERNEL_BACKEND`` environment variable overrides
+that (the CI legs run the python twin through it).  An engine resolves
+it once, at construction, and ships its name to every worker task.
+Only the kernel entries ``core.forest.forest_scan``/``forest_list_scan``
+take a backend argument, which beats the variable; tests substitute the
+python twin there.
 
 Calling convention: ``nxt``/``values`` are the two field views of the
 scan's record array (``core.forest``), one ``(next, value)`` record
@@ -92,8 +95,6 @@ class KernelBackend:
 
     #: Registry key; also what ``_FusedTask`` ships to worker processes.
     name: str = "abstract"
-    #: True when the loops are machine-compiled (drives cost scaling).
-    compiled: bool = False
     #: Whether :meth:`reduced_scan` implements the blocked Phase-2 scan.
     has_blocked_scan: bool = False
     #: Per-backend calibration of the Section 3/4 coefficients: the
@@ -202,7 +203,7 @@ class KernelBackend:
         """Blocked exclusive scan of the reduced chains into ``out``.
 
         Only meaningful when :attr:`has_blocked_scan` is true; callers
-        keep the historical serial/Wyllie/recursive dispatch otherwise.
+        keep the Wyllie/recursive dispatch otherwise.
         """
         raise NotImplementedError
 
@@ -405,7 +406,6 @@ class NumbaBackend(_LoopBackendBase):
     """
 
     name = "numba"
-    compiled = True
     rank_step_scale = 0.25
     pack_scale = 0.25
 
@@ -443,7 +443,8 @@ def resolve_backend(
     """Resolve a backend selection to an instance.
 
     Precedence: explicit ``backend`` argument → ``REPRO_KERNEL_BACKEND``
-    environment variable → auto-detection.
+    environment variable → auto-detection; ``None`` is the process's
+    backend.
     """
     if isinstance(backend, KernelBackend):
         return backend

@@ -424,7 +424,7 @@ def jit_kernels() -> dict[str, Any]:
     if not HAVE_NUMBA:  # pragma: no cover - numba absent in the CI image
         raise RuntimeError(
             "the numba kernel backend was requested but numba is not "
-            "importable; install numba or select kernel_backend='numpy'"
+            "importable; install numba or set REPRO_KERNEL_BACKEND=numpy"
         )
     if _JIT_KERNELS is None:  # pragma: no cover - needs numba
         _JIT_KERNELS = build_kernels(numba.njit(nogil=True, cache=True))

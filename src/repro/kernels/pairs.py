@@ -14,35 +14,20 @@ is exactly the width-2 case with ``companion = cross = multiply`` and
 ``plus = add`` — so one pair-generic kernel covers all of them.
 
 A :class:`PairSpec` is *plain data* (three small opcode integers plus a
-width), which is what makes the compiled backend operator-generic and
-what lets the engine ship pair-formulated operators across the process
-boundary without pickling callables (see ``engine.workers``).
+width), which is what makes the compiled backend operator-generic.
 
-Custom operators opt in with :func:`register_pair`; the registrant
-promises that ``op.combine`` computes exactly the pair formula for the
-registered opcodes.  :func:`pair_for` only honors a registration whose
-operator is the *identical* object, so a look-alike operator shadowing a
-registered name can never ride the wrong opcodes.
+Only the builtin operators have a pair formulation (:data:`BUILTIN_PAIRS`);
+a custom operator runs on the NumPy reference backend, through its own
+``combine``.  :func:`pair_for` answers only for the *identical* builtin
+object, so a look-alike operator shadowing a builtin name can never ride
+the builtin's opcodes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from ..core.operators import (
-    AFFINE,
-    AND,
-    BUILTIN_OPERATORS,
-    MAX,
-    MIN,
-    OR,
-    PROD,
-    SUM,
-    XOR,
-    Operator,
-)
+from ..core.operators import BUILTIN_OPERATORS, Operator
 
 __all__ = [
     "PairSpec",
@@ -53,16 +38,13 @@ __all__ = [
     "OP_XOR",
     "OP_AND",
     "OP_OR",
-    "OPCODE_UFUNCS",
     "BITWISE_OPCODES",
+    "BUILTIN_PAIRS",
     "pair_for",
-    "register_pair",
-    "operator_from_pair",
 ]
 
 # Scalar component opcodes.  The compiled loops dispatch on these with a
-# small branch chain (see ``kernels.loops._make_kernels``); the order
-# here must match ``OPCODE_UFUNCS``.
+# small branch chain (see ``kernels.loops._make_kernels``).
 OP_ADD = 0
 OP_MUL = 1
 OP_MIN = 2
@@ -71,17 +53,8 @@ OP_XOR = 4
 OP_AND = 5
 OP_OR = 6
 
-#: NumPy ufunc for each opcode (used to rehydrate a shipped PairSpec
-#: into a vectorized operator in a worker process).
-OPCODE_UFUNCS: tuple[np.ufunc, ...] = (
-    np.add,
-    np.multiply,
-    np.minimum,
-    np.maximum,
-    np.bitwise_xor,
-    np.bitwise_and,
-    np.bitwise_or,
-)
+#: Number of opcodes: every opcode lies in ``[0, N_OPCODES)``.
+N_OPCODES = 7
 
 #: Opcodes that are only defined on integer dtypes.
 BITWISE_OPCODES = frozenset({OP_XOR, OP_AND, OP_OR})
@@ -109,7 +82,7 @@ class PairSpec:
         if self.width == 2:
             codes += [self.cross, self.plus]
         for code in codes:
-            if not 0 <= code < len(OPCODE_UFUNCS):
+            if not 0 <= code < N_OPCODES:
                 raise ValueError(f"unknown opcode {code}")
 
     @property
@@ -123,108 +96,30 @@ class PairSpec:
         """Whether any component opcode is bitwise (integer dtypes only)."""
         return any(code in BITWISE_OPCODES for code in self.opcodes)
 
-    def as_tuple(self) -> tuple[int, int, int, int]:
-        """Plain-data form for crossing a process boundary."""
-        return (self.width, self.companion, self.cross, self.plus)
 
-    @classmethod
-    def from_tuple(cls, data: tuple[int, int, int, int]) -> "PairSpec":
-        width, companion, cross, plus = data
-        if width == 1:
-            return cls(width=1, companion=companion)
-        return cls(width=width, companion=companion, cross=cross, plus=plus)
-
-
-# registry: operator name -> (the exact Operator instance, its spec)
-_PAIR_REGISTRY: dict[str, tuple[Operator, PairSpec]] = {}
-
-
-def register_pair(op: Operator, spec: PairSpec) -> None:
-    """Register a pair formulation for ``op``.
-
-    The registrant promises ``op.combine`` computes exactly the pair
-    formula for ``spec``'s opcodes (the compiled backend and the worker
-    offload path both rely on it).  Registration is by name *and*
-    identity: re-registering a name rebinds it to the new operator
-    object.
-    """
-    expected_width = 2 if op.value_width else 1
-    if spec.width != expected_width:
-        raise ValueError(
-            f"operator {op.name!r} has value_width={op.value_width} but the "
-            f"spec is width-{spec.width}"
-        )
-    _PAIR_REGISTRY[op.name] = (op, spec)
+#: The pair formulation of every builtin operator, by name — which is
+#: what lets AFFINE (and hence apps/recurrence.py) ride the compiled
+#: loops alongside the scalar operators.
+BUILTIN_PAIRS: dict[str, PairSpec] = {
+    "sum": PairSpec(width=1, companion=OP_ADD),
+    "prod": PairSpec(width=1, companion=OP_MUL),
+    "min": PairSpec(width=1, companion=OP_MIN),
+    "max": PairSpec(width=1, companion=OP_MAX),
+    "xor": PairSpec(width=1, companion=OP_XOR),
+    "and": PairSpec(width=1, companion=OP_AND),
+    "or": PairSpec(width=1, companion=OP_OR),
+    "affine": PairSpec(width=2, companion=OP_MUL, cross=OP_MUL, plus=OP_ADD),
+}
 
 
 def pair_for(op: Operator) -> PairSpec | None:
     """The pair formulation of ``op``, or ``None`` when it has none.
 
-    Only honored when the registered operator is the *identical* object,
-    so a custom operator shadowing a registered name falls back to the
+    Only a builtin operator has one, and only the *identical* object:
+    a custom operator shadowing a builtin name falls back to the
     generic (NumPy ``combine``) path instead of silently computing with
     the wrong opcodes.
     """
-    entry = _PAIR_REGISTRY.get(op.name)
-    if entry is None or entry[0] is not op:
+    if BUILTIN_OPERATORS.get(op.name) is not op:
         return None
-    return entry[1]
-
-
-def operator_from_pair(
-    name: str, spec: PairSpec, identity: object
-) -> Operator:
-    """Rehydrate an :class:`Operator` from a shipped pair spec.
-
-    Used by worker processes for pair-formulated operators whose name is
-    not a builtin: the combine is reconstructed from the opcodes, so
-    only plain data crosses the process boundary.  The result computes
-    exactly what the registrant's ``combine`` computes (that equivalence
-    is the :func:`register_pair` contract).
-    """
-    if BUILTIN_OPERATORS.get(name) is not None:
-        return BUILTIN_OPERATORS[name]
-    if spec.width == 1:
-        ufunc = OPCODE_UFUNCS[spec.companion]
-        return Operator(name=name, combine=ufunc, identity=identity, ufunc=ufunc)
-
-    companion = OPCODE_UFUNCS[spec.companion]
-    cross = OPCODE_UFUNCS[spec.cross]
-    plus = OPCODE_UFUNCS[spec.plus]
-
-    def combine(first: np.ndarray, second: np.ndarray) -> np.ndarray:
-        first = np.asarray(first)
-        second = np.asarray(second)
-        out = np.empty(
-            np.broadcast_shapes(first.shape, second.shape), dtype=first.dtype
-        )
-        f1, s1 = first[..., 0], first[..., 1]
-        f2, s2 = second[..., 0], second[..., 1]
-        out[..., 0] = companion(f1, f2)
-        out[..., 1] = plus(cross(s1, f2), s2)
-        return out
-
-    return Operator(
-        name=name,
-        combine=combine,
-        identity=identity,
-        value_width=2,
-        commutative=False,
-    )
-
-
-# ----------------------------------------------------------------------
-# builtin registrations — every builtin operator is pair-formulated,
-# which is what lets AFFINE (and hence apps/recurrence.py) ride the
-# compiled fast path alongside the scalar operators.
-# ----------------------------------------------------------------------
-register_pair(SUM, PairSpec(width=1, companion=OP_ADD))
-register_pair(PROD, PairSpec(width=1, companion=OP_MUL))
-register_pair(MIN, PairSpec(width=1, companion=OP_MIN))
-register_pair(MAX, PairSpec(width=1, companion=OP_MAX))
-register_pair(XOR, PairSpec(width=1, companion=OP_XOR))
-register_pair(AND, PairSpec(width=1, companion=OP_AND))
-register_pair(OR, PairSpec(width=1, companion=OP_OR))
-register_pair(
-    AFFINE, PairSpec(width=2, companion=OP_MUL, cross=OP_MUL, plus=OP_ADD)
-)
+    return BUILTIN_PAIRS[op.name]

@@ -79,6 +79,12 @@ class TestListScanDispatch:
         list_scan(lst, rng=rng, stats=stats)
         assert stats.element_ops > 0
 
+    def test_serial_counts_its_element_ops(self, rng):
+        lst = random_list(300, rng)
+        stats = ScanStats()
+        list_scan(lst, algorithm="serial", stats=stats)
+        assert stats.element_ops == lst.n
+
 
 class TestAutoRouting:
     def test_router_errors_propagate(self, monkeypatch, rng):
@@ -95,32 +101,10 @@ class TestAutoRouting:
 
 
 class TestEngineArgumentCompatibility:
-    def test_engine_with_rng_raises(self, rng):
-        from repro.engine import Engine
-
-        lst = random_list(50, 0)
-        with pytest.raises(TypeError, match="rng"):
-            list_scan(lst, engine=Engine(), rng=rng)
-
-    def test_engine_with_stats_raises(self):
-        from repro.engine import Engine
-
-        lst = random_list(50, 0)
-        with pytest.raises(TypeError, match="stats"):
-            list_scan(lst, engine=Engine(), stats=ScanStats())
-
-    def test_engine_with_impl_kwargs_raises(self):
-        from repro.core.sublist import SublistConfig
-        from repro.engine import Engine
-
-        lst = random_list(50, 0)
-        with pytest.raises(TypeError, match="config"):
-            list_scan(lst, engine=Engine(), config=SublistConfig(m=8, s1=4.0))
-
     def test_engine_with_validate_still_works(self, small_list):
         from repro.engine import Engine
 
-        got = list_scan(small_list, engine=Engine())
+        got = Engine().scan(small_list)
         assert np.array_equal(got, serial_list_scan(small_list))
 
 
@@ -144,7 +128,7 @@ class TestListRank:
         from repro.engine import Engine
 
         lst = random_list(300, 0)
-        got = list_rank(lst, engine=Engine())
+        got = Engine().rank(lst)
         assert np.array_equal(got, serial_list_rank(lst))
 
     def test_trace_named_param(self):
@@ -156,24 +140,13 @@ class TestListRank:
         assert np.array_equal(got, serial_list_rank(lst))
         assert tracer.roots  # the scan actually recorded under it
 
-    def test_engine_with_rng_raises(self, rng):
-        # same contract as list_scan: engine mode owns rng/stats
-        from repro.engine import Engine
+    def test_kernel_backend_named_param(self, monkeypatch):
+        # the process's backend, chosen through the environment
+        from repro.kernels import ENV_VAR
 
-        lst = random_list(50, 0)
-        with pytest.raises(TypeError, match="rng"):
-            list_rank(lst, engine=Engine(), rng=rng)
-
-    def test_engine_with_stats_raises(self):
-        from repro.engine import Engine
-
-        lst = random_list(50, 0)
-        with pytest.raises(TypeError, match="stats"):
-            list_rank(lst, engine=Engine(), stats=ScanStats())
-
-    def test_kernel_backend_named_param(self):
+        monkeypatch.setenv(ENV_VAR, "python")
         lst = random_list(3000, 0)
-        got = list_rank(lst, algorithm="sublist", rng=0, kernel_backend="python")
+        got = list_rank(lst, algorithm="sublist", rng=0)
         assert np.array_equal(got, serial_list_rank(lst))
 
 

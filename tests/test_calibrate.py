@@ -233,25 +233,31 @@ class TestFitProfile:
 class TestRoutingChange:
     """Acceptance: the fitted profile measurably changes routing."""
 
-    def test_host_profile_moves_crossover_down(self):
+    @staticmethod
+    def fitted_router():
+        # host-shaped pointer jumping: a few ns per node and round plus
+        # a per-round call overhead, cheap against the sublist group
+        samples = serial_samples() + sublist_samples() + wyllie_samples(a=7.5, b=2000.0)
+        return Router(costs=fit_profile(samples, source="test", created_at=1.0).costs)
+
+    def test_host_profile_moves_crossover_up(self):
         static = Router()
-        fitted = Router(costs=host_profile().costs)
-        # serial is ~8x more expensive relative to the vector kernels
-        # on the synthetic host than on the C-90, so the serial/sublist
-        # crossover must drop
-        assert fitted.crossover() < static.crossover()
+        # Wyllie is far cheaper relative to the sublist kernels on the
+        # synthetic host than on the C-90, so the Wyllie/sublist
+        # crossover must rise
+        assert self.fitted_router().crossover() > static.crossover()
 
     def test_routing_differs_on_synthetic_workload(self):
         static = Router()
-        fitted = Router(costs=host_profile().costs)
+        fitted = self.fitted_router()
         probes = [1 << k for k in range(4, 18)]
         flipped = [n for n in probes
                    if static.choose(n) != fitted.choose(n)]
         assert flipped, "fitted profile never changed a routing decision"
-        # every flip is away from the serial walk, not toward it
+        # every flip is toward pointer jumping, not away from it
         for n in flipped:
-            assert static.choose(n) == "serial"
-            assert fitted.choose(n) != "serial"
+            assert static.choose(n) == "sublist"
+            assert fitted.choose(n) == "wyllie"
 
 
 class TestProfileRoundTrip:

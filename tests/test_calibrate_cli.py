@@ -134,6 +134,14 @@ class TestCalibrateShowCheck:
         out = capsys.readouterr().out
         assert "OK" in out and "crossover" in out
 
+    def test_check_prints_the_wyllie_sublist_crossover(self, profile_file, capsys):
+        from repro.engine.router import Router
+
+        assert main(["calibrate", "check", profile_file]) == 0
+        out = capsys.readouterr().out
+        assert "wyllie->sublist crossover" in out
+        assert f"(static C-90 table: {Router().crossover():,})" in out
+
     def test_check_rejects_absurd_coefficients(self, profile_file, capsys):
         doc = json.loads(Path(profile_file).read_text())
         doc["costs"]["serial_per_elem"] = -1.0

@@ -32,20 +32,22 @@ from repro.lint.lockorder import instrumented_locks
 from repro.lists.generate import random_list, random_values
 
 
-def make_profile(serial_per_elem=1100.0, serial_const=2000.0, source="test"):
-    """A synthetic fitted profile (host-ns units) without running a fit."""
+def make_profile(wyllie_round_per_elem=7.5, wyllie_round_const=2000.0, source="test"):
+    """A synthetic fitted profile (host-ns units) without running a fit:
+    a fitted ``wyllie`` kind, the C-90 table's other coefficients read
+    as nanoseconds."""
     costs = dataclasses.replace(
         PAPER_C90_COSTS,
-        serial_per_elem=serial_per_elem,
-        serial_const=serial_const,
+        wyllie_round_per_elem=wyllie_round_per_elem,
+        wyllie_round_const=wyllie_round_const,
         clock_ns=1.0,
     )
     return CalibrationProfile(
         costs=costs,
         created_at=1.0,
         source=source,
-        samples={"serial": 2},
-        residuals={"serial": 0.0},
+        samples={"wyllie": 2},
+        residuals={"wyllie": 0.0},
     )
 
 
@@ -220,7 +222,7 @@ class TestEngineCalibration:
 
     def test_recalibrate_counts_and_swaps(self):
         first = make_profile(source="first")
-        second = make_profile(serial_per_elem=900.0, source="second")
+        second = make_profile(wyllie_round_per_elem=6.0, source="second")
         with Engine(seed=1, calibration=first) as engine:
             engine.recalibrate(second)
             assert engine.stats.recalibrations == 1
@@ -235,13 +237,14 @@ class TestEngineCalibration:
             assert engine.calibration is None
 
     def test_real_scan_beyond_tolerance_raises_drift_alert(self):
-        # serial predicted at 0.01 ns/node: any real Python pointer
-        # chase is orders of magnitude slower, so the run must alert
-        profile = make_profile(serial_per_elem=0.01, serial_const=1.0)
+        # Wyllie predicted at 0.01 ns a node and round: any real
+        # pointer jumping is orders of magnitude slower, so the run
+        # must alert
+        profile = make_profile(wyllie_round_per_elem=0.01, wyllie_round_const=1.0)
         cfg = DriftConfig(tolerance=3.0, min_seconds=0.0)
         with Engine(seed=1, calibration=profile, drift=cfg) as engine:
             lst = healthy_list(5000, seed=3)
-            assert engine.router.choose(5000) == "serial"
+            assert engine.router.choose(5000) == "wyllie"
             got = engine.scan(lst)
             assert np.array_equal(got, serial_list_scan(lst))
             assert engine.stats.drift_alerts >= 1
@@ -264,15 +267,15 @@ class TestEngineCalibration:
             assert engine.stats.drift_alerts == 1
 
     def test_auto_refit_refits_from_window_telemetry(self):
-        profile = make_profile(serial_per_elem=1000.0, serial_const=0.0)
+        profile = make_profile(wyllie_round_per_elem=10.0, wyllie_round_const=0.0)
         cfg = DriftConfig(tolerance=3.0, auto_refit_after=2, min_seconds=0.0)
         with Engine(seed=1, calibration=profile, drift=cfg) as engine:
-            # two consecutive serial runs observed 10x slower than the
+            # two consecutive Wyllie runs observed 10x slower than the
             # profile predicts (distinct sizes so the refit is solvable)
             for n in (10_000, 20_000):
-                predicted = engine.router.predicted_clocks(n, "serial")
+                predicted = engine.router.predicted_clocks(n, "wyllie")
                 engine._observe_execution(
-                    "serial", n, 1, predicted * 10 * 1e-9, epoch=engine._drift
+                    "wyllie", n, 1, predicted * 10 * 1e-9, epoch=engine._drift
                 )
             assert engine.stats.drift_alerts == 2
             assert engine.stats.recalibrations == 1
@@ -280,20 +283,20 @@ class TestEngineCalibration:
             assert fresh is not profile
             assert fresh.source == "auto-refit"
             # the refit profile tracks the observed (10x slower) rate
-            assert fresh.costs.serial_per_elem == pytest.approx(10_000.0, rel=0.05)
+            assert fresh.costs.wyllie_round_per_elem == pytest.approx(100.0, rel=0.05)
             assert engine.router.costs is fresh.costs
             # the new detector starts with a clean window
             assert engine.calibration_snapshot()["drift"]["window"] == 0
 
     def test_auto_refit_survives_unfittable_window(self):
-        profile = make_profile(serial_per_elem=1000.0, serial_const=0.0)
+        profile = make_profile(wyllie_round_per_elem=10.0, wyllie_round_const=0.0)
         cfg = DriftConfig(tolerance=3.0, auto_refit_after=2, min_seconds=0.0)
         with Engine(seed=1, calibration=profile, drift=cfg) as engine:
             # same x twice: degenerate design, the refit must fail
             # quietly and keep the current profile serving
             for _ in range(2):
                 engine._observe_execution(
-                    "serial", 10_000, 1, 1e-1, epoch=engine._drift
+                    "wyllie", 10_000, 1, 1e-1, epoch=engine._drift
                 )
             assert engine.stats.drift_alerts == 2
             assert engine.stats.recalibrations == 0
@@ -308,15 +311,15 @@ class TestEngineCalibration:
         could fire a spurious alert/auto-refit immediately after the
         swap.  The epoch guard discards them instead.
         """
-        profile_a = make_profile(serial_per_elem=1000.0, source="a")
-        profile_b = make_profile(serial_per_elem=900.0, source="b")
+        profile_a = make_profile(wyllie_round_per_elem=10.0, source="a")
+        profile_b = make_profile(wyllie_round_per_elem=9.0, source="b")
         cfg = DriftConfig(tolerance=3.0, auto_refit_after=2, min_seconds=0.0)
         with Engine(seed=1, calibration=profile_a, drift=cfg) as engine:
             # seed the rolling window with one out-of-tolerance sample
             epoch_a = engine._drift
-            predicted = engine.router.predicted_clocks(10_000, "serial")
+            predicted = engine.router.predicted_clocks(10_000, "wyllie")
             slow = predicted * 10 * 1e-9
-            engine._observe_execution("serial", 10_000, 1, slow, epoch=epoch_a)
+            engine._observe_execution("wyllie", 10_000, 1, slow, epoch=epoch_a)
             assert engine.stats.drift_alerts == 1
             assert engine.calibration_snapshot()["drift"]["window"] == 1
             engine.recalibrate(profile_b)
@@ -328,7 +331,7 @@ class TestEngineCalibration:
             # an A-epoch run finishing late is discarded, not judged
             # against B — one more such sample would otherwise hit
             # auto_refit_after=2 and trigger a spurious refit
-            engine._observe_execution("serial", 20_000, 1, slow, epoch=epoch_a)
+            engine._observe_execution("wyllie", 20_000, 1, slow, epoch=epoch_a)
             snap = engine.calibration_snapshot()["drift"]
             assert snap["window"] == 0
             assert engine.stats.drift_alerts == 1
@@ -336,7 +339,7 @@ class TestEngineCalibration:
             assert engine.calibration is profile_b
             # a B-epoch run is judged normally against the new table
             engine._observe_execution(
-                "serial", 20_000, 1, slow, epoch=engine._drift
+                "wyllie", 20_000, 1, slow, epoch=engine._drift
             )
             assert engine.calibration_snapshot()["drift"]["window"] == 1
 
@@ -351,8 +354,8 @@ class TestRecalibrateConcurrency:
         acquisition graph must stay acyclic.
         """
         profiles = [
-            make_profile(serial_per_elem=1100.0, source="a"),
-            make_profile(serial_per_elem=0.5, serial_const=1.0, source="b"),
+            make_profile(wyllie_round_per_elem=0.5, wyllie_round_const=1.0, source="a"),
+            make_profile(wyllie_round_per_elem=1000.0, source="b"),
         ]
         cfg = DriftConfig(tolerance=1e9, min_seconds=0.0)  # observe, never alert
         with instrumented_locks(

@@ -46,6 +46,7 @@ from repro.distribute import (
 from repro.engine import Engine, ScanRequest
 from repro.engine.batch import FUSE_NODES
 from repro.engine.workers import create_backend
+from repro.kernels import ENV_VAR
 from repro.lint.lockorder import instrumented_locks
 from repro.lists.generate import (
     INDEX_DTYPE,
@@ -286,6 +287,29 @@ class TestCorrectness:
         assert np.array_equal(got, serial_list_scan(lst))
         assert set(glob.glob("/dev/shm/psm_*")) == before
 
+    def test_offloaded_chunks_carry_the_process_backend(self, rng, monkeypatch):
+        # no backend passed: inline or offloaded, every chunk runs on
+        # the process's kernel backend, so every chunk task names it
+        from repro.distribute.chunks import _ChunkTask
+
+        monkeypatch.setenv(ENV_VAR, "python")
+        named = []
+        run_task = workers_mod.ProcessBackend.run_task
+
+        def spy(self, fn, *args):
+            if isinstance(args[0], _ChunkTask):
+                named.append(args[0].kernel_backend)
+            return run_task(self, fn, *args)
+
+        monkeypatch.setattr(workers_mod.ProcessBackend, "run_task", spy)
+        lst = blocked_list(20_000, 64, rng, values=rng.integers(-9, 9, 20_000))
+        heads = np.asarray([lst.head], dtype=INDEX_DTYPE)
+        got = sharded_forest_scan(
+            lst.next, lst.values, heads, SUM, config=chunked(4), backend="processes", rng=0
+        )
+        assert np.array_equal(got, serial_list_scan(lst))
+        assert len(named) == 8 and set(named) == {"python"}  # 4 contractions, 4 expansions
+
     def test_deterministic_across_executors(self, rng, process_backend):
         # same seed -> identical bytes from sync, threads, and processes
         lst = blocked_list(30_000, 64, rng, values=rng.integers(-9, 9, 30_000))
@@ -409,6 +433,34 @@ class TestEngineRouting:
         assert snap["distributed_runs"] == 1
         assert snap["distributed_chunks"] == 4
         assert snap["algorithms"]["distributed"] == 1
+
+    def test_chunks_run_on_the_engine_backend(self, rng, monkeypatch):
+        # the engine resolves its kernel backend once: a distributed
+        # shard's chunk tasks carry it, though the variable changes later
+        from repro.distribute.chunks import _ChunkTask
+
+        monkeypatch.setenv(ENV_VAR, "python")
+        named = []
+        run_task = workers_mod.ProcessBackend.run_task
+
+        def spy(self, fn, *args):
+            if isinstance(args[0], _ChunkTask):
+                named.append(args[0].kernel_backend)
+            return run_task(self, fn, *args)
+
+        monkeypatch.setattr(workers_mod.ProcessBackend, "run_task", spy)
+        lst = blocked_list(20_000, 64, rng, values=rng.integers(-9, 9, 20_000))
+        with Engine(
+            executor="processes",
+            max_workers=2,
+            cache_capacity=0,
+            distributed=DistributedConfig(min_nodes=10_000, num_chunks=4),
+        ) as engine:
+            monkeypatch.setenv(ENV_VAR, "numpy")
+            [resp] = engine.run_batch([ScanRequest(lst=lst)])
+        assert resp.ok and resp.algorithm == "distributed"
+        assert np.array_equal(resp.result, serial_list_scan(lst))
+        assert len(named) == 8 and set(named) == {"python"}  # 4 contractions, 4 expansions
 
     def test_fused_shard_reaching_pinned_min_nodes_routes_distributed(self, rng):
         # two lists below the cap fuse; together they reach min_nodes

@@ -197,16 +197,14 @@ class TestSubmissionFlow:
     def test_list_scan_engine_path(self):
         lst = random_list(300, 0, values=random_values(300, 0))
         engine = Engine()
-        got = list_scan(lst, SUM, algorithm="auto", engine=engine)
+        got = engine.scan(lst, SUM, algorithm="auto")
         np.testing.assert_array_equal(got, serial_list_scan(lst, SUM))
         assert engine.stats.requests == 1
 
     def test_list_rank_engine_kwarg(self):
         lst = random_list(200, 0)
         engine = Engine()
-        np.testing.assert_array_equal(
-            list_rank(lst, engine=engine), list_rank(lst)
-        )
+        np.testing.assert_array_equal(engine.rank(lst), list_rank(lst))
 
 
 class TestStats:

@@ -13,6 +13,7 @@ from repro.engine import Engine
 from repro.engine.batch import FUSE_NODES, FusedBatch, shard_requests
 from repro.engine.queue import ScanRequest
 from repro.engine.workers import run_fused_kernel
+from repro.kernels import ENV_VAR
 from repro.lists.generate import list_order, random_list, random_values
 from repro.lists.validate import ListStructureError
 
@@ -231,6 +232,8 @@ class TestLoneShard:
         np.testing.assert_allclose(lone, fused, rtol=1e-9)
 
     def test_lone_serial_counts_its_element_ops(self):
+        # the serial oracle has no forest kernel: a forced request runs
+        # per list, alone or sharded with another, and counts its n
         big, other = float_pair()
         with Engine(executor="sync", cache_capacity=0) as engine:
             engine.run_batch([ScanRequest(lst=big, algorithm="serial")])
@@ -240,7 +243,109 @@ class TestLoneShard:
                 [ScanRequest(lst=lst, algorithm="serial") for lst in (big, other)]
             )
             assert engine.stats.element_ops == 2 * big.n + other.n
-            assert engine.stats.fused_lists == 2
+            assert engine.stats.solo_runs == 3 and engine.stats.fused_lists == 0
+
+    def test_forced_serial_runs_in_process(self):
+        # no forest kernel, so nothing to offload: the processes
+        # executor answers a forced serial shard from the oracle itself
+        big, other = float_pair()
+        with Engine(executor="processes", max_workers=1, cache_capacity=0) as engine:
+            responses = engine.run_batch(
+                [ScanRequest(lst=lst, algorithm="serial") for lst in (big, other)]
+            )
+            assert engine._backend.tasks_offloaded == 0
+        for lst, resp in zip((big, other), responses):
+            assert resp.ok and resp.algorithm == "serial" and resp.batch_lists == 2
+            np.testing.assert_array_equal(resp.result, serial_list_scan(lst))
+
+
+class TestNoSerialOnAutoPaths:
+    """The serial scan is the oracle, not a route: with every binding of
+    it patched to raise, auto-routed engine batches and sublist scans
+    of small forests and small Phase 2s still answer."""
+
+    @staticmethod
+    def no_serial(monkeypatch):
+        """Patch the serial scans to raise wherever a ``repro`` module
+        binds them (the oracles a test needs are computed before)."""
+        import sys
+
+        import repro.core.early_reconnect  # noqa: F401 - bind it before patching
+        import repro.distribute  # noqa: F401
+
+        def boom(*args, **kwargs):
+            raise AssertionError("the serial oracle ran on an auto path")
+
+        for name, module in list(sys.modules.items()):
+            for fn in ("serial_forest_scan", "serial_list_scan"):
+                if name.startswith("repro.") and hasattr(module, fn):
+                    monkeypatch.setattr(module, fn, boom)
+
+    def test_engine_auto_routes(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        lone_64, lone_1024 = (
+            random_list(n, rng, values=rng.integers(-9, 9, n)) for n in (64, 1024)
+        )
+        shard = [random_list(64, rng, values=rng.integers(-9, 9, 64)) for _ in range(16)]
+        batches = [[lone_64], [lone_1024], shard]
+        oracles = [[serial_list_scan(lst) for lst in batch] for batch in batches]
+        self.no_serial(monkeypatch)
+        with Engine(executor="sync", cache_capacity=0) as engine:
+            for batch, oracle in zip(batches, oracles):
+                responses = engine.run_batch([ScanRequest(lst=lst) for lst in batch])
+                assert {resp.batch_lists for resp in responses} == {len(batch)}
+                for resp, want in zip(responses, oracle):
+                    assert resp.ok, resp.error
+                    assert resp.algorithm in ("wyllie", "sublist")
+                    np.testing.assert_array_equal(resp.result, want)
+
+    @pytest.mark.parametrize("kernel_backend", ["numpy", "python"])
+    def test_sublist_small_phase2_and_small_forest(self, monkeypatch, kernel_backend):
+        from repro.core.forest import SublistConfig, forest_list_scan
+        from repro.core.stats import ScanStats
+
+        rng = np.random.default_rng(32)
+        lst = random_list(5000, rng, values=rng.integers(-9, 9, 5000))
+        small = [random_list(50, rng, values=rng.integers(-9, 9, 50)) for _ in range(4)]
+        nxt = np.concatenate([s.next + 50 * k for k, s in enumerate(small)])
+        values = np.concatenate([s.values for s in small])
+        heads = [s.head + 50 * k for k, s in enumerate(small)]
+        want_big = serial_list_scan(lst)
+        want_small = np.concatenate([serial_list_scan(s) for s in small])
+        self.no_serial(monkeypatch)
+        config = SublistConfig(m=128)
+        stats = ScanStats()
+        got = forest_list_scan(
+            lst.next, lst.values, [lst.head], SUM, config=config, rng=0, stats=stats,
+            kernel_backend=kernel_backend,
+        )
+        np.testing.assert_array_equal(got, want_big)
+        assert stats.packs > 0  # the sublist scan ran, with m = 128 sublists
+        assert nxt.shape[0] <= config.serial_cutoff
+        got = forest_list_scan(nxt, values, heads, SUM, kernel_backend=kernel_backend)
+        np.testing.assert_array_equal(got, want_small)
+
+    def test_sharded_scan(self, monkeypatch):
+        # small chunks and a small reduced list: the direct scans and
+        # the routed reduce step run Wyllie or sublist, never serial
+        from repro.distribute import DistributedConfig, sharded_list_scan
+
+        rng = np.random.default_rng(34)
+        lst = random_list(2000, rng, values=rng.integers(-9, 9, 2000))
+        want = serial_list_scan(lst)
+        self.no_serial(monkeypatch)
+        report = {}
+        got = sharded_list_scan(lst, config=DistributedConfig(num_chunks=8), rng=0, report=report)
+        np.testing.assert_array_equal(got, want)
+        assert report["reduced_algorithm"] in ("wyllie", "sublist")
+
+    def test_early_reconnect_small_list(self, monkeypatch):
+        rng = np.random.default_rng(33)
+        lst = random_list(100, rng, values=rng.integers(-9, 9, 100))
+        want = serial_list_scan(lst, inclusive=True)
+        self.no_serial(monkeypatch)
+        got = list_scan(lst, algorithm="early_reconnect", inclusive=True, rng=0)
+        np.testing.assert_array_equal(got, want)
 
 
 #: Value kinds the fused path must answer exactly as ``list_scan``:
@@ -281,14 +386,19 @@ def assert_matches_list_scan(responses, lists, op, inclusive, exact):
 class TestFusedPathOracle:
     """A fused shard copies each member once into the scan's records and
     writes each member's result into its own array: every member gets
-    exactly what ``list_scan`` gives it alone."""
+    exactly what ``list_scan`` gives it alone, on either kernel backend
+    of the process."""
+
+    @pytest.fixture(autouse=True)
+    def _process_backend(self, backend, monkeypatch):
+        monkeypatch.setenv(ENV_VAR, backend)
 
     @pytest.mark.parametrize("inclusive", [False, True])
     @pytest.mark.parametrize("kind", sorted(KINDS))
     def test_matches_list_scan(self, executor, backend, kind, inclusive):
         op, values, exact = KINDS[kind]
         rng = np.random.default_rng(sorted(KINDS).index(kind) + 10 * inclusive)
-        with Engine(executor=executor, cache_capacity=0, kernel_backend=backend) as engine:
+        with Engine(executor=executor, cache_capacity=0) as engine:
             for count in (1, int(rng.integers(2, 40)), 40):
                 lists = mixed_lists(rng, count, values)
                 reqs = [
@@ -303,7 +413,7 @@ class TestFusedPathOracle:
     @pytest.mark.parametrize("algorithm", ["serial", "wyllie"])
     def test_serial_and_wyllie_shards_match_list_scan(self, executor, backend, algorithm):
         rng = np.random.default_rng(7)
-        with Engine(executor=executor, cache_capacity=0, kernel_backend=backend) as engine:
+        with Engine(executor=executor, cache_capacity=0) as engine:
             for kind in ("int64", "affine"):
                 op, values, exact = KINDS[kind]
                 lists = mixed_lists(rng, 12, values)
@@ -316,7 +426,7 @@ class TestFusedPathOracle:
         good = mixed_lists(rng, 6, lambda rng, n: rng.integers(-9, 9, n))
         lists = [*good[:3], hostile_list(shape, 2000), *good[3:]]
         reqs = [ScanRequest(lst=lst, algorithm="sublist") for lst in lists]
-        engine = Engine(executor=executor, cache_capacity=0, kernel_backend=backend)
+        engine = Engine(executor=executor, cache_capacity=0)
         with within(60), engine:
             responses = engine.run_batch(reqs)
         bad = responses.pop(3)

@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from repro.baselines.serial import serial_list_scan
-from repro.core.list_scan import list_scan
 from repro.core.operators import MAX, MIN, SUM, AFFINE, Operator
 from repro.engine import (
     Engine,
@@ -187,8 +186,12 @@ class TestExecutionContainment:
 
     def test_list_scan_engine_path_raises_structured(self):
         bad = corrupt_list(24, 14)
+        engine = Engine()
+        with pytest.raises(EngineRequestError) as excinfo:
+            engine.scan(bad, SUM)
+        assert excinfo.value.error.code == "bad-structure"
         with pytest.raises(EngineRequestError):
-            list_scan(bad, SUM, engine=Engine())
+            engine.rank(bad)
 
 
 class TestCoalescing:

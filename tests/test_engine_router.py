@@ -3,6 +3,7 @@
 import pytest
 
 from repro.analysis.cost_model import PAPER_C90_COSTS
+from repro.analysis.predict import predict_run
 from repro.core.list_scan import _auto_algorithm, list_scan
 from repro.engine.router import (
     CANDIDATES,
@@ -14,10 +15,15 @@ from repro.lists.generate import random_list
 
 
 class TestRouterModel:
-    def test_small_lists_route_serial(self):
+    def test_serial_is_not_a_candidate(self):
+        assert CANDIDATES == ("wyllie", "sublist")
+
+    def test_small_lists_route_wyllie(self):
+        # the serial scan is the oracle, not a route: the smallest
+        # lists go to the vectorized pointer jumping
         router = Router()
-        for n in (1, 8, 64, 512):
-            assert router.choose(n) == "serial"
+        for n in (0, 1, 2, 8, 64, 256):
+            assert router.choose(n) == "wyllie"
 
     def test_large_lists_route_sublist(self):
         router = Router()
@@ -25,25 +31,29 @@ class TestRouterModel:
             assert router.choose(n) == "sublist"
 
     def test_crossover_is_finite_and_reasonable(self):
-        cross = Router().crossover()
-        # the model crossover lands in the same regime as the paper's
-        # Figure 1 structure (somewhere in the hundreds..ten-thousands)
+        router = Router()
+        cross = router.crossover()
+        # the model's Wyllie/sublist crossover lands in the same regime
+        # as the paper's Figure 1 structure (somewhere in the
+        # hundreds..ten-thousands), and it is where the choice flips
         assert 100 <= cross <= 20_000
+        assert router.choose(cross // 2) == "wyllie"
+        assert router.choose(2 * cross) == "sublist"
 
     def test_many_tiny_lists_prefer_vector_wyllie(self):
         # fused pointer jumping over k short chains finishes in
-        # log2(n/k) rounds — the model should discover that it beats a
-        # per-chain serial walk
+        # log2(n/k) rounds — the model should discover that it beats
+        # the sublist algorithm there
         router = Router()
         assert router.choose(256, n_lists=64) == "wyllie"
 
     def test_predictions_match_kernel_equations(self):
         router = Router()
-        assert router.predicted_clocks(1000, "serial") == pytest.approx(
-            PAPER_C90_COSTS.t_serial(1000)
-        )
         assert router.predicted_clocks(1024, "wyllie") == pytest.approx(
             PAPER_C90_COSTS.t_wyllie(1024)
+        )
+        assert router.predicted_clocks(1024, "sublist") == pytest.approx(
+            predict_run(1024, PAPER_C90_COSTS).cycles
         )
 
     def test_choice_minimizes_predicted_clocks(self):
@@ -56,9 +66,9 @@ class TestRouterModel:
 
     def test_unknown_candidate_rejected(self):
         with pytest.raises(ValueError):
-            Router(candidates=("serial", "quantum"))
-        with pytest.raises(ValueError):
             Router().predicted_clocks(100, "quantum")
+        with pytest.raises(ValueError, match="routable"):
+            Router().predicted_clocks(100, "serial")
 
 
 class TestHotSwap:
@@ -68,14 +78,14 @@ class TestHotSwap:
         router = Router()
         n = 1 << 16
         assert router.choose(n) == "sublist"  # decision now cached
-        # a table where the serial walk is essentially free must flip
-        # the same (cached) bucket to serial — stale cache entries
+        # a table where pointer jumping is essentially free must flip
+        # the same (cached) bucket to wyllie — stale cache entries
         # surviving the swap would keep answering "sublist"
-        cheap_serial = dataclasses.replace(
-            PAPER_C90_COSTS, serial_per_elem=1e-6, serial_const=1e-6
+        cheap_wyllie = dataclasses.replace(
+            PAPER_C90_COSTS, wyllie_round_per_elem=1e-6, wyllie_round_const=1e-6
         )
-        router.set_costs(cheap_serial)
-        assert router.choose(n) == "serial"
+        router.set_costs(cheap_wyllie)
+        assert router.choose(n) == "wyllie"
         # and back: the second swap restores the original decision
         router.set_costs(PAPER_C90_COSTS)
         assert router.choose(n) == "sublist"
@@ -91,8 +101,8 @@ class TestHotSwap:
         import dataclasses
         import threading
 
-        cheap_serial = dataclasses.replace(
-            PAPER_C90_COSTS, serial_per_elem=1e-6, serial_const=1e-6
+        cheap_wyllie = dataclasses.replace(
+            PAPER_C90_COSTS, wyllie_round_per_elem=1e-6, wyllie_round_const=1e-6
         )
         router = Router()
         stop = threading.Event()
@@ -108,7 +118,7 @@ class TestHotSwap:
         for th in threads:
             th.start()
         for _ in range(200):
-            router.set_costs(cheap_serial)
+            router.set_costs(cheap_wyllie)
             router.set_costs(PAPER_C90_COSTS)
         stop.set()
         for th in threads:
@@ -123,7 +133,7 @@ class TestHotSwap:
         for (nb, kb), cached in state.choices.items():
             predictions = {
                 alg: router._predicted(state.costs, nb, alg, kb)
-                for alg in router.candidates
+                for alg in CANDIDATES
             }
             expected = min(predictions, key=predictions.get)
             assert cached == expected, (nb, kb)
@@ -135,10 +145,10 @@ class TestAutoWiring:
 
     def test_auto_algorithm_returns_dispatchable_name(self):
         for n in (2, 100, 4096, 1 << 18):
-            assert _auto_algorithm(n) in ("serial", "wyllie", "sublist")
+            assert _auto_algorithm(n) in CANDIDATES
 
     def test_auto_extremes(self):
-        assert _auto_algorithm(16) == "serial"
+        assert _auto_algorithm(16) == "wyllie"
         assert _auto_algorithm(1 << 20) == "sublist"
 
     def test_auto_dispatch_still_correct(self, rng):

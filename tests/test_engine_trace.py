@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro.engine import Engine, ScanRequest
+from repro.engine.router import CANDIDATES
 from repro.lists.generate import random_list, random_values
 from repro.trace import Tracer, counting_clock
 
@@ -60,10 +61,10 @@ class TestEngineSpans:
         engine.run_batch(_batch(3, 2000))
         (shard,) = tracer.last_root().find_all("shard")
         (route,) = shard.events_named("route")
-        assert route.attrs["algorithm"] in ("serial", "wyllie", "sublist")
+        assert route.attrs["algorithm"] in CANDIDATES
         assert route.attrs["forced"] is False
         assert route.attrs["n_lists"] == 3
-        assert set(route.attrs["predicted_clocks"]) == set(engine.router.candidates)
+        assert set(route.attrs["predicted_clocks"]) == set(CANDIDATES)
         assert all(v > 0 for v in route.attrs["predicted_clocks"].values())
 
     def test_queue_wait_events_from_submission_path(self):

@@ -190,6 +190,34 @@ class TestMembers:
             forest.contiguous()
 
 
+
+class TestDirectScan:
+    """A forest too small to cut is scanned directly with Wyllie."""
+
+    def test_members_with_carries(self, rng):
+        # several members, each its own node array, seeded per list:
+        # what early_reconnect's small straggler rescans hand over
+        lists = [random_list(n, rng, values=rng.integers(-9, 9, n)) for n in (1, 30, 7, 90)]
+        carries = rng.integers(-50, 50, len(lists))
+        outs = [np.empty_like(lst.values) for lst in lists]
+        stats = ScanStats()
+        forest_scan(Forest.of_lists(lists), outs, SUM, carries=carries, rng=0, stats=stats)
+        assert stats.packs == 0 and stats.rounds > 0  # pointer jumping, no sublists
+        for lst, carry, out in zip(lists, carries, outs):
+            assert np.array_equal(out, serial_list_scan(lst) + carry)
+
+    def test_traced_as_wyllie_scan(self, rng):
+        from repro.trace import Tracer
+
+        nxt, heads = make_forest([40, 17, 90], rng)
+        values = rng.integers(-9, 9, nxt.shape[0])
+        tracer = Tracer()
+        got = forest_list_scan(nxt, values, heads, SUM, trace=tracer)
+        (root,) = tracer.roots
+        assert root.name == "wyllie_scan" and root.attrs["n_lists"] == 3
+        ref = np.empty_like(values)
+        serial_forest_scan(nxt, values, heads, SUM, None, ref)
+        assert np.array_equal(got, ref)
 class TestForestListScan:
     @pytest.mark.parametrize(
         "seed, splitters",

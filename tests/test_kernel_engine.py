@@ -2,10 +2,10 @@
 
 Two contracts:
 
-* **equivalence** — for every ``executor`` × ``kernel_backend``
-  combination the engine returns exactly what the dispatch API
-  produces (bit-identical for integer operators, tolerance-equal for
-  float/AFFINE, per docs/kernels.md);
+* **equivalence** — for every ``executor`` × kernel backend (chosen
+  for the process through ``REPRO_KERNEL_BACKEND``) the engine returns
+  exactly what the dispatch API produces (bit-identical for integer
+  operators, tolerance-equal for float/AFFINE, per docs/kernels.md);
 * **routing neutrality** — the reference backends (``numpy``,
   ``python``) carry calibration factors of 1.0, so forcing them
   changes *no* routing decision relative to the default router.
@@ -17,14 +17,12 @@ import numpy as np
 import pytest
 
 from repro.baselines.serial import serial_list_scan
-from repro.core.forest import Forest
 from repro.core.operators import AFFINE, SUM, XOR, Operator
 from repro.engine import Engine
 from repro.engine.router import CANDIDATES, Router
 from repro.engine.workers import offloadable_operator, shippable_operator
-from repro.kernels import PairSpec, register_pair
+from repro.kernels import ENV_VAR
 from repro.kernels.backend import NumbaBackend
-from repro.kernels.pairs import OP_ADD, _PAIR_REGISTRY, pair_for
 from repro.lists.generate import random_list
 
 from .conftest import make_affine_values
@@ -62,11 +60,10 @@ class TestGoldenAcrossExecutors:
     @pytest.mark.parametrize("executor", EXECUTORS)
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("op", [SUM, XOR])
-    def test_int_bit_identical(self, executor, backend, op):
+    def test_int_bit_identical(self, executor, backend, op, monkeypatch):
+        monkeypatch.setenv(ENV_VAR, backend)
         lists = int_batch(seed=5)
-        with Engine(
-            executor=executor, kernel_backend=backend, cache_capacity=0, seed=0
-        ) as engine:
+        with Engine(executor=executor, cache_capacity=0, seed=0) as engine:
             assert engine.kernel_backend == backend
             results = engine.map_scan(lists, op)
         for lst, got in zip(lists, results):
@@ -74,25 +71,23 @@ class TestGoldenAcrossExecutors:
 
     @pytest.mark.parametrize("executor", EXECUTORS)
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_affine_tolerance(self, executor, backend):
+    def test_affine_tolerance(self, executor, backend, monkeypatch):
+        monkeypatch.setenv(ENV_VAR, backend)
         lists = affine_batch(seed=9)
-        with Engine(
-            executor=executor, kernel_backend=backend, cache_capacity=0, seed=0
-        ) as engine:
+        with Engine(executor=executor, cache_capacity=0, seed=0) as engine:
             results = engine.map_scan(lists, AFFINE)
         for lst, got in zip(lists, results):
             np.testing.assert_allclose(
                 got, serial_list_scan(lst, AFFINE), rtol=1e-9, atol=1e-12
             )
 
-    def test_backends_agree_elementwise(self):
+    def test_backends_agree_elementwise(self, monkeypatch):
         # same batch through both backends: int results bit-identical
         lists = int_batch(seed=13)
         per_backend = {}
         for backend in BACKENDS:
-            with Engine(
-                executor="sync", kernel_backend=backend, cache_capacity=0
-            ) as engine:
+            monkeypatch.setenv(ENV_VAR, backend)
+            with Engine(executor="sync", cache_capacity=0) as engine:
                 per_backend[backend] = engine.map_scan(lists, SUM)
         for a, b in zip(per_backend["numpy"], per_backend["python"]):
             np.testing.assert_array_equal(a, b)
@@ -104,9 +99,10 @@ class TestRoutingNeutrality:
     SIZES = (1, 64, 512, 2048, 10_000, 1 << 16, 1 << 20)
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_forced_reference_backend_routes_identically(self, backend):
+    def test_forced_reference_backend_routes_identically(self, backend, monkeypatch):
         default = Router()
-        forced = Router(kernel_backend=backend)
+        monkeypatch.setenv(ENV_VAR, backend)
+        forced = Router()
         for n in self.SIZES:
             assert forced.choose(n) == default.choose(n)
             for alg in CANDIDATES:
@@ -115,9 +111,11 @@ class TestRoutingNeutrality:
                 )
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_engine_router_decisions_unchanged(self, backend):
+    def test_engine_router_decisions_unchanged(self, backend, monkeypatch):
         default = Engine()
-        forced = Engine(kernel_backend=backend)
+        monkeypatch.setenv(ENV_VAR, backend)
+        forced = Engine()
+        assert forced.kernel_backend == backend
         for n in self.SIZES:
             assert forced.router.choose(n) == default.router.choose(n)
 
@@ -137,81 +135,71 @@ class TestRoutingNeutrality:
 
 class TestShippableOperator:
     def test_builtin_ships_by_name(self):
-        assert shippable_operator(SUM) == ("sum", None, None)
+        assert shippable_operator(SUM) == "sum"
         assert offloadable_operator(SUM)
 
     def test_affine_ships_by_name(self):
-        assert shippable_operator(AFFINE) == ("affine", None, None)
-
-    def test_registered_pair_op_ships_as_opcodes(self):
-        op = Operator(name="ship_me", combine=np.add, identity=0)
-        register_pair(op, PairSpec(width=1, companion=OP_ADD))
-        try:
-            name, pair, identity = shippable_operator(op)
-            assert name == "ship_me"
-            assert pair == (1, OP_ADD, -1, -1)
-            assert identity == 0
-            assert offloadable_operator(op)
-        finally:
-            _PAIR_REGISTRY.pop("ship_me", None)
+        assert shippable_operator(AFFINE) == "affine"
 
     def test_unregistered_op_not_shippable(self):
         op = Operator(name="opaque", combine=np.add, identity=0)
         assert shippable_operator(op) is None
         assert not offloadable_operator(op)
 
-    def test_non_plain_identity_not_shippable(self):
-        op = Operator(
-            name="weird_id", combine=np.add, identity=np.zeros(2)
-        )
-        register_pair(op, PairSpec(width=1, companion=OP_ADD))
-        try:
-            assert shippable_operator(op) is None
-        finally:
-            _PAIR_REGISTRY.pop("weird_id", None)
-
 
 class TestWorkerBackendDegradation:
     def test_unknown_backend_degrades_to_numpy(self, rng):
         # a worker whose environment lacks the parent's backend (e.g.
         # parent auto-detected numba) must degrade to numpy, not fail
-        from repro.engine.workers import ProcessBackend
+        from repro.engine.workers import _ArrayRef, _FusedTask, _run_fused_task
 
         n = 2000
         lst = random_list(n, rng, values=rng.integers(-9, 9, n))
-        heads = np.array([lst.head], dtype=lst.next.dtype)
-        backend = ProcessBackend(max_workers=1)
-        try:
-            [out], _, _ = backend.run_fused(
-                Forest.of(lst.next, lst.values, heads),
-                "sum",
-                False,
-                "sublist",
-                0,
-                False,
-                kernel_backend="numba-gpu-42",  # never a valid name
-            )
-        finally:
-            backend.close()
+        task = _FusedTask(
+            nxt=_ArrayRef(lst.next.shape, lst.next.dtype.str, inline=lst.next),
+            values=_ArrayRef(lst.values.shape, lst.values.dtype.str, inline=lst.values),
+            out=_ArrayRef(lst.values.shape, lst.values.dtype.str),
+            heads=np.array([lst.head], dtype=lst.next.dtype),
+            op_name="sum",
+            inclusive=False,
+            algorithm="sublist",
+            seed=0,
+            traced=False,
+            kernel_backend="numba-gpu-42",  # never a valid name
+        )
+        _, _, out = _run_fused_task(task)
         np.testing.assert_array_equal(out, serial_list_scan(lst, SUM))
 
-    def test_custom_pair_op_offloads_to_processes(self, rng):
-        # the widened gate: a *registered* non-builtin operator crosses
-        # the process boundary as opcodes and comes back correct
-        op = Operator(name="shiptest_add", combine=np.add, identity=0)
-        register_pair(op, PairSpec(width=1, companion=OP_ADD))
-        try:
-            assert pair_for(op) is not None
-            lists = int_batch(seed=21, count=4, max_n=4000)
-            with Engine(
-                executor="processes", cache_capacity=0, seed=0
-            ) as engine:
-                results = engine.map_scan(lists, op)
-                offloaded = engine._backend.tasks_offloaded
-            assert offloaded > 0, "pair-registered operator never offloaded"
-            for lst, got in zip(lists, results):
-                np.testing.assert_array_equal(
-                    got, serial_list_scan(lst, op)
-                )
-        finally:
-            _PAIR_REGISTRY.pop("shiptest_add", None)
+    def test_custom_op_runs_inline_on_processes(self):
+        # a custom operator cannot cross the process boundary by name:
+        # the processes engine runs it inline, and answers right
+        op = Operator(name="custom_add", combine=np.add, identity=0)
+        lists = int_batch(seed=21, count=4, max_n=4000)
+        with Engine(executor="processes", cache_capacity=0, seed=0) as engine:
+            results = engine.map_scan(lists, op)
+            assert engine._backend.tasks_offloaded == 0
+        for lst, got in zip(lists, results):
+            np.testing.assert_array_equal(got, serial_list_scan(lst, op))
+
+    def test_worker_tasks_carry_the_engine_backend(self, monkeypatch):
+        # the engine resolves its backend once: a later change of the
+        # variable moves neither its inline kernels nor its workers
+        from repro.engine import workers
+
+        monkeypatch.setenv(ENV_VAR, "python")
+        shipped = []
+        run_task = workers.ProcessBackend.run_task
+
+        def spy(self, fn, *args):
+            shipped.append(args[0].kernel_backend)
+            return run_task(self, fn, *args)
+
+        monkeypatch.setattr(workers.ProcessBackend, "run_task", spy)
+        lists = int_batch(seed=3, count=4, max_n=3000)
+        with Engine(executor="processes", cache_capacity=0, seed=0) as engine:
+            monkeypatch.setenv(ENV_VAR, "numpy")
+            results = engine.map_scan(lists, SUM)
+            assert engine.kernel_backend == "python"
+        assert shipped and set(shipped) == {"python"}
+        for lst, got in zip(lists, results):
+            np.testing.assert_array_equal(got, serial_list_scan(lst, SUM))

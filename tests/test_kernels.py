@@ -24,35 +24,30 @@ from repro.core.operators import (
     XOR,
     Operator,
 )
-from repro.core.sublist import sublist_list_scan
+from repro.core.forest import forest_list_scan
 from repro.kernels import (
     ENV_VAR,
     HAVE_NUMBA,
     PairSpec,
     available_backends,
     default_backend_name,
-    operator_from_pair,
     pair_for,
-    register_pair,
     resolve_backend,
 )
 from repro.kernels.backend import NumpyBackend, PythonLoopBackend
 from repro.kernels.loops import BLOCK, py_kernels
-from repro.kernels.pairs import OP_ADD, OP_MAX, OP_MUL, OP_XOR
+from repro.kernels.pairs import OP_ADD, OP_MUL, OP_XOR
 from repro.lists.generate import random_list
 
 from .conftest import make_affine_values
 
 
+def _scan(lst, op, backend):
+    """The sublist scan of one list on ``backend``."""
+    return forest_list_scan(lst.next, lst.values, [lst.head], op, rng=0, kernel_backend=backend)
+
+
 class TestPairSpec:
-    def test_width_1_roundtrip(self):
-        spec = PairSpec(width=1, companion=OP_ADD)
-        assert PairSpec.from_tuple(spec.as_tuple()) == spec
-
-    def test_width_2_roundtrip(self):
-        spec = PairSpec(width=2, companion=OP_MUL, cross=OP_MUL, plus=OP_ADD)
-        assert PairSpec.from_tuple(spec.as_tuple()) == spec
-
     def test_rejects_bad_width(self):
         with pytest.raises(ValueError, match="width"):
             PairSpec(width=3, companion=OP_ADD)
@@ -79,45 +74,15 @@ class TestPairRegistry:
         spec = pair_for(AFFINE)
         assert spec is not None and spec.width == 2
 
+    def test_builtin_widths_match_value_width(self):
+        # the constant table must agree with the operators it describes
+        for op in BUILTIN_OPERATORS.values():
+            assert pair_for(op).width == (2 if op.value_width else 1), op.name
+
     def test_identity_check_rejects_impostor(self):
         # same name, different object: must NOT get SUM's opcodes
         impostor = Operator(name="sum", combine=np.subtract, identity=0)
         assert pair_for(impostor) is None
-
-    def test_register_rejects_width_mismatch(self):
-        op = Operator(name="w2test", combine=np.add, identity=0, value_width=2)
-        with pytest.raises(ValueError, match="width"):
-            register_pair(op, PairSpec(width=1, companion=OP_ADD))
-
-    def test_custom_registration(self):
-        op = Operator(name="my_max", combine=np.maximum, identity=None)
-        register_pair(op, PairSpec(width=1, companion=OP_MAX))
-        try:
-            assert pair_for(op) == PairSpec(width=1, companion=OP_MAX)
-        finally:
-            from repro.kernels.pairs import _PAIR_REGISTRY
-
-            _PAIR_REGISTRY.pop("my_max", None)
-
-
-class TestOperatorFromPair:
-    def test_builtin_name_returns_builtin(self):
-        spec = pair_for(SUM)
-        assert operator_from_pair("sum", spec, 0) is SUM
-
-    def test_width_1_rehydration(self):
-        op = operator_from_pair("shipped", PairSpec(width=1, companion=OP_ADD), 0)
-        assert np.array_equal(
-            op.combine(np.array([1, 2]), np.array([10, 20])),
-            np.array([11, 22]),
-        )
-
-    def test_width_2_matches_affine(self, rng):
-        spec = pair_for(AFFINE)
-        op = operator_from_pair("shipped_affine", spec, AFFINE.identity)
-        x = make_affine_values(rng, 64).astype(np.float64)
-        y = make_affine_values(rng, 64).astype(np.float64)
-        np.testing.assert_array_equal(op.combine(x, y), AFFINE.combine(x, y))
 
 
 class TestBackendSelection:
@@ -249,8 +214,8 @@ def test_golden_int_bit_identical(n, seed, op_name):
     rng = np.random.default_rng(seed)
     op = INT_OPS[op_name]
     lst = random_list(n, rng, values=rng.integers(-100, 100, n))
-    ref = sublist_list_scan(lst, op, rng=0, kernel_backend="numpy")
-    got = sublist_list_scan(lst, op, rng=0, kernel_backend="python")
+    ref = _scan(lst, op, "numpy")
+    got = _scan(lst, op, "python")
     np.testing.assert_array_equal(got, ref)
     np.testing.assert_array_equal(got, serial_list_scan(lst, op))
 
@@ -266,8 +231,8 @@ def test_golden_affine_tolerance(n, seed):
         [rng.uniform(0.5, 1.5, n), rng.uniform(-1.0, 1.0, n)], axis=1
     )
     lst = random_list(n, rng, values=values)
-    ref = sublist_list_scan(lst, AFFINE, rng=0, kernel_backend="numpy")
-    got = sublist_list_scan(lst, AFFINE, rng=0, kernel_backend="python")
+    ref = _scan(lst, AFFINE, "numpy")
+    got = _scan(lst, AFFINE, "python")
     np.testing.assert_allclose(got, ref, rtol=1e-9, atol=1e-12)
     np.testing.assert_allclose(
         got, serial_list_scan(lst, AFFINE), rtol=1e-9, atol=1e-12
@@ -282,8 +247,8 @@ def test_golden_affine_tolerance(n, seed):
 def test_golden_float_sum_tolerance(n, seed):
     rng = np.random.default_rng(seed)
     lst = random_list(n, rng, values=rng.uniform(-1, 1, n))
-    ref = sublist_list_scan(lst, SUM, rng=0, kernel_backend="numpy")
-    got = sublist_list_scan(lst, SUM, rng=0, kernel_backend="python")
+    ref = _scan(lst, SUM, "numpy")
+    got = _scan(lst, SUM, "python")
     np.testing.assert_allclose(got, ref, rtol=1e-9, atol=1e-12)
 
 
@@ -292,7 +257,7 @@ def test_unsupported_dtype_falls_back(rng):
     # silently use the NumPy reference instead of failing
     n = 2000
     lst = random_list(n, rng, values=rng.integers(0, 100, n).astype(np.uint64))
-    got = sublist_list_scan(lst, SUM, rng=0, kernel_backend="python")
+    got = _scan(lst, SUM, "python")
     np.testing.assert_array_equal(got, serial_list_scan(lst, SUM))
 
 
@@ -300,6 +265,6 @@ def test_input_restored_bit_identical(rng):
     n = 3000
     lst = random_list(n, rng, values=rng.integers(-9, 9, n))
     before_next, before_vals = lst.next.copy(), lst.values.copy()
-    sublist_list_scan(lst, SUM, rng=0, kernel_backend="python")
+    _scan(lst, SUM, "python")
     np.testing.assert_array_equal(lst.next, before_next)
     np.testing.assert_array_equal(lst.values, before_vals)

@@ -201,13 +201,6 @@ class TestKernelTracing:
         assert root.attrs["algorithm"] == "sublist"
         assert root.find("sublist_scan") is not None
 
-    def test_list_scan_engine_rejects_trace_kwarg(self):
-        from repro.engine import Engine
-
-        lst = random_list(64, rng=0)
-        with pytest.raises(TypeError, match="trace"):
-            list_scan(lst, "sum", engine=Engine(), trace=Tracer())
-
 
 class TestCompare:
     def test_compare_random_list_tracks_model(self):

@@ -15,6 +15,7 @@ from repro.core.list_scan import ALGORITHMS, list_scan
 from repro.core.operators import SUM
 from repro.distribute import DistributedConfig, sharded_list_scan
 from repro.engine import Engine, ScanRequest
+from repro.kernels import ENV_VAR
 from repro.lists.generate import INDEX_DTYPE, LinkedList, list_order, ordered_list, random_list
 from repro.lists.validate import (
     ListStructureError,
@@ -397,8 +398,10 @@ class TestMarks:
 
     @pytest.mark.parametrize("backend", ["numpy", "python"])
     @pytest.mark.parametrize("shape", HOSTILE_SHAPES)
-    def test_engine_answers_bad_structure(self, shape, backend):
-        engine = Engine(executor="sync", cache_capacity=0, kernel_backend=backend)
+    def test_engine_answers_bad_structure(self, shape, backend, monkeypatch):
+        monkeypatch.setenv(ENV_VAR, backend)
+        engine = Engine(executor="sync", cache_capacity=0)
+        assert engine.kernel_backend == backend
         with within(60), engine:
             [resp] = engine.run_batch([ScanRequest(lst=hostile_list(shape, 5000))])
         assert not resp.ok and resp.error.code == "bad-structure"
@@ -440,6 +443,21 @@ class TestNoSpinNoBareErrors:
         heads = np.asarray([chain.head], dtype=INDEX_DTYPE)
         with within(60), pytest.raises(ListStructureError):
             forest_list_scan(nxt, values, heads, SUM, rng=0, kernel_backend=backend)
+
+    def test_small_phase2_refuses_a_cycle_of_sublists(self):
+        """The same with at most ``serial_cutoff`` sublists, whose
+        reduced forest the numpy backend scans with Wyllie: the
+        pointers on the cycle never reach a head, and Wyllie refuses."""
+        rng = np.random.default_rng(3)
+        chain = random_list(20_000, rng)
+        cycle = 20_000 + (np.arange(1, 3_001) % 3_000)
+        nxt = np.concatenate([chain.next, cycle]).astype(INDEX_DTYPE)
+        values = np.ones(nxt.shape[0], dtype=np.int64)
+        config = SublistConfig(m=200)
+        with within(60), pytest.raises(ListStructureError, match="cycle no head reaches"):
+            forest_list_scan(
+                nxt, values, [chain.head], SUM, config=config, rng=0, kernel_backend="numpy"
+            )
 
     def test_wyllie_suffix_rho_is_a_structure_error(self):
         """A rho has no self-loop at all: ``LinkedList.tail`` used to
