@@ -82,7 +82,13 @@ import numpy as np
 from ..analysis.cost_model import KernelCosts, PAPER_C90_COSTS
 from ..kernels.backend import REVISITED, STREAM_BLOCK, KernelBackend, resolve_backend
 from ..lists.generate import INDEX_DTYPE, LinkedList
-from ..lists.validate import ListStructureError, check_indices, check_range, forest_predecessors
+from ..lists.validate import (
+    ListStructureError,
+    check_indices,
+    check_range,
+    drop_repeats,
+    forest_predecessors,
+)
 from ..trace.tracer import Tracer, null_span, resolve_trace
 from .operators import Operator, SUM, get_operator
 from .schedule import ScheduleIterator, optimal_schedule
@@ -298,7 +304,7 @@ def choose_splitters(
     a forest with no non-tail node has nothing to split, so the result
     is empty.
     """
-    tails = np.unique(np.asarray(tail, dtype=INDEX_DTYPE))
+    tails = drop_repeats(np.sort(np.asarray(tail, dtype=INDEX_DTYPE), axis=None))
     k = tails.size
     want = min(m - k, n - k)
     if want < 1:
@@ -318,7 +324,7 @@ def choose_splitters(
         claim = np.full(n, -1, dtype=INDEX_DTYPE)
         claim[draw] = np.arange(want, dtype=INDEX_DTYPE)
         winners = claim[draw] == np.arange(want, dtype=INDEX_DTYPE)
-        positions = np.unique(draw[winners])
+        positions = drop_repeats(np.sort(draw[winners]))
     else:  # pragma: no cover - config validates upstream
         raise ValueError(f"unknown splitter strategy {strategy!r}")
     positions = positions[~np.isin(positions, tails)]
@@ -332,7 +338,7 @@ def choose_splitters(
 
 def _spaced(n: int, want: int) -> np.ndarray:
     positions = np.arange(1, want + 1, dtype=np.float64) * n / (want + 1)
-    return np.unique(positions.astype(INDEX_DTYPE))
+    return drop_repeats(positions.astype(INDEX_DTYPE))  # already sorted
 
 
 def forest_tails(nxt: np.ndarray, heads: np.ndarray) -> np.ndarray:

@@ -20,8 +20,7 @@ Modules
 ``router``   cost-model algorithm routing from a cost table (the
              paper's C-90 table, or a fitted profile)
 ``cache``    LRU result cache keyed by a structural fingerprint
-``workers``  persistent execution backends: ``sync`` / ``threads`` /
-             ``processes`` (shared-memory array transport)
+``workers``  persistent execution backends: ``sync`` / ``threads``
 ``engine``   the :class:`Engine` facade: one shard path for every
              routable request (a lone request is a forest of one),
              backend-driven shard execution, per-batch stats
@@ -57,7 +56,6 @@ __all__ = [
     "ExecutionBackend",
     "SyncBackend",
     "ThreadBackend",
-    "ProcessBackend",
     "create_backend",
     "run_fused_kernel",
 ]
@@ -84,7 +82,6 @@ _EXPORTS = {
     "ExecutionBackend": ("repro.engine.workers", "ExecutionBackend"),
     "SyncBackend": ("repro.engine.workers", "SyncBackend"),
     "ThreadBackend": ("repro.engine.workers", "ThreadBackend"),
-    "ProcessBackend": ("repro.engine.workers", "ProcessBackend"),
     "create_backend": ("repro.engine.workers", "create_backend"),
     "run_fused_kernel": ("repro.engine.workers", "run_fused_kernel"),
 }
@@ -106,7 +103,6 @@ if TYPE_CHECKING:  # pragma: no cover - static analysis only
     from .workers import (
         EXECUTORS,
         ExecutionBackend,
-        ProcessBackend,
         SyncBackend,
         ThreadBackend,
         create_backend,

@@ -9,9 +9,8 @@ do not care that these come from different callers.  Fusing copies
 nothing: each member stays in its request's own arrays, and the batch
 keeps only their offsets and heads.  The scan copies each member once
 into its records and writes each member's result into that request's
-own result array; only the paths that need one node array (the
-``processes`` executor's shared-memory export, the sharded scan, and
-Wyllie) build it, straight from the members.
+own result array; only Wyllie, which jumps pointers over one node
+array, builds that array, straight from the members.
 
 Why a cap?  Length skew costs the sublist kernel no vector width: a
 sublist ends at a splitter or a tail, whichever list it came from, and
@@ -150,8 +149,13 @@ class FusedBatch:
         return len(self.requests)
 
     def unfuse(self, out: np.ndarray) -> list[np.ndarray]:
-        """Slice a result over the whole forest (the sharded scan's)
-        back into per-request results.
+        """Slice a result over the whole forest back into per-request
+        results.
+
+        No engine path produces such a result: the forest kernels write
+        each member into its own array.  This stays because the
+        benchmark's layer timer (``perfbench/layers.py``) patches
+        ``FusedBatch.unfuse`` by name and fails on a missing attribute.
 
         Returns copies, so the (large) forest-wide array does not stay
         alive through views held by callers or the result cache; a

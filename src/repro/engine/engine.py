@@ -10,8 +10,8 @@ Pipeline for one batch (``run_batch``)::
                                                    │
                 capped shards ◄────────────────────┘ (unique misses)
                         │  fuse ──► route ──► execute (contained)
-                        │         cost model   inline / worker process /
-                        │         or capacity  sharded scan
+                        │         cost model   one forest kernel, on the
+                        │                      calling thread or the pool
                         ▼
                  responses ◄── per-request results / quarantine retry
 
@@ -36,9 +36,7 @@ Pipeline for one batch (``run_batch``)::
   forest of one, and takes the same path.
 * The cost-model router (``engine.router``) picks Wyllie or sublist
   per shard; the forest kernels of ``core.forest`` execute all
-  the shard's lists in one vectorized pass.  With a
-  ``DistributedConfig``, a shard past its memory budget runs through
-  the sharded scan of ``repro.distribute`` instead.
+  the shard's lists in one vectorized pass.
 * Shards execute under *containment*: a raising shard is retried once
   with every member re-run as a shard of one, so one poisoned request
   cannot shadow its shard-mates.  Requests that still fail return
@@ -48,17 +46,15 @@ Pipeline for one batch (``run_batch``)::
 
 Drivers: shard execution goes through a persistent backend
 (``engine.workers``) chosen at construction — ``executor="sync"``
-(reference loop), ``"threads"`` (one long-lived thread pool reused
+(reference loop) or ``"threads"`` (one long-lived thread pool reused
 across batches; the kernels only read their input, and NumPy releases
-the GIL in the bulk operations) or ``"processes"`` (shard kernels
-execute in a long-lived process pool, arrays crossing through shared
-memory).  ``run_batch(parallel=None)`` resolves to whatever the
-backend supports; ``parallel=False`` forces the inline loop on any
-backend.  Every driver honors the containment contract, and a traced
-batch stays one connected span tree — worker processes ship their
-kernel spans back as serialized records that are adopted under the
-batch root.  ``Engine.close()`` (or using the engine as a context
-manager) tears the backend's pools down exactly once.
+the GIL in the bulk operations).  The executor alone decides where a
+batch's shards run: a ``threads`` engine runs a batch of one shard, or
+every batch when it is one worker wide, inline, as ``sync`` does.
+Every driver honors the containment contract, and a traced batch stays
+one connected span tree (pool threads pin their shard spans under the
+batch root).  ``Engine.close()`` (or using the engine as a context
+manager) tears the backend's pool down exactly once.
 
 Requests with a forced algorithm outside the routable set (e.g.
 ``random_mate``, or the ``serial`` oracle) have no forest kernel —
@@ -67,12 +63,11 @@ engine accepts *every* algorithm the library has.
 
 Every kernel of an engine's life runs on one kernel backend, the
 process's (``docs/kernels.md``), resolved once, at construction, by its
-execution backend; worker tasks carry its name.
+execution backend.
 """
 
 from __future__ import annotations
 
-import logging
 import threading
 import time
 from collections import Counter
@@ -82,7 +77,6 @@ from typing import Any, TYPE_CHECKING
 
 if TYPE_CHECKING:
     from ..calibrate import CalibrationProfile, DriftConfig, DriftDetector
-    from ..distribute import DistributedConfig
 
 import numpy as np
 
@@ -91,7 +85,6 @@ from ..core.operators import Operator, SUM
 from ..core.stats import ScanStats
 from ..lists.generate import LinkedList
 from ..lists.validate import ListStructureError
-from ..trace.export import span_from_dict
 from ..trace.tracer import Span, Tracer, null_span, resolve_trace
 from .batch import FusedBatch, shard_key, shard_requests
 from .cache import ResultCache, fingerprint, refuse_object_dtype
@@ -104,14 +97,11 @@ from ..sanitize.runtime import (
     guarded,
     hb_join,
     hb_publish,
-    note_engine_close,
 )
 from .router import CANDIDATES, Router
-from .workers import EXECUTORS, create_backend, run_fused_kernel, shippable_operator
+from .workers import EXECUTORS, create_backend, run_fused_kernel
 
 __all__ = ["Engine", "EngineStats"]
-
-_log = logging.getLogger(__name__)
 
 #: A contained per-request outcome: ``(algorithm, batch_lists, result)``
 #: on success, a :class:`RequestError` on failure.
@@ -192,8 +182,6 @@ class EngineStats:
     fused_lists: int = 0  # lists that executed in a shard of two or more
     fused_nodes: int = 0
     solo_runs: int = 0  # lists executed alone (a shard of one, or unfusable)
-    distributed_runs: int = 0  # shards routed to the sharded scan
-    distributed_chunks: int = 0  # chunk contractions across those runs
     cache_hits: int = 0
     cache_misses: int = 0
     errors: int = 0
@@ -223,8 +211,6 @@ class EngineStats:
         "fused_lists",
         "fused_nodes",
         "solo_runs",
-        "distributed_runs",
-        "distributed_chunks",
         "cache_hits",
         "cache_misses",
         "errors",
@@ -310,15 +296,14 @@ class Engine:
         Submission-queue backpressure bounds (see ``engine.queue``).
     executor:
         Execution backend (see ``engine.workers``): ``"threads"``
-        (default — one persistent thread pool reused across batches),
-        ``"sync"`` (no pool; the reference driver), or ``"processes"``
-        (fused kernels run in a persistent process pool, with
-        shared-memory array transport).  All three return bit-identical
-        results; call :meth:`close` (or use the engine as a context
-        manager) to tear pooled backends down.
+        (default — one persistent thread pool reused across batches)
+        or ``"sync"`` (no pool; the reference driver).  Both return
+        bit-identical results; call :meth:`close` (or use the engine
+        as a context manager) to tear the pool down.
     max_workers:
-        Worker-pool width for the pooled backends (``None`` → the
-        executor's own default, ``os.cpu_count()``-based).
+        Thread-pool width (``None`` → ``ThreadPoolExecutor``'s
+        ``os.cpu_count()``-based default; ``1`` runs every batch
+        inline).
     seed:
         Seed for the engine's random stream (splitter choices in the
         forest kernels; results are identical for every seed).
@@ -349,18 +334,6 @@ class Engine:
         detector that activates whenever a calibration profile is
         installed; ``None`` uses the default tolerances.  See
         ``docs/calibration.md``.
-    distributed:
-        Optional :class:`repro.distribute.DistributedConfig`.  When
-        set, auto-routed shards whose fused working set exceeds the
-        configured memory budget (``DistributedConfig.should_shard``)
-        execute through the three-phase sharded scan
-        (``repro.distribute``) instead of one fused kernel: chunks
-        contract in parallel across this engine's worker pool, the
-        reduced boundary list is solved by the same cost-model router,
-        and chunks expand in parallel (``DistributedConfig.min_nodes``
-        says which shards route there under the fusion cap).  Results
-        stay bit-identical for integer operators.  ``None`` (default)
-        disables sharded routing.  See ``docs/distributed.md``.
     """
 
     def __init__(
@@ -378,7 +351,6 @@ class Engine:
         clock: Callable[[], float] | None = None,
         calibration: "CalibrationProfile | None" = None,
         drift: "DriftConfig | None" = None,
-        distributed: "DistributedConfig | None" = None,
     ) -> None:
         if executor not in EXECUTORS:
             raise ValueError(
@@ -400,7 +372,6 @@ class Engine:
         self.executor = executor
         self.max_workers = max_workers
         self.trace = resolve_trace(trace)
-        self.distributed = distributed
         self.stats = EngineStats()
         self._seeds = np.random.SeedSequence(seed)
         self._lock = threading.Lock()
@@ -441,13 +412,9 @@ class Engine:
         )
         return self.queue.submit(request, block=block, timeout=timeout)
 
-    def flush(self, parallel: bool | None = None) -> list[ScanResponse]:
-        """Drain the submission queue and execute everything as one batch.
-
-        ``parallel`` defaults to whatever the configured executor
-        supports (see :meth:`run_batch`).
-        """
-        return self.run_batch(self.queue.drain(), parallel=parallel)
+    def flush(self) -> list[ScanResponse]:
+        """Drain the submission queue and execute everything as one batch."""
+        return self.run_batch(self.queue.drain())
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -467,10 +434,9 @@ class Engine:
 
         Idempotent — calling it again (or exiting the context manager
         after an explicit close) is a no-op returning ``[]``.  A closed
-        engine rejects further submissions and pooled dispatch: a
-        single-shard batch still executes inline, except that on the
-        ``processes`` backend a shard whose kernel would offload is
-        answered with ``execution`` errors.
+        engine rejects further submissions and pooled dispatch: a batch
+        its backend runs inline (one shard, or any batch of a ``sync``
+        engine) still executes.
         """
         pending = self.queue.close()
         error = RequestError(
@@ -483,10 +449,6 @@ class Engine:
             with guarded(self._lock, "engine.stats"):
                 self.stats.errors += len(responses)
         self._backend.close()
-        # leak report: with a sanitizer active, teardown is the moment
-        # every segment/lease must have been returned
-        for leak in note_engine_close():
-            _log.warning("sanitizer leak at Engine.close(): %s", leak.describe())
         return responses
 
     def __enter__(self) -> "Engine":
@@ -577,9 +539,9 @@ class Engine:
         fitted profile is installed — comparing host wall time against
         the paper's C-90 clock predictions would only measure how much
         slower this machine is than a 1994 supercomputer.  A run the
-        cost model has no candidate for (``distributed``) carries no
-        prediction, and the detector keeps only fitted kinds in its
-        window.
+        cost model has no candidate for (a forced ``serial`` or
+        ``random_mate``) carries no prediction, and the detector keeps
+        only fitted kinds in its window.
 
         ``epoch`` is the drift detector that was active when the run
         *started* (callers capture ``self._drift`` before timing).  A
@@ -647,29 +609,21 @@ class Engine:
     # drivers
     # ------------------------------------------------------------------
 
-    def run_batch(
-        self,
-        requests: Sequence[ScanRequest],
-        parallel: bool | None = None,
-    ) -> list[ScanResponse]:
+    def run_batch(self, requests: Sequence[ScanRequest]) -> list[ScanResponse]:
         """Execute a batch of requests; responses come back in request
         order.
 
-        ``parallel`` controls the shard driver: ``True`` runs
-        independent shards concurrently on the configured backend's
-        persistent pool, ``False`` runs them in an inline loop, and
-        ``None`` (default) resolves to whatever the backend supports —
-        concurrent for ``threads``/``processes``, inline for ``sync``.
-        Results and stats are identical either way.
+        The executor decides where the shards run: a ``threads`` engine
+        runs two or more shards concurrently on its persistent pool
+        (unless the pool is one worker wide), and runs everything else
+        inline, as a ``sync`` engine does.  Results and stats are
+        identical either way.
 
         Never raises for a single bad request: validation and execution
         failures come back as ``ok=False`` responses with a structured
         :class:`~repro.engine.errors.RequestError` while every healthy
         request still gets its result.
         """
-        if parallel is None:
-            parallel = self._backend.concurrent
-        parallel = bool(parallel)
         requests = list(requests)
         responses: dict[int, ScanResponse] = {}
         t0 = self.clock()
@@ -678,9 +632,7 @@ class Engine:
 
         tracer = self.trace
         span = tracer.span if tracer is not None else null_span
-        with span(
-            "run_batch", requests=len(requests), parallel=parallel
-        ) as batch_span:
+        with span("run_batch", requests=len(requests)) as batch_span:
             misses: list[ScanRequest] = []
             keys: dict[int, bytes] = {}
             primaries: dict[bytes, int] = {}  # fingerprint -> primary id
@@ -779,12 +731,11 @@ class Engine:
                 hb_publish(("shard", id(shard)))
                 return outcomes
 
-            if parallel:
-                # the backend's persistent pool (lazily created on the
-                # first multi-shard batch, reused for every one after)
-                shard_results = self._backend.map_shards(_run_shard, shards)
-            else:
-                shard_results = [_run_shard(shard) for shard in shards]
+            if tracer is not None:
+                tracer.annotate(parallel=self._backend.pooled(shards))
+            # inline, or on the backend's persistent pool (lazily created
+            # on the first batch that needs it, reused for every one after)
+            shard_results = self._backend.map_shards(_run_shard, shards)
 
             with span("respond"):
                 for shard, outcomes in zip(shards, shard_results):
@@ -936,7 +887,6 @@ class Engine:
         op: Operator | str = SUM,
         inclusive: bool = False,
         algorithm: str = "auto",
-        parallel: bool | None = None,
     ) -> list[np.ndarray]:
         """Scan many lists; returns results in input order.
 
@@ -948,7 +898,7 @@ class Engine:
             ScanRequest(lst=lst, op=op, inclusive=inclusive, algorithm=algorithm)
             for lst in lists
         ]
-        responses = self.run_batch(reqs, parallel=parallel)
+        responses = self.run_batch(reqs)
         for resp in responses:
             if not resp.ok:
                 raise EngineRequestError(resp.error, resp.request_id)
@@ -1019,9 +969,7 @@ class Engine:
         """Run one shard; returns ``(algorithm, per-request results)``.
 
         The shard fuses into one forest — a lone request is a forest of
-        one — and runs on the routed kernel: inline, in a worker
-        process, or through the sharded scan when its working set is
-        past the distributed memory budget.  Forced algorithms without
+        one — and runs on the routed kernel.  Forced algorithms without
         a forest kernel run per list through the dispatch API.
 
         Each attempt collects a fresh kernel :class:`ScanStats`, merged
@@ -1059,11 +1007,6 @@ class Engine:
         router = self.router
         if forced != "auto":
             algorithm = forced
-        elif self.distributed is not None and self.distributed.should_shard(
-            batch.n_nodes, shard[0].lst.values.dtype
-        ):
-            # capacity routing: past the memory budget, whatever the cost model says
-            algorithm = "distributed"
         else:
             algorithm = router.choose(batch.n_nodes, batch.n_lists)
         if tracer is not None:
@@ -1081,14 +1024,6 @@ class Engine:
                 },
             )
         backend = self._backend
-        # a kernel leaves this process only for a builtin operator,
-        # which crosses by name; a custom operator (and the
-        # sync/threads backends) executes inline.
-        ship = (
-            shippable_operator(batch.op) if backend.offloads_kernels else None
-        )
-        traced = tracer is not None and tracer.enabled
-        report: dict[str, Any] = {}
         epoch = self._drift  # calibration epoch this run is measured under
         t0 = self.clock()
         with span(
@@ -1096,52 +1031,18 @@ class Engine:
             algorithm=algorithm,
             lists=batch.n_lists,
             nodes=batch.n_nodes,
-        ) as exec_span:
-            if algorithm == "distributed":
-                from ..distribute import sharded_forest_scan
-
-                nxt, values = forest.contiguous()
-                out = sharded_forest_scan(
-                    nxt,
-                    values,
-                    forest.heads,
-                    batch.op,
-                    inclusive=batch.inclusive,
-                    config=self.distributed,
-                    backend=backend,
-                    router=router,
-                    rng=rng,
-                    stats=kstats,
-                    trace=tracer,
-                    report=report,
-                )
-                results = batch.unfuse(out)
-            elif ship is not None:
-                # randomness crosses as a seed drawn from this shard's
-                # generator; trace spans come back as serialized
-                # records and are adopted under the execute span, so
-                # the batch tree stays connected across processes.
-                seed = int(rng.integers(0, 2**63))
-                results, kstats, worker_spans = backend.run_fused(
-                    forest, ship, batch.inclusive, algorithm, seed, traced
-                )
-                if traced and worker_spans:
-                    tracer.adopt(
-                        [span_from_dict(rec) for rec in worker_spans],
-                        parent=exec_span,
-                    )
-            else:
-                results = run_fused_kernel(
-                    forest,
-                    batch.op,
-                    batch.inclusive,
-                    algorithm,
-                    rng,
-                    kstats,
-                    [np.empty_like(values) for values in forest.values],
-                    tracer,
-                    kernel_backend=backend.kernels,
-                )
+        ):
+            results = run_fused_kernel(
+                forest,
+                batch.op,
+                batch.inclusive,
+                algorithm,
+                rng,
+                kstats,
+                [np.empty_like(values) for values in forest.values],
+                tracer,
+                kernel_backend=backend.kernels,
+            )
         elapsed = self.clock() - t0
         with guarded(self._lock, "engine.stats"):
             if batch.n_lists == 1:
@@ -1149,9 +1050,6 @@ class Engine:
             else:
                 self.stats.fused_lists += batch.n_lists
                 self.stats.fused_nodes += batch.n_nodes
-            if algorithm == "distributed":
-                self.stats.distributed_runs += 1
-                self.stats.distributed_chunks += int(report.get("num_chunks", 0))
             self.stats.count_algorithm(algorithm, batch.n_lists)
             self.stats.merge_kernel_stats(kstats)
         self._observe_execution(

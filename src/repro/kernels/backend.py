@@ -93,7 +93,7 @@ REVISITED = "a chain reaches a node already visited: chains merge, or one runs i
 class KernelBackend:
     """Interface for the three hot kernels (see module docstring)."""
 
-    #: Registry key; also what ``_FusedTask`` ships to worker processes.
+    #: Registry key (``REPRO_KERNEL_BACKEND`` names a backend by it).
     name: str = "abstract"
     #: Whether :meth:`reduced_scan` implements the blocked Phase-2 scan.
     has_blocked_scan: bool = False

@@ -1,10 +1,9 @@
 """Project-invariant static analysis (``repro.lint``).
 
-PRs 2-4 accumulated concurrency and numeric invariants that existed
-only as prose — never ``fork`` from the threaded driver, every
-``SharedMemory(create=True)`` owned and unlinked by its creator,
-injectable clocks only, explicit dtypes in the kernels, cache keys
-only from the blessed fingerprint helper.  This package turns each of
+The engine accumulated concurrency and numeric invariants that
+existed only as prose — no bare lock ``acquire``, injectable clocks
+only, explicit dtypes in the kernels, cache keys only from the blessed
+fingerprint helper.  This package turns each of
 those invariants into an AST-based rule that CI enforces on every run
 (``repro-c90 lint src``), so review memory is no longer the
 enforcement mechanism.
@@ -28,8 +27,8 @@ Layout
 ``lockorder``
     The *runtime* companion: an instrumented lock wrapper that records
     the lock acquisition-order graph and raises on cycles, used by the
-    engine-concurrency test suite to race-audit the thread/process
-    drivers.
+    engine-concurrency test suite to race-audit the thread-pool
+    driver.
 """
 
 from .diagnostics import Diagnostic

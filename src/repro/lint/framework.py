@@ -79,22 +79,6 @@ class LintContext:
                 return anc
         return None
 
-    def in_finally(self, node: ast.AST) -> bool:
-        """True when ``node`` sits inside some ``finally`` suite."""
-        cur: ast.AST | None = node
-        while cur is not None:
-            parent = self.parent(cur)
-            if isinstance(parent, ast.Try) and any(
-                cur is stmt or _contains(stmt, cur) for stmt in parent.finalbody
-            ):
-                return True
-            cur = parent
-        return False
-
-
-def _contains(root: ast.AST, target: ast.AST) -> bool:
-    return any(node is target for node in ast.walk(root))
-
 
 def _link_parents(tree: ast.AST) -> None:
     for parent in ast.walk(tree):

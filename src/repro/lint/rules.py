@@ -1,14 +1,8 @@
 """The project-invariant rules (see ``docs/static-analysis.md``).
 
-Each rule encodes one invariant that PRs 2-4 established in prose and
+Each rule encodes one invariant the engine established in prose and
 that a regression would break silently:
 
-``no-fork``
-    forking from the threaded engine driver deadlocked the process
-    pool (a forked child can inherit another thread's held lock).
-``shm-lifecycle``
-    an unowned ``SharedMemory(create=True)`` segment leaks
-    ``/dev/shm`` space on every crash path.
 ``lock-with-only``
     a bare ``acquire`` without a ``finally`` leaves the lock held on
     any exception between it and the ``release``.
@@ -23,16 +17,12 @@ that a regression would break silently:
     a result cached under anything but the blessed structural
     fingerprint is a cache-poisoning hazard.
 
-The sanitizer suite (PR 10) added three cross-function rules — static
-counterparts to the dynamic detectors in ``repro.sanitize``:
+Two cross-function rules are static counterparts to the dynamic
+detectors in ``repro.sanitize``:
 
 ``no-blocking-in-async``
     a blocking call inside an ``async def`` freezes every connection
     the serve loop multiplexes, not just the caller.
-``shm-unlink-all-paths``
-    a statement that can raise between ``SharedMemory(create=True)``
-    and the try/finally (or lease-list transfer) that owns the segment
-    leaks it on exactly the paths the finally was written for.
 ``lock-guard-inference``
     an attribute mutated both under and outside a ``with lock:`` block
     means one of the two sites is wrong about the locking discipline.
@@ -53,9 +43,6 @@ __all__ = [
     "LockGuardInferenceRule",
     "LockWithOnlyRule",
     "NoBlockingInAsyncRule",
-    "NoForkRule",
-    "ShmLifecycleRule",
-    "ShmUnlinkAllPathsRule",
 ]
 
 
@@ -76,12 +63,6 @@ def _receiver(node: ast.Call) -> ast.expr | None:
     return None
 
 
-def _const_str(node: ast.expr | None) -> str | None:
-    if isinstance(node, ast.Constant) and isinstance(node.value, str):
-        return node.value
-    return None
-
-
 def _keyword(node: ast.Call, name: str) -> ast.expr | None:
     for kw in node.keywords:
         if kw.arg == name:
@@ -93,108 +74,6 @@ def _calls(tree: ast.AST) -> Iterator[ast.Call]:
     for node in ast.walk(tree):
         if isinstance(node, ast.Call):
             yield node
-
-
-@register
-class NoForkRule(Rule):
-    """No ``fork`` start method anywhere under ``engine/``."""
-
-    name = "no-fork"
-    rationale = (
-        "fork from the multi-threaded engine driver can copy another "
-        "thread's held lock into the child, which then deadlocks "
-        "before running its first task"
-    )
-    hint = 'use get_context("forkserver") or get_context("spawn") instead'
-    paths = ("*/engine/*.py",)
-
-    _SETTERS = frozenset({"get_context", "set_start_method"})
-
-    def check(self, context: LintContext) -> Iterable[Diagnostic]:
-        for call in _calls(context.tree):
-            name = _call_name(call)
-            requested: str | None = None
-            if name in self._SETTERS:
-                arg = call.args[0] if call.args else _keyword(call, "method")
-                requested = _const_str(arg)
-            elif _const_str(_keyword(call, "mp_context")) is not None:
-                requested = _const_str(_keyword(call, "mp_context"))
-            if requested == "fork":
-                yield self.diagnostic(
-                    context,
-                    call,
-                    f"{name or 'call'} requests the 'fork' start method "
-                    "under engine/",
-                )
-
-
-@register
-class ShmLifecycleRule(Rule):
-    """Every created shared-memory segment must reach ``unlink``."""
-
-    name = "shm-lifecycle"
-    rationale = (
-        "a SharedMemory(create=True) segment outlives the process "
-        "unless some owner unlinks it; an unowned segment leaks "
-        "/dev/shm space on every crash path"
-    )
-    hint = (
-        "bind the segment in a try/finally that unlinks it, or append "
-        "it to a lease list an enclosing try/finally releases"
-    )
-
-    def check(self, context: LintContext) -> Iterable[Diagnostic]:
-        for call in _calls(context.tree):
-            if _call_name(call) != "SharedMemory":
-                continue
-            create = _keyword(call, "create")
-            if not (isinstance(create, ast.Constant) and create.value is True):
-                continue
-            if self._owned(context, call):
-                continue
-            yield self.diagnostic(
-                context,
-                call,
-                "SharedMemory(create=True) is not bound to an owner that "
-                "reaches unlink()",
-            )
-
-    def _owned(self, context: LintContext, call: ast.Call) -> bool:
-        parent = context.parent(call)
-        # `with SharedMemory(create=True) as shm:` — the with suite is
-        # the owner (still needs an unlink inside, but lifetime is
-        # explicit; the finally check below would not see __exit__)
-        if isinstance(parent, ast.withitem):
-            return True
-        if not (
-            isinstance(parent, ast.Assign)
-            and len(parent.targets) == 1
-            and isinstance(parent.targets[0], ast.Name)
-        ):
-            return False
-        bound = parent.targets[0].id
-        scope: ast.AST = context.enclosing_function(call) or context.tree
-        for other in _calls(scope):
-            name = _call_name(other)
-            recv = _receiver(other)
-            # ownership transfer: `leases.append(shm)` hands the
-            # segment to a tracked lease list released in a finally
-            if (
-                name == "append"
-                and len(other.args) == 1
-                and isinstance(other.args[0], ast.Name)
-                and other.args[0].id == bound
-            ):
-                return True
-            # direct release: `shm.unlink()` inside a finally suite
-            if (
-                name == "unlink"
-                and isinstance(recv, ast.Name)
-                and recv.id == bound
-                and context.in_finally(other)
-            ):
-                return True
-        return False
 
 
 @register
@@ -242,7 +121,6 @@ class InjectableClockRule(Rule):
         "*/trace/*.py",
         "*/serve/*.py",
         "*/calibrate/*.py",
-        "*/distribute/*.py",
     )
 
     _CLOCKS = frozenset(
@@ -298,7 +176,6 @@ class ExplicitDtypeRule(Rule):
         "*/analysis/*.py",
         "*/kernels/*.py",
         "*/bench/*.py",
-        "*/distribute/*.py",
     )
 
     #: constructor name -> number of positional args after which the
@@ -572,138 +449,6 @@ class NoBlockingInAsyncRule(Rule):
 
 
 @register
-class ShmUnlinkAllPathsRule(Rule):
-    """The unlink of a created segment must dominate every exit path:
-    nothing that can raise may sit between ``SharedMemory(create=True)``
-    and the try/finally (or lease transfer) that owns the segment."""
-
-    name = "shm-unlink-all-paths"
-    rationale = (
-        "shm-lifecycle proves an owner exists; this rule proves the "
-        "owner is reached on every path — a call that raises between "
-        "segment creation and the protecting try/finally leaks the "
-        "segment on exactly the error paths the finally was written for"
-    )
-    hint = (
-        "move the creation to the last statement before the try (or "
-        "append it to the lease list immediately); do the risky work "
-        "inside the protected region"
-    )
-
-    _RISKY_STMTS = (ast.Return, ast.Raise, ast.If, ast.For, ast.While,
-                    ast.Break, ast.Continue, ast.With, ast.Match)
-
-    def check(self, context: LintContext) -> Iterable[Diagnostic]:
-        for call in _calls(context.tree):
-            if _call_name(call) != "SharedMemory":
-                continue
-            create = _keyword(call, "create")
-            if not (isinstance(create, ast.Constant) and create.value is True):
-                continue
-            parent = context.parent(call)
-            if not (
-                isinstance(parent, ast.Assign)
-                and len(parent.targets) == 1
-                and isinstance(parent.targets[0], ast.Name)
-            ):
-                continue  # with-item or unowned: shm-lifecycle's domain
-            bound = parent.targets[0].id
-            if self._born_protected(context, parent, bound):
-                continue
-            suite = self._enclosing_suite(context, parent)
-            if suite is None:
-                continue
-            risky = self._gap_risk(suite, parent, bound)
-            if risky is not None:
-                yield self.diagnostic(
-                    context,
-                    risky,
-                    f"statement between SharedMemory(create=True) -> {bound} "
-                    "and its protecting try/finally can raise and leak the "
-                    "segment",
-                )
-
-    @staticmethod
-    def _mentions(node: ast.AST, bound: str) -> bool:
-        return any(
-            isinstance(sub, ast.Name) and sub.id == bound for sub in ast.walk(node)
-        )
-
-    def _born_protected(
-        self, context: LintContext, assign: ast.Assign, bound: str
-    ) -> bool:
-        """Creation already inside a try whose finally mentions the
-        binding (owner wraps the birth)."""
-        cur: ast.AST | None = assign
-        while cur is not None:
-            parent = context.parent(cur)
-            if (
-                isinstance(parent, ast.Try)
-                and parent.finalbody
-                and any(cur is stmt or _contains_node(stmt, cur) for stmt in parent.body)
-                and any(self._mentions(stmt, bound) for stmt in parent.finalbody)
-            ):
-                return True
-            if isinstance(parent, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                return False
-            cur = parent
-        return False
-
-    @staticmethod
-    def _enclosing_suite(context: LintContext, stmt: ast.stmt) -> list[ast.stmt] | None:
-        parent = context.parent(stmt)
-        if parent is None:
-            return None
-        for field_name in ("body", "orelse", "finalbody"):
-            suite = getattr(parent, field_name, None)
-            if isinstance(suite, list) and stmt in suite:
-                return suite
-        return None
-
-    def _gap_risk(
-        self, suite: list[ast.stmt], assign: ast.stmt, bound: str
-    ) -> ast.stmt | None:
-        """First risky statement between the creation and its protector,
-        or None when the protector comes first (or never appears — then
-        shm-lifecycle owns the verdict)."""
-        start = suite.index(assign) + 1
-        tail = suite[start:]
-        if not any(self._is_protector(stmt, bound) for stmt in tail):
-            return None  # no owner anywhere: shm-lifecycle's verdict
-        for stmt in tail:
-            if self._is_protector(stmt, bound):
-                return None
-            if isinstance(stmt, self._RISKY_STMTS):
-                return stmt
-            if self._is_transfer(stmt, bound):
-                continue
-            if any(isinstance(sub, ast.Call) for sub in ast.walk(stmt)):
-                return stmt
-        return None
-
-    def _is_protector(self, stmt: ast.stmt, bound: str) -> bool:
-        if self._is_transfer(stmt, bound):
-            return True
-        return (
-            isinstance(stmt, ast.Try)
-            and bool(stmt.finalbody)
-            and self._mentions(stmt, bound)
-        )
-
-    @staticmethod
-    def _is_transfer(stmt: ast.stmt, bound: str) -> bool:
-        """``leases.append(shm)`` — ownership handed to a lease list."""
-        return (
-            isinstance(stmt, ast.Expr)
-            and isinstance(stmt.value, ast.Call)
-            and _call_name(stmt.value) == "append"
-            and len(stmt.value.args) == 1
-            and isinstance(stmt.value.args[0], ast.Name)
-            and stmt.value.args[0].id == bound
-        )
-
-
-@register
 class LockGuardInferenceRule(Rule):
     """An attribute mutated both under and outside a ``with lock:``
     block is evidence that one of the sites forgot the lock."""
@@ -724,7 +469,6 @@ class LockGuardInferenceRule(Rule):
     paths = (
         "*/engine/*.py",
         "*/serve/*.py",
-        "*/distribute/*.py",
         "*/calibrate/*.py",
     )
 
@@ -819,6 +563,3 @@ class LockGuardInferenceRule(Rule):
                 return True
         return False
 
-
-def _contains_node(root: ast.AST, target: ast.AST) -> bool:
-    return any(node is target for node in ast.walk(root))

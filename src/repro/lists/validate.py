@@ -26,6 +26,7 @@ __all__ = [
     "ListStructureError",
     "check_indices",
     "check_range",
+    "drop_repeats",
     "forest_predecessors",
     "validate_list",
     "validate_list_strict",
@@ -57,6 +58,17 @@ def check_range(nxt: np.ndarray, heads: np.ndarray | list[int]) -> None:
     check_indices("head", np.asarray(heads), n)
 
 
+def drop_repeats(ordered: np.ndarray) -> np.ndarray:
+    """The distinct values of a sorted 1-D array, in order:
+    ``np.unique(a)`` is ``drop_repeats(np.sort(a))``.  A sort and a
+    neighbour mask cost an order of magnitude less than numpy 2's
+    hashing ``np.unique``, from a few thousand values up."""
+    keep = np.empty(ordered.shape[0], dtype=bool)
+    keep[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
+    return ordered[keep]
+
+
 def forest_predecessors(nxt: np.ndarray, heads: np.ndarray | list[int]) -> np.ndarray:
     """Predecessor of every node of a forest, each head its own; raises unless
     every other node has exactly one and no head has one (a disjoint cycle passes)."""
@@ -68,7 +80,11 @@ def forest_predecessors(nxt: np.ndarray, heads: np.ndarray | list[int]) -> np.nd
     pred = np.full(nxt.shape[0], -1, dtype=INDEX_DTYPE)
     pred[heads] = heads
     pred[dst] = src
-    if np.unique(heads).size < heads.size or (pred < 0).any() or (pred[dst] != src).any():
+    if (
+        drop_repeats(np.sort(heads)).size < heads.size
+        or (pred < 0).any()
+        or (pred[dst] != src).any()
+    ):
         raise ListStructureError("a node has no predecessor or two, or a head repeats")
     if (pred[heads] != heads).any():
         raise ListStructureError("a link enters a head")

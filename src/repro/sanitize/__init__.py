@@ -2,9 +2,8 @@
 
 Dynamic counterparts to ``repro.lint``'s static rules: a vector-clock
 happens-before race detector over the engine's annotated shared state,
-a resource ledger that accounts shared-memory segments, memmaps, worker
-pools, and lease bytes, and an event-loop stall watchdog for the
-serving front-end.  See ``docs/static-analysis.md`` for the catalog and
+a resource ledger that accounts worker pools, and an event-loop stall
+watchdog for the serving front-end.  See ``docs/static-analysis.md`` for the catalog and
 ``repro-c90 sanitize`` for the CLI gate.
 """
 
@@ -23,11 +22,6 @@ from .runtime import (
     hb_publish,
     lock_acquired,
     lock_released,
-    note_engine_close,
-    note_lease_admitted,
-    note_lease_returned,
-    note_memmap,
-    note_memmap_flush,
     note_pool,
     note_pool_closed,
     sanitizers,
@@ -54,11 +48,6 @@ __all__ = [
     "hb_publish",
     "lock_acquired",
     "lock_released",
-    "note_engine_close",
-    "note_lease_admitted",
-    "note_lease_returned",
-    "note_memmap",
-    "note_memmap_flush",
     "note_pool",
     "note_pool_closed",
     "sanitizers",

@@ -1,7 +1,7 @@
 """Happens-before race detection over vector clocks.
 
 The engine's shared mutable state (``EngineStats`` counters, the
-result cache, router state swaps, drift windows, the lease gate) is
+result cache, router state swaps, drift windows) is
 touched from the event loop, the flush worker, the shard driver
 threads, and test threads.  The locking discipline that keeps those
 accesses safe is prose until something checks it; this module is the

@@ -1,17 +1,14 @@
 """Pytest plugin: run every test inside the sanitizer suite.
 
 Enable with ``pytest -p repro.sanitize.pytest_plugin`` (the CI
-``sanitize`` job does this for the concurrency, serve, and distribute
-suites).  Each test gets a fresh :func:`~repro.sanitize.runtime.
-sanitizers` scope; after the test body passes, the plugin fails it if
-the race detector reported an unordered pair or the resource ledger
-shows a hard leak (a shared-memory segment never unlinked, an attach
-never closed, lease bytes never returned) — this is the machine-checked
-replacement for CI's old ``/dev/shm`` greps.
+``sanitize`` job does this for the concurrency and serve suites).
+Each test gets a fresh :func:`~repro.sanitize.runtime.sanitizers`
+scope; after the test body passes, the plugin fails it if the race
+detector reported an unordered pair.
 
-Soft observations (still-open pools/memmaps at test end, event-loop
-stalls) surface as pytest warnings: module-scoped fixtures legitimately
-hold pools across tests, and stall timing on shared CI runners is not a
+Soft observations (still-open pools at test end, event-loop stalls)
+surface as pytest warnings: module-scoped fixtures legitimately hold
+pools across tests, and stall timing on shared CI runners is not a
 per-test verdict.
 """
 
@@ -26,7 +23,7 @@ from .runtime import SanitizerState, sanitizers
 
 
 class SanitizerViolation(AssertionError):
-    """A test completed but left races or hard resource leaks behind."""
+    """A test completed but left races behind."""
 
 
 @pytest.fixture(autouse=True)

@@ -1,35 +1,21 @@
-"""Resource sanitizer: global accounting of shared-memory segments,
-memmaps, worker pools, and lease bytes.
+"""Resource sanitizer: global accounting of worker pools.
 
-The engine moves fused batches through ``multiprocessing.shared_memory``
-segments, streams out-of-core lists through ``np.memmap``, and leases
-both against a byte budget (`LeaseGate`).  Every one of those resources
-has a paired release (unlink, close, shutdown, budget return) that is
-easy to drop on an error path — PR 9's bugfix sweep found exactly such
-a leak-on-crash.  CI used to guard this with ad-hoc ``/dev/shm`` greps
-after the fact; this module replaces them with live accounting:
+The engine's ``threads`` backend builds its pool lazily and must shut
+it down exactly once, at ``Engine.close()``.  A pool left open keeps
+idle threads alive until interpreter exit, so the ledger witnesses
+every pool's creation and shutdown:
 
-* **segments** — while the sanitizer is active,
-  ``shared_memory.SharedMemory`` is swapped for a tracked subclass
-  (call sites resolve the attribute at call time, so no call-site
-  changes are needed), recording create/attach/close/unlink per
-  segment name;
-* **memmaps** — ``repro.distribute.oocore`` notes each map it opens;
-  a ``weakref.finalize`` on the array marks the close, since numpy
-  memmaps release their mapping on garbage collection;
 * **pools** — ``repro.engine.workers`` notes executor pools as they
-  are created and shut down;
-* **lease bytes** — ``LeaseGate`` notes admissions and returns.
+  are created and shut down.
 
 :meth:`ResourceLedger.leaks` is the single verdict used by the pytest
-plugin (`repro.sanitize.pytest_plugin`), the ``REPRO_SANITIZE=1`` CLI
-wrapper, and the leak report `Engine.close()` files.
+plugin (`repro.sanitize.pytest_plugin`) and the ``REPRO_SANITIZE=1``
+CLI wrapper.
 """
 
 from __future__ import annotations
 
-import gc
-import weakref
+import threading
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -40,31 +26,12 @@ __all__ = ["Leak", "ResourceLedger"]
 class Leak:
     """One unreleased resource at settlement time."""
 
-    kind: str  # "shm-segment" | "shm-handle" | "memmap" | "pool" | "lease-bytes"
+    kind: str  # "pool"
     name: str
     detail: str
 
     def describe(self) -> str:
         return f"{self.kind} leak: {self.name} ({self.detail})"
-
-
-@dataclass
-class _Segment:
-    created_here: bool = False
-    size: int = 0
-    opens: int = 0
-    closes: int = 0
-    unlinked: bool = False
-    site: str = ""
-
-
-@dataclass
-class _Memmap:
-    path: str
-    mode: str
-    site: str
-    open: bool = True
-    flushes: int = 0
 
 
 @dataclass
@@ -76,7 +43,7 @@ class _Pool:
 
 @dataclass
 class ResourceLedger:
-    """Create/attach/close/unlink bookkeeping for engine resources.
+    """Create/shutdown bookkeeping for engine resources.
 
     Mutation happens from whatever thread touches the resource; every
     entry point takes the internal mutex.  The ledger itself never
@@ -84,75 +51,11 @@ class ResourceLedger:
     change program behaviour.
     """
 
-    segments: dict[str, _Segment] = field(default_factory=dict)
-    memmaps: dict[int, _Memmap] = field(default_factory=dict)
     pools: dict[int, _Pool] = field(default_factory=dict)
-    lease_outstanding: int = 0
-    lease_peak: int = 0
     events: int = 0
 
     def __post_init__(self) -> None:
-        import threading
-
         self._mutex = threading.Lock()
-
-    # ------------------------------------------------------------------
-    # shared-memory segments
-    # ------------------------------------------------------------------
-
-    def shm_opened(self, name: str, *, created: bool, size: int, site: str) -> None:
-        with self._mutex:
-            self.events += 1
-            seg = self.segments.setdefault(name, _Segment())
-            seg.opens += 1
-            seg.size = max(seg.size, size)
-            if created:
-                seg.created_here = True
-                seg.site = site
-            elif not seg.site:
-                seg.site = site
-
-    def shm_closed(self, name: str) -> None:
-        with self._mutex:
-            self.events += 1
-            seg = self.segments.setdefault(name, _Segment())
-            seg.closes += 1
-
-    def shm_unlinked(self, name: str) -> None:
-        with self._mutex:
-            self.events += 1
-            seg = self.segments.setdefault(name, _Segment())
-            seg.unlinked = True
-
-    # ------------------------------------------------------------------
-    # memmaps
-    # ------------------------------------------------------------------
-
-    def memmap_opened(self, arr: Any, path: str, mode: str, site: str) -> None:
-        key = id(arr)
-        with self._mutex:
-            self.events += 1
-            self.memmaps[key] = _Memmap(path=path, mode=mode, site=site)
-        # numpy memmaps release the mapping when collected; witness that
-        # moment rather than requiring an explicit close() the API lacks
-        weakref.finalize(arr, self._memmap_finalized, key)
-
-    def _memmap_finalized(self, key: int) -> None:
-        with self._mutex:
-            entry = self.memmaps.get(key)
-            if entry is not None:
-                entry.open = False
-
-    def memmap_flushed(self, arr: Any) -> None:
-        with self._mutex:
-            self.events += 1
-            entry = self.memmaps.get(id(arr))
-            if entry is not None:
-                entry.flushes += 1
-
-    # ------------------------------------------------------------------
-    # pools and lease bytes
-    # ------------------------------------------------------------------
 
     def pool_opened(self, pool: Any, kind: str, site: str) -> None:
         with self._mutex:
@@ -166,88 +69,15 @@ class ResourceLedger:
             if entry is not None:
                 entry.open = False
 
-    def lease_admitted(self, nbytes: int) -> None:
-        with self._mutex:
-            self.events += 1
-            self.lease_outstanding += nbytes
-            self.lease_peak = max(self.lease_peak, self.lease_outstanding)
-
-    def lease_returned(self, nbytes: int) -> None:
-        with self._mutex:
-            self.events += 1
-            self.lease_outstanding -= nbytes
-
-    # ------------------------------------------------------------------
-    # settlement
-    # ------------------------------------------------------------------
-
-    def settle(self) -> None:
-        """Give lazily-released resources their chance before judgment:
-        memmaps close on collection, so run one gc pass if any look open."""
-        with self._mutex:
-            pending = any(m.open for m in self.memmaps.values())
-        if pending:
-            gc.collect()
-
     def leaks(self) -> list[Leak]:
-        """Everything acquired but never released, worst first."""
-        self.settle()
-        out: list[Leak] = []
+        """Every pool created but never shut down."""
         with self._mutex:
-            for name, seg in sorted(self.segments.items()):
-                if seg.created_here and not seg.unlinked:
-                    out.append(
-                        Leak(
-                            "shm-segment",
-                            name,
-                            f"created at {seg.site or '?'} ({seg.size} bytes), never unlinked",
-                        )
-                    )
-                elif seg.opens > seg.closes:
-                    out.append(
-                        Leak(
-                            "shm-handle",
-                            name,
-                            f"{seg.opens} opens vs {seg.closes} closes (attach without close)",
-                        )
-                    )
-            for entry in self.memmaps.values():
-                if entry.open:
-                    out.append(
-                        Leak(
-                            "memmap",
-                            entry.path,
-                            f"mode {entry.mode!r} opened at {entry.site or '?'}, still mapped",
-                        )
-                    )
-            for entry in self.pools.values():
-                if entry.open:
-                    out.append(
-                        Leak("pool", entry.kind, f"created at {entry.site or '?'}, never shut down")
-                    )
-            if self.lease_outstanding != 0:
-                out.append(
-                    Leak(
-                        "lease-bytes",
-                        "LeaseGate",
-                        f"{self.lease_outstanding} bytes admitted but never returned",
-                    )
-                )
-        return out
-
-    def segment_leaks(self) -> list[Leak]:
-        """The hard-failure subset: leaked segments, dangling attaches,
-        and unreturned lease bytes (the resources that outlive the
-        process and the budget invariant)."""
-        hard = ("shm-segment", "shm-handle", "lease-bytes")
-        return [leak for leak in self.leaks() if leak.kind in hard]
+            return [
+                Leak("pool", entry.kind, f"created at {entry.site or '?'}, never shut down")
+                for entry in self.pools.values()
+                if entry.open
+            ]
 
     def summary(self) -> dict[str, int]:
         with self._mutex:
-            return {
-                "events": self.events,
-                "segments_tracked": len(self.segments),
-                "memmaps_tracked": len(self.memmaps),
-                "pools_tracked": len(self.pools),
-                "lease_peak_bytes": self.lease_peak,
-            }
+            return {"events": self.events, "pools_tracked": len(self.pools)}

@@ -8,9 +8,9 @@ The engine's locked sections call :class:`guarded` and
 Activation is a context manager::
 
     with sanitizers() as state:
-        ...  # run engine / serve / distribute work
-    state.failures()   # races + hard resource leaks
-    state.warnings()   # stalls, still-open pools/memmaps
+        ...  # run engine / serve work
+    state.failures()   # races
+    state.warnings()   # stalls, still-open pools
 
 While active:
 
@@ -24,10 +24,8 @@ While active:
   future resolution);
 * ``cv_wait(cv)`` — ``Condition.wait`` releases and reacquires its
   lock invisibly; this wrapper keeps the detector's lock model honest;
-* ``multiprocessing.shared_memory.SharedMemory`` is patched with a
-  tracked subclass feeding the :class:`~repro.sanitize.resources.
-  ResourceLedger`, and ``repro.engine.workers`` / ``repro.distribute``
-  note pools, memmaps, and lease bytes.
+* ``repro.engine.workers`` notes its pools in the
+  :class:`~repro.sanitize.resources.ResourceLedger`.
 
 Nesting is supported (the pytest plugin wraps whole tests while unit
 tests open their own scopes): hooks report to the innermost state.
@@ -41,7 +39,6 @@ import threading
 from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from multiprocessing import shared_memory as _shm_module
 from typing import Any
 
 from .hb import RaceDetector, RaceReport
@@ -61,11 +58,6 @@ __all__ = [
     "hb_publish",
     "lock_acquired",
     "lock_released",
-    "note_engine_close",
-    "note_lease_admitted",
-    "note_lease_returned",
-    "note_memmap",
-    "note_memmap_flush",
     "note_pool",
     "note_pool_closed",
     "sanitizers",
@@ -96,7 +88,6 @@ class SanitizerState:
     watchdog_threshold: float = 0.25
     stalls: list[StallReport] = field(default_factory=list)
     watchdog_beats: int = 0
-    engine_close_leaks: list[Leak] = field(default_factory=list)
 
     # -- verdicts -------------------------------------------------------
 
@@ -110,18 +101,16 @@ class SanitizerState:
         out = [
             Finding("race", "error", r.describe(), r.second_site) for r in self.race_reports()
         ]
-        hard = ("shm-segment", "shm-handle", "lease-bytes")
-        for leak in self.leaks():
-            severity = "error" if leak.kind in hard else "warning"
-            out.append(Finding("leak", severity, leak.describe()))
+        out.extend(Finding("leak", "warning", leak.describe()) for leak in self.leaks())
         out.extend(Finding("stall", "error", s.describe()) for s in self.stalls)
         return out
 
     def failures(self) -> list[Finding]:
         """What must fail a test or a ``REPRO_SANITIZE=1`` command:
-        races and hard resource leaks.  Stalls stay out — wall-clock
-        scheduling jitter on shared CI runners is not a test verdict —
-        but the ``sanitize`` CLI still counts them as errors."""
+        races.  Stalls stay out — wall-clock scheduling jitter on shared
+        CI runners is not a test verdict — but the ``sanitize`` CLI
+        still counts them as errors.  A pool still open is a warning:
+        module-scoped fixtures legitimately hold pools across tests."""
         return [f for f in self.findings() if f.severity == "error" and f.check != "stall"]
 
     def warnings(self) -> list[Finding]:
@@ -299,18 +288,6 @@ def _ledger() -> ResourceLedger | None:
     return state.ledger if state is not None else None
 
 
-def note_memmap(arr: Any, path: str, mode: str) -> None:
-    ledger = _ledger()
-    if ledger is not None:
-        ledger.memmap_opened(arr, path, mode, _call_site())
-
-
-def note_memmap_flush(arr: Any) -> None:
-    ledger = _ledger()
-    if ledger is not None:
-        ledger.memmap_flushed(arr)
-
-
 def note_pool(pool: Any, kind: str) -> None:
     ledger = _ledger()
     if ledger is not None:
@@ -321,82 +298,6 @@ def note_pool_closed(pool: Any) -> None:
     ledger = _ledger()
     if ledger is not None:
         ledger.pool_closed(pool)
-
-
-def note_lease_admitted(nbytes: int) -> None:
-    ledger = _ledger()
-    if ledger is not None:
-        ledger.lease_admitted(nbytes)
-
-
-def note_lease_returned(nbytes: int) -> None:
-    ledger = _ledger()
-    if ledger is not None:
-        ledger.lease_returned(nbytes)
-
-
-def note_engine_close() -> list[Leak]:
-    """Leak report at ``Engine.close()``: segments, dangling attaches,
-    and lease bytes that should all have been released by teardown."""
-    if not _STACK:
-        return []
-    state = active_state()
-    if state is None or state.ledger is None:
-        return []
-    leaks = state.ledger.segment_leaks()
-    if leaks:
-        state.engine_close_leaks = leaks
-    return leaks
-
-
-# ----------------------------------------------------------------------
-# SharedMemory interception
-# ----------------------------------------------------------------------
-
-_REAL_SHARED_MEMORY: type | None = None
-_PATCH_DEPTH = 0
-
-
-def _make_tracked(base: type) -> type:
-    class _TrackedSharedMemory(base):  # type: ignore[valid-type, misc]
-        """Ledger-reporting stand-in installed while a sanitizer runs."""
-
-        def __init__(self, name: str | None = None, create: bool = False, size: int = 0,
-                     **kwargs: Any) -> None:
-            super().__init__(name, create, size, **kwargs)
-            ledger = _ledger()
-            if ledger is not None:
-                ledger.shm_opened(self.name, created=create, size=self.size, site=_call_site())
-
-        def close(self) -> None:
-            super().close()
-            ledger = _ledger()
-            if ledger is not None:
-                ledger.shm_closed(self.name)
-
-        def unlink(self) -> None:
-            super().unlink()
-            ledger = _ledger()
-            if ledger is not None:
-                ledger.shm_unlinked(self.name)
-
-    return _TrackedSharedMemory
-
-
-def _patch_shared_memory() -> None:
-    global _REAL_SHARED_MEMORY, _PATCH_DEPTH
-    if _PATCH_DEPTH == 0:
-        _REAL_SHARED_MEMORY = _shm_module.SharedMemory
-        _shm_module.SharedMemory = _make_tracked(_REAL_SHARED_MEMORY)  # type: ignore[misc]
-    _PATCH_DEPTH += 1
-
-
-def _unpatch_shared_memory() -> None:
-    global _REAL_SHARED_MEMORY, _PATCH_DEPTH
-    _PATCH_DEPTH -= 1
-    if _PATCH_DEPTH == 0 and _REAL_SHARED_MEMORY is not None:
-        _shm_module.SharedMemory = _REAL_SHARED_MEMORY  # type: ignore[misc]
-        _REAL_SHARED_MEMORY = None
 
 
 # ----------------------------------------------------------------------
@@ -455,15 +356,9 @@ def sanitizers(
         watchdog_threshold=watchdog_threshold,
     )
     with _STACK_MUTEX:
-        if resources:
-            _patch_shared_memory()
         _STACK.append(state)
     try:
         yield state
     finally:
         with _STACK_MUTEX:
             _STACK.remove(state)
-            if resources:
-                _unpatch_shared_memory()
-        if state.ledger is not None:
-            state.ledger.settle()

@@ -57,7 +57,6 @@ __all__ = [
     "deviation_ok",
     "jsonable",
     "span_to_dict",
-    "span_from_dict",
     "trace_to_dict",
     "to_json",
     "write_jsonl",
@@ -72,7 +71,6 @@ _LAZY = {
     "deviation_ok": ("repro.trace.compare", "deviation_ok"),
     "jsonable": ("repro.trace.export", "jsonable"),
     "span_to_dict": ("repro.trace.export", "span_to_dict"),
-    "span_from_dict": ("repro.trace.export", "span_from_dict"),
     "trace_to_dict": ("repro.trace.export", "trace_to_dict"),
     "to_json": ("repro.trace.export", "to_json"),
     "write_jsonl": ("repro.trace.export", "write_jsonl"),
@@ -90,7 +88,6 @@ if TYPE_CHECKING:  # pragma: no cover - static analysis only
     from .export import (
         format_tree,
         jsonable,
-        span_from_dict,
         span_to_dict,
         to_json,
         trace_to_dict,

@@ -26,7 +26,6 @@ from .tracer import Event, Span, Tracer
 __all__ = [
     "jsonable",
     "span_to_dict",
-    "span_from_dict",
     "trace_to_dict",
     "to_json",
     "write_jsonl",
@@ -78,28 +77,6 @@ def span_to_dict(span: Span) -> dict[str, Any]:
         "events": [_event_to_dict(e) for e in span.events],
         "children": [span_to_dict(c) for c in span.children],
     }
-
-
-def span_from_dict(data: dict[str, Any]) -> Span:
-    """Rebuild a :class:`Span` subtree from its :func:`span_to_dict` form.
-
-    This is the return leg of the engine's process-pool driver: a
-    worker process records kernel spans with its own tracer, ships them
-    back as plain dicts (the only shape that crosses the pickle
-    boundary without dragging tracer state along), and the parent
-    adopts the rebuilt spans under the batch tree
-    (:meth:`~repro.trace.tracer.Tracer.adopt`).  Attribute payloads
-    survive only in their :func:`jsonable` form.
-    """
-    span = Span(data["name"], data.get("t0", 0.0), dict(data.get("attrs") or {}))
-    span.t1 = data.get("t1")
-    for ev in data.get("events") or ():
-        span.events.append(
-            Event(ev["name"], ev.get("t", 0.0), dict(ev.get("attrs") or {}))
-        )
-    for child in data.get("children") or ():
-        span.children.append(span_from_dict(child))
-    return span
 
 
 def trace_to_dict(trace: Tracer | Span | Iterable[Span]) -> dict[str, Any]:

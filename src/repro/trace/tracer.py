@@ -260,28 +260,6 @@ class Tracer:
         if stack:
             stack[-1].attrs.update(attrs)
 
-    def adopt(
-        self, spans: list[Span], parent: Span | None = None
-    ) -> None:
-        """Attach already-built spans under ``parent`` (or as roots).
-
-        The engine's process-pool driver records kernel spans inside a
-        worker process with that worker's own tracer; the serialized
-        records come back with the result and are grafted into the
-        batch tree here, so a traced batch stays one connected tree no
-        matter where its shards executed.  Adopted spans keep their own
-        clock readings (the worker's), which on a fork-based pool share
-        the parent's monotonic epoch.
-        """
-        if not self.enabled:
-            return
-        spans = list(spans)
-        with self._lock:
-            if parent is None:
-                self.roots.extend(spans)
-            else:
-                parent.children.extend(spans)
-
     def current(self) -> Span | None:
         """The current thread's innermost open span, if any."""
         stack = self._stack()

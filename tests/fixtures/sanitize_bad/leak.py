@@ -1,48 +1,21 @@
-"""Seeded violation: a shared-memory segment that is never unlinked.
+"""Seeded violation: an engine whose worker pool is never shut down.
 
-``exercise`` creates a segment and closes its handle but forgets
-``unlink()`` — the classic leak the old ``ls /dev/shm`` CI greps hunted
-for.  The resource ledger reports it as a ``shm-segment`` leak at
-settlement.  An ``atexit`` hook does the forgotten unlink afterwards so
-the fixture never actually dirties the host it runs on.
-
-``_export_with_gap`` seeds the *static* half: a call that can raise
-sits between ``SharedMemory(create=True)`` and the try/finally that
-owns the segment, which ``shm-unlink-all-paths`` flags from the source
-alone.  At runtime it settles cleanly — the dynamic leak above is the
-only one the ledger reports.
+``exercise`` runs a two-shard batch on a ``threads`` engine, which
+builds the engine's thread pool, and forgets ``Engine.close()``.  The
+resource ledger reports the still-open pool as a ``leak`` at
+settlement.  It is a warning, not an error: the pool's idle threads
+exit with the interpreter.
 """
 
-import atexit
-import contextlib
-from multiprocessing import shared_memory
-
-
-def _checksum(payload: bytes) -> int:
-    return sum(payload) & 0xFFFF
-
-
-def _export_with_gap(payload: bytes) -> int:
-    seg = shared_memory.SharedMemory(create=True, size=max(1, len(payload)))
-    digest = _checksum(payload)  # can raise: leaks seg on that path
-    try:
-        seg.buf[: len(payload)] = payload
-        return digest
-    finally:
-        seg.close()
-        seg.unlink()
+from repro.engine import Engine, ScanRequest
+from repro.lists.generate import random_list
 
 
 def exercise() -> None:
-    _export_with_gap(b"sanitize-corpus")
-
-    seg = shared_memory.SharedMemory(create=True, size=1 << 12)
-    seg.close()  # handle released, but the segment itself lives on
-
-    def _cleanup() -> None:
-        with contextlib.suppress(Exception):
-            left_over = shared_memory.SharedMemory(name=seg.name)
-            left_over.close()
-            left_over.unlink()
-
-    atexit.register(_cleanup)
+    engine = Engine(executor="threads", max_workers=2)
+    engine.run_batch(
+        [
+            ScanRequest(lst=random_list(64, 1)),
+            ScanRequest(lst=random_list(64, 2), op="max"),
+        ]
+    )

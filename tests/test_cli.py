@@ -31,6 +31,29 @@ class TestParser:
         assert args.workers == 1
         assert not args.no_cache
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--executor", "processes"],
+            ["--distributed"],
+            ["--memmap"],
+            ["--chunk-nodes", "1024"],
+            ["--memory-budget-mb", "8"],
+        ],
+        ids=["processes", "distributed", "memmap", "chunk-nodes", "memory-budget-mb"],
+    )
+    def test_batch_rejects_the_scale_out_flags(self, flags, capsys):
+        # the process executor and the sharded/out-of-core scan are gone
+        with pytest.raises(SystemExit) as exc:
+            main(["batch", "-n", "64", "--count", "2", *flags])
+        assert exc.value.code == 2
+        assert flags[0] in capsys.readouterr().err
+
+    def test_serve_rejects_the_processes_executor(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--executor", "processes"])
+        assert exc.value.code == 2
+
     def test_serve_defaults(self):
         args = build_parser().parse_args(["serve"])
         assert args.port == 8090

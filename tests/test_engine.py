@@ -79,10 +79,10 @@ class TestEquivalence:
 
     def test_threaded_driver_matches_sync(self):
         lists = mixed_batch(count=40, max_n=3000, seed=9)
-        sync = Engine(cache_capacity=0)
-        threaded = Engine(cache_capacity=0, max_workers=4)
+        sync = Engine(executor="sync", cache_capacity=0)
+        threaded = Engine(executor="threads", cache_capacity=0, max_workers=4)
         got_sync = sync.map_scan(lists, SUM)
-        got_threaded = threaded.map_scan(lists, SUM, parallel=True)
+        got_threaded = threaded.map_scan(lists, SUM)
         for a, b in zip(got_sync, got_threaded):
             np.testing.assert_array_equal(a, b)
 

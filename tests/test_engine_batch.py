@@ -245,19 +245,6 @@ class TestLoneShard:
             assert engine.stats.element_ops == 2 * big.n + other.n
             assert engine.stats.solo_runs == 3 and engine.stats.fused_lists == 0
 
-    def test_forced_serial_runs_in_process(self):
-        # no forest kernel, so nothing to offload: the processes
-        # executor answers a forced serial shard from the oracle itself
-        big, other = float_pair()
-        with Engine(executor="processes", max_workers=1, cache_capacity=0) as engine:
-            responses = engine.run_batch(
-                [ScanRequest(lst=lst, algorithm="serial") for lst in (big, other)]
-            )
-            assert engine._backend.tasks_offloaded == 0
-        for lst, resp in zip((big, other), responses):
-            assert resp.ok and resp.algorithm == "serial" and resp.batch_lists == 2
-            np.testing.assert_array_equal(resp.result, serial_list_scan(lst))
-
 
 class TestNoSerialOnAutoPaths:
     """The serial scan is the oracle, not a route: with every binding of
@@ -271,7 +258,6 @@ class TestNoSerialOnAutoPaths:
         import sys
 
         import repro.core.early_reconnect  # noqa: F401 - bind it before patching
-        import repro.distribute  # noqa: F401
 
         def boom(*args, **kwargs):
             raise AssertionError("the serial oracle ran on an auto path")
@@ -324,20 +310,6 @@ class TestNoSerialOnAutoPaths:
         assert nxt.shape[0] <= config.serial_cutoff
         got = forest_list_scan(nxt, values, heads, SUM, kernel_backend=kernel_backend)
         np.testing.assert_array_equal(got, want_small)
-
-    def test_sharded_scan(self, monkeypatch):
-        # small chunks and a small reduced list: the direct scans and
-        # the routed reduce step run Wyllie or sublist, never serial
-        from repro.distribute import DistributedConfig, sharded_list_scan
-
-        rng = np.random.default_rng(34)
-        lst = random_list(2000, rng, values=rng.integers(-9, 9, 2000))
-        want = serial_list_scan(lst)
-        self.no_serial(monkeypatch)
-        report = {}
-        got = sharded_list_scan(lst, config=DistributedConfig(num_chunks=8), rng=0, report=report)
-        np.testing.assert_array_equal(got, want)
-        assert report["reduced_algorithm"] in ("wyllie", "sublist")
 
     def test_early_reconnect_small_list(self, monkeypatch):
         rng = np.random.default_rng(33)

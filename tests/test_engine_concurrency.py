@@ -1,7 +1,7 @@
-"""Concurrent submit + parallel flush under every executor.
+"""Concurrent submit + flush under every executor.
 
 The serving contract, stressed from many threads at once: concurrent
-``submit`` calls interleave safely with a ``flush(parallel=True)``
+``submit`` calls interleave safely with a ``flush()``
 batch mixing poisoned, coalesced and cached requests — and on every
 backend the responses keep request order, errors stay isolated to
 their own requests, and the engine's counters reconcile with the
@@ -11,7 +11,7 @@ Every test in this module additionally runs under the runtime
 lock-order checker (``repro.lint.lockorder``): the engine modules'
 locks are swapped for instrumented wrappers that record the
 acquisition-order graph and raise at the first acquisition that could
-deadlock, so the thread/process drivers are race-audited on every CI
+deadlock, so the thread-pool driver is race-audited on every CI
 run, not just when a deadlock happens to strike.
 """
 
@@ -104,7 +104,7 @@ class TestConcurrentSubmitFlush:
             for th in threads:
                 th.join()
 
-            responses = engine.flush(parallel=True)
+            responses = engine.flush()
             assert len(responses) == n_threads * per_thread
 
             # response order: exactly the submission (request-id) order
@@ -154,6 +154,6 @@ class TestConcurrentSubmitFlush:
         with Engine(executor=executor, seed=21) as engine:
             for i in range(6):
                 engine.submit(healthy_list(40 + i, seed=i), SUM)
-            responses = engine.flush(parallel=True)
+            responses = engine.flush()
             assert len(responses) == 6
-            assert engine.flush(parallel=True) == []
+            assert engine.flush() == []

@@ -37,6 +37,11 @@ def _poison_combine(a, b):
 POISON = Operator(name="poison-sum", combine=_poison_combine, identity=0)
 
 
+def executor_for(parallel):
+    """The pooled driver (``threads``) or the inline one (``sync``)."""
+    return "threads" if parallel else "sync"
+
+
 def healthy_list(n, seed):
     rng = np.random.default_rng(seed)
     return random_list(n, rng, values=random_values(n, rng))
@@ -56,8 +61,8 @@ class TestValidationChannel:
         lists = [healthy_list(n, seed) for seed, n in enumerate((40, 800, 7, 120, 3000))]
         bad = corrupt_list(64, seed=99)
         reqs = [ScanRequest(lst=lst) for lst in lists] + [ScanRequest(lst=bad)]
-        engine = Engine(max_workers=4)
-        responses = engine.run_batch(reqs, parallel=parallel)
+        engine = Engine(executor=executor_for(parallel), max_workers=4)
+        responses = engine.run_batch(reqs)
         assert [r.ok for r in responses] == [True] * 5 + [False]
         failed = responses[-1]
         assert failed.result is None
@@ -140,11 +145,10 @@ class TestExecutionContainment:
         b.values = b.values.copy()
         b.values[57] = SENTINEL  # mid-array: past the validation probe
         extra = healthy_list(500, 11)  # a healthy SUM shard alongside
-        engine = Engine(max_workers=4)
+        engine = Engine(executor=executor_for(parallel), max_workers=4)
         responses = engine.run_batch(
             [ScanRequest(lst=x, op=POISON) for x in (a, b, c)]
-            + [ScanRequest(lst=extra)],
-            parallel=parallel,
+            + [ScanRequest(lst=extra)]
         )
         assert [r.ok for r in responses] == [True, False, True, True]
         assert responses[1].error.phase == "execute"
@@ -327,7 +331,7 @@ class TestConcurrentServing:
     @pytest.mark.parametrize("parallel", [False, True])
     def test_concurrent_submit_and_flush(self, parallel):
         """Producers submit (some poisoned) while a consumer flushes."""
-        engine = Engine(max_workers=4, max_pending=None)
+        engine = Engine(executor=executor_for(parallel), max_workers=4, max_pending=None)
         per_thread = 12
         n_threads = 4
         lists = {}
@@ -352,12 +356,12 @@ class TestConcurrentServing:
         collected = {}
         expected = n_threads * per_thread
         while len(collected) < expected or any(th.is_alive() for th in threads):
-            for resp in engine.flush(parallel=parallel):
+            for resp in engine.flush():
                 assert resp.tag not in collected  # answered exactly once
                 collected[resp.tag] = resp
         for th in threads:
             th.join()
-        for resp in engine.flush(parallel=parallel):
+        for resp in engine.flush():
             assert resp.tag not in collected
             collected[resp.tag] = resp
 
@@ -394,7 +398,7 @@ class TestConcurrentServing:
                 batch = engine.queue.drain(max_requests=7)
                 if not batch:
                     return
-                for resp in engine.run_batch(batch, parallel=True):
+                for resp in engine.run_batch(batch):
                     with lock:
                         assert resp.tag not in collected
                         collected[resp.tag] = resp

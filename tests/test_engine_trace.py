@@ -21,7 +21,7 @@ from repro.engine.router import CANDIDATES
 from repro.lists.generate import random_list, random_values
 from repro.trace import Tracer, counting_clock
 
-from .test_engine_faults import POISON, SENTINEL, healthy_list
+from .test_engine_faults import POISON, SENTINEL, executor_for, healthy_list
 
 
 def _batch(count, n, seed0=0):
@@ -32,12 +32,12 @@ class TestEngineSpans:
     @pytest.mark.parametrize("parallel", [False, True])
     def test_batch_span_tree(self, parallel):
         tracer = Tracer(clock=counting_clock())
-        engine = Engine(trace=tracer, max_workers=4)
+        engine = Engine(trace=tracer, executor=executor_for(parallel), max_workers=4)
         # two operators: two shards
         reqs = _batch(3, 3000) + [
             ScanRequest(lst=healthy_list(40, 10 + k), op="max") for k in range(2)
         ]
-        responses = engine.run_batch(reqs, parallel=parallel)
+        responses = engine.run_batch(reqs)
         assert all(r.ok for r in responses)
 
         root = tracer.last_root()

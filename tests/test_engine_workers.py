@@ -1,46 +1,33 @@
-"""Execution backends: equivalence, pool lifecycle, shm transport, tracing.
+"""Execution backends: equivalence and pool lifecycle.
 
 The contracts under test:
 
-* every executor (``sync`` / ``threads`` / ``processes``) returns
-  bit-identical results on the same workload — including cache hits,
-  coalesced duplicates, inclusive scans and forced algorithms;
+* every executor (``sync`` / ``threads``) returns bit-identical
+  results on the same workload — including cache hits, coalesced
+  duplicates, inclusive scans and forced algorithms;
+* the executor alone decides where a batch's shards run: a ``threads``
+  engine pools two or more shards unless it is one worker wide;
 * pools are *persistent*: many batches construct at most one pool, and
-  ``Engine.close()`` / the context manager tears it down exactly once;
-* shared-memory transport round-trips arrays above the threshold and
-  falls back to inline pickling below it, releasing every segment on
-  success and failure alike;
-* fault containment and trace-span pinning survive the process
-  boundary: a shard that dies in a worker quarantines normally, and a
-  traced kernel's spans come back attached under the batch tree.
+  ``Engine.close()`` / the context manager tears it down exactly once.
 """
 
 import concurrent.futures
-import contextlib
-import glob
-import os
-import signal
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
-from repro.core.forest import Forest
-from repro.core.operators import SUM, Operator
+from repro.core.operators import SUM
 from repro.engine import Engine, ScanRequest
 from repro.engine.workers import (
     EXECUTORS,
-    ProcessBackend,
     SyncBackend,
     ThreadBackend,
-    _attach_array,
-    _export_array,
-    _release,
     create_backend,
 )
 from repro.lists.generate import random_list, random_values
-from repro.trace import Tracer
-
-from .conftest import within
 
 
 def mixed_requests(count=200, max_n=2000, seed=0, algorithm="auto"):
@@ -71,8 +58,7 @@ def mixed_requests(count=200, max_n=2000, seed=0, algorithm="auto"):
 
 class TestExecutorEquivalence:
     def test_all_executors_bit_identical_mixed_200(self):
-        # the PR's acceptance criterion: threads and processes match
-        # sync bit for bit on a mixed 200-request workload
+        # threads matches sync bit for bit on a mixed 200-request workload
         baseline = None
         for executor in EXECUTORS:
             with Engine(executor=executor, seed=11) as engine:
@@ -88,9 +74,9 @@ class TestExecutorEquivalence:
 
     @pytest.mark.parametrize("executor", EXECUTORS)
     def test_forced_sublist_and_unroutable_algorithms(self, executor):
-        # forced routable algorithms offload; unroutable ones
-        # (random_mate has no forest kernel) fall back to solo runs —
-        # both must work on every backend
+        # forced routable algorithms run the forest kernel; unroutable
+        # ones (random_mate has no forest kernel) fall back to solo
+        # runs — both must work on every backend
         for algorithm in ("sublist", "random_mate"):
             reqs = mixed_requests(count=12, max_n=600, seed=3, algorithm=algorithm)
             with Engine(executor=executor, cache_capacity=0, seed=5) as engine:
@@ -108,6 +94,41 @@ class TestExecutorEquivalence:
             Engine(executor="fibers")
         with pytest.raises(ValueError, match="unknown executor"):
             create_backend("fibers")
+
+    def test_processes_executor_is_gone(self):
+        expected = r"expected one of \('sync', 'threads'\)"
+        assert EXECUTORS == ("sync", "threads")
+        with pytest.raises(ValueError, match=expected):
+            Engine(executor="processes")
+        with pytest.raises(ValueError, match=expected):
+            create_backend("processes")
+
+    def test_nothing_imports_multiprocessing(self):
+        # the engine, the server, the sanitizer and the CLI, and a
+        # pooled batch under the sanitizers, load no multiprocessing
+        # module
+        script = textwrap.dedent(
+            """
+            import sys
+
+            import repro, repro.cli, repro.engine, repro.sanitize
+            import repro.serve.server
+            from repro.engine import Engine, ScanRequest
+            from repro.lists.generate import random_list
+            from repro.sanitize import sanitizers
+
+            with sanitizers() as state, Engine(executor="threads", max_workers=2) as engine:
+                responses = engine.run_batch(
+                    [ScanRequest(lst=random_list(64, 1)), ScanRequest(lst=random_list(64, 2), op="max")]
+                )
+            assert all(r.ok for r in responses)
+            assert engine._backend.pools_created == 1, "the batch must use the pool"
+            assert not state.failures(), state.failures()
+            loaded = sorted(m for m in sys.modules if m.split(".")[0] == "multiprocessing")
+            assert not loaded, loaded
+            """
+        )
+        subprocess.run([sys.executable, "-c", script], check=True, timeout=120)
 
 
 class TestPoolLifecycle:
@@ -129,8 +150,7 @@ class TestPoolLifecycle:
         with Engine(executor="threads", cache_capacity=0) as engine:
             for batch in range(5):
                 responses = engine.run_batch(
-                    mixed_requests(count=16, max_n=400, seed=batch),
-                    parallel=True,
+                    mixed_requests(count=16, max_n=400, seed=batch)
                 )
                 assert all(r.ok for r in responses)
         assert sum(constructed) == 1
@@ -142,10 +162,10 @@ class TestPoolLifecycle:
         backend.close()
         assert backend.pools_created == 0
 
-    @pytest.mark.parametrize("executor", ["threads", "processes"])
+    @pytest.mark.parametrize("executor", ["threads"])
     def test_close_tears_down_exactly_once(self, executor):
         engine = Engine(executor=executor, cache_capacity=0)
-        engine.run_batch(mixed_requests(count=8, max_n=300), parallel=True)
+        engine.run_batch(mixed_requests(count=8, max_n=300))
         backend = engine._backend
         engine.close()
         engine.close()
@@ -155,8 +175,28 @@ class TestPoolLifecycle:
 
     def test_context_manager_closes(self):
         with Engine(executor="threads", cache_capacity=0) as engine:
-            engine.run_batch(mixed_requests(count=8, max_n=300), parallel=True)
+            engine.run_batch(mixed_requests(count=8, max_n=300))
         assert engine._backend.closes_effective == 1
+
+    def test_one_worker_runs_inline(self):
+        # what `repro-c90 batch --workers 1` builds: three shards (three
+        # operators), and the pool is never made
+        reqs = [
+            ScanRequest(lst=random_list(200, seed), op=op)
+            for seed, op in enumerate(("sum", "max", "min"))
+        ]
+        with Engine(executor="threads", max_workers=1, cache_capacity=0) as engine:
+            responses = engine.run_batch(reqs)
+            assert engine.stats.shards == 3
+        assert all(r.ok for r in responses)
+        assert engine._backend.pools_created == 0
+
+    def test_pooled_follows_shards_and_width(self):
+        assert not ThreadBackend().pooled([["a"]])
+        assert ThreadBackend().pooled([["a"], ["b"]])
+        assert ThreadBackend(max_workers=2).pooled([["a"], ["b"]])
+        assert not ThreadBackend(max_workers=1).pooled([["a"], ["b"]])
+        assert not SyncBackend().pooled([["a"], ["b"]])
 
     def test_closed_thread_backend_rejects_dispatch(self):
         backend = ThreadBackend()
@@ -171,207 +211,3 @@ class TestPoolLifecycle:
         assert order == ["a", "b", "c"]  # sequential, in submission order
         assert backend.pools_created == 0
         backend.close()
-
-
-class TestSharedMemoryTransport:
-    @pytest.mark.parametrize("n", [4, 100_000])
-    def test_export_attach_roundtrip(self, n):
-        # small arrays ship inline, large ones through a segment; both
-        # must round-trip exactly and release every lease
-        rng = np.random.default_rng(0)
-        arr = rng.integers(-(2**40), 2**40, n)
-        leases, holds = [], []
-        ref = _export_array(arr, leases, min_bytes=1 << 15)
-        assert (ref.shm_name is not None) == (arr.nbytes >= 1 << 15)
-        got = _attach_array(ref, holds)
-        np.testing.assert_array_equal(got, arr)
-        del got
-        _release(holds, unlink=False)
-        _release(leases, unlink=True)
-
-    def test_segments_released_after_batch(self):
-        # a processes batch must leave /dev/shm exactly as it found it
-        before = set(glob.glob("/dev/shm/psm_*"))
-        with Engine(executor="processes", cache_capacity=0, seed=2) as engine:
-            responses = engine.run_batch(mixed_requests(count=30, max_n=3000))
-        assert all(r.ok for r in responses)
-        leaked = set(glob.glob("/dev/shm/psm_*")) - before
-        assert not leaked
-
-    def test_small_shards_use_inline_transport(self):
-        backend = ProcessBackend(max_workers=1)
-        try:
-            nxt = np.array([1, 2, 2], dtype=np.int64)  # tail self-loops
-            values = np.array([5, 7, 9], dtype=np.int64)
-            heads = np.array([0], dtype=np.int64)
-            [out], kstats, spans = backend.run_fused(
-                Forest.of(nxt, values, heads), "sum", False, "serial", 0, False
-            )
-            np.testing.assert_array_equal(out, [0, 5, 12])
-            assert kstats.element_ops > 0
-            assert spans == []
-        finally:
-            backend.close()
-
-
-class TestProcessFaultContainment:
-    def test_worker_failure_quarantines_not_crashes(self):
-        # two same-operator lists fuse into one shard; one has an
-        # out-of-range successor that only the kernel *inside the
-        # worker* refuses — the healthy shard-mate must still get its
-        # result through the quarantine retry
-        bad = random_list(64, np.random.default_rng(1))
-        bad.next[32] = 10**9  # refused by the kernel, not at admission
-        good = random_list(60, np.random.default_rng(2))
-        with Engine(executor="processes", cache_capacity=0, seed=3) as engine:
-            responses = engine.run_batch(
-                [ScanRequest(lst=bad), ScanRequest(lst=good)]
-            )
-        assert [r.ok for r in responses] == [False, True]
-        assert responses[0].error.phase == "execute"
-        with Engine(executor="sync", cache_capacity=0, seed=3) as ref:
-            np.testing.assert_array_equal(
-                responses[1].result, ref.run_batch([ScanRequest(lst=good)])[0].result
-            )
-        assert engine.stats.retries == 1
-        assert engine.stats.quarantined == 1
-
-    def test_custom_operator_runs_inline(self):
-        # a custom operator cannot be rehydrated by name in a worker
-        # process, so its shards must execute inline (and still be right)
-        renamed = Operator(name="my-sum", combine=np.add, identity=0)
-        reqs = [
-            ScanRequest(lst=random_list(50, np.random.default_rng(s)), op=renamed)
-            for s in range(4)
-        ]
-        with Engine(executor="processes", cache_capacity=0, seed=4) as engine:
-            responses = engine.run_batch(reqs)
-            assert all(r.ok for r in responses)
-            assert engine._backend.tasks_offloaded == 0
-        sum_reqs = [
-            ScanRequest(lst=random_list(50, np.random.default_rng(s)), op=SUM)
-            for s in range(4)
-        ]
-        with Engine(executor="sync", cache_capacity=0, seed=4) as ref_engine:
-            for got, ref in zip(responses, ref_engine.run_batch(sum_reqs)):
-                np.testing.assert_array_equal(got.result, ref.result)
-
-
-class TestProcessTraceAdoption:
-    def test_worker_kernel_spans_adopted_under_batch_tree(self):
-        # trace-span pinning across the process boundary: the sublist
-        # kernel records its spans in the worker; they must come back
-        # grafted under this batch's execute span
-        rng = np.random.default_rng(7)
-        reqs = [
-            ScanRequest(lst=random_list(n, rng), algorithm="sublist")
-            for n in (3000, 3100)
-        ]
-        tracer = Tracer()
-        with Engine(
-            executor="processes", cache_capacity=0, seed=8, trace=tracer
-        ) as engine:
-            responses = engine.run_batch(reqs)
-        assert all(r.ok for r in responses)
-        root = tracer.last_root()
-        assert root.name == "run_batch"
-        assert root.attrs == {"requests": 2, "parallel": True}
-        (execute,) = root.find_all("execute")
-        assert execute.attrs["algorithm"] == "sublist"
-        forest = execute.find("sublist_scan")
-        assert forest is not None  # adopted from the worker process
-        assert len(forest.children) > 0  # the kernel's phase spans came too
-
-    def test_untraced_processes_run_records_nothing(self):
-        rng = np.random.default_rng(9)
-        reqs = [ScanRequest(lst=random_list(n, rng)) for n in (200, 220)]
-        with Engine(executor="processes", cache_capacity=0, seed=10) as engine:
-            responses = engine.run_batch(reqs)
-        assert all(r.ok for r in responses)
-
-
-class TestWorkerCrashRecovery:
-    """A SIGKILLed worker must not leak shm or poison the backend: the
-    failing dispatch raises ``BrokenProcessPool``, every lease is
-    released, the dead pool is dropped, and the next dispatch builds a
-    fresh one (the shm teardown / pool-recovery regression).  Each test
-    runs under a deadline, so a pool that hangs fails the test instead
-    of stalling the suite."""
-
-    @staticmethod
-    def _worker_pids(backend):
-        return [p.pid for p in backend._pool._processes.values()]
-
-    @contextlib.contextmanager
-    def _deadline(self, backend, seconds=60):
-        """Fail the block after ``seconds``; on timeout, kill the pool's
-        workers first, so the caller's ``close()`` cannot wait on them."""
-        try:
-            with within(seconds):
-                yield
-        except TimeoutError:
-            for pid in list(getattr(backend._pool, "_processes", None) or ()):
-                with contextlib.suppress(ProcessLookupError):
-                    os.kill(pid, signal.SIGKILL)
-            raise
-
-    def test_killed_worker_releases_segments_and_recovers(self):
-        from concurrent.futures.process import BrokenProcessPool
-
-        rng = np.random.default_rng(0)
-        n = 100_000  # above SHM_MIN_BYTES: arrays cross via /dev/shm
-        nxt = np.arange(1, n + 1, dtype=np.int64)
-        nxt[-1] = n - 1
-        values = rng.integers(-9, 9, n)
-        forest = Forest.of(nxt, values, [0])
-        backend = ProcessBackend(max_workers=1)
-        try:
-            with self._deadline(backend):
-                [out], _, _ = backend.run_fused(forest, "sum", False, "serial", 0, False)
-                expect = out.copy()
-                assert backend.pools_created == 1
-                before = set(glob.glob("/dev/shm/psm_*"))
-                for pid in self._worker_pids(backend):
-                    os.kill(pid, signal.SIGKILL)
-                with pytest.raises(BrokenProcessPool):
-                    backend.run_fused(forest, "sum", False, "serial", 0, False)
-                # every lease of the failed dispatch released, pool dropped
-                assert set(glob.glob("/dev/shm/psm_*")) - before == set()
-                assert backend._pool is None
-                # next dispatch: fresh pool, correct answer
-                [out], _, _ = backend.run_fused(forest, "sum", False, "serial", 0, False)
-                np.testing.assert_array_equal(out, expect)
-                assert backend.pools_created == 2
-                assert set(glob.glob("/dev/shm/psm_*")) - before == set()
-        finally:
-            backend.close()
-
-    def test_engine_answers_through_quarantine_after_worker_death(self):
-        rng = np.random.default_rng(1)
-        reqs = [
-            ScanRequest(lst=random_list(n, rng, values=random_values(n, rng)))
-            for n in (3000, 3100)
-        ]
-        engine = Engine(executor="processes", max_workers=1, cache_capacity=0, seed=5)
-        try:
-            with self._deadline(engine._backend):
-                # two same-operator lists fuse and offload -> pool built
-                warm = engine.run_batch(
-                    [ScanRequest(lst=random_list(n, rng)) for n in (400, 500)]
-                )
-                assert all(r.ok for r in warm)
-                assert engine._backend.pools_created == 1
-                for pid in self._worker_pids(engine._backend):
-                    os.kill(pid, signal.SIGKILL)
-                responses = engine.run_batch(reqs)
-                # the fused attempt died with the pool; each member
-                # re-runs as a shard of one, offloaded to a fresh pool,
-                # and every request is still answered
-                assert all(r.ok for r in responses)
-                assert engine.stats.retries == 1
-                assert engine._backend.pools_created == 2
-        finally:
-            engine.close()
-        with Engine(executor="sync", cache_capacity=0, seed=5) as ref:
-            for got, ref_resp in zip(responses, ref.run_batch(reqs)):
-                np.testing.assert_array_equal(got.result, ref_resp.result)

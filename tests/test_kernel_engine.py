@@ -17,10 +17,10 @@ import numpy as np
 import pytest
 
 from repro.baselines.serial import serial_list_scan
-from repro.core.operators import AFFINE, SUM, XOR, Operator
-from repro.engine import Engine
+from repro.core.operators import AFFINE, SUM, XOR
+from repro.engine import Engine, ScanRequest
 from repro.engine.router import CANDIDATES, Router
-from repro.engine.workers import offloadable_operator, shippable_operator
+from repro.engine.workers import EXECUTORS
 from repro.kernels import ENV_VAR
 from repro.kernels.backend import NumbaBackend
 from repro.lists.generate import random_list
@@ -28,7 +28,6 @@ from repro.lists.generate import random_list
 from .conftest import make_affine_values
 
 BACKENDS = ("numpy", "python")
-EXECUTORS = ("sync", "threads", "processes")
 
 
 def int_batch(seed=0, count=8, max_n=5000):
@@ -133,73 +132,33 @@ class TestRoutingNeutrality:
         )
 
 
-class TestShippableOperator:
-    def test_builtin_ships_by_name(self):
-        assert shippable_operator(SUM) == "sum"
-        assert offloadable_operator(SUM)
-
-    def test_affine_ships_by_name(self):
-        assert shippable_operator(AFFINE) == "affine"
-
-    def test_unregistered_op_not_shippable(self):
-        op = Operator(name="opaque", combine=np.add, identity=0)
-        assert shippable_operator(op) is None
-        assert not offloadable_operator(op)
-
-
 class TestWorkerBackendDegradation:
-    def test_unknown_backend_degrades_to_numpy(self, rng):
-        # a worker whose environment lacks the parent's backend (e.g.
-        # parent auto-detected numba) must degrade to numpy, not fail
-        from repro.engine.workers import _ArrayRef, _FusedTask, _run_fused_task
-
-        n = 2000
-        lst = random_list(n, rng, values=rng.integers(-9, 9, n))
-        task = _FusedTask(
-            nxt=_ArrayRef(lst.next.shape, lst.next.dtype.str, inline=lst.next),
-            values=_ArrayRef(lst.values.shape, lst.values.dtype.str, inline=lst.values),
-            out=_ArrayRef(lst.values.shape, lst.values.dtype.str),
-            heads=np.array([lst.head], dtype=lst.next.dtype),
-            op_name="sum",
-            inclusive=False,
-            algorithm="sublist",
-            seed=0,
-            traced=False,
-            kernel_backend="numba-gpu-42",  # never a valid name
-        )
-        _, _, out = _run_fused_task(task)
-        np.testing.assert_array_equal(out, serial_list_scan(lst, SUM))
-
-    def test_custom_op_runs_inline_on_processes(self):
-        # a custom operator cannot cross the process boundary by name:
-        # the processes engine runs it inline, and answers right
-        op = Operator(name="custom_add", combine=np.add, identity=0)
-        lists = int_batch(seed=21, count=4, max_n=4000)
-        with Engine(executor="processes", cache_capacity=0, seed=0) as engine:
-            results = engine.map_scan(lists, op)
-            assert engine._backend.tasks_offloaded == 0
-        for lst, got in zip(lists, results):
-            np.testing.assert_array_equal(got, serial_list_scan(lst, op))
-
     def test_worker_tasks_carry_the_engine_backend(self, monkeypatch):
         # the engine resolves its backend once: a later change of the
-        # variable moves neither its inline kernels nor its workers
-        from repro.engine import workers
+        # variable does not move the kernels its pool threads run
+        from repro.engine import engine as engine_module
 
         monkeypatch.setenv(ENV_VAR, "python")
-        shipped = []
-        run_task = workers.ProcessBackend.run_task
+        ran_on = []
+        run_fused_kernel = engine_module.run_fused_kernel
 
-        def spy(self, fn, *args):
-            shipped.append(args[0].kernel_backend)
-            return run_task(self, fn, *args)
+        def spy(*args, kernel_backend=None, **kwargs):
+            ran_on.append(kernel_backend.name)
+            return run_fused_kernel(*args, kernel_backend=kernel_backend, **kwargs)
 
-        monkeypatch.setattr(workers.ProcessBackend, "run_task", spy)
+        monkeypatch.setattr(engine_module, "run_fused_kernel", spy)
         lists = int_batch(seed=3, count=4, max_n=3000)
-        with Engine(executor="processes", cache_capacity=0, seed=0) as engine:
+        ops = (SUM, "max") * 2  # two shards: they go to the pool
+        with Engine(executor="threads", max_workers=2, cache_capacity=0, seed=0) as engine:
             monkeypatch.setenv(ENV_VAR, "numpy")
-            results = engine.map_scan(lists, SUM)
+            results = [
+                resp.result
+                for resp in engine.run_batch(
+                    [ScanRequest(lst=lst, op=op) for lst, op in zip(lists, ops)]
+                )
+            ]
             assert engine.kernel_backend == "python"
-        assert shipped and set(shipped) == {"python"}
-        for lst, got in zip(lists, results):
-            np.testing.assert_array_equal(got, serial_list_scan(lst, SUM))
+            assert engine._backend.pools_created == 1
+        assert ran_on == ["python", "python"]
+        for lst, op, got in zip(lists, ops, results):
+            np.testing.assert_array_equal(got, serial_list_scan(lst, op))

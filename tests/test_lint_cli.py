@@ -67,11 +67,11 @@ def test_single_clean_file_exits_zero(capsys, tmp_path):
 
 
 def test_rule_selection_limits_findings(capsys):
-    code, cap = lint(capsys, "--rules", "no-fork", "--json", str(FIXTURES))
+    code, cap = lint(capsys, "--rules", "lock-with-only", "--json", str(FIXTURES))
     assert code == 1
     payload = json.loads(cap.out)
-    assert {d["rule"] for d in payload["diagnostics"]} == {"no-fork"}
-    assert payload["rules"] == ["no-fork"]
+    assert {d["rule"] for d in payload["diagnostics"]} == {"lock-with-only"}
+    assert payload["rules"] == ["lock-with-only"]
 
 
 def test_unknown_rule_is_usage_error(capsys):
@@ -102,7 +102,7 @@ def test_human_report_carries_hints(capsys):
 def test_unused_suppression_toggle(capsys, tmp_path):
     marked = tmp_path / "marked.py"
     marked.write_text(
-        "x = 1  # repolint: disable=no-fork\n", encoding="utf-8"
+        "x = 1  # repolint: disable=lock-with-only\n", encoding="utf-8"
     )
     code, cap = lint(capsys, str(marked))
     assert code == 1

@@ -28,9 +28,6 @@ EXPECTED_RULES = [
     "lock-guard-inference",
     "lock-with-only",
     "no-blocking-in-async",
-    "no-fork",
-    "shm-lifecycle",
-    "shm-unlink-all-paths",
 ]
 
 
@@ -59,7 +56,7 @@ def test_every_rule_has_name_rationale_and_hint():
 
 
 def test_get_rule_unknown_name_lists_known_rules():
-    with pytest.raises(KeyError, match="no-fork"):
+    with pytest.raises(KeyError, match="lock-with-only"):
         get_rule("definitely-not-a-rule")
 
 
@@ -69,71 +66,6 @@ def test_get_rule_unknown_name_lists_known_rules():
 
 # (rule, path the snippet pretends to live at, bad snippet, good snippet)
 CASES = [
-    (
-        "no-fork",
-        "src/repro/engine/workers.py",
-        """
-        import multiprocessing as mp
-        ctx = mp.get_context("fork")
-        """,
-        """
-        import multiprocessing as mp
-        ctx = mp.get_context("forkserver")
-        """,
-    ),
-    (
-        "no-fork",
-        "src/repro/engine/workers.py",
-        """
-        from concurrent.futures import ProcessPoolExecutor
-        pool = ProcessPoolExecutor(mp_context="fork")
-        """,
-        """
-        from concurrent.futures import ProcessPoolExecutor
-        pool = ProcessPoolExecutor(mp_context="spawn")
-        """,
-    ),
-    (
-        "shm-lifecycle",
-        "src/repro/engine/transport.py",
-        """
-        from multiprocessing import shared_memory
-
-        def leak(n):
-            shm = shared_memory.SharedMemory(create=True, size=n)
-            return shm.name
-        """,
-        """
-        from multiprocessing import shared_memory
-
-        def careful(n):
-            shm = shared_memory.SharedMemory(create=True, size=n)
-            try:
-                return bytes(shm.buf)
-            finally:
-                shm.close()
-                shm.unlink()
-        """,
-    ),
-    (
-        "shm-lifecycle",
-        "src/repro/engine/transport.py",
-        """
-        from multiprocessing import shared_memory
-
-        def no_owner(n):
-            shared_memory.SharedMemory(create=True, size=n)
-        """,
-        # ownership transfer to a lease list the caller releases
-        """
-        from multiprocessing import shared_memory
-
-        def export(n, leases):
-            shm = shared_memory.SharedMemory(create=True, size=n)
-            leases.append(shm)
-            return shm.name
-        """,
-    ),
     (
         "lock-with-only",
         "src/repro/engine/anywhere.py",
@@ -295,34 +227,6 @@ CASES = [
         """,
     ),
     (
-        "shm-unlink-all-paths",
-        "src/repro/engine/transport.py",
-        """
-        from multiprocessing import shared_memory
-
-        def export(data, validate):
-            shm = shared_memory.SharedMemory(create=True, size=len(data))
-            validate(data)
-            try:
-                return shm.name
-            finally:
-                shm.close()
-                shm.unlink()
-        """,
-        """
-        from multiprocessing import shared_memory
-
-        def export(data, validate):
-            validate(data)
-            shm = shared_memory.SharedMemory(create=True, size=len(data))
-            try:
-                return shm.name
-            finally:
-                shm.close()
-                shm.unlink()
-        """,
-    ),
-    (
         "lock-guard-inference",
         "src/repro/engine/stats.py",
         """
@@ -382,13 +286,13 @@ def test_path_scoping_keeps_scoped_rules_out_of_other_trees():
     """
     assert rules_of(run(snippet, "src/repro/core/x.py")) == ["injectable-clock"]
     assert run(snippet, "src/repro/bench/x.py") == []
-    # fork is only forbidden under engine/
-    fork = """
-    import multiprocessing as mp
-    ctx = mp.get_context("fork")
+    # a default dtype is only a finding where index arithmetic lives
+    untyped = """
+    import numpy as np
+    a = np.zeros(4)
     """
-    assert rules_of(run(fork, "src/repro/engine/x.py")) == ["no-fork"]
-    assert run(fork, "src/repro/bench/x.py") == []
+    assert rules_of(run(untyped, "src/repro/core/x.py")) == ["explicit-dtype"]
+    assert run(untyped, "src/repro/serve/x.py") == []
 
 
 def test_serve_tree_carries_clock_and_lock_rules():
@@ -458,7 +362,7 @@ def test_whole_line_suppression_covers_next_code_line():
 
 
 def test_suppressing_a_different_rule_does_not_silence():
-    marker = "  # repolint: disable=no-fork"
+    marker = "  # repolint: disable=explicit-dtype"
     diags = run(BAD_LOCK.format(marker=marker), "src/x.py")
     rules = rules_of(diags)
     assert rules.count("lock-with-only") == 2
@@ -475,10 +379,10 @@ def test_unused_suppression_is_reported_and_can_be_disabled():
 
 
 def test_unused_check_ignores_rules_outside_the_selected_set():
-    # a no-fork suppression is not "unused" when no-fork never ran
+    # an explicit-dtype suppression is not "unused" when the rule never ran
     src = """
-    import multiprocessing as mp
-    ctx = mp.get_context("fork")  # repolint: disable=no-fork
+    import numpy as np
+    a = np.zeros(4)  # repolint: disable=explicit-dtype
     """
     diags = run(
         src, "src/repro/engine/x.py", rules=[get_rule("lock-with-only")]
@@ -507,17 +411,17 @@ def test_marker_inside_string_literal_is_not_a_suppression():
 _VIOLATIONS = [
     "lock.acquire()",
     "lock.release()",
-    'ctx = mp.get_context("fork")',
+    "hit = cache.get((1, 2))",
     "arr = np.zeros(4)",
     "t = time.perf_counter()",
 ]
 
 _HEADER = (
     "import threading\n"
-    "import multiprocessing as mp\n"
     "import numpy as np\n"
     "import time\n"
     "lock = threading.Lock()\n"
+    "cache = {}\n"
 )
 
 

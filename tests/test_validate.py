@@ -3,6 +3,8 @@ matrix: every scan path refuses a non-list."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from repro.baselines.serial import serial_list_scan
 from repro.core.forest import (
@@ -13,12 +15,12 @@ from repro.core.forest import (
 )
 from repro.core.list_scan import ALGORITHMS, list_scan
 from repro.core.operators import SUM
-from repro.distribute import DistributedConfig, sharded_list_scan
 from repro.engine import Engine, ScanRequest
 from repro.kernels import ENV_VAR
 from repro.lists.generate import INDEX_DTYPE, LinkedList, list_order, ordered_list, random_list
 from repro.lists.validate import (
     ListStructureError,
+    drop_repeats,
     is_valid_list,
     validate_list,
     validate_list_strict,
@@ -35,6 +37,32 @@ def raw_list(nxt, head, n=None):
     lst.head = head
     lst.values = np.ones(nxt.shape[0], dtype=np.int64)
     return lst
+
+
+class TestDropRepeats:
+    """The sort-based dedup the scans use in place of ``np.unique``."""
+
+    @given(
+        values=st.lists(st.integers(-(2**31), 2**31 - 1), max_size=64),
+        order=st.sampled_from(["drawn", "sorted", "reversed", "all_equal"]),
+        dtype=st.sampled_from([np.int32, np.int64]),
+    )
+    @example(values=[], order="drawn", dtype=np.int64)
+    @example(values=[7], order="drawn", dtype=np.int32)
+    def test_matches_np_unique(self, values, order, dtype):
+        a = np.asarray(values, dtype=dtype)
+        if order == "sorted":
+            a = np.sort(a)
+        elif order == "reversed":
+            a = np.sort(a)[::-1]
+        elif order == "all_equal":
+            a = np.full(a.shape[0], values[0] if values else 0, dtype=dtype)
+        want = np.unique(a)
+        got = drop_repeats(np.sort(a))
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+        if order in ("sorted", "all_equal"):  # already sorted: the mask alone
+            np.testing.assert_array_equal(drop_repeats(a), want)
 
 
 class TestValidateList:
@@ -373,11 +401,6 @@ class TestHostileStructures:
             assert resp.ok
             assert np.array_equal(resp.result, serial_list_scan(req.lst))
 
-    def test_sharded_list_scan(self, shape, n):
-        lst = hostile_list(shape, n)
-        with within(60), pytest.raises(ListStructureError):
-            sharded_list_scan(lst, config=DistributedConfig(num_chunks=4))
-
 
 class TestMarks:
     """Phase 1 marks every node it visits with its processor; a chain that
@@ -484,13 +507,11 @@ class TestFusedMembersStayInTheirBlocks:
     """A successor outside its own list must not reach a shard-mate."""
 
     @pytest.mark.parametrize("n", [2, 3000])
-    @pytest.mark.parametrize("route", ["fused", "distributed"])
-    def test_engine_refuses_two_bad_lists_that_fuse_into_a_forest(self, n, route):
+    def test_engine_refuses_two_bad_lists_that_fuse_into_a_forest(self, n):
         a, b = cross_linked_pair(n)
         nxt = np.concatenate([a.next, b.next + n])  # fused, the pair is a valid forest
         forest_list_scan(nxt, np.ones(2 * n, dtype=np.int64), [a.head, b.head + n], SUM)
-        config = DistributedConfig(min_nodes=0, num_chunks=2) if route == "distributed" else None
-        with within(60), Engine(executor="sync", distributed=config) as engine:
+        with within(60), Engine(executor="sync") as engine:
             responses = engine.run_batch([ScanRequest(lst=a), ScanRequest(lst=b)])
             assert [r.ok for r in responses] == [False, False]
             assert {r.error.code for r in responses} == {"bad-structure"}
@@ -507,21 +528,10 @@ def unreached_half(shape, n=4000):
 
 
 @pytest.mark.parametrize("shape", ["headless_chain", "disjoint_cycle"])
-class TestChunkNoHeadReaches:
-    """Cut in two chunks, the second holds no head and no edge enters
-    it: the sharded scan must refuse it, not skip it and answer from
-    unwritten memory."""
-
-    config = DistributedConfig(min_nodes=0, num_chunks=2)
-
-    def test_sharded_list_scan(self, shape):
-        with within(60), pytest.raises(ListStructureError, match=r"nodes \[2000, 4000\)"):
-            sharded_list_scan(unreached_half(shape), config=self.config)
-
-    def test_engine_distributed_route(self, shape):
-        with within(60), Engine(executor="sync", distributed=self.config) as engine:
-            [resp] = engine.run_batch([ScanRequest(lst=unreached_half(shape))])
-            assert not resp.ok
-            assert resp.error.code == "bad-structure"
-            assert "nodes [2000, 4000)" in resp.error.message  # the sharded scan's check
-            assert engine.stats.distributed_runs == 0
+def test_engine_refuses_a_half_no_head_reaches(shape):
+    """The fused route refuses the unreached half, and answers no node
+    of it from unwritten memory."""
+    with within(60), Engine(executor="sync", cache_capacity=0) as engine:
+        [resp] = engine.run_batch([ScanRequest(lst=unreached_half(shape))])
+    assert not resp.ok
+    assert resp.error.code == "bad-structure"
