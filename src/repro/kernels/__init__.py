@@ -2,12 +2,14 @@
 
 See ``kernels.backend`` for the backend matrix and how a process
 selects its backend, ``kernels.pairs`` for the ``(companion, cross, plus)``
-operator-pair formulation, and ``kernels.loops`` for the loop kernels
-themselves.  Documentation: ``docs/kernels.md``.
+operator-pair formulation, ``kernels.loops`` for the loop kernels
+themselves, and ``kernels.clib`` for how the ``c`` backend's loops
+(``lockstep.c``) are built.  Documentation: ``docs/kernels.md``.
 """
 
 from .backend import (
     ENV_VAR,
+    CBackend,
     KernelBackend,
     NumbaBackend,
     NumpyBackend,
@@ -21,6 +23,7 @@ from .pairs import PairSpec, pair_for
 
 __all__ = [
     "ENV_VAR",
+    "CBackend",
     "KernelBackend",
     "NumbaBackend",
     "NumpyBackend",

@@ -18,16 +18,25 @@ the inner loops swap:
     operator (the pair formulations of ``kernels.pairs``) and a
     signed-integer or float dtype; anything else falls back to
     ``numpy`` per call site.
+``c``
+    The Phase-1 traversal and the Phase-3 expansion as two C loops
+    (``kernels/lockstep.c``), compiled once per host by the compiler
+    Python was built with and called through ``ctypes``
+    (``kernels.clib``); everything else is the ``numpy`` code it
+    inherits.  Selected when numba is not importable and the library
+    builds.  Covers the width-1 builtin operators over int64, and ADD
+    and MUL over float64; anything else falls back to ``numpy``.
 ``python``
     The *same* loop source, interpreted.  Far slower than ``numpy`` —
     a test fixture, so the compiled code path (loop bodies, pack
     compaction, blocked Phase-2 scan) is exercised on hosts without
     numba, not a production choice.
 
-Selection: a process runs one backend, numba when importable, numpy
-otherwise; the ``REPRO_KERNEL_BACKEND`` environment variable overrides
-that (the CI legs run the python twin through it).  An engine resolves
-it once, at construction, and ships its name to every worker task.
+Selection: a process runs one backend, numba when importable, else
+``c`` when it builds, else numpy; the ``REPRO_KERNEL_BACKEND``
+environment variable overrides that (the CI legs run the python twin
+and ``c`` through it).  An engine resolves it once, at construction,
+and ships its name to every worker task.
 Only the kernel entries ``core.forest.forest_scan``/``forest_list_scan``
 take a backend argument, which beats the variable; tests substitute the
 python twin there.
@@ -38,13 +47,15 @@ per node plus a last *sink* record ``n``, a self-loop holding the
 identity; every sublist tail points at the sink.  Each Phase-1 step of
 processor ``p`` writes its running exclusive prefix over the node's
 value and its *mark* ``n + 1 + p`` over the node's ``next``, folds the
-value it read and steps to the old successor.  A processor on the sink
-must fold nothing but the identity (the numpy backend resets the sink
-every step, the loops stop there), and ``pack_phase1`` retires it.  A
-successor past the sink is a mark: the node was visited before, so
-chains merge or cycle, and the backend raises ``ListStructureError``.
-``traverse_phase3`` is one streaming pass shared by every backend.
-``reduced_scan`` must cover all ``m`` sublists.
+value it read and steps to the old successor.  Every live processor
+takes a step before any takes the next (*step-major*, the lock step of
+the paper's virtual processors).  A processor on the sink must fold
+nothing but the identity (the numpy backend resets the sink every step,
+the loops leave it there), and ``pack_phase1`` retires it.  A successor
+past the sink is a mark: the node was visited before, so chains merge
+or cycle, and the backend raises ``ListStructureError``.
+``traverse_phase3`` is one streaming pass.  ``reduced_scan`` must cover
+all ``m`` sublists.
 
 Traversal/pack methods *return* the (possibly rebound) live arrays.
 The numpy backend rebinds fresh arrays; the loop backends mutate in
@@ -65,14 +76,16 @@ from ..analysis.cost_model import KernelCosts
 from ..core.operators import Operator
 from ..lists.generate import INDEX_DTYPE
 from ..lists.validate import ListStructureError
+from . import clib
 from .loops import BLOCK, HAVE_NUMBA, jit_kernels, py_kernels
-from .pairs import PairSpec, pair_for
+from .pairs import OP_ADD, OP_MUL, PairSpec, pair_for
 
 __all__ = [
     "KernelBackend",
     "NumpyBackend",
     "PythonLoopBackend",
     "NumbaBackend",
+    "CBackend",
     "available_backends",
     "default_backend_name",
     "resolve_backend",
@@ -88,6 +101,9 @@ STREAM_BLOCK = 1 << 15
 
 #: What a Phase-1 processor that steps onto a mark has found.
 REVISITED = "a chain reaches a node already visited: chains merge, or one runs into a cycle"
+
+#: What Phase 3 finds at a node without a mark.
+UNREACHED = "a node is not reached from any head"
 
 
 class KernelBackend:
@@ -166,9 +182,10 @@ class KernelBackend:
         """Expand the Phase-2 carries: ``out[i] = carry[p] ⊕ values[i]``,
         ``p`` the owner whose mark ``n + 1 + p`` Phase 1 left in
         ``nxt[i]``, each member's records ``[offsets[k], offsets[k + 1])``
-        into its own ``outs[k]``.  One streaming pass, block by block, the
-        same for every backend; a node without a mark was reached from no
-        head, and the pass raises :class:`ListStructureError`."""
+        into its own ``outs[k]``.  One streaming pass, block by block,
+        which every backend but ``c`` runs; a node without a mark was
+        reached from no head, and the pass raises
+        :class:`ListStructureError`."""
         mark = nxt.shape[0]  # n + 1: the sink is the last record
         for out, start in zip(outs, offsets.tolist()):
             size = out.shape[0]
@@ -177,7 +194,7 @@ class KernelBackend:
                 block = slice(start + lo, start + hi)
                 owner = nxt[block] - mark
                 if owner.min() < 0:
-                    raise ListStructureError("a node is not reached from any head")
+                    raise ListStructureError(UNREACHED)
                 if op.ufunc is not None:  # straight into out, no temporary to copy
                     op.ufunc(carry[owner], values[block], out=out[lo:hi])
                 else:
@@ -413,28 +430,158 @@ class NumbaBackend(_LoopBackendBase):
         return jit_kernels()
 
 
+class CBackend(NumpyBackend):
+    """Phase 1 and Phase 3 as the C loops of ``kernels/lockstep.c``.
+
+    Phase 1 is step-major, like the numpy lock step, but one C loop
+    instead of seven array calls per step; Phase 3 is one pass over each
+    member's records.  Initialize, the packs and Phase 2 are the
+    inherited numpy code, and so is any call the loops do not cover.
+    ``ctypes`` releases the GIL for the length of a loop, so a
+    ``threads`` engine's shards run theirs concurrently.  The
+    calibration factors stay at 1.0: routing does not move.
+    """
+
+    name = "c"
+
+    def supports(self, op: Operator, values: np.ndarray) -> bool:
+        return _opcode(op, values) is not None
+
+    def traverse_phase1(
+        self,
+        nxt: np.ndarray,
+        values: np.ndarray,
+        vp_next: np.ndarray,
+        vp_sum: np.ndarray,
+        vp_proc: np.ndarray,
+        gap: int,
+        op: Operator,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        code = _opcode(op, values)
+        live = vp_next.shape[0]
+        if not (
+            code is not None
+            and _owned(vp_next, INDEX_DTYPE, live)
+            and _owned(vp_sum, values.dtype, live)
+            and _owned(vp_proc, INDEX_DTYPE, live)
+            and _records_fit(nxt, values)
+        ):
+            return super().traverse_phase1(nxt, values, vp_next, vp_sum, vp_proc, gap, op)
+        vps = (vp_next.ctypes.data, vp_sum.ctypes.data, vp_proc.ctypes.data)
+        rc = _loop(1, values)(*_records(nxt, values), *vps, live, gap, code)
+        _check(rc, REVISITED)
+        return vp_next, vp_sum
+
+    def traverse_phase3(
+        self,
+        nxt: np.ndarray,
+        values: np.ndarray,
+        carry: np.ndarray,
+        op: Operator,
+        outs: Sequence[np.ndarray],
+        offsets: np.ndarray,
+    ) -> None:
+        code = _opcode(op, values)
+        m = carry.shape[0]
+        if code is None or not (_owned(carry, values.dtype, m) and _records_fit(nxt, values)):
+            super().traverse_phase3(nxt, values, carry, op, outs, offsets)
+            return
+        loop, records = _loop(3, values), _records(nxt, values)
+        for k, (out, start) in enumerate(zip(outs, offsets.tolist())):
+            size = out.shape[0]
+            if _owned(out, values.dtype, size):
+                rc = loop(*records, start, size, carry.ctypes.data, m, out.ctypes.data, code)
+                _check(rc, UNREACHED)
+            else:  # a strided or other-dtype out: the numpy pass, for this member
+                super().traverse_phase3(nxt, values, carry, op, [out], offsets[k : k + 1])
+
+
+def _opcode(op: Operator, values: np.ndarray) -> int | None:
+    """The opcode the C loops run ``op`` over ``values`` with, or
+    ``None`` when they do not: every width-1 builtin over int64, ADD
+    and MUL over float64."""
+    spec = pair_for(op)
+    if spec is None or spec.width != 1 or values.ndim != 1:
+        return None
+    if values.dtype == np.dtype(np.int64):
+        return spec.companion
+    if values.dtype == np.dtype(np.float64) and spec.companion in (OP_ADD, OP_MUL):
+        return spec.companion
+    return None
+
+
+def _owned(a: np.ndarray, dtype: np.dtype, size: int) -> bool:
+    """Whether a C loop may take ``a`` by its data pointer: ``size``
+    contiguous, writable elements of ``dtype``."""
+    return (
+        a.dtype == dtype
+        and a.shape == (size,)
+        and a.flags.c_contiguous
+        and a.flags.writeable
+    )
+
+
+def _records_fit(nxt: np.ndarray, values: np.ndarray) -> bool:
+    """Whether the two field views are the C loops' records: int64
+    successors, one value per record."""
+    return nxt.dtype == INDEX_DTYPE and nxt.ndim == 1 and nxt.shape == values.shape
+
+
+def _records(nxt: np.ndarray, values: np.ndarray) -> tuple[int, int, int, int, int]:
+    """The records as the C loops take them: each field view's data
+    pointer and byte stride, and the record count."""
+    return (nxt.ctypes.data, nxt.strides[0], values.ctypes.data, values.strides[0], nxt.shape[0])
+
+
+def _loop(phase: int, values: np.ndarray) -> Any:
+    lib = clib.load()
+    if lib is None:  # pragma: no cover - resolve_backend refuses c first
+        raise RuntimeError("the c kernel backend is not available on this host")
+    return getattr(lib, f"repro_phase{phase}_{values.dtype.kind}64")
+
+
+def _check(rc: int, structure: str) -> None:
+    """Raise for a C loop's return code: 1 is a bad structure, anything
+    else a call the loop refused."""
+    if rc == 1:
+        raise ListStructureError(structure)
+    if rc:
+        raise RuntimeError(f"the c kernel loop refused its arguments (code {rc})")
+
+
 _NUMPY = NumpyBackend()
 _PYTHON = PythonLoopBackend()
 _NUMBA = NumbaBackend()
+_C = CBackend()
 
 _REGISTRY: dict[str, KernelBackend] = {
     _NUMPY.name: _NUMPY,
     _PYTHON.name: _PYTHON,
     _NUMBA.name: _NUMBA,
+    _C.name: _C,
 }
+
+def _usable(name: str) -> bool:
+    """Whether backend ``name`` runs on this host: numba only where it
+    imports, c only where its library builds (asking builds it)."""
+    if name == "numba":
+        return HAVE_NUMBA
+    if name == "c":
+        return clib.load() is not None
+    return True
 
 
 def available_backends() -> tuple[str, ...]:
     """Backend names usable on this host."""
-    names = ["numpy", "python"]
-    if HAVE_NUMBA:
-        names.append("numba")
-    return tuple(names)
+    return tuple(name for name in _REGISTRY if _usable(name))
 
 
 def default_backend_name() -> str:
-    """Auto-detected default: numba when importable, else numpy."""
-    return "numba" if HAVE_NUMBA else "numpy"
+    """Auto-detected default: numba when importable, else c when its
+    library builds, else numpy."""
+    if HAVE_NUMBA:
+        return "numba"
+    return "c" if _usable("c") else "numpy"
 
 
 def resolve_backend(
@@ -450,9 +597,12 @@ def resolve_backend(
         return backend
     name = backend or os.environ.get(ENV_VAR) or default_backend_name()
     name = name.strip().lower()
-    if name == "numba" and not HAVE_NUMBA:
+    if name in _REGISTRY and not _usable(name):
+        why = "numba is not importable"
+        if name == "c":
+            why = f"its library does not build ({clib.failure()})"
         raise ValueError(
-            "kernel backend 'numba' requested but numba is not importable; "
+            f"kernel backend {name!r} requested but {why}; "
             f"available backends: {', '.join(available_backends())}"
         )
     try:

@@ -6,11 +6,12 @@ hottest of them as explicit scalar loops over the same arrays (the
 field views of the scan's record array; the calling convention is in
 ``kernels.backend``):
 
-* the Phase-1 lock-step traversal (per virtual processor, ``gap``
-  steps: write the running exclusive prefix over the node's value and
-  the processor's mark over its successor, fold the value read, follow
-  the old successor; stop on the sink, and return an error code on a
-  successor past the sink, a mark, since numba does not bounds-check);
+* the Phase-1 lock-step traversal (``gap`` steps, each taken by every
+  live virtual processor before the next: write the running exclusive
+  prefix over the node's value and the processor's mark over its
+  successor, fold the value read, follow the old successor; stay on the
+  sink, and return an error code on a successor past the sink, a mark,
+  since numba does not bounds-check);
 * the pack/compress step driven by ``core.schedule`` (scatter finished
   sublists out, compact the live virtual processors in place);
 * the Phase-2 reduced-list scan, as a Blelloch up-sweep/down-sweep
@@ -27,8 +28,7 @@ source, so the interpreted build (the ``"python"`` backend) tests
 exactly the code the ``"numba"`` backend compiles, on hosts without
 numba.
 
-Phase 3 is one streaming pass that every backend shares
-(``kernels.backend``).
+Phase 3 is the numpy backend's streaming pass (``kernels.backend``).
 
 Numerics: the traversal and pack kernels perform the same per-element
 operations in the same order as the NumPy path, so their results are
@@ -96,59 +96,53 @@ def build_kernels(jit: Callable[[Any], Any]) -> dict[str, Any]:
 
     # ------------------------------------------------------------------
     # Phase-1 lock-step traversal: each node visited once, left holding
-    # its prefix within the sublist and its walker's mark.  A successor
-    # past the sink is a mark (a merge or a cycle): return -1.
+    # its prefix within the sublist and its walker's mark.  Step-major:
+    # every live processor takes a step before any takes the next, so
+    # one step's loads are independent (a processor-major walk is one
+    # serial pointer chase).  A processor on the sink stays there; a
+    # successor past the sink is a mark (a merge or a cycle): return -1.
     # ------------------------------------------------------------------
 
     @jit
     def phase1_traverse(nxt, values, vp_next, vp_sum, vp_proc, gap, code):  # type: ignore[no-untyped-def]
         sink = nxt.shape[0] - 1
-        for k in range(vp_next.shape[0]):
-            cur = vp_next[k]
-            acc = vp_sum[k]
-            mark = sink + 1 + vp_proc[k]
-            for _ in range(gap):
+        for _ in range(gap):
+            for k in range(vp_next.shape[0]):
+                cur = vp_next[k]
                 if cur == sink:
-                    break
+                    continue
                 succ = nxt[cur]
                 if succ > sink:
                     return -1
+                acc = vp_sum[k]
                 v = values[cur]
                 values[cur] = acc
-                acc = combine(code, acc, v)
-                nxt[cur] = mark
-                cur = succ
-            vp_next[k] = cur
-            vp_sum[k] = acc
+                vp_sum[k] = combine(code, acc, v)
+                nxt[cur] = sink + 1 + vp_proc[k]
+                vp_next[k] = succ
         return 0
 
     @jit
     def phase1_traverse_pair(nxt, values, vp_next, vp_sum, vp_proc, gap, cc, xc, pc):  # type: ignore[no-untyped-def]
         sink = nxt.shape[0] - 1
-        for k in range(vp_next.shape[0]):
-            cur = vp_next[k]
-            af = vp_sum[k, 0]
-            as_ = vp_sum[k, 1]
-            mark = sink + 1 + vp_proc[k]
-            for _ in range(gap):
+        for _ in range(gap):
+            for k in range(vp_next.shape[0]):
+                cur = vp_next[k]
                 if cur == sink:
-                    break
+                    continue
                 succ = nxt[cur]
                 if succ > sink:
                     return -1
+                af = vp_sum[k, 0]
+                as_ = vp_sum[k, 1]
                 vf = values[cur, 0]
                 vs = values[cur, 1]
                 values[cur, 0] = af
                 values[cur, 1] = as_
-                nf = combine(cc, af, vf)
-                ns = combine(pc, combine(xc, as_, vf), vs)
-                af = nf
-                as_ = ns
-                nxt[cur] = mark
-                cur = succ
-            vp_next[k] = cur
-            vp_sum[k, 0] = af
-            vp_sum[k, 1] = as_
+                vp_sum[k, 0] = combine(cc, af, vf)
+                vp_sum[k, 1] = combine(pc, combine(xc, as_, vf), vs)
+                nxt[cur] = sink + 1 + vp_proc[k]
+                vp_next[k] = succ
         return 0
 
     # ------------------------------------------------------------------

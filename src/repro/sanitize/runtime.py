@@ -106,11 +106,12 @@ class SanitizerState:
         return out
 
     def failures(self) -> list[Finding]:
-        """What must fail a test or a ``REPRO_SANITIZE=1`` command:
-        races.  Stalls stay out — wall-clock scheduling jitter on shared
-        CI runners is not a test verdict — but the ``sanitize`` CLI
-        still counts them as errors.  A pool still open is a warning:
-        module-scoped fixtures legitimately hold pools across tests."""
+        """What must fail a test: races.  Stalls stay out — wall-clock
+        scheduling jitter on shared CI runners is not a test verdict —
+        but the ``sanitize`` CLI still counts them as errors.  A pool
+        still open is a warning here, since module-scoped fixtures
+        legitimately hold pools across tests; the ``REPRO_SANITIZE=1``
+        command wrapper fails on it, since nothing outlives a command."""
         return [f for f in self.findings() if f.severity == "error" and f.check != "stall"]
 
     def warnings(self) -> list[Finding]:

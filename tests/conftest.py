@@ -8,7 +8,17 @@ import signal
 import numpy as np
 import pytest
 
+from repro.kernels import available_backends
 from repro.lists.generate import LinkedList, random_list
+
+#: Whether the ``c`` kernel backend's library builds on this host.
+HAVE_C = "c" in available_backends()
+
+#: The ``c`` backend as a test parameter, skipped where its library does
+#: not build (CI's full leg asserts that it does).
+C_BACKEND = pytest.param(
+    "c", marks=pytest.mark.skipif(not HAVE_C, reason="the c backend does not build here")
+)
 
 
 @pytest.fixture

@@ -17,7 +17,7 @@ from repro.kernels import ENV_VAR
 from repro.lists.generate import list_order, random_list, random_values
 from repro.lists.validate import ListStructureError
 
-from .conftest import make_affine_values, within
+from .conftest import C_BACKEND, make_affine_values, within
 from .test_validate import HOSTILE_SHAPES, hostile_list
 
 
@@ -353,12 +353,12 @@ def assert_matches_list_scan(responses, lists, op, inclusive, exact):
             np.testing.assert_allclose(resp.result, expect, rtol=1e-9)
 
 
-@pytest.mark.parametrize("backend", ["numpy", "python"])
+@pytest.mark.parametrize("backend", ["numpy", "python", C_BACKEND])
 @pytest.mark.parametrize("executor", ["sync", "threads"])
 class TestFusedPathOracle:
     """A fused shard copies each member once into the scan's records and
     writes each member's result into its own array: every member gets
-    exactly what ``list_scan`` gives it alone, on either kernel backend
+    exactly what ``list_scan`` gives it alone, on every kernel backend
     of the process."""
 
     @pytest.fixture(autouse=True)

@@ -7,8 +7,8 @@ Two contracts:
   exactly what the dispatch API produces (bit-identical for integer
   operators, tolerance-equal for float/AFFINE, per docs/kernels.md);
 * **routing neutrality** — the reference backends (``numpy``,
-  ``python``) carry calibration factors of 1.0, so forcing them
-  changes *no* routing decision relative to the default router.
+  ``python``) and ``c`` carry calibration factors of 1.0, so forcing
+  them changes *no* routing decision relative to the default router.
 """
 
 from __future__ import annotations
@@ -25,9 +25,9 @@ from repro.kernels import ENV_VAR
 from repro.kernels.backend import NumbaBackend
 from repro.lists.generate import random_list
 
-from .conftest import make_affine_values
+from .conftest import C_BACKEND, HAVE_C, make_affine_values
 
-BACKENDS = ("numpy", "python")
+BACKENDS = ("numpy", "python", C_BACKEND)
 
 
 def int_batch(seed=0, count=8, max_n=5000):
@@ -81,15 +81,16 @@ class TestGoldenAcrossExecutors:
             )
 
     def test_backends_agree_elementwise(self, monkeypatch):
-        # same batch through both backends: int results bit-identical
+        # same batch through every backend: int results bit-identical
         lists = int_batch(seed=13)
         per_backend = {}
-        for backend in BACKENDS:
+        for backend in ("numpy", "python", "c") if HAVE_C else ("numpy", "python"):
             monkeypatch.setenv(ENV_VAR, backend)
             with Engine(executor="sync", cache_capacity=0) as engine:
                 per_backend[backend] = engine.map_scan(lists, SUM)
-        for a, b in zip(per_backend["numpy"], per_backend["python"]):
-            np.testing.assert_array_equal(a, b)
+        for backend, results in per_backend.items():
+            for a, b in zip(per_backend["numpy"], results):
+                np.testing.assert_array_equal(a, b, err_msg=backend)
 
 
 class TestRoutingNeutrality:

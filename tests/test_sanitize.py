@@ -399,3 +399,26 @@ class TestSanitizeCli:
         cap = capsys.readouterr()
         assert code == 0
         assert "resource sanitizer clean" in cap.err
+
+    def test_resource_wrapper_fails_on_an_open_pool(self, capsys, monkeypatch):
+        """A command that returns with a ``threads`` pool still open
+        leaked it: the wrapper prints the finding and exits 1."""
+        from repro import cli
+        from repro.engine.workers import ThreadBackend
+
+        backend = ThreadBackend(max_workers=2)
+
+        def leave_a_pool_open(args):
+            backend.map_shards(abs, [-1, -2])  # two shards: the pool starts
+            return 0
+
+        monkeypatch.setitem(cli._COMMANDS, "tune", leave_a_pool_open)
+        monkeypatch.setenv("REPRO_SANITIZE", "1")
+        try:
+            code = main(["tune", "-n", "4096"])
+        finally:
+            backend.close()
+        cap = capsys.readouterr()
+        assert code == 1
+        assert "sanitize: leak: pool leak: threads" in cap.err
+        assert "resource sanitizer clean" not in cap.err
