@@ -33,8 +33,8 @@ member per request.  The algorithm randomly breaks the *n* nodes into
   that owns it, and the owner of a splitter continues with the sublist
   that starts after it.  That links the sublist sums into a *reduced
   forest*: one chain per list, ended by the owner of the list's tail.
-* **Phase 2** — scan the reduced forest with the kernel backend's
-  blocked scan, or by size recursively or with Wyllie.
+* **Phase 2** — scan the reduced forest, by size recursively or with
+  Wyllie.
 * **Phase 3** — one streaming pass over each member's block of the
   records, straight into that member's own result array: a node's
   exclusive scan is its owner's Phase-2 carry ⊕ the prefix Phase 1 left
@@ -573,13 +573,12 @@ def forest_list_scan(
         phase and per pack, never per element.
     kernel_backend:
         How the hot loops run: ``None`` (the default) is the process's
-        backend (``docs/kernels.md``); a name (``"numpy"`` /
-        ``"python"`` / ``"numba"``) or a
-        :class:`repro.kernels.KernelBackend` overrides it for this
-        call, which is how the tests run the interpreted twin and the
-        engine's workers run their parent's backend.  A backend that
-        does not support ``op`` over this value dtype silently falls
-        back to the NumPy reference.
+        backend (``docs/kernels.md``); a name (``"numpy"`` / ``"c"``)
+        or a :class:`repro.kernels.KernelBackend` overrides it for this
+        call, which is how the tests compare the two backends and the
+        engine runs every kernel on the backend it resolved once.  A
+        backend that does not support ``op`` over this value dtype
+        silently falls back to the NumPy reference.
 
     Raises :class:`repro.lists.ListStructureError` unless every index
     lies in ``[0, n)``, the heads are distinct, and every node is
@@ -898,23 +897,14 @@ def _phase2(
     """PHASE 2: exclusive scan of the reduced forest ``nxt``/``sums``.
 
     Chain *k* starts at sublist *k*, seeded by ``carries[k]``.  The
-    backend's blocked scan takes every size it supports; otherwise the
-    size picks a recursive scan or Wyllie.
+    size picks a recursive scan or Wyllie, on every backend.
     """
     span = tracer.span if tracer is not None else null_span
     m = sums.shape[0]
     heads = np.arange(n_lists, dtype=INDEX_DTYPE)
     out = np.empty_like(sums)
     with span("phase2", m=m) as phase2_span:
-        if backend.has_blocked_scan and backend.supports(op, sums):
-            # Blelloch blocked exclusive scan over the reduced chains
-            # (snippet-1 shape).  Re-associates: exact for integer
-            # operators, documented tolerance for floats (docs/kernels.md).
-            method = "blocked"
-            backend.reduced_scan(nxt, sums, heads, carries, op, out)
-            if stats is not None:
-                stats.add_work(m, phase="phase2_blocked")
-        elif m > cfg.wyllie_cutoff and depth + 1 < cfg.max_depth:
+        if m > cfg.wyllie_cutoff and depth + 1 < cfg.max_depth:
             method = "recursive"
             reduced = Forest.of(nxt, sums, heads)
             _scan_in_place(

@@ -18,8 +18,7 @@ tests compare against, and a request that forces it runs per list.
 
 Every router prices from a cost table (:class:`KernelCosts`): the
 paper's published C-90 table by default, or a table fitted for another
-machine (``machine.calibration``, ``repro.calibrate``), scaled by the
-factors of the process's kernel backend.
+machine (``machine.calibration``, ``repro.calibrate``).
 
 Decisions are cached per √2-rounded size bucket (the same bucketing as
 ``core.tuning``), so repeated routing is O(1) after the first call for
@@ -39,7 +38,6 @@ import math
 
 from ..analysis.cost_model import KernelCosts, PAPER_C90_COSTS
 from ..analysis.predict import predict_run
-from ..kernels.backend import resolve_backend
 from ..sanitize.runtime import atomic_read, atomic_write
 
 __all__ = ["Router", "route_algorithm", "default_router"]
@@ -78,21 +76,15 @@ def _bucket(n: int) -> int:
 class Router:
     """Pick the cheaper algorithm for an ``n``-node problem.
 
-    ``costs`` is the kernel calibration driving the predictions, scaled
-    by the factors of the process's kernel backend
-    (``KernelBackend.scaled_costs``, ``docs/kernels.md``): a compiled
-    backend lowers the per-element rank-step and pack coefficients
-    (Section 3/4's ``a`` and ``c``) and so shifts the Wyllie/sublist
-    crossover the way a faster traversal would on real hardware.  The
-    reference backends scale by 1.0, leaving decisions identical.
+    ``costs`` is the kernel calibration driving the predictions.
     """
 
     def __init__(self, costs: KernelCosts = PAPER_C90_COSTS) -> None:
-        self._state = _RouterState(resolve_backend().scaled_costs(costs))
+        self._state = _RouterState(costs)
 
     @property
     def costs(self) -> KernelCosts:
-        """The active cost table (after backend scaling, if any)."""
+        """The active cost table."""
         return self._state.costs
 
     def set_costs(self, costs: KernelCosts) -> None:
@@ -103,11 +95,6 @@ class Router:
         reference assignment, so concurrent :meth:`choose` calls see
         either the old ``(costs, cache)`` pair or the new one — never
         a stale decision served against the new table.
-
-        The table is installed as given, without the backend scaling
-        the constructor applies: fitted calibration profiles are
-        measured *through* the active backend, so their coefficients
-        already include its speedup.
         """
         self._state = _RouterState(costs)
         atomic_write("router.state")

@@ -1,45 +1,31 @@
-"""Pluggable kernel backends for the hot scan loops.
+"""The kernel backends: the hot scan loops, NumPy or compiled.
 
-A :class:`KernelBackend` implements the three hottest kernels of the
-sublist algorithm — the Phase-1 lock-step traversal, the
-schedule-driven pack/compress, and the Phase-2 reduced-list scan —
-behind one interface, so ``core.forest`` (which ``core.sublist`` wraps
-for one list) stays the single implementation of the *algorithm* while
-the inner loops swap:
+A backend implements the hottest kernels of the sublist algorithm —
+the Phase-1 lock-step traversal, the schedule-driven pack and the
+Phase-3 expansion — behind one set of methods, so ``core.forest``
+(which ``core.sublist`` wraps for one list) stays the single
+implementation of the *algorithm* while the inner loops swap:
 
 ``numpy``
     The reference: exactly the array expressions the core modules have
     always run (it *is* those expressions, hoisted behind the
-    interface).  Always available; the universal fallback.  Supports
+    methods).  Always available; the universal fallback.  Supports
     every operator, including custom ones.
-``numba``
-    The compiled loops of ``kernels.loops`` under ``numba.njit``.
-    Auto-selected when numba is importable.  Requires a builtin
-    operator (the pair formulations of ``kernels.pairs``) and a
-    signed-integer or float dtype; anything else falls back to
-    ``numpy`` per call site.
 ``c``
     The Phase-1 traversal and the Phase-3 expansion as two C loops
     (``kernels/lockstep.c``), compiled once per host by the compiler
     Python was built with and called through ``ctypes``
     (``kernels.clib``); everything else is the ``numpy`` code it
-    inherits.  Selected when numba is not importable and the library
-    builds.  Covers the width-1 builtin operators over int64, and ADD
-    and MUL over float64; anything else falls back to ``numpy``.
-``python``
-    The *same* loop source, interpreted.  Far slower than ``numpy`` —
-    a test fixture, so the compiled code path (loop bodies, pack
-    compaction, blocked Phase-2 scan) is exercised on hosts without
-    numba, not a production choice.
+    inherits, so its results are numpy's bit for bit.  Covers the
+    scalar builtin operators over int64, and ADD and MUL over float64;
+    anything else runs on the inherited numpy code.
 
-Selection: a process runs one backend, numba when importable, else
-``c`` when it builds, else numpy; the ``REPRO_KERNEL_BACKEND``
-environment variable overrides that (the CI legs run the python twin
-and ``c`` through it).  An engine resolves it once, at construction,
-and ships its name to every worker task.
-Only the kernel entries ``core.forest.forest_scan``/``forest_list_scan``
-take a backend argument, which beats the variable; tests substitute the
-python twin there.
+Selection: a process runs one backend, ``c`` when its library builds,
+else numpy; the ``REPRO_KERNEL_BACKEND`` environment variable
+overrides that (the CI legs force each of the two through it).  An
+engine resolves it once, at construction.  Only the kernel entries
+``core.forest.forest_scan``/``forest_list_scan`` take a backend
+argument, which beats the variable; the tests compare the two there.
 
 Calling convention: ``nxt``/``values`` are the two field views of the
 scan's record array (``core.forest``), one ``(next, value)`` record
@@ -51,40 +37,33 @@ value it read and steps to the old successor.  Every live processor
 takes a step before any takes the next (*step-major*, the lock step of
 the paper's virtual processors).  A processor on the sink must fold
 nothing but the identity (the numpy backend resets the sink every step,
-the loops leave it there), and ``pack_phase1`` retires it.  A successor
-past the sink is a mark: the node was visited before, so chains merge
-or cycle, and the backend raises ``ListStructureError``.
-``traverse_phase3`` is one streaming pass.  ``reduced_scan`` must cover
-all ``m`` sublists.
+the C loop leaves it there), and ``pack_phase1`` retires it.  A
+successor past the sink is a mark: the node was visited before, so
+chains merge or cycle, and the backend raises ``ListStructureError``.
+``traverse_phase3`` is one streaming pass.
 
 Traversal/pack methods *return* the (possibly rebound) live arrays.
-The numpy backend rebinds fresh arrays; the loop backends mutate in
-place and return compacted views.  Callers must therefore treat the
-returned arrays as owning and never alias the inputs afterwards.
+The numpy backend rebinds fresh arrays; the C loop writes in place.
+Callers must therefore treat the returned arrays as owning and never
+alias the inputs afterwards.
 """
 
 from __future__ import annotations
 
 import os
 from collections.abc import Sequence
-from dataclasses import replace
 from typing import Any
 
 import numpy as np
 
-from ..analysis.cost_model import KernelCosts
-from ..core.operators import Operator
+from ..core.operators import BUILTIN_OPERATORS, Operator
 from ..lists.generate import INDEX_DTYPE
 from ..lists.validate import ListStructureError
 from . import clib
-from .loops import BLOCK, HAVE_NUMBA, jit_kernels, py_kernels
-from .pairs import OP_ADD, OP_MUL, PairSpec, pair_for
 
 __all__ = [
     "KernelBackend",
     "NumpyBackend",
-    "PythonLoopBackend",
-    "NumbaBackend",
     "CBackend",
     "available_backends",
     "default_backend_name",
@@ -105,38 +84,30 @@ REVISITED = "a chain reaches a node already visited: chains merge, or one runs i
 #: What Phase 3 finds at a node without a mark.
 UNREACHED = "a node is not reached from any head"
 
+#: The C loops' opcode for each scalar builtin operator (the enum of
+#: ``lockstep.c``).
+OPCODES = {"sum": 0, "prod": 1, "min": 2, "max": 3, "xor": 4, "and": 5, "or": 6}
 
-class KernelBackend:
-    """Interface for the three hot kernels (see module docstring)."""
+#: The opcodes the float64 loops take: ADD and MUL.
+FLOAT_OPCODES = frozenset({OPCODES["sum"], OPCODES["prod"]})
+
+
+class NumpyBackend:
+    """The reference backend: the historical inline NumPy expressions.
+
+    Bit-for-bit the computation the sublist scan (``core.forest``) always
+    performed — the golden results the ``c`` backend is tested against
+    — and the base class of every backend: one that replaces a hook
+    falls back to this code for any call it does not cover.
+    """
 
     #: Registry key (``REPRO_KERNEL_BACKEND`` names a backend by it).
-    name: str = "abstract"
-    #: Whether :meth:`reduced_scan` implements the blocked Phase-2 scan.
-    has_blocked_scan: bool = False
-    #: Per-backend calibration of the Section 3/4 coefficients: the
-    #: factor applied to the per-element rank-step slopes (Phase 1/3
-    #: traversal, the model's ``a``) and to the pack slopes (``c``).
-    #: 1.0 means "the reference machine the table was calibrated for".
-    rank_step_scale: float = 1.0
-    pack_scale: float = 1.0
+    name = "numpy"
 
     def supports(self, op: Operator, values: np.ndarray) -> bool:
-        """Whether this backend can run ``op`` over ``values``."""
-        raise NotImplementedError
-
-    def scaled_costs(self, costs: KernelCosts) -> KernelCosts:
-        """``costs`` with this backend's calibration factors applied."""
-        if self.rank_step_scale == 1.0 and self.pack_scale == 1.0:
-            return costs
-        return replace(
-            costs,
-            initial_rank_per_elem=costs.initial_rank_per_elem
-            * self.rank_step_scale,
-            final_rank_per_elem=costs.final_rank_per_elem
-            * self.rank_step_scale,
-            initial_pack_per_elem=costs.initial_pack_per_elem * self.pack_scale,
-            final_pack_per_elem=costs.final_pack_per_elem * self.pack_scale,
-        )
+        """Whether this backend runs its own loops for ``op`` over
+        ``values`` (the numpy reference runs everything)."""
+        return True
 
     # -- Phase 1 lock-step traversal and pack ---------------------------
 
@@ -151,103 +122,6 @@ class KernelBackend:
         op: Operator,
     ) -> tuple[np.ndarray, np.ndarray]:
         """``gap`` steps of every live processor (see module doc)."""
-        raise NotImplementedError
-
-    def pack_phase1(
-        self,
-        sink: int,
-        vp_next: np.ndarray,
-        vp_sum: np.ndarray,
-        vp_proc: np.ndarray,
-        sl_sum: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-        """Scatter the sums of the processors on the sink into ``sl_sum``,
-        compact the live set.
-
-        Returns ``(vp_next, vp_sum, vp_proc, finished_count)``.
-        """
-        raise NotImplementedError
-
-    # -- Phase 3 ----------------------------------------------------------
-
-    def traverse_phase3(
-        self,
-        nxt: np.ndarray,
-        values: np.ndarray,
-        carry: np.ndarray,
-        op: Operator,
-        outs: Sequence[np.ndarray],
-        offsets: np.ndarray,
-    ) -> None:
-        """Expand the Phase-2 carries: ``out[i] = carry[p] ⊕ values[i]``,
-        ``p`` the owner whose mark ``n + 1 + p`` Phase 1 left in
-        ``nxt[i]``, each member's records ``[offsets[k], offsets[k + 1])``
-        into its own ``outs[k]``.  One streaming pass, block by block,
-        which every backend but ``c`` runs; a node without a mark was
-        reached from no head, and the pass raises
-        :class:`ListStructureError`."""
-        mark = nxt.shape[0]  # n + 1: the sink is the last record
-        for out, start in zip(outs, offsets.tolist()):
-            size = out.shape[0]
-            for lo in range(0, size, STREAM_BLOCK):
-                hi = min(lo + STREAM_BLOCK, size)
-                block = slice(start + lo, start + hi)
-                owner = nxt[block] - mark
-                if owner.min() < 0:
-                    raise ListStructureError(UNREACHED)
-                if op.ufunc is not None:  # straight into out, no temporary to copy
-                    op.ufunc(carry[owner], values[block], out=out[lo:hi])
-                else:
-                    out[lo:hi] = op.combine(carry[owner], values[block])
-
-    def pack_phase3(self, *args: Any) -> None:
-        """Never called: Phase 3 streams and has no pack.  The name stays
-        because ``perfbench/layers.py`` patches every ``kernels.*`` hook
-        it times through ``inspect.getattr_static``."""
-        raise NotImplementedError
-
-    # -- Phase-2 reduced scan -------------------------------------------
-
-    def reduced_scan(
-        self,
-        sl_next: np.ndarray,
-        sl_sum: np.ndarray,
-        heads: np.ndarray,
-        carries: np.ndarray | None,
-        op: Operator,
-        out: np.ndarray,
-    ) -> None:
-        """Blocked exclusive scan of the reduced chains into ``out``.
-
-        Only meaningful when :attr:`has_blocked_scan` is true; callers
-        keep the Wyllie/recursive dispatch otherwise.
-        """
-        raise NotImplementedError
-
-
-class NumpyBackend(KernelBackend):
-    """The reference backend: the historical inline NumPy expressions.
-
-    Bit-for-bit the computation the sublist scan (``core.forest``) always
-    performed — the golden results every other backend is tested
-    against.
-    """
-
-    name = "numpy"
-
-    def supports(self, op: Operator, values: np.ndarray) -> bool:
-        return True
-
-    def traverse_phase1(
-        self,
-        nxt: np.ndarray,
-        values: np.ndarray,
-        vp_next: np.ndarray,
-        vp_sum: np.ndarray,
-        vp_proc: np.ndarray,
-        gap: int,
-        op: Operator,
-    ) -> tuple[np.ndarray, np.ndarray]:
         sink = nxt.shape[0] - 1
         ident = op.identity_for(values.dtype)
         mark = vp_proc + (sink + 1)
@@ -272,162 +146,67 @@ class NumpyBackend(KernelBackend):
         vp_proc: np.ndarray,
         sl_sum: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+        """Scatter the sums of the processors on the sink into ``sl_sum``,
+        compact the live set.
+
+        Returns ``(vp_next, vp_sum, vp_proc, finished_count)``.
+        """
         done = vp_next == sink
         finished = vp_proc[done]
         sl_sum[finished] = vp_sum[done]
         keep = ~done
         return vp_next[keep], vp_sum[keep], vp_proc[keep], int(finished.size)
 
+    # -- Phase 3 ----------------------------------------------------------
 
-class _LoopBackendBase(KernelBackend):
-    """Shared implementation for the interpreted and compiled loops."""
-
-    has_blocked_scan = True
-
-    def kernels(self) -> dict[str, Any]:
-        raise NotImplementedError
-
-    def supports(self, op: Operator, values: np.ndarray) -> bool:
-        spec = pair_for(op)
-        if spec is None:
-            return False
-        if spec.width == 2 and not (
-            values.ndim == 2 and values.shape[-1] == 2
-        ):
-            return False
-        if spec.width == 1 and values.ndim != 1:
-            return False
-        kind = values.dtype.kind
-        if kind == "f":
-            return not spec.integer_only()
-        # unsigned stays on the numpy path: the shared loop source casts
-        # bitwise operands through int64, which overflows for uint64
-        # when interpreted.
-        return kind == "i"
-
-    def _spec(self, op: Operator) -> PairSpec:
-        spec = pair_for(op)
-        if spec is None:  # pragma: no cover - supports() gates upstream
-            raise RuntimeError(
-                f"operator {op.name!r} has no pair formulation; the caller "
-                "must check backend.supports() first"
-            )
-        return spec
-
-    def traverse_phase1(
+    def traverse_phase3(
         self,
         nxt: np.ndarray,
         values: np.ndarray,
-        vp_next: np.ndarray,
-        vp_sum: np.ndarray,
-        vp_proc: np.ndarray,
-        gap: int,
+        carry: np.ndarray,
         op: Operator,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        spec = self._spec(op)
-        k = self.kernels()
-        if spec.width == 1:
-            rc = k["phase1_traverse"](nxt, values, vp_next, vp_sum, vp_proc, gap, spec.companion)
-        else:
-            rc = k["phase1_traverse_pair"](
-                nxt, values, vp_next, vp_sum, vp_proc, gap,
-                spec.companion, spec.cross, spec.plus,
-            )
-        if rc != 0:
-            raise ListStructureError(REVISITED)
-        return vp_next, vp_sum
-
-    def pack_phase1(
-        self,
-        sink: int,
-        vp_next: np.ndarray,
-        vp_sum: np.ndarray,
-        vp_proc: np.ndarray,
-        sl_sum: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-        k = self.kernels()
-        total = vp_next.shape[0]
-        pack = k["pack_phase1_pair"] if vp_sum.ndim == 2 else k["pack_phase1"]
-        live = int(pack(sink, vp_next, vp_sum, vp_proc, sl_sum))
-        return vp_next[:live], vp_sum[:live], vp_proc[:live], total - live
-
-    def reduced_scan(
-        self,
-        sl_next: np.ndarray,
-        sl_sum: np.ndarray,
-        heads: np.ndarray,
-        carries: np.ndarray | None,
-        op: Operator,
-        out: np.ndarray,
+        outs: Sequence[np.ndarray],
+        offsets: np.ndarray,
     ) -> None:
-        spec = self._spec(op)
-        k = self.kernels()
-        m = sl_next.shape[0]
-        n_lists = heads.shape[0]
-        dtype = sl_sum.dtype
-        ident = op.identity_for(dtype)
-        order = np.empty(m, dtype=INDEX_DTYPE)
-        if spec.width == 1:
-            seeds = np.empty(n_lists, dtype=dtype)
-            seeds[:] = carries if carries is not None else ident
-            ordered = np.empty(m, dtype=dtype)
-            scanned = np.empty(m, dtype=dtype)
-            temp = np.empty(BLOCK, dtype=dtype)
-            rc = k["reduced_scan"](
-                sl_next, sl_sum, seeds, heads, dtype.type(ident),
-                spec.companion, BLOCK, out, order, ordered, scanned, temp,
-            )
-        else:
-            ident = np.asarray(ident, dtype=dtype)
-            seeds = np.empty((n_lists, 2), dtype=dtype)
-            seeds[:] = carries if carries is not None else ident
-            ordered = np.empty((m, 2), dtype=dtype)
-            scanned = np.empty((m, 2), dtype=dtype)
-            temp = np.empty((BLOCK, 2), dtype=dtype)
-            rc = k["reduced_scan_pair"](
-                sl_next, sl_sum, seeds, heads,
-                dtype.type(ident[0]), dtype.type(ident[1]),
-                spec.companion, spec.cross, spec.plus,
-                BLOCK, out, order, ordered, scanned, temp,
-            )
-        if rc != 0:
-            raise ListStructureError(
-                "the reduced chains do not terminate or do not cover every "
-                "sublist; the successor array appears to contain a cycle"
-            )
+        """Expand the Phase-2 carries: ``out[i] = carry[p] ⊕ values[i]``,
+        ``p`` the owner whose mark ``n + 1 + p`` Phase 1 left in
+        ``nxt[i]``, each member's records ``[offsets[k], offsets[k + 1])``
+        into its own ``outs[k]``.  One streaming pass, block by block; a
+        node without a mark was reached from no head, and the pass
+        raises :class:`ListStructureError`."""
+        mark = nxt.shape[0]  # n + 1: the sink is the last record
+        for out, start in zip(outs, offsets.tolist()):
+            size = out.shape[0]
+            for lo in range(0, size, STREAM_BLOCK):
+                hi = min(lo + STREAM_BLOCK, size)
+                block = slice(start + lo, start + hi)
+                owner = nxt[block] - mark
+                if owner.min() < 0:
+                    raise ListStructureError(UNREACHED)
+                if op.ufunc is not None:  # straight into out, no temporary to copy
+                    op.ufunc(carry[owner], values[block], out=out[lo:hi])
+                else:
+                    out[lo:hi] = op.combine(carry[owner], values[block])
+
+    # -- hooks that are never called ------------------------------------
+    #
+    # ``perfbench/layers.py`` patches every ``kernels.*`` hook it times
+    # through ``inspect.getattr_static``, so the names stay.
+
+    def pack_phase3(self, *args: Any) -> None:
+        """Never called: Phase 3 streams and has no pack."""
+        raise NotImplementedError
+
+    def reduced_scan(self, *args: Any) -> None:
+        """Never called: Phase 2 is ``core.forest``'s Wyllie or
+        recursive scan, the same on every backend (the benchmark times
+        it through ``wyllie_forest_scan``)."""
+        raise NotImplementedError
 
 
-class PythonLoopBackend(_LoopBackendBase):
-    """The loop kernels, interpreted (testing build — slow).
-
-    Runs the exact source the numba backend compiles, so the compiled
-    code path is testable on hosts without numba.  Not calibrated:
-    routing coefficients are left at the reference values.
-    """
-
-    name = "python"
-
-    def kernels(self) -> dict[str, Any]:
-        return py_kernels()
-
-
-class NumbaBackend(_LoopBackendBase):
-    """The loop kernels under ``numba.njit``.
-
-    The 0.25 rank/pack factors are a documented rough estimate of the
-    compiled loops versus the one-array-op-per-step NumPy path (the
-    gather traversal fuses gather+fold+follow into one pass; packing
-    fuses mask+scatter+three compactions into one).  The bench harness
-    records the *measured* ratio per host (`benchmarks/bench_kernels.py`)
-    — it is recorded, never asserted.
-    """
-
-    name = "numba"
-    rank_step_scale = 0.25
-    pack_scale = 0.25
-
-    def kernels(self) -> dict[str, Any]:
-        return jit_kernels()
+#: What a backend is, for annotations: the numpy reference, or a
+#: subclass that replaces some of its hooks.
+KernelBackend = NumpyBackend
 
 
 class CBackend(NumpyBackend):
@@ -438,8 +217,7 @@ class CBackend(NumpyBackend):
     member's records.  Initialize, the packs and Phase 2 are the
     inherited numpy code, and so is any call the loops do not cover.
     ``ctypes`` releases the GIL for the length of a loop, so a
-    ``threads`` engine's shards run theirs concurrently.  The
-    calibration factors stay at 1.0: routing does not move.
+    ``threads`` engine's shards run theirs concurrently.
     """
 
     name = "c"
@@ -498,15 +276,17 @@ class CBackend(NumpyBackend):
 
 def _opcode(op: Operator, values: np.ndarray) -> int | None:
     """The opcode the C loops run ``op`` over ``values`` with, or
-    ``None`` when they do not: every width-1 builtin over int64, ADD
-    and MUL over float64."""
-    spec = pair_for(op)
-    if spec is None or spec.width != 1 or values.ndim != 1:
+    ``None`` when they do not: every scalar builtin over int64, ADD and
+    MUL over float64.  Only the builtin object itself has an opcode (the
+    lookup is by identity), so a custom operator that shadows a
+    builtin's name never runs the builtin's loop."""
+    code = OPCODES.get(op.name)
+    if code is None or BUILTIN_OPERATORS.get(op.name) is not op or values.ndim != 1:
         return None
     if values.dtype == np.dtype(np.int64):
-        return spec.companion
-    if values.dtype == np.dtype(np.float64) and spec.companion in (OP_ADD, OP_MUL):
-        return spec.companion
+        return code
+    if values.dtype == np.dtype(np.float64) and code in FLOAT_OPCODES:
+        return code
     return None
 
 
@@ -550,25 +330,15 @@ def _check(rc: int, structure: str) -> None:
 
 
 _NUMPY = NumpyBackend()
-_PYTHON = PythonLoopBackend()
-_NUMBA = NumbaBackend()
 _C = CBackend()
 
-_REGISTRY: dict[str, KernelBackend] = {
-    _NUMPY.name: _NUMPY,
-    _PYTHON.name: _PYTHON,
-    _NUMBA.name: _NUMBA,
-    _C.name: _C,
-}
+_REGISTRY: dict[str, KernelBackend] = {_NUMPY.name: _NUMPY, _C.name: _C}
+
 
 def _usable(name: str) -> bool:
-    """Whether backend ``name`` runs on this host: numba only where it
-    imports, c only where its library builds (asking builds it)."""
-    if name == "numba":
-        return HAVE_NUMBA
-    if name == "c":
-        return clib.load() is not None
-    return True
+    """Whether backend ``name`` runs on this host: c only where its
+    library builds (asking builds it)."""
+    return name != "c" or clib.load() is not None
 
 
 def available_backends() -> tuple[str, ...]:
@@ -577,10 +347,7 @@ def available_backends() -> tuple[str, ...]:
 
 
 def default_backend_name() -> str:
-    """Auto-detected default: numba when importable, else c when its
-    library builds, else numpy."""
-    if HAVE_NUMBA:
-        return "numba"
+    """Auto-detected default: c when its library builds, else numpy."""
     return "c" if _usable("c") else "numpy"
 
 
@@ -593,22 +360,17 @@ def resolve_backend(
     environment variable → auto-detection; ``None`` is the process's
     backend.
     """
-    if isinstance(backend, KernelBackend):
+    if isinstance(backend, NumpyBackend):
         return backend
     name = backend or os.environ.get(ENV_VAR) or default_backend_name()
     name = name.strip().lower()
-    if name in _REGISTRY and not _usable(name):
-        why = "numba is not importable"
-        if name == "c":
-            why = f"its library does not build ({clib.failure()})"
+    if name not in _REGISTRY:
         raise ValueError(
-            f"kernel backend {name!r} requested but {why}; "
-            f"available backends: {', '.join(available_backends())}"
+            f"unknown kernel backend {name!r}; the backends are {', '.join(_REGISTRY)}"
         )
-    try:
-        return _REGISTRY[name]
-    except KeyError:
+    if not _usable(name):
         raise ValueError(
-            f"unknown kernel backend {name!r}; "
-            f"available backends: {', '.join(available_backends())}"
-        ) from None
+            f"kernel backend {name!r} requested but its library does not build "
+            f"({clib.failure()}); available backends: {', '.join(available_backends())}"
+        )
+    return _REGISTRY[name]

@@ -9,7 +9,7 @@
  * `sink + 1 + proc`.  Every index is checked before it is followed, so
  * no input makes a loop read or write outside its arrays.
  *
- * Opcodes are those of kernels/pairs.py.  int64 takes all seven and
+ * Opcodes are OPCODES in kernels/backend.py.  int64 takes all seven and
  * wraps on overflow as numpy does (the library is built with -fwrapv);
  * float64 takes ADD and MUL, built without contraction (-ffp-contract=off)
  * so each result is numpy's, bit for bit.

@@ -144,7 +144,7 @@ class TestListRank:
         # the process's backend, chosen through the environment
         from repro.kernels import ENV_VAR
 
-        monkeypatch.setenv(ENV_VAR, "python")
+        monkeypatch.setenv(ENV_VAR, "numpy")
         lst = random_list(3000, 0)
         got = list_rank(lst, algorithm="sublist", rng=0)
         assert np.array_equal(got, serial_list_rank(lst))

@@ -285,7 +285,7 @@ class TestNoSerialOnAutoPaths:
                     assert resp.algorithm in ("wyllie", "sublist")
                     np.testing.assert_array_equal(resp.result, want)
 
-    @pytest.mark.parametrize("kernel_backend", ["numpy", "python"])
+    @pytest.mark.parametrize("kernel_backend", ["numpy", C_BACKEND])
     def test_sublist_small_phase2_and_small_forest(self, monkeypatch, kernel_backend):
         from repro.core.forest import SublistConfig, forest_list_scan
         from repro.core.stats import ScanStats
@@ -353,7 +353,7 @@ def assert_matches_list_scan(responses, lists, op, inclusive, exact):
             np.testing.assert_allclose(resp.result, expect, rtol=1e-9)
 
 
-@pytest.mark.parametrize("backend", ["numpy", "python", C_BACKEND])
+@pytest.mark.parametrize("backend", ["numpy", C_BACKEND])
 @pytest.mark.parametrize("executor", ["sync", "threads"])
 class TestFusedPathOracle:
     """A fused shard copies each member once into the scan's records and

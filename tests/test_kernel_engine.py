@@ -1,14 +1,15 @@
-"""Engine-level golden tests for the pluggable kernel backends.
+"""Engine-level golden tests for the kernel backends.
 
 Two contracts:
 
 * **equivalence** — for every ``executor`` × kernel backend (chosen
   for the process through ``REPRO_KERNEL_BACKEND``) the engine returns
-  exactly what the dispatch API produces (bit-identical for integer
-  operators, tolerance-equal for float/AFFINE, per docs/kernels.md);
-* **routing neutrality** — the reference backends (``numpy``,
-  ``python``) and ``c`` carry calibration factors of 1.0, so forcing
-  them changes *no* routing decision relative to the default router.
+  the same bits: exactly the serial oracle's for integer operators,
+  and for ``AFFINE`` the NumPy reference's, within a tolerance of the
+  serial oracle (docs/kernels.md);
+* **routing neutrality** — the router does not consult the kernel
+  backend, so forcing ``numpy`` or ``c`` changes *no* routing decision
+  relative to the default router.
 """
 
 from __future__ import annotations
@@ -22,12 +23,11 @@ from repro.engine import Engine, ScanRequest
 from repro.engine.router import CANDIDATES, Router
 from repro.engine.workers import EXECUTORS
 from repro.kernels import ENV_VAR
-from repro.kernels.backend import NumbaBackend
 from repro.lists.generate import random_list
 
-from .conftest import C_BACKEND, HAVE_C, make_affine_values
+from .conftest import C_BACKEND, HAVE_C
 
-BACKENDS = ("numpy", "python", C_BACKEND)
+BACKENDS = ("numpy", C_BACKEND)
 
 
 def int_batch(seed=0, count=8, max_n=5000):
@@ -71,11 +71,17 @@ class TestGoldenAcrossExecutors:
     @pytest.mark.parametrize("executor", EXECUTORS)
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_affine_tolerance(self, executor, backend, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, backend)
+        # the same bits as the numpy reference on the sync driver; the
+        # serial oracle folds in another order, so within a tolerance
         lists = affine_batch(seed=9)
+        monkeypatch.setenv(ENV_VAR, "numpy")
+        with Engine(executor="sync", cache_capacity=0, seed=0) as engine:
+            reference = engine.map_scan(lists, AFFINE)
+        monkeypatch.setenv(ENV_VAR, backend)
         with Engine(executor=executor, cache_capacity=0, seed=0) as engine:
             results = engine.map_scan(lists, AFFINE)
-        for lst, got in zip(lists, results):
+        for lst, ref, got in zip(lists, reference, results):
+            assert got.tobytes() == ref.tobytes()
             np.testing.assert_allclose(
                 got, serial_list_scan(lst, AFFINE), rtol=1e-9, atol=1e-12
             )
@@ -84,7 +90,7 @@ class TestGoldenAcrossExecutors:
         # same batch through every backend: int results bit-identical
         lists = int_batch(seed=13)
         per_backend = {}
-        for backend in ("numpy", "python", "c") if HAVE_C else ("numpy", "python"):
+        for backend in ("numpy", "c") if HAVE_C else ("numpy",):
             monkeypatch.setenv(ENV_VAR, backend)
             with Engine(executor="sync", cache_capacity=0) as engine:
                 per_backend[backend] = engine.map_scan(lists, SUM)
@@ -94,7 +100,7 @@ class TestGoldenAcrossExecutors:
 
 
 class TestRoutingNeutrality:
-    """Reference backends must not perturb routing decisions."""
+    """The kernel backend must not perturb routing decisions."""
 
     SIZES = (1, 64, 512, 2048, 10_000, 1 << 16, 1 << 20)
 
@@ -119,27 +125,15 @@ class TestRoutingNeutrality:
         for n in self.SIZES:
             assert forced.router.choose(n) == default.router.choose(n)
 
-    def test_compiled_backend_scales_coefficients(self):
-        # the numba calibration lowers the per-element rank/pack slopes;
-        # scaled_costs is pure arithmetic, so it is testable without numba
-        from repro.analysis.cost_model import PAPER_C90_COSTS
-
-        scaled = NumbaBackend().scaled_costs(PAPER_C90_COSTS)
-        assert scaled.initial_rank_per_elem == pytest.approx(
-            PAPER_C90_COSTS.initial_rank_per_elem * 0.25
-        )
-        assert scaled.final_pack_per_elem == pytest.approx(
-            PAPER_C90_COSTS.final_pack_per_elem * 0.25
-        )
-
 
 class TestWorkerBackendDegradation:
     def test_worker_tasks_carry_the_engine_backend(self, monkeypatch):
         # the engine resolves its backend once: a later change of the
-        # variable does not move the kernels its pool threads run
+        # variable (to c, which need not even build here) does not move
+        # the kernels its pool threads run
         from repro.engine import engine as engine_module
 
-        monkeypatch.setenv(ENV_VAR, "python")
+        monkeypatch.setenv(ENV_VAR, "numpy")
         ran_on = []
         run_fused_kernel = engine_module.run_fused_kernel
 
@@ -151,15 +145,15 @@ class TestWorkerBackendDegradation:
         lists = int_batch(seed=3, count=4, max_n=3000)
         ops = (SUM, "max") * 2  # two shards: they go to the pool
         with Engine(executor="threads", max_workers=2, cache_capacity=0, seed=0) as engine:
-            monkeypatch.setenv(ENV_VAR, "numpy")
+            monkeypatch.setenv(ENV_VAR, "c")
             results = [
                 resp.result
                 for resp in engine.run_batch(
                     [ScanRequest(lst=lst, op=op) for lst, op in zip(lists, ops)]
                 )
             ]
-            assert engine.kernel_backend == "python"
+            assert engine.kernel_backend == "numpy"
             assert engine._backend.pools_created == 1
-        assert ran_on == ["python", "python"]
+        assert ran_on == ["numpy", "numpy"]
         for lst, op, got in zip(lists, ops, results):
             np.testing.assert_array_equal(got, serial_list_scan(lst, op))

@@ -1,11 +1,10 @@
-"""Unit and golden-value tests for the pluggable kernel backends.
+"""Unit and golden-value tests for the kernel backends.
 
-The contract under test (docs/kernels.md): for integer operators every
-backend is *bit-identical* to the NumPy reference; for float operators
-the blocked Phase-2 scan re-associates, so results are element-wise
-equal within a small tolerance.  The ``c`` backend keeps numpy's Phase
-2, so it is bit-identical for floats too.  The Hypothesis suites at the
-bottom are the golden-value gate for all of them.
+The contract under test (docs/kernels.md): the ``c`` backend is
+*bit-identical* to the NumPy reference for every operator and dtype,
+floats included, because it runs numpy's Phase 2 and its loops fold in
+numpy's order.  The Hypothesis suites at the bottom are the
+golden-value gate.
 """
 
 from __future__ import annotations
@@ -31,24 +30,19 @@ from repro.core.operators import (
 from repro.core.forest import Forest, forest_list_scan, forest_scan
 from repro.kernels import (
     ENV_VAR,
-    HAVE_NUMBA,
-    PairSpec,
     available_backends,
     clib,
     default_backend_name,
-    pair_for,
     resolve_backend,
 )
-from repro.kernels.backend import CBackend, NumpyBackend, PythonLoopBackend
-from repro.kernels.loops import BLOCK, py_kernels
-from repro.kernels.pairs import OP_ADD, OP_MUL, OP_XOR
+from repro.kernels.backend import CBackend, NumpyBackend
 from repro.lists.generate import INDEX_DTYPE, random_list
 from repro.lists.validate import ListStructureError
 
 from .conftest import HAVE_C, make_affine_values
 
 #: The backends the golden suites compare with the NumPy reference.
-LOOP_BACKENDS = ("python", "c") if HAVE_C else ("python",)
+COMPILED = ("c",) if HAVE_C else ()
 
 needs_c = pytest.mark.skipif(not HAVE_C, reason="the c backend does not build here")
 
@@ -58,70 +52,38 @@ def _scan(lst, op, backend):
     return forest_list_scan(lst.next, lst.values, [lst.head], op, rng=0, kernel_backend=backend)
 
 
-class TestPairSpec:
-    def test_rejects_bad_width(self):
-        with pytest.raises(ValueError, match="width"):
-            PairSpec(width=3, companion=OP_ADD)
-
-    def test_rejects_unknown_opcode(self):
-        with pytest.raises(ValueError, match="opcode"):
-            PairSpec(width=1, companion=99)
-
-    def test_width_2_validates_cross_and_plus(self):
-        with pytest.raises(ValueError, match="opcode"):
-            PairSpec(width=2, companion=OP_MUL)  # cross/plus default -1
-
-    def test_integer_only(self):
-        assert PairSpec(width=1, companion=OP_XOR).integer_only()
-        assert not PairSpec(width=1, companion=OP_ADD).integer_only()
-
-
-class TestPairRegistry:
-    def test_builtins_are_registered(self):
-        for op in BUILTIN_OPERATORS.values():
-            assert pair_for(op) is not None, op.name
-
-    def test_affine_is_width_2(self):
-        spec = pair_for(AFFINE)
-        assert spec is not None and spec.width == 2
-
-    def test_builtin_widths_match_value_width(self):
-        # the constant table must agree with the operators it describes
-        for op in BUILTIN_OPERATORS.values():
-            assert pair_for(op).width == (2 if op.value_width else 1), op.name
-
-    def test_identity_check_rejects_impostor(self):
-        # same name, different object: must NOT get SUM's opcodes
-        impostor = Operator(name="sum", combine=np.subtract, identity=0)
-        assert pair_for(impostor) is None
-
-
 class TestBackendSelection:
     def test_available_contains_references(self):
         names = available_backends()
-        assert "numpy" in names and "python" in names
-        assert ("numba" in names) == HAVE_NUMBA
+        assert "numpy" in names
+        assert set(names) <= {"numpy", "c"}
 
-    def test_default_matches_numba_presence(self):
-        # numba when importable, else c when its library builds, else numpy
-        expected = "numba" if HAVE_NUMBA else "c" if HAVE_C else "numpy"
-        assert default_backend_name() == expected
+    def test_default_is_c_where_it_builds(self):
+        assert default_backend_name() == ("c" if HAVE_C else "numpy")
         assert ("c" in available_backends()) == HAVE_C
+
+    @pytest.mark.parametrize("name", ["python", "numba"])
+    def test_only_numpy_and_c_exist(self, name, monkeypatch):
+        refused = rf"^unknown kernel backend '{name}'; the backends are numpy, c$"
+        with pytest.raises(ValueError, match=refused):
+            resolve_backend(name)
+        monkeypatch.setenv(ENV_VAR, name)
+        with pytest.raises(ValueError, match=refused):
+            resolve_backend()
 
     def test_explicit_name(self):
         assert resolve_backend("numpy").name == "numpy"
-        assert resolve_backend("python").name == "python"
 
     def test_instance_passthrough(self):
-        backend = resolve_backend("python")
+        backend = CBackend()
         assert resolve_backend(backend) is backend
 
     def test_env_var_selects(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "python")
-        assert resolve_backend(None).name == "python"
+        monkeypatch.setenv(ENV_VAR, "numpy")
+        assert resolve_backend(None).name == "numpy"
 
     def test_explicit_arg_beats_env(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "python")
+        monkeypatch.setenv(ENV_VAR, "c")
         assert resolve_backend("numpy").name == "numpy"
 
     def test_name_is_normalized(self):
@@ -130,11 +92,6 @@ class TestBackendSelection:
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError, match="unknown kernel backend"):
             resolve_backend("fortran")
-
-    @pytest.mark.skipif(HAVE_NUMBA, reason="numba is importable here")
-    def test_numba_unavailable_rejected(self):
-        with pytest.raises(ValueError, match="numba"):
-            resolve_backend("numba")
 
 
 @pytest.fixture
@@ -148,7 +105,6 @@ def fresh_clib(monkeypatch, tmp_path):
 
 
 class TestCBuild:
-    @pytest.mark.skipif(HAVE_NUMBA, reason="numba is the default where importable")
     def test_failed_build_leaves_numpy_the_default(self, fresh_clib, monkeypatch):
         def fail():
             raise OSError("no compiler")
@@ -219,26 +175,32 @@ class TestSupports:
         assert backend.supports(SUM, np.zeros(4, dtype=np.uint64))
 
     def test_loop_backend_gates_unsigned(self):
-        backend = PythonLoopBackend()
+        backend = CBackend()
         assert backend.supports(SUM, np.zeros(4, dtype=np.int64))
         assert not backend.supports(SUM, np.zeros(4, dtype=np.uint64))
 
     def test_loop_backend_gates_float_bitwise(self):
-        backend = PythonLoopBackend()
+        backend = CBackend()
         assert backend.supports(XOR, np.zeros(4, dtype=np.int64))
         assert not backend.supports(XOR, np.zeros(4, dtype=np.float64))
 
     def test_loop_backend_checks_width(self):
-        backend = PythonLoopBackend()
+        # the C loops fold one value per record: no (first, second) rows
+        backend = CBackend()
         affine_vals = np.zeros((4, 2), dtype=np.float64)
-        assert backend.supports(AFFINE, affine_vals)
+        assert not backend.supports(AFFINE, affine_vals)
         assert not backend.supports(AFFINE, np.zeros(4, dtype=np.float64))
         assert not backend.supports(SUM, affine_vals)
 
     def test_unregistered_operator_unsupported(self):
-        backend = PythonLoopBackend()
+        backend = CBackend()
         custom = Operator(name="custom", combine=np.add, identity=0)
         assert not backend.supports(custom, np.zeros(4, dtype=np.int64))
+
+    def test_identity_check_rejects_impostor(self):
+        # same name, another object: must not run SUM's opcode
+        impostor = Operator(name="sum", combine=np.subtract, identity=0)
+        assert not CBackend().supports(impostor, np.zeros(4, dtype=np.int64))
 
     def test_c_backend_envelope(self):
         # every width-1 builtin over int64; ADD and MUL over float64
@@ -255,54 +217,8 @@ class TestSupports:
         assert not backend.supports(custom, ints)
 
 
-def exclusive_cumsum(vals, seed):
-    out = np.empty_like(vals)
-    acc = seed
-    for i in range(vals.shape[0]):
-        out[i] = acc
-        acc = acc + vals[i]
-    return out
-
-
-class TestBlockedScan:
-    @pytest.mark.parametrize("n", [0, 1, 7, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
-    def test_int_exact(self, n, rng):
-        k = py_kernels()
-        vals = rng.integers(-50, 50, n).astype(np.int64)
-        scanned = np.empty_like(vals)
-        temp = np.empty(BLOCK, dtype=np.int64)
-        k["blocked_exscan"](vals, scanned, np.int64(3), np.int64(0), 0, BLOCK, temp)
-        np.testing.assert_array_equal(scanned, exclusive_cumsum(vals, np.int64(3)))
-
-    def test_float_tolerance(self, rng):
-        k = py_kernels()
-        vals = rng.uniform(-1, 1, 1000)
-        scanned = np.empty_like(vals)
-        temp = np.empty(BLOCK, dtype=np.float64)
-        k["blocked_exscan"](vals, scanned, 0.5, 0.0, 0, BLOCK, temp)
-        np.testing.assert_allclose(scanned, exclusive_cumsum(vals, 0.5), rtol=1e-12)
-
-    def test_noncommutative_pair_order(self, rng):
-        # AFFINE composition is non-commutative: the down-sweep must
-        # keep the earlier operand on the left or this diverges wildly
-        k = py_kernels()
-        n = 3 * BLOCK + 17
-        vals = make_affine_values(rng, n).astype(np.float64)
-        scanned = np.empty_like(vals)
-        temp = np.empty((BLOCK, 2), dtype=np.float64)
-        k["blocked_exscan_pair"](
-            vals, scanned, 1.0, 0.0, 1.0, 0.0, OP_MUL, OP_MUL, OP_ADD, BLOCK, temp
-        )
-        expect = np.empty_like(vals)
-        acc = np.array([1.0, 0.0])
-        for i in range(n):
-            expect[i] = acc
-            acc = AFFINE.combine(acc, vals[i])
-        np.testing.assert_allclose(scanned, expect, rtol=1e-9)
-
-
 # ----------------------------------------------------------------------
-# golden-value gate: full algorithm, loop backend vs NumPy reference
+# golden-value gate: full algorithm, c backend vs NumPy reference
 # ----------------------------------------------------------------------
 
 INT_OPS = {"sum": SUM, "min": MIN, "max": MAX, "xor": XOR}
@@ -320,7 +236,7 @@ def test_golden_int_bit_identical(n, seed, op_name):
     lst = random_list(n, rng, values=rng.integers(-100, 100, n))
     ref = _scan(lst, op, "numpy")
     np.testing.assert_array_equal(ref, serial_list_scan(lst, op))
-    for backend in LOOP_BACKENDS:
+    for backend in COMPILED:
         np.testing.assert_array_equal(_scan(lst, op, backend), ref, err_msg=backend)
 
 
@@ -336,12 +252,9 @@ def test_golden_affine_tolerance(n, seed):
     )
     lst = random_list(n, rng, values=values)
     ref = _scan(lst, AFFINE, "numpy")
-    for backend in LOOP_BACKENDS:  # c runs AFFINE on the numpy code
-        got = _scan(lst, AFFINE, backend)
-        np.testing.assert_allclose(got, ref, rtol=1e-9, atol=1e-12)
-        np.testing.assert_allclose(
-            got, serial_list_scan(lst, AFFINE), rtol=1e-9, atol=1e-12
-        )
+    np.testing.assert_allclose(ref, serial_list_scan(lst, AFFINE), rtol=1e-9, atol=1e-12)
+    for backend in COMPILED:  # c runs AFFINE on the numpy code
+        np.testing.assert_array_equal(_bits(_scan(lst, AFFINE, backend)), _bits(ref))
 
 
 @settings(max_examples=15, deadline=None)
@@ -353,16 +266,16 @@ def test_golden_float_sum_tolerance(n, seed):
     rng = np.random.default_rng(seed)
     lst = random_list(n, rng, values=rng.uniform(-1, 1, n))
     ref = _scan(lst, SUM, "numpy")
-    for backend in LOOP_BACKENDS:
-        np.testing.assert_allclose(_scan(lst, SUM, backend), ref, rtol=1e-9, atol=1e-12)
+    for backend in COMPILED:
+        np.testing.assert_array_equal(_bits(_scan(lst, SUM, backend)), _bits(ref))
 
 
 def test_unsupported_dtype_falls_back(rng):
-    # uint64 is outside the loop backends' envelope; the scan must
+    # uint64 is outside the c loops' envelope; the scan must
     # silently use the NumPy reference instead of failing
     n = 2000
     lst = random_list(n, rng, values=rng.integers(0, 100, n).astype(np.uint64))
-    for backend in LOOP_BACKENDS:
+    for backend in ("numpy", *COMPILED):
         np.testing.assert_array_equal(_scan(lst, SUM, backend), serial_list_scan(lst, SUM))
 
 
@@ -370,7 +283,7 @@ def test_input_restored_bit_identical(rng):
     n = 3000
     lst = random_list(n, rng, values=rng.integers(-9, 9, n))
     before_next, before_vals = lst.next.copy(), lst.values.copy()
-    for backend in LOOP_BACKENDS:
+    for backend in ("numpy", *COMPILED):
         _scan(lst, SUM, backend)
         np.testing.assert_array_equal(lst.next, before_next)
         np.testing.assert_array_equal(lst.values, before_vals)

@@ -369,7 +369,7 @@ class TestHostileStructures:
         with within(60), pytest.raises(ListStructureError):
             list_scan(lst, algorithm=algorithm, rng=0)
 
-    @pytest.mark.parametrize("backend", ["numpy", "python", C_BACKEND])
+    @pytest.mark.parametrize("backend", ["numpy", C_BACKEND])
     def test_forest_list_scan(self, shape, n, backend):
         lst = hostile_list(shape, n)
         heads = np.asarray([lst.head], dtype=INDEX_DTYPE)
@@ -404,11 +404,11 @@ class TestHostileStructures:
 
 class TestMarks:
     """Phase 1 marks every node it visits with its processor; a chain that
-    reaches a mark raises ``ListStructureError`` on every backend (the
-    compiled loops test for it, since numba does not bounds-check), never
-    a bare ``IndexError``, and the engine answers ``bad-structure``."""
+    reaches a mark raises ``ListStructureError`` on every backend (the C
+    loop tests for it, since C does not bounds-check), never a bare
+    ``IndexError``, and the engine answers ``bad-structure``."""
 
-    @pytest.mark.parametrize("backend", ["numpy", "python", C_BACKEND])
+    @pytest.mark.parametrize("backend", ["numpy", C_BACKEND])
     def test_merge_reads_a_mark(self, backend):
         # list A 0→…→9, list B 10→…→19 merging into A at node 5, and an
         # isolated self-loop 20 keeping the tail count at two lists
@@ -419,7 +419,7 @@ class TestMarks:
         with pytest.raises(ListStructureError, match="already visited"):
             forest_list_scan(nxt, values, [0, 10], SUM, config=config, kernel_backend=backend)
 
-    @pytest.mark.parametrize("backend", ["numpy", "python", C_BACKEND])
+    @pytest.mark.parametrize("backend", ["numpy", C_BACKEND])
     @pytest.mark.parametrize("shape", HOSTILE_SHAPES)
     def test_engine_answers_bad_structure(self, shape, backend, monkeypatch):
         monkeypatch.setenv(ENV_VAR, backend)
@@ -453,7 +453,7 @@ class TestNoSpinNoBareErrors:
             else:
                 serial_list_rank(lst)
 
-    @pytest.mark.parametrize("backend", ["numpy", "python", C_BACKEND])
+    @pytest.mark.parametrize("backend", ["numpy", C_BACKEND])
     def test_phase2_refuses_a_cycle_of_sublists(self, backend):
         """A long disjoint cycle holds splitters of its own, so the
         reduced list holds a cycle too: Phase 2 must refuse it, or
