@@ -1,4 +1,4 @@
-"""Online cost-model recalibration (closing the Section 4.4 loop).
+"""Host cost-model calibration (closing the Section 4.4 loop).
 
 The paper's central empirical claim is that the Section 3/4 kernel
 equations *predict measured runtimes*: every kernel is ``T = a·x + b``,
@@ -17,18 +17,15 @@ C-90.  This package fits the same equations to *this* machine:
   per-kernel linear coefficients and the polylog tuning fits;
 * :mod:`profile <repro.calibrate.profile>` — the versioned,
   schema-validated on-disk calibration profile (host fingerprint,
-  sample counts, residuals);
-* :mod:`drift <repro.calibrate.drift>` — per-request comparison of
-  observed durations / decay ratios against the active profile, with
-  health counters and optional auto-refit.
+  sample counts, residuals).
 
-The profile hot-swaps into a running engine via
-``Engine.recalibrate()`` (atomic router-cache invalidation — see
-``engine.router.Router.set_costs``) or is built offline with
-``repro-c90 calibrate fit``.  See ``docs/calibration.md``.
+A profile is built offline with ``repro-c90 calibrate fit`` and fixed
+when an engine is built: ``Engine(calibration=profile)`` routes on its
+table and drift-checks every executed shard against it, as the paper
+fits its timing equations once and evaluates them at run time.  See
+``docs/calibration.md``.
 """
 
-from .drift import DriftConfig, DriftDetector, DriftVerdict
 from .fitter import FitError, FitResult, fit_linear, fit_profile
 from .live import measure_samples
 from .profile import (
@@ -47,9 +44,6 @@ from .records import (
 
 __all__ = [
     "CalibrationProfile",
-    "DriftConfig",
-    "DriftDetector",
-    "DriftVerdict",
     "FitError",
     "FitResult",
     "FitSample",

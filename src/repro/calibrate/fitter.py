@@ -23,8 +23,8 @@ sublist model's serial Phase 2):
     simulated machines, driven by measurements instead of spec sheets.
 
 Fitted profiles are expressed in host nanoseconds (``clock_ns = 1.0``),
-so a router prediction reads directly as wall time and the drift
-detector can compare it against observed durations.
+so a router prediction reads directly as wall time and the engine's
+drift check can compare it against observed durations.
 
 The tuning stage then re-runs the paper's Section 4.4 procedure
 against the *fitted* table: grid-tune ``(m, S₁)`` across a size sweep
@@ -215,8 +215,7 @@ def fit_profile(
         nanoseconds) even from a partial sample set.
     base:
         The cost table giving the sublist model its *shape* (internal
-        kernel ratios); the paper's C-90 table by default, or the
-        current profile's table when auto-refitting.
+        kernel ratios); the paper's C-90 table by default.
     source / created_at:
         Provenance recorded in the profile (``created_at`` is injected
         by the caller — this module never reads a clock).

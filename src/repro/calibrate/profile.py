@@ -104,8 +104,8 @@ class CalibrationProfile:
         Per-kind RMS relative residual of the fit (observed vs fitted
         model, dimensionless).
     source:
-        Where the samples came from: ``"bench"``, ``"trace"``,
-        ``"live"``, or ``"drift"`` (auto-refit).
+        Where the samples came from: ``"bench"``, ``"trace"`` or
+        ``"live"``.
     created_at:
         Unix timestamp (seconds) supplied by the caller — injected, not
         read here, so deterministic tests can fix it.

@@ -32,7 +32,7 @@ Subcommands
 ``calibrate`` fit/show/check host calibration profiles: refit the
               paper's cost-model coefficients from bench artifacts,
               trace payloads, or live measurement (``repro.calibrate``;
-              the profile hot-swaps into engines via ``--calibration``)
+              an engine is built on one via ``--calibration``)
 ``perf-gate`` compare a bench JSON artifact's speedup records against
               the committed baseline with a warn/fail tolerance band
               (the CI perf-regression gate)
@@ -148,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--calibration", metavar="PROFILE", default=None,
         help="route on a fitted calibration profile (JSON from "
              "`repro-c90 calibrate fit`) instead of the paper's C-90 "
-             "table; also arms the drift detector",
+             "table; also drift-checks every executed shard against it",
     )
 
     p_sim = sub.add_parser("simulate", help="run on the simulated machine")

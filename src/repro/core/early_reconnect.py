@@ -98,8 +98,6 @@ def early_reconnect_list_scan(
     if switch_count is None:
         switch_count = m // 8
     backend = resolve_backend(None)
-    if not backend.supports(op, values):
-        backend = resolve_backend("numpy")
 
     schedule = optimal_schedule(n, m, s1, cfg.costs, guard=cfg.schedule_guard)
     vp_next, vp_sum, vp_proc = _phase1(cut, schedule, cfg, op, stats, None, backend, switch_count)

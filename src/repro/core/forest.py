@@ -504,8 +504,6 @@ def forest_scan(
         if carries.shape[0] != n_lists:
             raise ValueError("carries must have one entry per list")
     backend = resolve_backend(kernel_backend)
-    if not backend.supports(op, forest.values[0]):
-        backend = resolve_backend("numpy")
     if stats is not None:
         stats.alloc(forest.n)  # the output vectors
     gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
@@ -617,8 +615,7 @@ def _scan_in_place(
     ``tracer`` records per-phase spans and
     per-pack live-count events; every hook is guarded so the untraced
     path only pays branch checks, once per pack or phase.  ``backend``
-    runs the hot loops; the caller must have checked
-    ``backend.supports(op, values)``.
+    runs the hot loops.
     """
     n = forest.n
     n_lists = forest.heads.shape[0]

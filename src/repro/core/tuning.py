@@ -35,6 +35,7 @@ __all__ = [
     "PolylogFit",
     "fit_polylog",
     "default_parameters",
+    "sqrt2_bucket",
 ]
 
 #: Phase-2 dispatch cutoffs shared with the implementation.
@@ -96,6 +97,16 @@ def tune_grid(
     return best
 
 
+def sqrt2_bucket(n: int) -> int:
+    """``n`` rounded to the nearest power of √2; ``n`` itself below 4.
+
+    The size bucket of the tuned-parameter cache and of the engine
+    router's decision cache."""
+    if n < 4:
+        return n
+    return int(round(2 ** (round(2 * math.log2(n)) / 2)))
+
+
 @lru_cache(maxsize=512)
 def _tuned_cached(
     n: int, costs: KernelCosts, n_processors: int
@@ -117,8 +128,7 @@ def tuned_parameters(
     """
     if n < 4:
         return 2, 1.0
-    bucket = int(round(2 ** (round(2 * math.log2(n)) / 2)))
-    m, s1, _ = _tuned_cached(bucket, costs, n_processors)
+    m, s1, _ = _tuned_cached(sqrt2_bucket(n), costs, n_processors)
     m = min(m, max(2, n // 2))
     return m, s1
 

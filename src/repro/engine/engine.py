@@ -76,7 +76,7 @@ from collections.abc import Callable, Sequence
 from typing import Any, TYPE_CHECKING
 
 if TYPE_CHECKING:
-    from ..calibrate import CalibrationProfile, DriftConfig, DriftDetector
+    from ..calibrate import CalibrationProfile
 
 import numpy as np
 
@@ -91,13 +91,7 @@ from .cache import ResultCache, fingerprint, refuse_object_dtype
 from .errors import EngineRequestError, RequestError, validate_request
 from .histogram import LatencyHistogram
 from .queue import ScanRequest, ScanResponse, SubmissionQueue
-from ..sanitize.runtime import (
-    atomic_read,
-    atomic_write,
-    guarded,
-    hb_join,
-    hb_publish,
-)
+from ..sanitize.runtime import guarded, hb_join, hb_publish
 from .router import CANDIDATES, Router
 from .workers import EXECUTORS, create_backend, run_fused_kernel
 
@@ -106,6 +100,15 @@ __all__ = ["Engine", "EngineStats"]
 #: A contained per-request outcome: ``(algorithm, batch_lists, result)``
 #: on success, a :class:`RequestError` on failure.
 _Outcome = tuple[str, int, np.ndarray] | RequestError
+
+#: A calibrated run drifts when its observed/predicted time leaves
+#: ``[1/DRIFT_TOLERANCE, DRIFT_TOLERANCE]``: loose, because host timing
+#: noise on small runs is large.
+DRIFT_TOLERANCE = 3.0
+
+#: Runs shorter than this (seconds) are too short to time, and are not
+#: drift-checked.
+DRIFT_MIN_SECONDS = 1e-4
 
 
 def _execution_error(exc: Exception) -> RequestError:
@@ -135,15 +138,13 @@ class EngineStats:
     ``coalesced``
         duplicate requests in a batch served by another identical
         request's execution (the work ran exactly once).
+    ``drift_checks``
+        executed shards judged against the engine's calibration profile
+        (``Engine(calibration=)``; zero while routing on the static
+        paper table, which drift checking does not apply to).
     ``drift_alerts``
-        executed runs whose observed duration (or traced decay ratio)
-        fell outside the active calibration profile's tolerance band
-        (see ``repro.calibrate.drift``; zero while routing on the
-        static paper table, which drift checking does not apply to).
-    ``recalibrations``
-        calibration profiles hot-swapped into the router after
-        construction (``Engine.recalibrate`` — manual or drift-driven
-        auto-refit).
+        judged shards whose observed/predicted time fell outside
+        ``[1/DRIFT_TOLERANCE, DRIFT_TOLERANCE]``.
 
     Kernel counters
     ---------------
@@ -188,8 +189,8 @@ class EngineStats:
     retries: int = 0
     quarantined: int = 0
     coalesced: int = 0
+    drift_checks: int = 0
     drift_alerts: int = 0
-    recalibrations: int = 0
     element_ops: int = 0
     kernel_rounds: int = 0
     kernel_packs: int = 0
@@ -218,8 +219,8 @@ class EngineStats:
         "retries",
         "quarantined",
         "coalesced",
+        "drift_checks",
         "drift_alerts",
-        "recalibrations",
         "element_ops",
         "kernel_rounds",
         "kernel_packs",
@@ -285,9 +286,6 @@ class Engine:
 
     Parameters
     ----------
-    router:
-        Cost-model router; defaults to a calibrated
-        :class:`~repro.engine.router.Router` (paper C-90 table).
     cache:
         A :class:`~repro.engine.cache.ResultCache`, or ``None`` to
         build one from ``cache_capacity``/``cache_max_bytes``
@@ -324,21 +322,16 @@ class Engine:
         per candidate), the kernel's own phase spans, and
         ``quarantine_retry`` spans.  See ``docs/tracing.md``.
     calibration:
-        Optional fitted :class:`repro.calibrate.CalibrationProfile` to
-        install at construction (equivalent to calling
-        :meth:`recalibrate` immediately, but not counted in the
-        ``recalibrations`` stat).  ``None`` routes on the router's own
-        table (the paper's C-90 calibration by default).
-    drift:
-        Optional :class:`repro.calibrate.DriftConfig` for the drift
-        detector that activates whenever a calibration profile is
-        installed; ``None`` uses the default tolerances.  See
-        ``docs/calibration.md``.
+        Optional fitted :class:`repro.calibrate.CalibrationProfile`,
+        fixed for the engine's life: it is validated (an invalid
+        profile raises ``ValueError``), the router prices from its
+        table, and every executed shard is drift-checked against it
+        (``drift_checks``/``drift_alerts``).  ``None`` routes on the
+        paper's C-90 table, unchecked.  See ``docs/calibration.md``.
     """
 
     def __init__(
         self,
-        router: Router | None = None,
         cache: ResultCache | None = None,
         cache_capacity: int = 256,
         cache_max_bytes: int | None = None,
@@ -350,8 +343,9 @@ class Engine:
         trace: str | Tracer | None = None,
         clock: Callable[[], float] | None = None,
         calibration: "CalibrationProfile | None" = None,
-        drift: "DriftConfig | None" = None,
     ) -> None:
+        if calibration is not None:
+            calibration.validate()
         if executor not in EXECUTORS:
             raise ValueError(
                 f"unknown executor {executor!r}; expected one of {EXECUTORS}"
@@ -359,7 +353,8 @@ class Engine:
         self._backend = create_backend(executor, max_workers)
         #: name of the kernel backend every kernel of this engine runs on
         self.kernel_backend = self._backend.kernels.name
-        self.router = router if router is not None else Router()
+        self._calibration = calibration
+        self.router = Router(calibration.costs) if calibration is not None else Router()
         self.cache = (
             cache
             if cache is not None
@@ -375,11 +370,6 @@ class Engine:
         self.stats = EngineStats()
         self._seeds = np.random.SeedSequence(seed)
         self._lock = threading.Lock()
-        self._drift_config = drift
-        self._calibration: "CalibrationProfile | None" = None
-        self._drift: "DriftDetector | None" = None
-        if calibration is not None:
-            self.recalibrate(calibration, _count=False)
 
     # ------------------------------------------------------------------
     # submission API
@@ -464,146 +454,54 @@ class Engine:
 
     @property
     def calibration(self) -> "CalibrationProfile | None":
-        """The active fitted profile (``None`` → static router table)."""
+        """The profile fixed at construction (``None`` → paper table)."""
         return self._calibration
-
-    def recalibrate(
-        self, profile: "CalibrationProfile", _count: bool = True
-    ) -> None:
-        """Hot-swap a fitted calibration profile into the router.
-
-        Validates the profile, installs its cost table via the router's
-        atomic :meth:`~repro.engine.router.Router.set_costs` (new table
-        + fresh decision cache in one reference swap — in-flight
-        ``choose`` calls finish against the old pair), arms the drift
-        detector, and bumps the ``recalibrations`` counter.  Safe to
-        call from any thread, including mid-batch: requests already
-        routed execute under their old decision; later requests route
-        under the new table.
-        """
-        from ..calibrate import DriftDetector
-
-        profile.validate()
-        detector = DriftDetector(self._drift_config)
-        # order matters for readers: the detector judging against the
-        # new table must be visible before predictions switch to it
-        self._calibration = profile
-        self._drift = detector
-        atomic_write("engine.calibration")
-        self.router.set_costs(profile.costs)
-        if _count:
-            with guarded(self._lock, "engine.stats"):
-                self.stats.recalibrations += 1
 
     def calibration_snapshot(self) -> dict[str, Any]:
         """JSON-safe calibration/drift health view (for ``/stats``)."""
-        atomic_read("engine.calibration")
         profile = self._calibration
-        detector = self._drift
-        snap: dict[str, Any] = {"active": profile is not None}
-        if profile is not None:
-            snap["source"] = profile.source
-            snap["created_at"] = profile.created_at
-            snap["schema_version"] = profile.schema_version
-            snap["fitted_kinds"] = list(profile.fitted_kinds)
-        if detector is not None:
-            snap["drift"] = detector.snapshot()
-        return snap
-
-    def observe_deviation(self, observed: float, expected: float) -> None:
-        """Feed one traced decay-ratio observation to the drift detector.
-
-        ``observed`` is the measured end-of-Phase-1 ``live/m`` fraction
-        (``trace.compare``'s ``decay_ratio``); ``expected`` the model's
-        ``e^(−m·s₁/n)``.  No-op while no fitted profile is active.
-        """
-        atomic_read("engine.calibration")
-        detector = self._drift
-        if detector is None:
-            return
-        verdict = detector.observe_decay(observed, expected)
-        self._act_on_verdict(verdict, detector)
+        if profile is None:
+            return {"active": False}
+        with guarded(self._lock, "engine.stats", "read"):
+            drift = {
+                "observations": self.stats.drift_checks,
+                "alerts": self.stats.drift_alerts,
+            }
+        return {
+            "active": True,
+            "source": profile.source,
+            "created_at": profile.created_at,
+            "schema_version": profile.schema_version,
+            "fitted_kinds": list(profile.fitted_kinds),
+            "drift": drift,
+        }
 
     def _observe_execution(
-        self,
-        algorithm: str,
-        n: int,
-        n_lists: int,
-        seconds: float,
-        epoch: "DriftDetector | None" = None,
+        self, algorithm: str, n: int, n_lists: int, seconds: float
     ) -> None:
-        """Judge one executed run against the active calibration.
+        """Drift-check one executed shard against the profile.
 
         Called after each shard execution with the engine lock *not*
-        held.  Inactive (zero overhead beyond the clock reads) until a
-        fitted profile is installed — comparing host wall time against
-        the paper's C-90 clock predictions would only measure how much
-        slower this machine is than a 1994 supercomputer.  A run the
-        cost model has no candidate for (a forced ``serial`` or
-        ``random_mate``) carries no prediction, and the detector keeps
-        only fitted kinds in its window.
-
-        ``epoch`` is the drift detector that was active when the run
-        *started* (callers capture ``self._drift`` before timing).  A
-        concurrent :meth:`recalibrate` installs a fresh detector, so
-        ``epoch is not self._drift`` means this run was measured under
-        the previous cost table — its sample is discarded rather than
-        judged against predictions it never ran under, which would
-        seed the new window with stale timings and could trigger a
-        spurious alert/auto-refit right after a profile install.
+        held.  A no-op without a profile — comparing host wall time
+        against the paper's C-90 clock predictions would only measure
+        how much slower this machine is than a 1994 supercomputer — and
+        for runs shorter than ``DRIFT_MIN_SECONDS`` or of an algorithm
+        the router does not price (a forced ``serial`` or
+        ``random_mate``).
         """
-        atomic_read("engine.calibration")
-        detector = self._drift
-        profile = self._calibration
-        if detector is None or profile is None:
+        if self._calibration is None:
             return
-        if detector is not epoch:
+        if seconds < DRIFT_MIN_SECONDS or algorithm not in CANDIDATES:
             return
-        predicted_ns: float | None = None
         router = self.router
-        if algorithm in CANDIDATES:
-            predicted_ns = (
-                router.predicted_clocks(n, algorithm, n_lists) * router.costs.clock_ns
-            )
-        verdict = detector.observe_run(
-            algorithm, n, seconds, predicted_ns, n_lists=n_lists
-        )
-        self._act_on_verdict(verdict, detector)
-
-    def _act_on_verdict(
-        self, verdict: Any, detector: "DriftDetector | None" = None
-    ) -> None:
-        if verdict.alert:
-            with guarded(self._lock, "engine.stats"):
+        # positive: a validated profile's slopes and clock period are
+        predicted_ns = router.predicted_clocks(n, algorithm, n_lists) * router.costs.clock_ns
+        ratio = seconds * 1e9 / predicted_ns
+        drifted = not 1.0 / DRIFT_TOLERANCE <= ratio <= DRIFT_TOLERANCE
+        with guarded(self._lock, "engine.stats"):
+            self.stats.drift_checks += 1
+            if drifted:
                 self.stats.drift_alerts += 1
-        if not verdict.refit:
-            return
-        from ..calibrate import FitError, fit_profile
-
-        atomic_read("engine.calibration")
-        if detector is None:
-            detector = self._drift
-        profile = self._calibration
-        if detector is None or profile is None:
-            return
-        if detector is not self._drift:
-            # a recalibration raced this verdict; the window that
-            # demanded the refit belongs to a retired profile
-            return
-        samples = detector.samples()
-        try:
-            fresh = fit_profile(
-                samples,
-                base=profile.costs,
-                source="auto-refit",
-                created_at=self.clock(),
-                tune=False,
-            )
-        except (FitError, ValueError):
-            # not enough usable telemetry in the window — keep serving
-            # on the current profile and let the next alert retry
-            return
-        self.recalibrate(fresh)
 
     # ------------------------------------------------------------------
     # drivers
@@ -1024,7 +922,6 @@ class Engine:
                 },
             )
         backend = self._backend
-        epoch = self._drift  # calibration epoch this run is measured under
         t0 = self.clock()
         with span(
             "execute",
@@ -1052,7 +949,5 @@ class Engine:
                 self.stats.fused_nodes += batch.n_nodes
             self.stats.count_algorithm(algorithm, batch.n_lists)
             self.stats.merge_kernel_stats(kstats)
-        self._observe_execution(
-            algorithm, batch.n_nodes, batch.n_lists, elapsed, epoch=epoch
-        )
+        self._observe_execution(algorithm, batch.n_nodes, batch.n_lists, elapsed)
         return algorithm, results

@@ -14,8 +14,6 @@ from .runtime import (
     SanitizerState,
     active_state,
     annotate_access,
-    atomic_read,
-    atomic_write,
     cv_wait,
     guarded,
     hb_join,
@@ -40,8 +38,6 @@ __all__ = [
     "StallReport",
     "active_state",
     "annotate_access",
-    "atomic_read",
-    "atomic_write",
     "cv_wait",
     "guarded",
     "hb_join",

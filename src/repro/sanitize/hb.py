@@ -1,16 +1,16 @@
 """Happens-before race detection over vector clocks.
 
 The engine's shared mutable state (``EngineStats`` counters, the
-result cache, router state swaps, drift windows) is
-touched from the event loop, the flush worker, the shard driver
-threads, and test threads.  The locking discipline that keeps those
-accesses safe is prose until something checks it; this module is the
-checker, in the ThreadSanitizer tradition but annotation-driven: call
-sites declare their accesses (``repro.sanitize.annotate_access`` /
-``guarded``), and the detector verifies that every conflicting pair is
-ordered by a *happens-before* edge.
+result cache, the kernel seed stream) is touched from the event loop,
+the flush worker, the pool threads that run shards, and test threads.
+The locking discipline that keeps those accesses safe is prose until
+something checks it; this module is the checker, in the
+ThreadSanitizer tradition but annotation-driven: call sites declare
+their accesses (``repro.sanitize.annotate_access`` / ``guarded``), and
+the detector verifies that every conflicting pair is ordered by a
+*happens-before* edge.
 
-Edges come from three sources, mirroring how the engine actually
+Edges come from two sources, mirroring how the engine actually
 synchronizes:
 
 * **locks** — releasing a lock publishes the releasing thread's vector
@@ -20,12 +20,7 @@ synchronizes:
   :class:`~repro.lint.lockorder.CheckedLock` instances);
 * **handoffs** — a producer publishes on a channel key and a consumer
   joins it (:meth:`RaceDetector.publish` / :meth:`RaceDetector.join`):
-  queue submit→drain and shard future→respond edges;
-* **atomic cells** — single-reference swaps like
-  ``Router._RouterState`` get release/acquire semantics without a
-  report (:meth:`RaceDetector.atomic_write` /
-  :meth:`RaceDetector.atomic_read`), modelling the CPython
-  atomic-assignment idiom the router documents.
+  queue submit→drain and shard future→respond edges.
 
 Two accesses to the same cell race when at least one is a write and
 neither happens-before the other.  Detection is *interleaving-
@@ -175,16 +170,6 @@ class RaceDetector:
         """Consumer half: order this thread after every publisher."""
         with self._mutex:
             self._acquire_from(self._channels, channel)
-
-    def atomic_write(self, cell: str) -> None:
-        """Release-store on an atomic reference cell (no race check)."""
-        with self._mutex:
-            self._release_into(self._channels, ("atomic", cell))
-
-    def atomic_read(self, cell: str) -> None:
-        """Acquire-load pairing with :meth:`atomic_write`."""
-        with self._mutex:
-            self._acquire_from(self._channels, ("atomic", cell))
 
     # ------------------------------------------------------------------
     # annotated accesses

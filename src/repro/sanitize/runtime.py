@@ -18,8 +18,7 @@ While active:
   race detector about the happens-before edge, optionally recording an
   annotated access to ``cell`` under it;
 * ``annotate_access(cell, kind)`` — records a bare access (use for
-  reads/writes intentionally outside any lock, to prove they race — or
-  with ``atomic_*`` kinds, that they don't);
+  reads/writes intentionally outside any lock, to prove they race);
 * ``hb_publish``/``hb_join`` — handoff edges (queue submit→drain,
   future resolution);
 * ``cv_wait(cv)`` — ``Condition.wait`` releases and reacquires its
@@ -50,8 +49,6 @@ __all__ = [
     "SanitizerState",
     "active_state",
     "annotate_access",
-    "atomic_read",
-    "atomic_write",
     "cv_wait",
     "guarded",
     "hb_join",
@@ -170,24 +167,6 @@ def annotate_access(cell: str, kind: str = "write") -> None:
     state = active_state()
     if state is not None and state.races is not None:
         state.races.access(cell, kind, _call_site())
-
-
-def atomic_write(cell: str) -> None:
-    """Declare a release-store reference swap (e.g. router state)."""
-    if not _STACK:
-        return
-    state = active_state()
-    if state is not None and state.races is not None:
-        state.races.atomic_write(cell)
-
-
-def atomic_read(cell: str) -> None:
-    """Declare the acquire-load pairing with :func:`atomic_write`."""
-    if not _STACK:
-        return
-    state = active_state()
-    if state is not None and state.races is not None:
-        state.races.atomic_read(cell)
 
 
 def hb_publish(channel: object) -> None:

@@ -628,9 +628,10 @@ class ScanServer:
         The engine part is exactly
         :meth:`~repro.engine.engine.EngineStats.snapshot` — the same
         serializer ``repro-c90 batch --stats`` prints.  ``calibration``
-        carries the active profile's provenance and the drift
-        detector's health counters (``active: false`` while routing on
-        the static paper table); see ``docs/calibration.md``.
+        carries the engine's profile provenance and its drift counts
+        (``drift: {observations, alerts}``, the engine's
+        ``drift_checks``/``drift_alerts``; ``active: false`` while
+        routing on the static paper table); see ``docs/calibration.md``.
         """
         return {
             # locked snapshot: the flush worker thread mutates these

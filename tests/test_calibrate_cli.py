@@ -1,5 +1,5 @@
 """Exit-code contracts for ``calibrate``, ``perf-gate``, and the
-``--calibration`` hot-swap flag — the surface the CI jobs script
+``--calibration`` flag — the surface the CI jobs script
 against (0 = pass, 1 = gate failure, 2 = unusable input).
 
 Also covers the ``bench.regression`` comparison logic the perf-gate
@@ -167,6 +167,11 @@ class TestBatchCalibration:
         snap = json.loads(out[out.index("{"):])
         assert snap["calibration"]["active"] is True
         assert snap["calibration"]["drift"]["observations"] >= 0
+        # the snapshot's drift counts are the engine's own counters
+        assert snap["calibration"]["drift"] == {
+            "observations": snap["drift_checks"],
+            "alerts": snap["drift_alerts"],
+        }
 
     def test_batch_rejects_bad_profile(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

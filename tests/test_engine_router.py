@@ -71,74 +71,6 @@ class TestRouterModel:
             Router().predicted_clocks(100, "serial")
 
 
-class TestHotSwap:
-    def test_set_costs_invalidates_decision_cache(self):
-        import dataclasses
-
-        router = Router()
-        n = 1 << 16
-        assert router.choose(n) == "sublist"  # decision now cached
-        # a table where pointer jumping is essentially free must flip
-        # the same (cached) bucket to wyllie — stale cache entries
-        # surviving the swap would keep answering "sublist"
-        cheap_wyllie = dataclasses.replace(
-            PAPER_C90_COSTS, wyllie_round_per_elem=1e-6, wyllie_round_const=1e-6
-        )
-        router.set_costs(cheap_wyllie)
-        assert router.choose(n) == "wyllie"
-        # and back: the second swap restores the original decision
-        router.set_costs(PAPER_C90_COSTS)
-        assert router.choose(n) == "sublist"
-
-    def test_set_costs_default_skips_backend_scaling(self):
-        # fitted profiles are measured through the active backend, so
-        # their table must be installed verbatim (no double scaling)
-        router = Router()
-        router.set_costs(PAPER_C90_COSTS)
-        assert router.costs is PAPER_C90_COSTS
-
-    def test_set_costs_swap_is_atomic_under_races(self):
-        import dataclasses
-        import threading
-
-        cheap_wyllie = dataclasses.replace(
-            PAPER_C90_COSTS, wyllie_round_per_elem=1e-6, wyllie_round_const=1e-6
-        )
-        router = Router()
-        stop = threading.Event()
-
-        def chooser(t):
-            sizes = [1 << k for k in range(4, 20)]
-            while not stop.is_set():
-                for n in sizes:
-                    router.choose(n, n_lists=1 + t)
-
-        threads = [threading.Thread(target=chooser, args=(t,))
-                   for t in range(4)]
-        for th in threads:
-            th.start()
-        for _ in range(200):
-            router.set_costs(cheap_wyllie)
-            router.set_costs(PAPER_C90_COSTS)
-        stop.set()
-        for th in threads:
-            th.join()
-        # the swap bundles (costs, cache) into one reference: a stale
-        # decision computed under the other table can never land in
-        # the final cache.  At quiescence every cached entry must match
-        # recomputation under the cache's own paired table.
-        state = router._state
-        assert state.costs is PAPER_C90_COSTS
-        assert state.choices, "race never populated the decision cache"
-        for (nb, kb), cached in state.choices.items():
-            predictions = {
-                alg: router._predicted(state.costs, nb, alg, kb)
-                for alg in CANDIDATES
-            }
-            expected = min(predictions, key=predictions.get)
-            assert cached == expected, (nb, kb)
-
-
 class TestAutoWiring:
     def test_route_algorithm_uses_default_router(self):
         assert route_algorithm(64) == default_router().choose(64)

@@ -27,6 +27,7 @@ from repro.core.operators import (
     XOR,
     Operator,
 )
+from repro.core.early_reconnect import early_reconnect_list_scan
 from repro.core.forest import Forest, forest_list_scan, forest_scan
 from repro.kernels import (
     ENV_VAR,
@@ -277,6 +278,40 @@ def test_unsupported_dtype_falls_back(rng):
     lst = random_list(n, rng, values=rng.integers(0, 100, n).astype(np.uint64))
     for backend in ("numpy", *COMPILED):
         np.testing.assert_array_equal(_scan(lst, SUM, backend), serial_list_scan(lst, SUM))
+
+
+@pytest.mark.parametrize("case", ["int32", "affine"])
+def test_unsupported_scan_stays_on_process_backend(case, monkeypatch):
+    # the c loops cover neither case, but each of c's hooks falls back
+    # to numpy per call: the scans must still run every hook on the
+    # process's backend and read numpy's result bit for bit
+    rng = np.random.default_rng(7)
+    n = 100_000
+    if case == "int32":
+        op, values = SUM, rng.integers(-100, 100, n).astype(np.int32)
+    else:
+        op, values = AFFINE, make_affine_values(rng, n)
+    lst = random_list(n, rng, values=values)
+    want = _scan(lst, op, "numpy")  # before the shims, which may wrap numpy too
+    calls = {"traverse_phase1": 0, "traverse_phase3": 0}
+    process = resolve_backend(None)
+    for hook in calls:
+
+        def counted(*args, _hook=hook, _real=getattr(process, hook)):
+            calls[_hook] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(process, hook, counted)
+    scans = {
+        "forest_list_scan": lambda: _scan(lst, op, None),
+        "early_reconnect": lambda: early_reconnect_list_scan(lst, op, rng=0),
+    }
+    for name, scan in scans.items():
+        calls.update(dict.fromkeys(calls, 0))
+        got = scan()
+        assert got.dtype == want.dtype, name
+        np.testing.assert_array_equal(_bits(got), _bits(want), err_msg=name)
+        assert all(calls.values()), (name, calls)
 
 
 def test_input_restored_bit_identical(rng):

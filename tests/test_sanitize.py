@@ -3,9 +3,9 @@
 Contracts under test:
 
 * the vector-clock race detector reports exactly the unordered
-  conflicting pairs — lock edges, queue/future handoffs and atomic
-  reference swaps all suppress reports, back-to-back short-lived
-  threads (recycled OS idents) do not;
+  conflicting pairs — lock edges and queue/future handoffs suppress
+  reports, back-to-back short-lived threads (recycled OS idents) do
+  not;
 * ``cv_wait`` keeps the lock model honest across the hidden
   release/reacquire inside ``Condition.wait``;
 * the resource ledger sees every worker pool open and shut down while
@@ -36,8 +36,6 @@ from repro.sanitize import (
     RaceDetector,
     ResourceLedger,
     annotate_access,
-    atomic_read,
-    atomic_write,
     cv_wait,
     guarded,
     hb_join,
@@ -144,22 +142,6 @@ class TestRaceDetector:
             annotate_access("payload", "read")  # no hb_join("chan")
         assert len(state.race_reports()) == 1
 
-    def test_atomic_swap_orders_without_report(self):
-        def writer():
-            annotate_access("routes", "write")
-            atomic_write("router.state")
-
-        def reader():
-            atomic_read("router.state")
-            annotate_access("routes", "read")
-
-        with sanitizers() as state:
-            t = threading.Thread(target=writer)
-            t.start()
-            t.join()
-            reader()
-        assert state.race_reports() == []
-
     def test_cv_wait_keeps_lock_model_honest(self):
         cv = threading.Condition()
         ready = threading.Event()
@@ -193,8 +175,6 @@ class TestRaceDetector:
         annotate_access("cell", "write")
         hb_publish("chan")
         hb_join("chan")
-        atomic_write("cell")
-        atomic_read("cell")
 
     def test_invalid_kind_rejected(self):
         detector = RaceDetector()
