@@ -4,8 +4,6 @@
   almost-never-pack, measured on the simulator;
 * splitter strategy: equally spaced vs random vs random-with-
   competition (the paper's Section 2.4 discussion);
-* short-vector fallback (the Section 6 future-work idea) on the host
-  backend;
 * the self-loop/identity trick vs a masked traversal loop (host wall
   clock) — the paper's "avoiding conditional tests except when load
   balancing".
@@ -18,8 +16,6 @@ import pytest
 
 from repro.bench.harness import print_table, record
 from repro.bench.workloads import get_random_list, get_valued_list
-from repro.core.operators import SUM
-from repro.core.sublist import SublistConfig, sublist_list_scan
 from repro.simulate.sublist_sim import SimSublistConfig, sublist_rank_sim
 
 N = 1 << 20
@@ -178,19 +174,6 @@ def test_ablation_masked_traversal(benchmark):
 def test_ablation_selfloop_traversal(benchmark):
     lst = get_valued_list(N)
     benchmark(_selfloop_traversal, lst)
-
-
-# ----------------------------------------------------------------------
-# short-vector fallback (host wall clock)
-# ----------------------------------------------------------------------
-
-@pytest.mark.benchmark(group="ablation-fallback")
-@pytest.mark.parametrize("fallback", [0, 64], ids=["pure_paper", "serial_tail"])
-def test_ablation_short_vector_fallback(benchmark, fallback):
-    lst = get_valued_list(N)
-    cfg = SublistConfig(short_vector_fallback=fallback)
-    rng = np.random.default_rng(0)
-    benchmark(lambda: sublist_list_scan(lst, SUM, config=cfg, rng=rng))
 
 
 # ----------------------------------------------------------------------

@@ -15,7 +15,7 @@ import pytest
 from repro.baselines.anderson_miller import anderson_miller_list_scan
 from repro.baselines.random_mate import random_mate_list_scan
 from repro.baselines.serial import serial_list_scan
-from repro.baselines.wyllie import wyllie_suffix
+from repro.baselines.wyllie import wyllie_list_scan
 from repro.bench.workloads import K, get_valued_list
 from repro.core.sublist import sublist_list_scan
 
@@ -34,7 +34,7 @@ def test_host_sublist_large(benchmark):
 @pytest.mark.benchmark(group=f"host-{N_LARGE // K}K")
 def test_host_wyllie_large(benchmark):
     lst = get_valued_list(N_LARGE)
-    benchmark(lambda: wyllie_suffix(lst))
+    benchmark(lambda: wyllie_list_scan(lst))
 
 
 @pytest.mark.benchmark(group=f"host-{N_LARGE // K}K")
@@ -72,7 +72,7 @@ def test_host_sublist_small(benchmark):
 def test_host_wyllie_small(benchmark):
     """Wyllie wins on short lists — the paper's small-n regime."""
     lst = get_valued_list(N_SMALL)
-    benchmark(lambda: wyllie_suffix(lst))
+    benchmark(lambda: wyllie_list_scan(lst))
 
 
 @pytest.mark.benchmark(group=f"host-{N_SMALL // K}K")

@@ -17,7 +17,7 @@ import pytest
 
 from repro.baselines.anderson_miller import anderson_miller_list_scan
 from repro.baselines.random_mate import random_mate_list_scan
-from repro.baselines.wyllie import wyllie_suffix
+from repro.baselines.wyllie import wyllie_list_scan
 from repro.bench.harness import print_table, record
 from repro.bench.workloads import K, get_random_list
 from repro.core.stats import ScanStats
@@ -46,7 +46,7 @@ def _measure():
     }
 
     st = ScanStats()
-    wyllie_suffix(lst, stats=st)
+    wyllie_list_scan(lst, stats=st)
     out["wyllie"] = {
         "work": st.work_per_element(N),
         "space": st.peak_aux_words / N,

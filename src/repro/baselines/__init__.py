@@ -3,11 +3,4 @@
 from .anderson_miller import anderson_miller_list_rank, anderson_miller_list_scan
 from .random_mate import random_mate_list_rank, random_mate_list_scan
 from .serial import serial_list_rank, serial_list_scan, serial_scan_segment
-from .wyllie import (
-    build_predecessors,
-    wyllie_list_rank,
-    wyllie_list_scan,
-    wyllie_prefix,
-    wyllie_rounds,
-    wyllie_suffix,
-)
+from .wyllie import wyllie_list_rank, wyllie_list_scan, wyllie_rounds

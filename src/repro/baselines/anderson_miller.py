@@ -39,9 +39,8 @@ import numpy as np
 from ..core.operators import Operator, SUM, get_operator
 from ..core.stats import ScanStats
 from ..lists.generate import INDEX_DTYPE, LinkedList
-from ..lists.validate import ListStructureError
+from ..lists.validate import ListStructureError, forest_predecessors
 from .serial import serial_list_scan
-from .wyllie import build_predecessors
 
 __all__ = ["anderson_miller_list_scan", "anderson_miller_list_rank"]
 
@@ -75,7 +74,7 @@ def anderson_miller_list_scan(
         raise ValueError("block_size must be >= 1")
 
     nxt = lst.next.copy()
-    prev = build_predecessors(lst)
+    prev = forest_predecessors(lst.next, [lst.head])
     val = values.copy()
     head, tail = lst.head, lst.tail
     if stats is not None:

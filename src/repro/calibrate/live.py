@@ -6,6 +6,10 @@ canonical workload), force each algorithm the profile fits in turn,
 and time the scans with an injectable clock.  Sizes are chosen so the whole
 sweep finishes in a few seconds — the serial traversal is a Python
 pointer-chase and gets a smaller sweep than the vectorized kernels.
+The scans are the engine's own: a Wyllie sample times
+``core.forest.wyllie_forest_scan``, the pointer jumping of the engine's
+Wyllie shards, so the fitted Wyllie coefficients price what the router
+routes to.
 
 Each ``(algorithm, n)`` cell is timed ``repeats`` times and the
 *minimum* is kept: for calibration we want the cost equation's clean

@@ -137,13 +137,6 @@ class SublistConfig:
         Guard mode passed to :func:`repro.core.schedule.optimal_schedule`.
     tail_growth:
         Growth factor for pack gaps past the expected schedule.
-    short_vector_fallback:
-        When > 0, Phase 1 finishes the last stragglers *serially* once
-        the live vector is shorter than this, instead of spinning short
-        vector steps — the practical form of the paper's Section 6
-        note that machines with long vector half-performance lengths
-        should not chase the longest sublists with tiny vectors.
-        0 disables the fallback (pure paper behaviour).
     costs:
         Kernel cost table used for schedule generation and tuning.
     max_depth:
@@ -158,7 +151,6 @@ class SublistConfig:
     wyllie_cutoff: int = WYLLIE_CUTOFF
     schedule_guard: str = "monotonic_gaps"
     tail_growth: float = 1.5
-    short_vector_fallback: int = 0
     costs: KernelCosts = field(default_factory=lambda: PAPER_C90_COSTS)
     max_depth: int = 8
 
@@ -413,6 +405,10 @@ def wyllie_forest_scan(
     longest chain is at least that long; one list never runs it.  A
     cycle no head reaches never passes the test unless its pointers
     stand still on it, and the final check refuses those.
+
+    ``stats`` records the arrays held during the rounds, the
+    predecessors, working values, pointers and jumped pointers: 4n
+    words, the paper's Table 1 figure for Wyllie.
     """
     op = get_operator(op)
     n = nxt.shape[0]
@@ -422,6 +418,8 @@ def wyllie_forest_scan(
     work = values.copy()
     work[heads] = ident
     ptr = pred.copy()
+    if stats is not None:
+        stats.alloc(4 * n)
     rounds = max(0, int(np.ceil(np.log2(max(n - 1, 2)))) if n > 2 else 0)
     reach = -(-n // max(len(heads), 1)) - 1  # the farthest node is at least this far
     for done in range(rounds):
@@ -434,6 +432,8 @@ def wyllie_forest_scan(
             stats.add_round()
             stats.add_work(n, phase="wyllie_forest")
             stats.add_gather(3 * n)
+    if stats is not None:
+        stats.free(4 * n)
     if np.any(pred[ptr] != ptr):
         raise ListStructureError("pointer jumping did not converge: a cycle no head reaches")
     # ptr now maps every node to its chain head; fold head value + carry
@@ -637,12 +637,7 @@ def _scan_in_place(
                 scheduled_packs=int(np.asarray(schedule).size),
             )
         with span("phase1", m=m):
-            fallback = cfg.short_vector_fallback
-            live = _phase1(cut, schedule, cfg, op, stats, tracer, backend, fallback)
-            if live[0].size:
-                if tracer is not None:
-                    tracer.event("serial_tail", live=int(live[0].size))
-                _finish_phase1_serial(cut, *live, op, stats)
+            _phase1(cut, schedule, cfg, op, stats, tracer, backend, 0)
         with span("find_sublist_list", m=m):
             sl_next = _link(cut, stats)
         sl_carries = _phase2(
@@ -804,7 +799,8 @@ def _phase1(
     its value and the walker's mark in its ``next``; the pack retires
     the processors standing on the sink into ``cut.sl_sum``.  Stops
     once ``switch`` or fewer processors are live and returns their
-    ``(vp_next, vp_sum, vp_proc)``, empty when every sublist is done.
+    ``(vp_next, vp_sum, vp_proc)``, empty when every sublist is done:
+    the scan passes 0, ``core.early_reconnect`` its switch count.
     A processor that steps onto a mark (a merge or a cycle) raises
     :class:`ListStructureError`, in the backend or here.
     """
@@ -913,35 +909,6 @@ def _phase2(
         if phase2_span is not None:
             phase2_span.attrs["method"] = method
     return out
-
-
-def _finish_phase1_serial(
-    cut: _Cut,
-    vp_next: np.ndarray,
-    vp_sum: np.ndarray,
-    vp_proc: np.ndarray,
-    op: Operator,
-    stats: ScanStats | None,
-) -> None:
-    """Scalar completion of the last Phase-1 stragglers (Section 6 ablation)."""
-    nxt, values = cut.rec["next"], cut.rec["value"]
-    sink = nxt.shape[0] - 1
-    for k in range(vp_next.size):
-        cur, acc, proc = int(vp_next[k]), vp_sum[k], int(vp_proc[k])
-        steps = 0
-        while cur != sink:
-            succ = int(nxt[cur])
-            if succ > sink:
-                raise ListStructureError(REVISITED)
-            folded = op.combine(acc, values[cur])
-            values[cur] = acc
-            acc = folded
-            nxt[cur] = sink + 1 + proc
-            cur = succ
-            steps += 1
-        cut.sl_sum[proc] = acc
-        if stats is not None:
-            stats.add_work(steps, phase="phase1_serial_tail")
 
 
 def _list_ids(nxt: np.ndarray, heads: np.ndarray) -> np.ndarray:

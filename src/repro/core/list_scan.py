@@ -13,7 +13,7 @@ Algorithms
 ``"sublist"``       the paper's algorithm (default) — work efficient,
                     small constants; `core.sublist` over `core.forest`
 ``"wyllie"``        pointer jumping — O(n log n) work; best for short
-                    lists; `baselines.wyllie`
+                    lists; `baselines.wyllie` over `core.forest`
 ``"serial"``        direct traversal — the O(n) reference and the
                     oracle every other path is tested against;
                     `baselines.serial`
@@ -108,7 +108,8 @@ def list_scan(
         pack events.  See ``docs/tracing.md``.
     **kwargs:
         Forwarded to the selected implementation (e.g. ``config=`` for
-        the sublist algorithm, ``variant=`` for Wyllie).
+        the sublist algorithm, ``block_size=`` for Anderson/Miller);
+        Wyllie takes none.
 
     Returns
     -------

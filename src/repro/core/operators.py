@@ -75,7 +75,8 @@ class Operator:
         ``remove(total, part)`` solves ``x ⊕ part = total``.
     remove:
         Vectorized inverse used for the suffix→prefix conversion in
-        Wyllie's algorithm.  Required when ``invertible`` is True.
+        the simulator's Wyllie (``simulate.wyllie_sim``).  Required when
+        ``invertible`` is True.
     value_width:
         Number of trailing components each value occupies.  0 for
         scalar operators; ``AFFINE`` uses 2 (values have shape

@@ -476,27 +476,33 @@ class Engine:
             "drift": drift,
         }
 
-    def _observe_execution(
-        self, algorithm: str, n: int, n_lists: int, seconds: float
-    ) -> None:
-        """Drift-check one executed shard against the profile.
+    def _predicted_seconds(self, algorithm: str, n: int, n_lists: int) -> float | None:
+        """The profile's predicted time for a shard; ``None`` (not judged)
+        without a profile — comparing host wall time against the paper's
+        C-90 clock predictions would only measure how much slower this
+        machine is than a 1994 supercomputer — and for an algorithm the
+        router does not price (a forced ``serial`` or ``random_mate``).
+        Called before the shard's timer starts: pricing ``sublist`` tunes
+        the kernel's ``(m, S₁)`` once per size bucket, outside the timer.
+        """
+        if self._calibration is None or algorithm not in CANDIDATES:
+            return None
+        router = self.router
+        clocks = router.predicted_clocks(n, algorithm, n_lists)
+        return clocks * router.costs.clock_ns * 1e-9
+
+    def _observe_execution(self, predicted: float | None, seconds: float) -> None:
+        """Drift-check one executed shard that took ``seconds`` against
+        its ``predicted`` time (:meth:`_predicted_seconds`).
 
         Called after each shard execution with the engine lock *not*
-        held.  A no-op without a profile — comparing host wall time
-        against the paper's C-90 clock predictions would only measure
-        how much slower this machine is than a 1994 supercomputer — and
-        for runs shorter than ``DRIFT_MIN_SECONDS`` or of an algorithm
-        the router does not price (a forced ``serial`` or
-        ``random_mate``).
+        held.  A no-op for a shard that is not judged and for runs
+        shorter than ``DRIFT_MIN_SECONDS``.
         """
-        if self._calibration is None:
+        if predicted is None or seconds < DRIFT_MIN_SECONDS:
             return
-        if seconds < DRIFT_MIN_SECONDS or algorithm not in CANDIDATES:
-            return
-        router = self.router
         # positive: a validated profile's slopes and clock period are
-        predicted_ns = router.predicted_clocks(n, algorithm, n_lists) * router.costs.clock_ns
-        ratio = seconds * 1e9 / predicted_ns
+        ratio = seconds / predicted
         drifted = not 1.0 / DRIFT_TOLERANCE <= ratio <= DRIFT_TOLERANCE
         with guarded(self._lock, "engine.stats"):
             self.stats.drift_checks += 1
@@ -922,6 +928,7 @@ class Engine:
                 },
             )
         backend = self._backend
+        predicted = self._predicted_seconds(algorithm, batch.n_nodes, batch.n_lists)
         t0 = self.clock()
         with span(
             "execute",
@@ -949,5 +956,5 @@ class Engine:
                 self.stats.fused_nodes += batch.n_nodes
             self.stats.count_algorithm(algorithm, batch.n_lists)
             self.stats.merge_kernel_stats(kstats)
-        self._observe_execution(algorithm, batch.n_nodes, batch.n_lists, elapsed)
+        self._observe_execution(predicted, elapsed)
         return algorithm, results

@@ -9,7 +9,8 @@ forest kernels:
 * ``wyllie``  — ``⌈log₂(n/k)⌉`` rounds of ``9·n + 180`` clocks for a
   forest of ``k`` chains (one chain for a single list);
 * ``sublist`` — the full Eq. 3 schedule-sum plus Phase-2 dispatch cost
-  at the model-tuned ``(m, S₁)`` (``analysis.predict.predict_run``).
+  (``analysis.predict.predict_run``) at the ``(m, S₁)`` the kernel
+  runs, tuned on ``SublistConfig().costs``, the C-90 table.
 
 The serial scan is not a candidate.  On the C-90 it won below a few
 hundred nodes; on the host it is a Python loop that loses to Wyllie on
@@ -21,7 +22,8 @@ paper's published C-90 table by default, or a table fitted for another
 machine (``machine.calibration``, ``repro.calibrate``).
 
 A router's table is fixed when it is built: an engine given a fitted
-profile builds its router on the profile's table.  Decisions are cached
+profile builds its router on the profile's table, which prices the
+kernel's ``(m, S₁)`` but does not change them.  Decisions are cached
 per √2-rounded size bucket (``core.tuning.sqrt2_bucket``, the bucketing
 of the tuned parameters), so repeated routing is O(1) after the first
 call for each size region.  Every cached decision derives from the one
@@ -35,7 +37,8 @@ import math
 
 from ..analysis.cost_model import KernelCosts, PAPER_C90_COSTS
 from ..analysis.predict import predict_run
-from ..core.tuning import sqrt2_bucket
+from ..core.forest import SublistConfig
+from ..core.tuning import sqrt2_bucket, tuned_parameters
 
 __all__ = ["Router", "route_algorithm", "default_router"]
 
@@ -67,7 +70,8 @@ class Router:
             rounds = math.ceil(math.log2(longest))
             return rounds * (costs.wyllie_round_per_elem * n + costs.wyllie_round_const)
         if algorithm == "sublist":
-            return predict_run(n, costs).cycles
+            m, s1 = tuned_parameters(n, SublistConfig().costs)
+            return predict_run(n, costs, m=m, s1=s1).cycles
         raise ValueError(
             f"unknown routable algorithm {algorithm!r}; expected one of {CANDIDATES}"
         )

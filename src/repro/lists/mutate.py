@@ -16,8 +16,8 @@ from collections.abc import Sequence
 import numpy as np
 
 from ..baselines.serial import serial_list_rank
-from ..baselines.wyllie import build_predecessors
 from .generate import INDEX_DTYPE, LinkedList, from_order, list_order
+from .validate import forest_predecessors
 
 __all__ = ["concatenate", "split_after", "reverse", "splice_out", "extract"]
 
@@ -104,8 +104,8 @@ def split_after(
 
 def reverse(lst: LinkedList) -> LinkedList:
     """The same nodes visited in reverse order (same node space)."""
-    pred = build_predecessors(lst)
-    return LinkedList(pred.copy(), lst.tail, lst.values.copy())
+    pred = forest_predecessors(lst.next, [lst.head])  # a fresh array
+    return LinkedList(pred, lst.tail, lst.values.copy())
 
 
 def splice_out(

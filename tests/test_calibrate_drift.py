@@ -6,8 +6,9 @@ shard is judged against it.  ``drift_checks`` counts the judged shards
 and ``drift_alerts`` those whose observed/predicted time left
 ``[1/3, 3]``; runs under 0.1 ms and algorithms the router does not
 price are skipped.  Covers the install, the band's edges and the
-short-run floor, a real scan that alerts, and a lock-order-audited
-``threads`` run whose drift counts add up.
+short-run floor, a real scan that alerts, a grid search kept out of the
+shard's timer, and a lock-order-audited ``threads`` run whose drift
+counts add up.
 """
 
 import dataclasses
@@ -18,6 +19,7 @@ import threading
 import numpy as np
 import pytest
 
+import repro.core.tuning as tuning_mod
 import repro.engine.cache as cache_mod
 import repro.engine.engine as engine_mod
 import repro.engine.workers as workers_mod
@@ -56,9 +58,8 @@ def healthy_list(n, seed):
 def observe(engine, ratio, n=10_000):
     """Judge a Wyllie run of ``n`` nodes that took ``ratio`` times its
     prediction (the default profile predicts 1.08 ms at 10,000 nodes)."""
-    router = engine.router
-    predicted_s = router.predicted_clocks(n, "wyllie") * router.costs.clock_ns * 1e-9
-    engine._observe_execution("wyllie", n, 1, ratio * predicted_s)
+    predicted = engine._predicted_seconds("wyllie", n, 1)
+    engine._observe_execution(predicted, ratio * predicted)
 
 
 def drift(engine):
@@ -85,13 +86,15 @@ class TestDriftDetector:
         # 10,000 nodes are predicted at 1.08 ms: both runs below are
         # far out of the band, but only the one at the floor is judged
         with Engine(executor="sync", seed=1, calibration=make_profile()) as engine:
-            engine._observe_execution("wyllie", 10_000, 1, 0.9e-4)
+            predicted = engine._predicted_seconds("wyllie", 10_000, 1)
+            engine._observe_execution(predicted, 0.9e-4)
             assert drift(engine) == (0, 0)
-            engine._observe_execution("wyllie", 10_000, 1, 1e-4)
+            engine._observe_execution(predicted, 1e-4)
             assert drift(engine) == (1, 1)
             # the router prices neither: no prediction to judge against
             for algorithm in ("serial", "random_mate"):
-                engine._observe_execution(algorithm, 10_000, 1, 1e-3)
+                assert engine._predicted_seconds(algorithm, 10_000, 1) is None
+            engine._observe_execution(None, 1e-3)
             assert drift(engine) == (1, 1)
 
     def test_thread_safety_counters_reconcile(self):
@@ -136,6 +139,48 @@ class TestDriftDetector:
             sys.setswitchinterval(switch)
         assert graph.acquisitions > 0
         graph.assert_acyclic()
+
+
+class TestTimerHoldsOnlyTheKernel:
+    def test_grid_search_runs_before_the_timer(self, monkeypatch):
+        """The first shard of a size bucket tunes the kernel's (m, S₁).
+
+        That grid search must run before the shard's timer starts, for
+        an auto-routed shard (the router prices the kernel's (m, S₁))
+        and a forced ``sublist`` one (the engine prices it first).  The
+        clock ticks 1 ms a call, and each grid search adds 1 s to it.
+        """
+        ticks = itertools.count()
+        searched = [0.0]
+        real_tune_grid = tuning_mod.tune_grid
+
+        def slow_tune_grid(*args, **kwargs):
+            searched[0] += 1.0
+            return real_tune_grid(*args, **kwargs)
+
+        def clock():
+            return next(ticks) * 1e-3 + searched[0]
+
+        tuning_mod._tuned_cached.cache_clear()
+        monkeypatch.setattr(tuning_mod, "tune_grid", slow_tune_grid)
+        profile = make_profile()
+        with Engine(executor="sync", seed=1, calibration=profile, clock=clock) as engine:
+            timed = []
+            real_observe = engine._observe_execution
+
+            def spy(*args):
+                timed.append(args[-1])
+                real_observe(*args)
+
+            monkeypatch.setattr(engine, "_observe_execution", spy)
+            for n, algorithm in ((20_000, "auto"), (40_000, "sublist")):
+                lst = healthy_list(n, seed=3)
+                got = engine.scan(lst, algorithm=algorithm)
+                assert np.array_equal(got, serial_list_scan(lst))
+            assert engine.stats.algorithms == {"sublist": 2}
+            assert searched[0] >= 2.0  # each bucket did tune
+            assert len(timed) == 2 and max(timed) < 1.0, timed
+            assert drift(engine)[0] == 2
 
 
 class TestEngineCalibration:
@@ -191,6 +236,6 @@ class TestEngineCalibration:
     def test_static_table_never_drift_checked(self):
         with Engine(seed=1) as engine:
             engine.scan(healthy_list(20_000, seed=3))
-            engine._observe_execution("wyllie", 20_000, 1, 1.0)
+            assert engine._predicted_seconds("wyllie", 20_000, 1) is None
             assert drift(engine) == (0, 0)
             assert "drift" not in engine.calibration_snapshot()

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from repro.baselines.anderson_miller import anderson_miller_list_scan
 from repro.baselines.random_mate import random_mate_list_scan
 from repro.baselines.serial import serial_list_rank, serial_list_scan
-from repro.baselines.wyllie import wyllie_prefix, wyllie_suffix
+from repro.baselines.wyllie import wyllie_list_scan
 from repro.core.operators import AFFINE, MAX, MIN, SUM, XOR
 from repro.core.schedule import integer_gaps, optimal_schedule
 from repro.core.sublist import SublistConfig, sublist_list_scan
@@ -71,8 +71,8 @@ class TestAlgorithmEquivalence:
     @settings(max_examples=60, **COMMON)
     @given(lst=linked_lists())
     def test_wyllie_equals_serial(self, lst):
-        assert np.array_equal(wyllie_suffix(lst), serial_list_scan(lst))
-        assert np.array_equal(wyllie_prefix(lst), serial_list_scan(lst))
+        for op in SCAN_OPS:
+            assert np.array_equal(wyllie_list_scan(lst, op), serial_list_scan(lst, op)), op.name
 
     @settings(max_examples=40, **COMMON)
     @given(lst=linked_lists(), seed=st.integers(0, 1000))
@@ -104,7 +104,7 @@ class TestAlgorithmEquivalence:
         assert np.array_equal(
             sublist_list_scan(lst, AFFINE, config=cfg, rng=seed), expect
         )
-        assert np.array_equal(wyllie_prefix(lst, AFFINE), expect)
+        assert np.array_equal(wyllie_list_scan(lst, AFFINE), expect)
         assert np.array_equal(random_mate_list_scan(lst, AFFINE, rng=seed), expect)
 
 

@@ -163,18 +163,11 @@ class TestConfig:
         got = sublist_list_scan(lst, config=cfg, rng=rng)
         assert np.array_equal(got, serial_list_scan(lst))
 
-    def test_short_vector_fallback(self, rng):
-        lst = random_list(10_000, rng, values=rng.integers(-9, 9, 10_000))
-        cfg = SublistConfig(short_vector_fallback=32)
-        got = sublist_list_scan(lst, config=cfg, rng=rng)
-        assert np.array_equal(got, serial_list_scan(lst))
-
-    def test_fallback_with_affine(self, rng):
-        n = 5000
-        lst = from_order(rng.permutation(n), make_affine_values(rng, n))
-        cfg = SublistConfig(short_vector_fallback=64)
-        got = sublist_list_scan(lst, AFFINE, config=cfg, rng=rng)
-        assert np.array_equal(got, serial_list_scan(lst, AFFINE))
+    def test_short_vector_fallback_is_gone(self):
+        # Phase 1 runs every straggler in lock step; early_reconnect is
+        # the Section 6 answer to them
+        with pytest.raises(TypeError):
+            SublistConfig(short_vector_fallback=8)
 
     def test_rejects_bad_splitters(self):
         with pytest.raises(ValueError, match="splitter"):

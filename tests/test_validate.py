@@ -483,12 +483,12 @@ class TestNoSpinNoBareErrors:
             )
 
     def test_wyllie_suffix_rho_is_a_structure_error(self):
-        """A rho has no self-loop at all: ``LinkedList.tail`` used to
-        raise a bare ``ValueError`` from the suffix variant."""
-        from repro.baselines.wyllie import wyllie_suffix
+        """A rho ends in a cycle, not a self-loop, so ``LinkedList.tail``
+        raises a bare ``ValueError``; Wyllie never asks for the tail."""
+        from repro.baselines.wyllie import wyllie_list_scan
 
         with pytest.raises(ListStructureError):
-            wyllie_suffix(hostile_list("rho", 200))
+            wyllie_list_scan(hostile_list("rho", 200))
 
 
 def cross_linked_pair(n):
