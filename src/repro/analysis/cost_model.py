@@ -260,9 +260,10 @@ def phase2_time(
 ) -> float:
     """Expected Phase 2 cost for a reduced list of ``m`` nodes.
 
-    Mirrors the implementation's dispatch: serial below
-    ``serial_cutoff``, Wyllie up to ``recursive_cutoff``, and a crude
-    recursive estimate above (rarely reached for realistic ``n``).
+    Mirrors the paper's dispatch, which the simulator keeps: serial
+    below ``serial_cutoff``, Wyllie up to ``recursive_cutoff``, and a
+    crude recursive estimate above (rarely reached for realistic
+    ``n``).  The host scan runs Wyllie at every size.
     """
     if m <= serial_cutoff:
         return costs.t_serial(m)

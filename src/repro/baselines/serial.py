@@ -5,8 +5,9 @@ values of the previous nodes until it reaches the end of the list."  On
 the Cray C-90 it costs 8.4 clock cycles (≈35 ns — the paper reports the
 loop at 34 clocks / 1960 ns per 58 elements… the figure caption gives
 the per-element numbers) per element; here it is the correctness oracle
-for every parallel algorithm and the Phase-2 base case of the sublist
-algorithm.
+for every parallel algorithm.  The scan is ``core.forest``'s one serial
+loop, :func:`~repro.core.forest.serial_forest_scan`, on a forest of one
+list; the rank is a walk of its own, an independent oracle.
 
 Semantics: an *exclusive* prescan.  ``out[head]`` is the operator
 identity and ``out[v] = values[head] ⊕ … ⊕ values[pred(v)]`` for every
@@ -17,17 +18,16 @@ nodes (the paper's Phase 3 likewise writes every node).
 
 from __future__ import annotations
 
-
 import numpy as np
 
+from ..core.forest import serial_forest_scan
 from ..core.operators import Operator, SUM, get_operator
-from ..lists.generate import LinkedList
+from ..lists.generate import INDEX_DTYPE, LinkedList
 from ..lists.validate import ListStructureError, check_range
 
 __all__ = [
     "serial_list_scan",
     "serial_list_rank",
-    "serial_scan_segment",
 ]
 
 
@@ -37,7 +37,8 @@ def serial_list_scan(
     inclusive: bool = False,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Scan a linked list by direct traversal (the reference algorithm).
+    """Scan a linked list by direct traversal (the reference algorithm):
+    :func:`repro.core.forest.serial_forest_scan` over its one list.
 
     Parameters
     ----------
@@ -63,28 +64,12 @@ def serial_list_scan(
         nodes the head never reaches), so no node of ``out`` is unwritten.
     """
     op = get_operator(op)
-    values = lst.values
-    nxt = lst.next
-    n = lst.n
-    check_range(nxt, [lst.head])
     if out is None:
-        out = np.empty_like(values)
-    acc = op.identity_for(values.dtype)
-    cur = lst.head
-    for k in range(n):
-        if inclusive:
-            acc = op.combine(acc, values[cur])
-            out[cur] = acc
-        else:
-            out[cur] = acc
-            acc = op.combine(acc, values[cur])
-        succ = int(nxt[cur])
-        if succ == cur:
-            break
-        cur = succ
-    else:
-        k = n  # no self-loop within n steps
-    _check_walk(k, n)
+        out = np.empty_like(lst.values)
+    heads = np.asarray([lst.head], dtype=INDEX_DTYPE)
+    serial_forest_scan(lst.next, lst.values, heads, op, None, out)
+    if inclusive:
+        out[...] = op.combine(out, lst.values)
     return out
 
 
@@ -93,7 +78,8 @@ def serial_list_rank(lst: LinkedList, out: np.ndarray | None = None) -> np.ndarr
 
     Implemented as a direct traversal rather than a scan of ones, so it
     is an *independent* oracle for the rank = scan(+, 1) identity test.
-    Raises :class:`ListStructureError` as :func:`serial_list_scan` does.
+    Raises :class:`ListStructureError` when a successor is out of range
+    or the walk does not end at a self-loop after exactly ``n`` nodes.
     """
     n = lst.n
     if out is None:
@@ -109,45 +95,9 @@ def serial_list_rank(lst: LinkedList, out: np.ndarray | None = None) -> np.ndarr
         cur = succ
     else:
         k = n  # no self-loop within n steps
-    _check_walk(k, n)
-    return out
-
-
-def _check_walk(tail_step: int, n: int) -> None:
-    """Raise unless the walk met its self-loop at step ``n - 1``."""
-    if tail_step != n - 1:
+    if k != n - 1:
         raise ListStructureError(
             f"the walk from the head does not end at a self-loop after "
             f"exactly {n} nodes (a cycle, or nodes the head never reaches)"
         )
-
-
-def serial_scan_segment(
-    nxt: np.ndarray,
-    values: np.ndarray,
-    start: int,
-    op: Operator,
-    carry_in,
-    out: np.ndarray | None = None,
-) -> object:
-    """Scan a single sublist starting at ``start`` until its self-loop tail.
-
-    Writes exclusive scan values (seeded with ``carry_in``) into ``out``
-    when given, and returns the carry after the segment — the sum of
-    ``carry_in`` and every value on the segment.  This is the scalar
-    building block used by the test oracle for Phase 1 / Phase 3
-    invariants of the sublist algorithm.
-    """
-    op = get_operator(op)
-    acc = carry_in
-    cur = int(start)
-    for _ in range(nxt.shape[0]):
-        if out is not None:
-            out[cur] = acc
-        acc = op.combine(acc, values[cur])
-        succ = int(nxt[cur])
-        if succ == cur:
-            return acc
-        cur = succ
-    raise ValueError("segment did not terminate within the node count; "
-                     "the successor array appears corrupted")
+    return out

@@ -26,8 +26,8 @@ This module implements exactly that:
   written back with their owners' marks, they finish Phase 1 exactly
   as the vector loop would have.
 
-Splitter choice, Initialize, Phase 1, Find-sublist-list, the Phase-2
-dispatch and the streaming Phase 3 are the shared steps of
+Splitter choice, Initialize, Phase 1, Find-sublist-list, the Wyllie
+Phase 2 and the streaming Phase 3 are the shared steps of
 ``core.forest`` and ``kernels.backend``; only the straggler compaction
 and the switch live here.  Like every sublist entry, it only reads the
 input list, and proves it with ``core.forest``'s checks.
@@ -99,12 +99,12 @@ def early_reconnect_list_scan(
         switch_count = m // 8
     backend = resolve_backend(None)
 
-    schedule = optimal_schedule(n, m, s1, cfg.costs, guard=cfg.schedule_guard)
-    vp_next, vp_sum, vp_proc = _phase1(cut, schedule, cfg, op, stats, None, backend, switch_count)
+    schedule = optimal_schedule(n, m, s1)
+    vp_next, vp_sum, vp_proc = _phase1(cut, schedule, op, stats, None, backend, switch_count)
     if vp_next.size:
         _reconnect(cut, vp_next, vp_sum, vp_proc, op, cfg, gen, stats)
     sl_next = _link(cut, stats)
-    carries = _phase2(sl_next, cut.sl_sum, 1, None, op, cfg, gen, stats, 0, None, backend)
+    carries = _phase2(sl_next, cut.sl_sum, 1, None, op, stats, None)
     backend.traverse_phase3(cut.rec["next"], cut.rec["value"], carries, op, [out], forest.offsets)
     if stats is not None:
         stats.free(cut.words)

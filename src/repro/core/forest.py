@@ -33,8 +33,7 @@ member per request.  The algorithm randomly breaks the *n* nodes into
   that owns it, and the owner of a splitter continues with the sublist
   that starts after it.  That links the sublist sums into a *reduced
   forest*: one chain per list, ended by the owner of the list's tail.
-* **Phase 2** — scan the reduced forest, by size recursively or with
-  Wyllie.
+* **Phase 2** — scan the reduced forest with Wyllie's pointer jumping.
 * **Phase 3** — one streaming pass over each member's block of the
   records, straight into that member's own result array: a node's
   exclusive scan is its owner's Phase-2 carry ⊕ the prefix Phase 1 left
@@ -53,7 +52,7 @@ forest of lists, or raises ``ListStructureError``
 
 A forest too small to cut, of at most ``SublistConfig.serial_cutoff``
 nodes or fewer than four per list, is scanned directly with Wyllie's
-pointer jumping, as is a Phase 2 that small: on the C-90 the paper
+pointer jumping, and so is every Phase 2: on the C-90 the paper
 switched to the serial scan there, but on the host the serial scan is
 a Python loop that loses to the vectorized Wyllie on every forest but
 a lone list of a few nodes.  :func:`serial_forest_scan` stays as the
@@ -64,8 +63,9 @@ early-reconnect variant (``core.early_reconnect``) uses them to rescan
 its straggler suffixes, which form a forest.  This is the *host*
 backend: NumPy array operations (or a ``kernels`` backend) per
 data-parallel step, measured in real time by the benchmark suite.  The
-cycle-accounted Cray C-90 version, with the paper's Phase 3 and serial
-Phase 2, lives in ``simulate.sublist_sim``.
+cycle-accounted Cray C-90 version, with the paper's Phase 3, its
+serial, Wyllie or recursive Phase 2 and its splitter strategies, lives
+in ``simulate.sublist_sim``.
 
 Public entry points: :func:`forest_scan` over a :class:`Forest`, and
 :func:`forest_list_scan` over one node array, which can also return the
@@ -75,11 +75,10 @@ Public entry points: :func:`forest_scan` over a :class:`Forest`, and
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from ..analysis.cost_model import KernelCosts, PAPER_C90_COSTS
 from ..kernels.backend import REVISITED, STREAM_BLOCK, KernelBackend, resolve_backend
 from ..lists.generate import INDEX_DTYPE, LinkedList
 from ..lists.validate import (
@@ -93,7 +92,7 @@ from ..trace.tracer import Tracer, null_span, resolve_trace
 from .operators import Operator, SUM, get_operator
 from .schedule import ScheduleIterator, optimal_schedule
 from .stats import ScanStats
-from .tuning import SERIAL_CUTOFF, WYLLIE_CUTOFF, tuned_parameters
+from .tuning import SERIAL_CUTOFF, tuned_parameters
 
 __all__ = [
     "Forest",
@@ -110,7 +109,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SublistConfig:
-    """Tuning knobs for the sublist algorithm.
+    """The sublist algorithm's two tuned parameters and its cutoff.
 
     Attributes
     ----------
@@ -119,48 +118,24 @@ class SublistConfig:
         (Section 4.4), raised to two per list for a forest.
     s1:
         First pack point; ``None`` uses the model-tuned value.
-    splitters:
-        ``"spaced"`` — equally spaced positions, the paper's choice for
-        randomly ordered lists; ``"random"`` — distinct uniform random
-        positions; ``"random_competition"`` — uniform positions drawn
-        *with* replacement, deduplicated by the paper's write-index/
-        read-back competition.
-    serial_cutoff / wyllie_cutoff:
-        Where the host stops cutting: a forest of at most
-        ``serial_cutoff`` nodes is scanned directly, with Wyllie, and a
-        reduced forest of Phase 2 with Wyllie up to ``wyllie_cutoff``
-        nodes and recursively beyond ("We determined empirically the
-        size m should be when we switch between algorithms").  The
-        paper's serial scan below ``serial_cutoff`` is the C-90's
-        (``simulate.sublist_sim``); on the host it is only the oracle.
-    schedule_guard:
-        Guard mode passed to :func:`repro.core.schedule.optimal_schedule`.
-    tail_growth:
-        Growth factor for pack gaps past the expected schedule.
-    costs:
-        Kernel cost table used for schedule generation and tuning.
-    max_depth:
-        Recursion depth limit for Phase 2; a scan this deep runs
-        Wyllie.
+    serial_cutoff:
+        A forest of at most this many nodes is not cut but scanned
+        directly, with Wyllie.  The paper's serial scan below the
+        cutoff is the C-90's (``simulate.sublist_sim``); on the host it
+        is only the oracle.
+
+    The host always cuts at equally spaced splitters, the paper's
+    choice for randomly ordered lists, and packs on the schedule and
+    tuning of the paper's C-90 cost table.
     """
 
     m: int | None = None
     s1: float | None = None
-    splitters: str = "spaced"
     serial_cutoff: int = SERIAL_CUTOFF
-    wyllie_cutoff: int = WYLLIE_CUTOFF
-    schedule_guard: str = "monotonic_gaps"
-    tail_growth: float = 1.5
-    costs: KernelCosts = field(default_factory=lambda: PAPER_C90_COSTS)
-    max_depth: int = 8
 
     def __post_init__(self) -> None:
-        if self.splitters not in ("spaced", "random", "random_competition"):
-            raise ValueError(f"unknown splitter strategy {self.splitters!r}")
         if self.serial_cutoff < 1:
             raise ValueError("serial_cutoff must be >= 1")
-        if self.wyllie_cutoff < self.serial_cutoff:
-            raise ValueError("wyllie_cutoff must be >= serial_cutoff")
         if self.m is not None and self.m < 2:
             raise ValueError("m must be >= 2 when given")
         if self.s1 is not None and self.s1 <= 0:
@@ -317,7 +292,7 @@ def choose_splitters(
         claim[draw] = np.arange(want, dtype=INDEX_DTYPE)
         winners = claim[draw] == np.arange(want, dtype=INDEX_DTYPE)
         positions = drop_repeats(np.sort(draw[winners]))
-    else:  # pragma: no cover - config validates upstream
+    else:
         raise ValueError(f"unknown splitter strategy {strategy!r}")
     positions = positions[~np.isin(positions, tails)]
     if positions.size == 0:
@@ -352,11 +327,17 @@ def serial_forest_scan(
     out: np.ndarray,
 ) -> None:
     """Scalar reference: exclusive scan of each list, seeded by its carry.
-    Proves the forest: ``n`` nodes visited in all, and distinct tails.
-    The oracle the tests compare every path against; no scan calls it."""
+
+    The one serial loop, the oracle the tests compare every path
+    against (``baselines.serial.serial_list_scan`` runs it on one
+    list); no scan calls it.  Raises :class:`ListStructureError` unless
+    the walks from the heads visit exactly ``n`` nodes in all and end
+    at distinct self-loops, so no node of ``out`` is left unwritten.
+    """
     op = get_operator(op)
     check_range(nxt, heads)
-    budget = nxt.shape[0]  # node visits left
+    n = nxt.shape[0]
+    budget = n  # node visits left
     tails = set()
     for k in range(heads.shape[0]):
         acc = (
@@ -373,11 +354,15 @@ def serial_forest_scan(
                 break
             cur = succ
         else:
-            raise ListStructureError("forest chains did not terminate within the node count")
+            break  # no self-loop within the nodes left
         budget -= steps
         tails.add(cur)
     if budget or len(tails) != heads.shape[0]:
-        raise ListStructureError("the chains merge, or miss a node; not a forest of lists")
+        raise ListStructureError(
+            f"the walks from the heads do not terminate at distinct self-loops "
+            f"after exactly {n} nodes in all (a cycle, chains that merge, or "
+            f"nodes no head reaches)"
+        )
 
 
 def wyllie_forest_scan(
@@ -514,7 +499,6 @@ def forest_scan(
         gen,
         stats,
         outs,
-        depth=0,
         tracer=resolve_trace(trace),
         backend=backend,
         carries=carries,
@@ -602,7 +586,6 @@ def _scan_in_place(
     rng: np.random.Generator,
     stats: ScanStats | None,
     outs: Sequence[np.ndarray],
-    depth: int,
     tracer: Tracer | None,
     backend: KernelBackend,
     carries: np.ndarray | None = None,
@@ -620,29 +603,26 @@ def _scan_in_place(
     n = forest.n
     n_lists = forest.heads.shape[0]
     span = tracer.span if tracer is not None else null_span
-    if n <= cfg.serial_cutoff or n < 4 * n_lists or depth >= cfg.max_depth:
-        with span("wyllie_scan", n=n, n_lists=n_lists, depth=depth):
+    if n <= cfg.serial_cutoff or n < 4 * n_lists:
+        with span("wyllie_scan", n=n, n_lists=n_lists):
             wyllie_scan(forest, outs, op, carries, stats)
         return
 
-    with span("sublist_scan", n=n, n_lists=n_lists, depth=depth) as scan_span:
+    with span("sublist_scan", n=n, n_lists=n_lists) as scan_span:
         cut, s1 = _cut(forest, op, cfg, rng, stats, tracer)
         m = cut.sl_head.shape[0]
-        schedule = optimal_schedule(n, m, s1, cfg.costs, guard=cfg.schedule_guard)
+        schedule = optimal_schedule(n, m, s1)
         if scan_span is not None:
             scan_span.attrs.update(
                 m=m,
                 s1=float(s1),
-                splitters=cfg.splitters,
                 scheduled_packs=int(np.asarray(schedule).size),
             )
         with span("phase1", m=m):
-            _phase1(cut, schedule, cfg, op, stats, tracer, backend, 0)
+            _phase1(cut, schedule, op, stats, tracer, backend, 0)
         with span("find_sublist_list", m=m):
             sl_next = _link(cut, stats)
-        sl_carries = _phase2(
-            sl_next, cut.sl_sum, n_lists, carries, op, cfg, rng, stats, depth, tracer, backend
-        )
+        sl_carries = _phase2(sl_next, cut.sl_sum, n_lists, carries, op, stats, tracer)
         with span("phase3", m=m):
             backend.traverse_phase3(
                 cut.rec["next"], cut.rec["value"], sl_carries, op, outs, forest.offsets
@@ -662,23 +642,23 @@ def _plan_splitters(
     both as Initialize's copy finds them.  The sublist count ``m``
     (lists + splitters) and ``s1`` come from the config or the Section
     4.4 tuning; a tuned ``m`` gives every list at least two sublists.
-    Spaced positions need only the tail count, ``n_lists`` in a forest,
-    and drop the tails among them in O(m).
+    The positions are equally spaced: they need only the tail count,
+    ``n_lists`` in a forest, and drop the tails among them in O(m).
     """
     n = nxt.shape[0]
     n_lists = tails.shape[0]
     m, s1 = cfg.m, cfg.s1
     if m is None or s1 is None:
-        m_t, s1_t = tuned_parameters(n, cfg.costs)
+        m_t, s1_t = tuned_parameters(n)
         m = m if m is not None else max(m_t, 2 * n_lists)
         s1 = s1 if s1 is not None else s1_t
     m = min(max(m, n_lists + 1), max(n_lists + 1, n // 2))
-    if cfg.splitters == "spaced":
-        positions = _spaced(n, min(m, n) - n_lists)
-        positions = positions[nxt[positions] != positions]
-        if positions.size:  # else every one is a tail: choose_splitters falls back
-            return positions, s1
-    return choose_splitters(n, m, tails, cfg.splitters, rng), s1
+    positions = _spaced(n, min(m, n) - n_lists)
+    positions = positions[nxt[positions] != positions]
+    if positions.size:
+        return positions, s1
+    # every spaced position is a tail: choose_splitters falls back
+    return choose_splitters(n, m, tails, "spaced", rng), s1
 
 
 @dataclass
@@ -786,7 +766,6 @@ def _cut(
 def _phase1(
     cut: _Cut,
     schedule: np.ndarray,
-    cfg: SublistConfig,
     op: Operator,
     stats: ScanStats | None,
     tracer: Tracer | None,
@@ -807,7 +786,7 @@ def _phase1(
     rec_next, rec_value = cut.rec["next"], cut.rec["value"]
     sink = rec_next.shape[0] - 1
     m = cut.sl_head.shape[0]
-    gaps = ScheduleIterator(schedule, cfg.tail_growth)
+    gaps = ScheduleIterator(schedule)
     vp_next = cut.sl_head.copy()
     vp_sum = op.identity_array(m, rec_value.dtype)
     vp_proc = np.arange(m, dtype=INDEX_DTYPE)
@@ -880,34 +859,21 @@ def _phase2(
     n_lists: int,
     carries: np.ndarray | None,
     op: Operator,
-    cfg: SublistConfig,
-    rng: np.random.Generator,
     stats: ScanStats | None,
-    depth: int,
     tracer: Tracer | None,
-    backend: KernelBackend,
 ) -> np.ndarray:
     """PHASE 2: exclusive scan of the reduced forest ``nxt``/``sums``.
 
-    Chain *k* starts at sublist *k*, seeded by ``carries[k]``.  The
-    size picks a recursive scan or Wyllie, on every backend.
+    Chain *k* starts at sublist *k*, seeded by ``carries[k]``.  Wyllie
+    scans it at every size: where the tuned ``m`` first passes 64K
+    sublists, on lists of about 20 million nodes, it costs under 1% of
+    the scan (``docs/algorithm.md``).
     """
     span = tracer.span if tracer is not None else null_span
-    m = sums.shape[0]
     heads = np.arange(n_lists, dtype=INDEX_DTYPE)
     out = np.empty_like(sums)
-    with span("phase2", m=m) as phase2_span:
-        if m > cfg.wyllie_cutoff and depth + 1 < cfg.max_depth:
-            method = "recursive"
-            reduced = Forest.of(nxt, sums, heads)
-            _scan_in_place(
-                reduced, op, cfg, rng, stats, [out], depth + 1, tracer, backend, carries
-            )
-        else:
-            method = "wyllie"
-            wyllie_forest_scan(nxt, sums, heads, op, carries, out, stats=stats)
-        if phase2_span is not None:
-            phase2_span.attrs["method"] = method
+    with span("phase2", m=sums.shape[0]):
+        wyllie_forest_scan(nxt, sums, heads, op, carries, out, stats=stats)
     return out
 
 

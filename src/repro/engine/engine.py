@@ -382,15 +382,14 @@ class Engine:
         inclusive: bool = False,
         algorithm: str = "auto",
         tag: object | None = None,
-        block: bool = True,
-        timeout: float | None = None,
     ) -> int:
         """Enqueue one scan request; returns its request id.
 
-        Blocks (or raises :class:`~repro.engine.queue.BackpressureError`)
-        when the submission queue is full.  Structural problems with the
-        list are reported per request at batch time (``ok=False``
-        responses), not here — submission stays O(1).
+        Never waits: raises :class:`~repro.engine.queue.BackpressureError`
+        at once when the submission queue is full (``max_pending``
+        requests), so flush before submitting more.  Structural problems
+        with the list are reported per request at batch time
+        (``ok=False`` responses), not here — submission stays O(1).
         """
         if algorithm != "auto" and algorithm not in ALGORITHMS:
             raise ValueError(
@@ -400,7 +399,7 @@ class Engine:
         request = ScanRequest(
             lst=lst, op=op, inclusive=inclusive, algorithm=algorithm, tag=tag
         )
-        return self.queue.submit(request, block=block, timeout=timeout)
+        return self.queue.submit(request)
 
     def flush(self) -> list[ScanResponse]:
         """Drain the submission queue and execute everything as one batch."""
@@ -413,14 +412,12 @@ class Engine:
     def close(self) -> list[ScanResponse]:
         """Tear down the engine: fail pending requests, stop the pools.
 
-        Closing the submission queue wakes every submitter blocked on
-        backpressure (they raise
-        :class:`~repro.engine.queue.QueueClosedError`) and hands back
-        the requests still waiting for a flush; each is answered here
-        with a structured ``shutdown``
-        :class:`~repro.engine.errors.RequestError` response so no
-        request is left hanging — the returned list carries those
-        ``ok=False`` responses for the serving layer to deliver.
+        Closing the submission queue hands back the requests still
+        waiting for a flush; each is answered here with a structured
+        ``shutdown`` :class:`~repro.engine.errors.RequestError` response
+        so no request is left hanging — the returned list carries those
+        ``ok=False`` responses for the serving layer to deliver.  Later
+        submissions raise :class:`~repro.engine.queue.QueueClosedError`.
 
         Idempotent — calling it again (or exiting the context manager
         after an explicit close) is a no-op returning ``[]``.  A closed

@@ -11,9 +11,10 @@ Backpressure
 
 The queue bounds both the number of pending requests and the total
 number of queued *nodes* (the quantity that actually costs memory and
-time).  ``submit`` blocks while the queue is full; with ``block=False``
-or an expired ``timeout`` it raises :class:`BackpressureError` so a
-serving layer can shed load instead of buffering without bound.
+time).  ``submit`` never waits: on a full queue it raises
+:class:`BackpressureError` at once, so a serving layer sheds load
+instead of buffering without bound, and a caller that submits then
+flushes from one thread cannot wedge on its own queue.
 """
 
 from __future__ import annotations
@@ -46,19 +47,16 @@ _REQUEST_IDS = itertools.count(1)
 
 
 class BackpressureError(RuntimeError):
-    """The submission queue is full and the caller chose not to wait."""
+    """The submission queue is full."""
 
 
 class QueueClosedError(RuntimeError):
-    """The submission queue was closed while (or before) submitting.
+    """The submission queue was closed before submitting.
 
-    Raised by :meth:`SubmissionQueue.submit` once :meth:`SubmissionQueue.close`
-    has run — including for submitters that were *blocked on
-    backpressure* when the close happened: they are woken and get this
-    exception instead of hanging on a queue no drain will ever empty.
-    ``Engine.close()`` turns the same condition into structured
-    ``shutdown`` :class:`~repro.engine.errors.RequestError` responses
-    for requests already queued.
+    Raised by :meth:`SubmissionQueue.submit` once
+    :meth:`SubmissionQueue.close` has run.  ``Engine.close()`` answers
+    the requests already queued with structured ``shutdown``
+    :class:`~repro.engine.errors.RequestError` responses.
     """
 
 
@@ -144,10 +142,8 @@ class SubmissionQueue:
     max_nodes:
         Maximum total ``lst.n`` across queued requests (``None`` =
         unbounded).  A request with ``n > max_nodes`` can never satisfy
-        the bound, so it is exempted rather than wedged: it is admitted
-        when the queue is empty, or — for a blocking submit — as soon
-        as it reaches the front of the waiter line, so a steady stream
-        of small submitters cannot starve it forever.
+        the bound, so it is exempted rather than refused forever: it is
+        admitted when the queue is empty.
     clock:
         Zero-argument callable stamping ``submitted_at`` on admission
         (the source of the traced ``queue_wait`` telemetry); defaults
@@ -171,125 +167,79 @@ class SubmissionQueue:
         self.clock = clock if clock is not None else time.perf_counter
         self._items: list[ScanRequest] = []
         self._nodes = 0
-        self._cond = threading.Condition()
-        self._waiters: list[int] = []  # tickets of blocked submitters, FIFO
-        self._tickets = itertools.count()
+        self._lock = threading.Lock()
         self._closed = False
 
     def __len__(self) -> int:
-        with self._cond:
+        with self._lock:
             return len(self._items)
 
     @property
     def pending_nodes(self) -> int:
         """Total nodes across queued requests."""
-        with self._cond:
+        with self._lock:
             return self._nodes
 
     @property
     def closed(self) -> bool:
-        with self._cond:
+        with self._lock:
             return self._closed
 
-    def _has_room(self, request: ScanRequest, at_front: bool = False) -> bool:
+    def _has_room(self, request: ScanRequest) -> bool:
         if not self._items:
-            return True  # never wedge on a single over-sized request
+            return True  # never refuse a lone over-sized request
         if self.max_requests is not None and len(self._items) >= self.max_requests:
             return False
-        if self.max_nodes is not None and self._nodes + request.n > self.max_nodes:
-            # An over-sized request (n > max_nodes) can never satisfy
-            # the node bound.  Waiting for an empty queue would starve
-            # it behind a steady stream of small submitters, so a
-            # blocking submitter is admitted as soon as it is the
-            # frontmost waiter instead.
-            if request.n > self.max_nodes:
-                return at_front
-            return False
-        return True
+        return self.max_nodes is None or self._nodes + request.n <= self.max_nodes
 
-    def submit(
-        self,
-        request: ScanRequest,
-        block: bool = True,
-        timeout: float | None = None,
-    ) -> int:
+    def submit(self, request: ScanRequest) -> int:
         """Enqueue a request; returns its ``request_id``.
 
-        Raises :class:`BackpressureError` when the queue is full and
-        ``block`` is False (immediately) or ``timeout`` seconds elapse
-        without room appearing, and :class:`QueueClosedError` when the
-        queue has been closed — including when the close happens while
-        this submitter is blocked waiting for room.
+        Never waits: raises :class:`BackpressureError` at once when the
+        queue is full, and :class:`QueueClosedError` once the queue has
+        been closed.
         """
-        with self._cond:
+        with self._lock:
             if self._closed:
                 raise QueueClosedError("submission queue is closed")
             if not self._has_room(request):
-                if not block:
-                    raise BackpressureError(
-                        f"queue full ({len(self._items)} requests, "
-                        f"{self._nodes} nodes pending)"
-                    )
-                ticket = next(self._tickets)
-                self._waiters.append(ticket)
-                try:
-                    admitted = self._cond.wait_for(
-                        lambda: self._closed
-                        or self._has_room(
-                            request, at_front=self._waiters[0] == ticket
-                        ),
-                        timeout=timeout,
-                    )
-                finally:
-                    self._waiters.remove(ticket)
-                    self._cond.notify_all()  # let the next waiter re-check
-                if self._closed:
-                    raise QueueClosedError(
-                        "submission queue closed while waiting for room"
-                    )
-                if not admitted:
-                    raise BackpressureError(
-                        f"queue still full after {timeout}s "
-                        f"({len(self._items)} requests pending)"
-                    )
+                raise BackpressureError(
+                    f"queue full ({len(self._items)} requests, "
+                    f"{self._nodes} nodes pending)"
+                )
             request.submitted_at = self.clock()
             self._items.append(request)
             self._nodes += request.n
             # handoff edge: everything the submitter did to the request
             # happens-before the engine thread that drains it
             hb_publish(("request", request.request_id))
-            self._cond.notify_all()
             return request.request_id
 
     def drain(self, max_requests: int | None = None) -> list[ScanRequest]:
         """Pop up to ``max_requests`` requests in FIFO order (all by
-        default) and wake any submitter blocked on backpressure."""
-        with self._cond:
+        default)."""
+        with self._lock:
             k = len(self._items) if max_requests is None else min(
                 max_requests, len(self._items)
             )
             batch = self._items[:k]
             del self._items[:k]
             self._nodes -= sum(r.n for r in batch)
-            self._cond.notify_all()
             return batch
 
     def close(self) -> list[ScanRequest]:
         """Close the queue; returns the requests still pending.
 
-        Idempotent (a second close returns ``[]``).  Every submitter
-        blocked on backpressure is woken and raises
-        :class:`QueueClosedError`; later ``submit`` calls raise
-        immediately.  The caller owns the returned requests —
-        ``Engine.close()`` answers each with a structured ``shutdown``
-        error so no request vanishes silently.
+        Idempotent (a second close returns ``[]``); later ``submit``
+        calls raise :class:`QueueClosedError`.  The caller owns the
+        returned requests — ``Engine.close()`` answers each with a
+        structured ``shutdown`` error so no request vanishes silently.
         """
-        with self._cond:
+        with self._lock:
             if self._closed:
                 return []
             self._closed = True
             pending = self._items
             self._items = []
             self._nodes = 0
-            self._cond.notify_all()
             return pending

@@ -10,7 +10,7 @@ forest kernels:
   forest of ``k`` chains (one chain for a single list);
 * ``sublist`` — the full Eq. 3 schedule-sum plus Phase-2 dispatch cost
   (``analysis.predict.predict_run``) at the ``(m, S₁)`` the kernel
-  runs, tuned on ``SublistConfig().costs``, the C-90 table.
+  runs, tuned on the C-90 table, as ``core.forest`` tunes them.
 
 The serial scan is not a candidate.  On the C-90 it won below a few
 hundred nodes; on the host it is a Python loop that loses to Wyllie on
@@ -37,7 +37,6 @@ import math
 
 from ..analysis.cost_model import KernelCosts, PAPER_C90_COSTS
 from ..analysis.predict import predict_run
-from ..core.forest import SublistConfig
 from ..core.tuning import sqrt2_bucket, tuned_parameters
 
 __all__ = ["Router", "route_algorithm", "default_router"]
@@ -70,7 +69,7 @@ class Router:
             rounds = math.ceil(math.log2(longest))
             return rounds * (costs.wyllie_round_per_elem * n + costs.wyllie_round_const)
         if algorithm == "sublist":
-            m, s1 = tuned_parameters(n, SublistConfig().costs)
+            m, s1 = tuned_parameters(n)
             return predict_run(n, costs, m=m, s1=s1).cycles
         raise ValueError(
             f"unknown routable algorithm {algorithm!r}; expected one of {CANDIDATES}"

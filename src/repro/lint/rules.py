@@ -322,17 +322,6 @@ def _own_nodes(fn: ast.AST) -> Iterator[ast.AST]:
         todo.extend(ast.iter_child_nodes(node))
 
 
-def _dotted_text(node: ast.expr | None) -> str:
-    """Flatten a Name/Attribute chain to dotted text (best effort)."""
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-    return ".".join(reversed(parts)).lower()
-
-
 @register
 class NoBlockingInAsyncRule(Rule):
     """No blocking calls inside ``async def`` — directly or one hop
@@ -347,8 +336,7 @@ class NoBlockingInAsyncRule(Rule):
     )
     hint = (
         "cross into a thread with loop.run_in_executor/asyncio.to_thread, "
-        "or use the async equivalent (asyncio.sleep, non-blocking "
-        "submit(block=False))"
+        "or use the async equivalent (asyncio.sleep)"
     )
 
     _TIME_BLOCKERS = frozenset({"sleep"})
@@ -410,10 +398,6 @@ class NoBlockingInAsyncRule(Rule):
             return ".result() on a future (await it instead)"
         if func.attr == "run_batch":
             return "Engine.run_batch() runs kernels on the event loop"
-        if func.attr == "submit" and "queue" in _dotted_text(recv):
-            block = _keyword(call, "block")
-            if not (isinstance(block, ast.Constant) and block.value is False):
-                return "queue .submit() may block on backpressure; pass block=False"
         return None
 
     def _blocking_helpers(

@@ -14,7 +14,6 @@ from .runtime import (
     SanitizerState,
     active_state,
     annotate_access,
-    cv_wait,
     guarded,
     hb_join,
     hb_publish,
@@ -38,7 +37,6 @@ __all__ = [
     "StallReport",
     "active_state",
     "annotate_access",
-    "cv_wait",
     "guarded",
     "hb_join",
     "hb_publish",

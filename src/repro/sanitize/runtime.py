@@ -21,8 +21,6 @@ While active:
   reads/writes intentionally outside any lock, to prove they race);
 * ``hb_publish``/``hb_join`` — handoff edges (queue submit→drain,
   future resolution);
-* ``cv_wait(cv)`` — ``Condition.wait`` releases and reacquires its
-  lock invisibly; this wrapper keeps the detector's lock model honest;
 * ``repro.engine.workers`` notes its pools in the
   :class:`~repro.sanitize.resources.ResourceLedger`.
 
@@ -49,7 +47,6 @@ __all__ = [
     "SanitizerState",
     "active_state",
     "annotate_access",
-    "cv_wait",
     "guarded",
     "hb_join",
     "hb_publish",
@@ -238,22 +235,6 @@ class guarded:
                 # so no acquirer can observe the cell before the edge
                 state.races.on_release(id(self._lock))
         self._lock.release()  # repolint: disable=lock-with-only
-
-
-def cv_wait(cv: Any, timeout: float | None = None) -> bool:
-    """``Condition.wait`` with the hidden release/reacquire made visible
-    to the race detector (otherwise a contended wait looks like an
-    annotated access without its lock edge — a false positive)."""
-    state = active_state() if _STACK else None
-    races = state.races if state is not None else None
-    if races is not None:
-        races.on_release(id(cv))
-    try:
-        result: bool = cv.wait(timeout)
-        return result
-    finally:
-        if races is not None:
-            races.on_acquire(id(cv))
 
 
 # ----------------------------------------------------------------------

@@ -13,7 +13,7 @@ running; responses are routed back to the connection that asked.
 
 The control flow per request::
 
-    client ──frame──► admit (parse → fairness → queue.submit(block=False))
+    client ──frame──► admit (parse → fairness → queue.submit)
                         │ shed: rate-limited / overloaded (+retry_after)
                         ▼
                  SubmissionQueue ──engine free──► flush task
@@ -29,8 +29,8 @@ Key properties:
   An oversized frame or JSONL line gets a structured ``bad-message``
   reply (an oversized HTTP request, ``431``) before the connection
   closes.
-* **Admission never blocks.**  ``submit(block=False)`` turns queue
-  saturation into a structured ``overloaded`` response with a
+* **Admission never blocks.**  The queue's ``submit`` never waits: it
+  turns saturation into a structured ``overloaded`` response with a
   ``retry_after`` hint (the smoothed flush time), so an overloaded
   server degrades into explicit shed responses instead of hung
   clients.
@@ -482,7 +482,7 @@ class ScanServer:
                     retry_after,
                 )
             try:
-                self.engine.queue.submit(request, block=False)
+                self.engine.queue.submit(request)
             except BackpressureError as exc:
                 self.governor.settle(client)
                 self.counters["shed_overloaded"] += 1

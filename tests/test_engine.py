@@ -6,6 +6,8 @@ produced for that request alone — regardless of how requests were
 sharded, fused, routed or cached.
 """
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -186,9 +188,33 @@ class TestSubmissionFlow:
         engine.submit(random_list(10, 0))
         engine.submit(random_list(10, 1))
         with pytest.raises(BackpressureError):
-            engine.submit(random_list(10, 2), block=False)
+            engine.submit(random_list(10, 2))
         engine.flush()
-        engine.submit(random_list(10, 2), block=False)
+        engine.submit(random_list(10, 2))
+
+    def test_submit_past_max_pending_raises_without_waiting(self):
+        """The documented submit-then-flush loop on one thread: past
+        ``max_pending`` the next submit raises at once instead of
+        waiting for a flush only this thread could run.  It runs on a
+        daemon thread, so a submit that waits fails the test."""
+        lst = random_list(64, 0)
+        outcome = []
+        with Engine(executor="sync") as engine:
+            limit = engine.queue.max_requests
+
+            def submit_past_the_bound():
+                for _ in range(limit):
+                    engine.submit(lst)
+                try:
+                    engine.submit(lst)
+                except BackpressureError:
+                    outcome.append("refused")
+
+            submitter = threading.Thread(target=submit_past_the_bound, daemon=True)
+            submitter.start()
+            submitter.join(timeout=10.0)
+            assert outcome == ["refused"]
+            assert len(engine.queue) == limit == 1024
 
     def test_submit_rejects_unknown_algorithm(self):
         with pytest.raises(ValueError):

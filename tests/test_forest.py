@@ -219,23 +219,15 @@ class TestDirectScan:
         serial_forest_scan(nxt, values, heads, SUM, None, ref)
         assert np.array_equal(got, ref)
 class TestForestListScan:
-    @pytest.mark.parametrize(
-        "seed, splitters",
-        [
-            # the default strategy keeps the bare seed as its id
-            pytest.param(seed, splitters, id=str(seed) if splitters == "spaced" else None)
-            for splitters in ("spaced", "random", "random_competition")
-            for seed in range(8)
-        ],
-    )
-    def test_random_forests(self, seed, splitters):
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_forests(self, seed):
         rng = np.random.default_rng(seed)
         sizes = [int(rng.integers(1, 500)) for _ in range(int(rng.integers(1, 9)))]
         nxt, heads = make_forest(sizes, rng)
         values = rng.integers(-9, 9, nxt.shape[0])
         ref = np.empty_like(values)
         serial_forest_scan(nxt, values, heads, SUM, None, ref)
-        cfg = SublistConfig(serial_cutoff=8, splitters=splitters)
+        cfg = SublistConfig(serial_cutoff=8)
         got = forest_list_scan(nxt, values, heads, SUM, config=cfg, rng=rng)
         assert np.array_equal(got, ref)
 

@@ -6,8 +6,6 @@ Contracts under test:
   conflicting pairs — lock edges and queue/future handoffs suppress
   reports, back-to-back short-lived threads (recycled OS idents) do
   not;
-* ``cv_wait`` keeps the lock model honest across the hidden
-  release/reacquire inside ``Condition.wait``;
 * the resource ledger sees every worker pool open and shut down while
   active, and reports a pool still open as a warning;
 * the loop watchdog files a stall when a coroutine blocks the loop;
@@ -36,7 +34,6 @@ from repro.sanitize import (
     RaceDetector,
     ResourceLedger,
     annotate_access,
-    cv_wait,
     guarded,
     hb_join,
     hb_publish,
@@ -141,24 +138,6 @@ class TestRaceDetector:
             t.join()
             annotate_access("payload", "read")  # no hb_join("chan")
         assert len(state.race_reports()) == 1
-
-    def test_cv_wait_keeps_lock_model_honest(self):
-        cv = threading.Condition()
-        ready = threading.Event()
-
-        def waiter():
-            with guarded(cv, "shared"):
-                ready.set()
-                cv_wait(cv, timeout=5.0)
-
-        def notifier():
-            ready.wait(5.0)
-            with guarded(cv, "shared"):
-                cv.notify_all()
-
-        with sanitizers() as state:
-            run_threads(waiter, notifier)
-        assert state.race_reports() == []
 
     def test_report_dedup_and_cap(self):
         detector = RaceDetector(max_reports=2)

@@ -1,14 +1,14 @@
 """Unit tests for the serial reference algorithm."""
 
 import numpy as np
+import pytest
 
-from repro.baselines.serial import (
-    serial_list_rank,
-    serial_list_scan,
-    serial_scan_segment,
-)
-from repro.core.operators import AFFINE, MAX, SUM
-from repro.lists.generate import LinkedList, from_order, ordered_list, random_list
+import repro.baselines.serial as serial_module
+from repro.baselines.serial import serial_list_rank, serial_list_scan
+from repro.core.forest import serial_forest_scan
+from repro.core.list_scan import list_scan
+from repro.core.operators import AFFINE, MAX
+from repro.lists.generate import LinkedList, from_order, list_order, ordered_list, random_list
 from .conftest import make_affine_values
 
 
@@ -105,25 +105,26 @@ class TestAffine:
             acc = AFFINE.combine(acc, vals[node])
 
 
-class TestScanSegment:
-    def test_single_segment_matches_scan(self, rng):
-        lst = random_list(30, rng, values=rng.integers(-9, 9, 30))
-        out = np.empty(30, dtype=np.int64)
-        carry = serial_scan_segment(
-            lst.next, lst.values, lst.head, SUM, np.int64(0), out
-        )
-        assert np.array_equal(out, serial_list_scan(lst))
-        assert carry == lst.values.sum()
+class TestOneSerialLoop:
+    """The serial scan is ``core.forest``'s one serial loop on one list."""
 
-    def test_carry_in_seeds_output(self, rng):
-        lst = random_list(10, rng, values=rng.integers(1, 5, 10))
-        out = np.empty(10, dtype=np.int64)
-        serial_scan_segment(lst.next, lst.values, lst.head, SUM, np.int64(100), out)
-        assert out[lst.head] == 100
+    def test_segment_scan_is_gone(self):
+        with pytest.raises(ImportError):
+            from repro.baselines.serial import serial_scan_segment  # noqa: F401
 
-    def test_carry_without_output(self, rng):
-        lst = random_list(10, rng, values=rng.integers(1, 5, 10))
-        carry = serial_scan_segment(
-            lst.next, lst.values, lst.head, SUM, np.int64(0), None
-        )
-        assert carry == lst.values.sum()
+    @pytest.mark.parametrize("inclusive", [False, True])
+    def test_list_scan_runs_serial_forest_scan(self, rng, monkeypatch, inclusive):
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args[2].tolist())
+            return serial_forest_scan(*args, **kwargs)
+
+        monkeypatch.setattr(serial_module, "serial_forest_scan", spy)
+        lst = random_list(40, rng, values=rng.integers(-9, 9, 40))
+        out = list_scan(lst, algorithm="serial", inclusive=inclusive)
+        assert calls == [[lst.head]]
+        order = list_order(lst)
+        running = np.cumsum(lst.values[order])
+        expect = running if inclusive else running - lst.values[order]
+        assert np.array_equal(out[order], expect)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.analysis.cost_model import PAPER_C90_COSTS
 from repro.baselines.serial import serial_list_scan, serial_list_rank
 from repro.core.operators import AFFINE, MAX, MIN, PROD, XOR
 from repro.core.stats import ScanStats
@@ -43,15 +44,6 @@ class TestCorrectness:
         assert np.array_equal(
             sublist_list_scan(lst, rng=rng), serial_list_scan(lst)
         )
-
-    @pytest.mark.parametrize(
-        "strategy", ["spaced", "random", "random_competition"]
-    )
-    def test_splitter_strategies(self, strategy, rng):
-        lst = random_list(5000, rng, values=rng.integers(-9, 9, 5000))
-        cfg = SublistConfig(splitters=strategy)
-        got = sublist_list_scan(lst, config=cfg, rng=rng)
-        assert np.array_equal(got, serial_list_scan(lst))
 
     @pytest.mark.parametrize("op", [MAX, MIN, PROD, XOR], ids=lambda o: o.name)
     def test_operators(self, op, rng):
@@ -101,7 +93,7 @@ class TestRestoration:
 
     def test_restored_after_recursive_run(self, rng):
         lst = random_list(8000, rng)
-        cfg = SublistConfig(m=2000, s1=2.0, wyllie_cutoff=512, serial_cutoff=32)
+        cfg = SublistConfig(m=2000, s1=2.0, serial_cutoff=32)
         before = lst.next.copy()
         sublist_list_scan(lst, config=cfg, rng=rng)
         assert np.array_equal(lst.next, before)
@@ -151,15 +143,9 @@ class TestConfig:
             sublist_list_scan(lst, config=cfg, rng=rng), serial_list_scan(lst)
         )
 
-    def test_recursion_path(self, rng):
-        lst = random_list(20_000, rng, values=rng.integers(-9, 9, 20_000))
-        cfg = SublistConfig(m=4000, s1=2.0, wyllie_cutoff=500, serial_cutoff=16)
-        got = sublist_list_scan(lst, config=cfg, rng=rng)
-        assert np.array_equal(got, serial_list_scan(lst))
-
     def test_wyllie_phase2_path(self, rng):
         lst = random_list(20_000, rng, values=rng.integers(-9, 9, 20_000))
-        cfg = SublistConfig(m=2000, s1=4.0, serial_cutoff=64, wyllie_cutoff=100_000)
+        cfg = SublistConfig(m=2000, s1=4.0, serial_cutoff=64)
         got = sublist_list_scan(lst, config=cfg, rng=rng)
         assert np.array_equal(got, serial_list_scan(lst))
 
@@ -169,9 +155,22 @@ class TestConfig:
         with pytest.raises(TypeError):
             SublistConfig(short_vector_fallback=8)
 
-    def test_rejects_bad_splitters(self):
-        with pytest.raises(ValueError, match="splitter"):
-            SublistConfig(splitters="bogus")
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("splitters", "spaced"),
+            ("wyllie_cutoff", 65_536),
+            ("schedule_guard", "monotonic_gaps"),
+            ("tail_growth", 1.5),
+            ("costs", PAPER_C90_COSTS),
+            ("max_depth", 8),
+        ],
+    )
+    def test_removed_fields_are_gone(self, name, value):
+        # the host always runs spaced splitters and a Wyllie Phase 2 on
+        # the C-90 table's schedule; SimSublistConfig keeps its own knobs
+        with pytest.raises(TypeError):
+            SublistConfig(**{name: value})
 
     def test_rejects_bad_m(self):
         with pytest.raises(ValueError, match="m"):
@@ -180,10 +179,6 @@ class TestConfig:
     def test_rejects_bad_s1(self):
         with pytest.raises(ValueError):
             SublistConfig(s1=0.0)
-
-    def test_rejects_inverted_cutoffs(self):
-        with pytest.raises(ValueError, match="cutoff"):
-            SublistConfig(serial_cutoff=1000, wyllie_cutoff=10)
 
 
 class TestChooseSplitters:

@@ -17,8 +17,8 @@ import pytest
 
 from repro.baselines.serial import serial_list_scan
 from repro.core.list_scan import list_scan
-from repro.core.sublist import sublist_list_scan
-from repro.lists.generate import ordered_list, random_list, random_values
+from repro.core.sublist import SublistConfig, sublist_list_scan
+from repro.lists.generate import from_order, ordered_list, random_list, random_values
 from repro.trace import (
     NULL_TRACER,
     Tracer,
@@ -184,6 +184,23 @@ class TestKernelTracing:
         assert all(e.attrs["live_before"] >= e.attrs["live_after"] for e in packs)
         steps = [e.attrs["step"] for e in packs]
         assert steps == sorted(steps) and len(set(steps)) == len(steps)
+
+    def test_phase2_is_wyllie_past_64k_sublists(self):
+        """Phase 2 runs Wyllie at any size: a reduced list of more than
+        65,536 sublists holds no nested sublist scan."""
+        n = 300_000
+        rng = np.random.default_rng(9)
+        order = rng.permutation(n)
+        values = rng.integers(-9, 9, n)
+        tr = Tracer(clock=counting_clock())
+        lst = from_order(order, values)
+        out = sublist_list_scan(lst, "sum", config=SublistConfig(m=70_000), trace=tr)
+        expect = np.empty_like(values)
+        expect[order] = np.cumsum(values[order]) - values[order]
+        np.testing.assert_array_equal(out, expect)
+        phase2 = find_scan_span(tr).find("phase2")
+        assert phase2.attrs["m"] > 65_536
+        assert phase2.children == []
 
     def test_trace_off_matches_untraced(self):
         lst = random_list(5_000, rng=4)

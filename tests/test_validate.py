@@ -204,16 +204,15 @@ class TestCorruptionGuards:
         nxt[n - 3 :] = [n - 2, n - 1, n - 3]
         return nxt
 
-    @pytest.mark.parametrize("seed, splitters", [(0, "spaced"), (1, "spaced"), (0, "random")])
-    def test_forest_scan_raises_on_cycle(self, seed, splitters):
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_forest_scan_raises_on_cycle(self, seed):
         """The cyclic list has no self-loop tail: whichever nodes the
         splitters cut, Initialize counts one self-loop for two lists."""
         nxt = self._forest_with_cyclic_list()
         work = nxt.copy()
         values = np.ones(nxt.shape[0], dtype=np.int64)
-        config = SublistConfig(splitters=splitters)
         with pytest.raises(ListStructureError, match="1 self-loop tails for 2 lists"):
-            forest_list_scan(work, values, np.array([0, 1997]), SUM, config=config, rng=seed)
+            forest_list_scan(work, values, np.array([0, 1997]), SUM, rng=seed)
         assert np.array_equal(work, nxt)
         assert np.all(values == 1)
 
@@ -280,15 +279,6 @@ class TestCorruptionGuards:
         assert not resp.ok
         assert resp.error.code == "bad-structure"
         assert resp.result is None
-
-    def test_serial_segment_raises_on_cycle(self):
-        from repro.baselines.serial import serial_scan_segment
-        from repro.core.operators import SUM
-
-        n = 100
-        nxt = np.roll(np.arange(n), -1)
-        with pytest.raises(ValueError, match="corrupted"):
-            serial_scan_segment(nxt, np.ones(n, dtype=np.int64), 0, SUM, 0)
 
     def test_forest_serial_raises_on_cycle(self):
         from repro.core.forest import serial_forest_scan
