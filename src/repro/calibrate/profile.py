@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from ..analysis.cost_model import KernelCosts
+from ..kernels.backend import resolve_backend
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -67,6 +68,9 @@ def host_fingerprint() -> dict[str, Any]:
     Routing constants are meaningless across hosts (that is the whole
     point of this package), so every profile records where its samples
     were measured and ``calibrate check`` can warn on a mismatch.
+    ``kernel_backend`` names the kernel backend this process runs, since
+    the same host times its scans on ``c`` and on ``numpy`` several-fold
+    apart.
     """
     import numpy
 
@@ -80,7 +84,17 @@ def host_fingerprint() -> dict[str, Any]:
         "python": platform.python_version(),
         "numpy": numpy.__version__,
         "cpu_count": os.cpu_count() or 1,
+        "kernel_backend": _kernel_backend(),
     }
+
+
+def _kernel_backend() -> str:
+    """The name of the process's kernel backend; never raises (a
+    backend that does not resolve reads ``unresolved: ...``)."""
+    try:
+        return resolve_backend(None).name
+    except ValueError as exc:  # a bad REPRO_KERNEL_BACKEND: record it, do not fail
+        return f"unresolved: {type(exc).__name__}"
 
 
 @dataclass(frozen=True)

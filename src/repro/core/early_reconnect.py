@@ -74,11 +74,11 @@ def early_reconnect_list_scan(
     ``switch_count``: when the live vector shrinks to this many virtual
     processors, the remaining suffixes are compacted and rescanned at
     full width.  Defaults to ``m // 8``.  ``0`` disables the switch
-    (behaviour then matches the standard algorithm).
+    (behaviour then matches the standard algorithm).  ``rng`` is not
+    used: the host cuts at equally spaced splitters.
     """
     op = get_operator(op)
     cfg = config or SublistConfig()
-    gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
     n = lst.n
     nxt = lst.next
     values = lst.values
@@ -93,16 +93,16 @@ def early_reconnect_list_scan(
         return out
 
     forest = Forest.of(nxt, values, [lst.head])
-    cut, s1 = _cut(forest, op, cfg, gen, stats, None)
+    backend = resolve_backend(None)
+    cut, s1 = _cut(forest, op, cfg, stats, None, backend)
     m = cut.sl_head.shape[0]
     if switch_count is None:
         switch_count = m // 8
-    backend = resolve_backend(None)
 
     schedule = optimal_schedule(n, m, s1)
     vp_next, vp_sum, vp_proc = _phase1(cut, schedule, op, stats, None, backend, switch_count)
     if vp_next.size:
-        _reconnect(cut, vp_next, vp_sum, vp_proc, op, cfg, gen, stats)
+        _reconnect(cut, vp_next, vp_sum, vp_proc, op, cfg, stats)
     sl_next = _link(cut, stats)
     carries = _phase2(sl_next, cut.sl_sum, 1, None, op, stats, None)
     backend.traverse_phase3(cut.rec["next"], cut.rec["value"], carries, op, [out], forest.offsets)
@@ -121,7 +121,6 @@ def _reconnect(
     vp_proc: np.ndarray,
     op: Operator,
     cfg: SublistConfig,
-    rng: np.random.Generator,
     stats: ScanStats | None,
 ) -> None:
     """Finish Phase 1 for the stragglers at full vector width.
@@ -157,7 +156,6 @@ def _reconnect(
         op,
         carries=vp_sum,
         config=replace(cfg, m=None, s1=None),
-        rng=rng,
         stats=stats,
         return_list_ids=True,
     )

@@ -11,16 +11,17 @@ forest of one member, and the engine's fused shard is a forest of one
 member per request.  The algorithm randomly breaks the *n* nodes into
 *m* sublists that are processed independently and in parallel:
 
-* **Initialize** — copy each member once, block by block, into its
-  block of one record array, a ``(next, value)`` record per node plus a
-  last *sink* record (a self-loop holding the identity).  On the way
-  the copy adds the member's offset to its successors, range-checks
+* **Initialize** — copy each member once, in one streaming pass, into
+  its block of one record array, a ``(next, value)`` record per node
+  plus a last *sink* record (a self-loop holding the identity).  On the
+  way the copy adds the member's offset to its successors, range-checks
   them against the member, so no successor reaches another member's
-  block, and finds the member's self-loops, the list tails.  Then cut
-  the copy: choose ``m − n_lists`` splitter positions, never a list
-  tail; each becomes the tail of the sublist that precedes it, and its
-  old successor becomes the head of the next sublist.  Every sublist
-  tail keeps its value and points at the sink.
+  block, and finds the member's self-loops, the list tails: the
+  backend's ``initialize`` hook, one C call over every member on
+  ``c``.  Then cut the copy: choose ``m − n_lists`` splitter positions,
+  never a list tail; each becomes the tail of the sublist that precedes
+  it, and its old successor becomes the head of the next sublist.
+  Every sublist tail keeps its value and points at the sink.
 * **Phase 1** — the *m* virtual processors traverse their sublists in
   lock-step vector steps.  At each node processor *p* writes its
   running exclusive prefix over the node's value and its *mark*
@@ -79,7 +80,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..kernels.backend import REVISITED, STREAM_BLOCK, KernelBackend, resolve_backend
+from ..kernels.backend import REVISITED, KernelBackend, resolve_backend
 from ..lists.generate import INDEX_DTYPE, LinkedList
 from ..lists.validate import (
     ListStructureError,
@@ -223,7 +224,7 @@ class Forest:
         in its own member.  Offset into one node array, a successor past
         the end of one member would be a valid index into the next, and
         two bad lists could join into a good forest.  The scan checks
-        this block by block as it copies; :meth:`copy_into` does not."""
+        this as Initialize copies; :meth:`copy_into` does not."""
         for nxt in self.nexts:
             check_indices("next", nxt, nxt.shape[0])
 
@@ -254,7 +255,7 @@ def choose_splitters(
     m: int,
     tail: int | np.ndarray,
     strategy: str,
-    rng: np.random.Generator,
+    rng: np.random.Generator | None = None,
 ) -> np.ndarray:
     """Choose the ``m − len(tails)`` splitter positions (sublist tails).
 
@@ -269,7 +270,8 @@ def choose_splitters(
     Degenerate inputs fall back instead of failing: ``m`` larger than
     the node count clamps to the ``n − len(tails)`` non-tail nodes, and
     a forest with no non-tail node has nothing to split, so the result
-    is empty.
+    is empty.  ``rng`` draws the random strategies' positions;
+    ``"spaced"`` does not use it.
     """
     tails = drop_repeats(np.sort(np.asarray(tail, dtype=INDEX_DTYPE), axis=None))
     k = tails.size
@@ -278,13 +280,17 @@ def choose_splitters(
         return np.empty(0, dtype=INDEX_DTYPE)
     if strategy == "spaced":
         positions = _spaced(n, want)
+    elif strategy not in ("random", "random_competition"):
+        raise ValueError(f"unknown splitter strategy {strategy!r}")
+    elif rng is None:
+        raise ValueError(f"splitter strategy {strategy!r} draws from an rng, and none was given")
     elif strategy == "random":
         # choose from [0, n) minus the tails: draw from [0, n - k), then
         # shift each draw past every tail at or below its target
         draw = rng.choice(n - k, size=want, replace=False).astype(INDEX_DTYPE)
         draw += np.searchsorted(tails - np.arange(k, dtype=INDEX_DTYPE), draw, side="right")
         positions = np.sort(draw)
-    elif strategy == "random_competition":
+    else:  # "random_competition"
         draw = rng.integers(0, n, size=want, dtype=INDEX_DTYPE)
         # competition: write our id at the position, read it back, and
         # drop out if someone else's id is there (paper Section 2.4)
@@ -292,8 +298,6 @@ def choose_splitters(
         claim[draw] = np.arange(want, dtype=INDEX_DTYPE)
         winners = claim[draw] == np.arange(want, dtype=INDEX_DTYPE)
         positions = drop_repeats(np.sort(draw[winners]))
-    else:
-        raise ValueError(f"unknown splitter strategy {strategy!r}")
     positions = positions[~np.isin(positions, tails)]
     if positions.size == 0:
         # every draw hit a tail: fall back to the first non-tail node so
@@ -473,7 +477,8 @@ def forest_scan(
     its values.  The members are only read: Initialize copies each once
     into the records, and Phase 3 writes each result once.  The other
     parameters are those of :func:`forest_list_scan`; ``carries`` holds
-    one seed per list, in the order of ``forest.heads``.
+    one seed per list, in the order of ``forest.heads``, and ``rng`` is
+    not used.
 
     Raises :class:`repro.lists.ListStructureError` unless every
     successor lies in its own member, the heads are distinct, and every
@@ -491,12 +496,10 @@ def forest_scan(
     backend = resolve_backend(kernel_backend)
     if stats is not None:
         stats.alloc(forest.n)  # the output vectors
-    gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
     _scan_in_place(
         forest,
         op,
         config or SublistConfig(),
-        gen,
         stats,
         outs,
         tracer=resolve_trace(trace),
@@ -540,6 +543,9 @@ def forest_list_scan(
         the identity.  This is what the early-reconnect caller uses.
     config:
         :class:`SublistConfig` tuning knobs (``None`` = defaults).
+    rng:
+        Not used: the host cuts at equally spaced splitters, so no
+        result depends on a seed.  Kept for callers that pass one.
     out:
         Where to write the scan (``None`` = a fresh array).
     return_list_ids:
@@ -583,7 +589,6 @@ def _scan_in_place(
     forest: Forest,
     op: Operator,
     cfg: SublistConfig,
-    rng: np.random.Generator,
     stats: ScanStats | None,
     outs: Sequence[np.ndarray],
     tracer: Tracer | None,
@@ -609,7 +614,7 @@ def _scan_in_place(
         return
 
     with span("sublist_scan", n=n, n_lists=n_lists) as scan_span:
-        cut, s1 = _cut(forest, op, cfg, rng, stats, tracer)
+        cut, s1 = _cut(forest, op, cfg, stats, tracer, backend)
         m = cut.sl_head.shape[0]
         schedule = optimal_schedule(n, m, s1)
         if scan_span is not None:
@@ -634,7 +639,7 @@ def _scan_in_place(
 
 
 def _plan_splitters(
-    nxt: np.ndarray, tails: np.ndarray, cfg: SublistConfig, rng: np.random.Generator
+    nxt: np.ndarray, tails: np.ndarray, cfg: SublistConfig
 ) -> tuple[np.ndarray, float]:
     """Splitter choice: the cut positions and the first pack point.
 
@@ -658,7 +663,7 @@ def _plan_splitters(
     if positions.size:
         return positions, s1
     # every spaced position is a tail: choose_splitters falls back
-    return choose_splitters(n, m, tails, "spaced", rng), s1
+    return choose_splitters(n, m, tails, "spaced"), s1
 
 
 @dataclass
@@ -691,17 +696,17 @@ def _cut(
     forest: Forest,
     op: Operator,
     cfg: SublistConfig,
-    rng: np.random.Generator,
     stats: ScanStats | None,
     tracer: Tracer | None,
+    backend: KernelBackend,
 ) -> tuple[_Cut, float]:
     """INITIALIZE (Section 3): copy the members into records and cut them.
 
     One aligned ``(next, value)`` record per node puts a node step's
-    two gathers on one cache line.  Each member is copied once, block
-    by block, into its block of the records, its offset added to its
-    successors; while a block is in cache the copy range-checks it
-    against its member and finds its self-loops, the list tails.
+    two gathers on one cache line.  The backend's ``initialize`` copies
+    each member once into its block of the records, its offset added
+    to its successors, range-checks it against its member and finds
+    its self-loops, the list tails, all in one streaming pass.
     Record ``n``, the *sink*, is a self-loop holding the identity.
     Then the splitters are chosen (:func:`_plan_splitters`), and every
     sublist tail, each splitter and each list tail, keeps its value and
@@ -721,30 +726,15 @@ def _cut(
         )
         rec = np.empty(n + 1, dtype=record)
         rec_next, rec_value = rec["next"], rec["value"]
-        ramp = np.arange(min(n, STREAM_BLOCK), dtype=INDEX_DTYPE)
-        loops: list[np.ndarray] = []
-        for nxt, values, block in zip(forest.nexts, forest.values, forest.slices()):
-            size, start = nxt.shape[0], block.start
-            for lo in range(0, size, STREAM_BLOCK):
-                hi = min(lo + STREAM_BLOCK, size)
-                seg = nxt[lo:hi]
-                check_indices("next", seg, size, lo)
-                dest = slice(start + lo, start + hi)
-                if start:
-                    np.add(seg, start, out=rec_next[dest])
-                else:  # a plain copy runs about twice as fast as adding 0
-                    rec_next[dest] = seg
-                rec_value[dest] = values[lo:hi]
-                here = ramp[: hi - lo]  # a self-loop: seg[i] == lo + i
-                hits = seg == here if lo == 0 else seg - here == lo
-                loops.append(hits.nonzero()[0] + (start + lo))
-        list_tails = np.concatenate(loops).astype(INDEX_DTYPE, copy=False)
+        list_tails = backend.initialize(
+            forest.nexts, forest.values, forest.offsets, rec_next, rec_value, n_lists
+        )
         if list_tails.shape[0] != n_lists:
             raise ListStructureError(
                 f"{list_tails.shape[0]} self-loop tails for {n_lists} "
                 "lists: a chain runs into a cycle, or no head reaches a tail"
             )
-        positions, s1 = _plan_splitters(rec_next[:n], list_tails, cfg, rng)
+        positions, s1 = _plan_splitters(rec_next[:n], list_tails, cfg)
         m = n_lists + positions.shape[0]
         sl_head = np.empty(m, dtype=INDEX_DTYPE)
         sl_head[:n_lists] = forest.heads

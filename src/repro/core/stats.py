@@ -79,7 +79,9 @@ class ScanStats:
         self._live_aux_words -= int(words)
 
     def merge(self, other: "ScanStats") -> None:
-        """Fold a sub-invocation (e.g. the recursive Phase 2) into this one."""
+        """Fold another scan's counters into this one, as if it had run
+        inside it (``perfbench/layers.py`` sums every scan's stats this
+        way)."""
         self.element_ops += other.element_ops
         self.gathers += other.gathers
         self.scatters += other.scatters

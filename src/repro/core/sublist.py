@@ -57,7 +57,8 @@ def sublist_list_scan(
     handful of branch checks.
 
     The hot loops run on the process's kernel backend
-    (``docs/kernels.md``).
+    (``docs/kernels.md``).  ``rng`` is not used: the host cuts at
+    equally spaced splitters (``core.forest``).
 
     Returns the exclusive (default) or inclusive scan indexed by node.
     """

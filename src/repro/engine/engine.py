@@ -303,8 +303,9 @@ class Engine:
         ``os.cpu_count()``-based default; ``1`` runs every batch
         inline).
     seed:
-        Seed for the engine's random stream (splitter choices in the
-        forest kernels; results are identical for every seed).
+        Seed for the engine's random stream, which only the forced
+        algorithms without a forest kernel draw from (``random_mate``,
+        ``anderson_miller``, ...); results are identical for every seed.
     clock:
         Zero-argument callable behind ``seconds_executing`` and the
         ``queue_wait`` telemetry (shared with the submission queue so
@@ -902,7 +903,6 @@ class Engine:
                 self.stats.merge_kernel_stats(kstats)
             return forced, results
 
-        rng = self._child_rng()
         batch = FusedBatch.fuse(shard)
         forest = batch.forest
         router = self.router
@@ -938,7 +938,6 @@ class Engine:
                 batch.op,
                 batch.inclusive,
                 algorithm,
-                rng,
                 kstats,
                 [np.empty_like(values) for values in forest.values],
                 tracer,

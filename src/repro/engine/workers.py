@@ -58,7 +58,6 @@ def run_fused_kernel(
     op: Operator,
     inclusive: bool,
     algorithm: str,
-    rng: np.random.Generator,
     kstats: ScanStats,
     outs: list[np.ndarray],
     tracer: Tracer | None = None,
@@ -77,9 +76,7 @@ def run_fused_kernel(
     if algorithm == "wyllie":
         wyllie_scan(forest, outs, op, stats=kstats)
     else:  # "sublist" and any future routable default
-        forest_scan(
-            forest, outs, op, rng=rng, stats=kstats, trace=tracer, kernel_backend=kernel_backend
-        )
+        forest_scan(forest, outs, op, stats=kstats, trace=tracer, kernel_backend=kernel_backend)
     if inclusive:
         for out, values in zip(outs, forest.values):
             out[...] = op.combine(out, values)

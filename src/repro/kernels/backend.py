@@ -1,10 +1,11 @@
 """The kernel backends: the hot scan loops, NumPy or compiled.
 
 A backend implements the hottest kernels of the sublist algorithm —
-the Phase-1 lock-step traversal, the schedule-driven pack and the
-Phase-3 expansion — behind one set of methods, so ``core.forest``
-(which ``core.sublist`` wraps for one list) stays the single
-implementation of the *algorithm* while the inner loops swap:
+the Initialize copy, the Phase-1 lock-step traversal, the
+schedule-driven pack and the Phase-3 expansion — behind one set of
+methods, so ``core.forest`` (which ``core.sublist`` wraps for one list)
+stays the single implementation of the *algorithm* while the inner
+loops swap:
 
 ``numpy``
     The reference: exactly the array expressions the core modules have
@@ -12,12 +13,14 @@ implementation of the *algorithm* while the inner loops swap:
     methods).  Always available; the universal fallback.  Supports
     every operator, including custom ones.
 ``c``
-    The Phase-1 traversal and the Phase-3 expansion as two C loops
-    (``kernels/lockstep.c``), compiled once per host by the compiler
-    Python was built with and called through ``ctypes``
-    (``kernels.clib``); everything else is the ``numpy`` code it
-    inherits, so its results are numpy's bit for bit.  Covers the
-    scalar builtin operators over int64, and ADD and MUL over float64;
+    Initialize, the Phase-1 traversal and the Phase-3 expansion as
+    three C loops (``kernels/lockstep.c``), compiled once per host by
+    the compiler Python was built with and called through ``ctypes``
+    (``kernels.clib``), each one call over every forest member;
+    everything else is the ``numpy`` code it inherits, so its results
+    are numpy's bit for bit.  Phase 1 and Phase 3 cover the scalar
+    builtin operators over int64, and ADD and MUL over float64;
+    Initialize covers int64 successors with 8-byte scalar values;
     anything else runs on the inherited numpy code.
 
 Selection: a process runs one backend, ``c`` when its library builds,
@@ -40,7 +43,7 @@ nothing but the identity (the numpy backend resets the sink every step,
 the C loop leaves it there), and ``pack_phase1`` retires it.  A
 successor past the sink is a mark: the node was visited before, so
 chains merge or cycle, and the backend raises ``ListStructureError``.
-``traverse_phase3`` is one streaming pass.
+``initialize`` and ``traverse_phase3`` are one streaming pass each.
 
 Traversal/pack methods *return* the (possibly rebound) live arrays.
 The numpy backend rebinds fresh arrays; the C loop writes in place.
@@ -58,7 +61,7 @@ import numpy as np
 
 from ..core.operators import BUILTIN_OPERATORS, Operator
 from ..lists.generate import INDEX_DTYPE
-from ..lists.validate import ListStructureError
+from ..lists.validate import ListStructureError, check_indices
 from . import clib
 
 __all__ = [
@@ -108,6 +111,50 @@ class NumpyBackend:
         """Whether this backend runs its own loops for ``op`` over
         ``values`` (the numpy reference runs everything)."""
         return True
+
+    # -- Initialize -------------------------------------------------------
+
+    def initialize(
+        self,
+        nexts: Sequence[np.ndarray],
+        values: Sequence[np.ndarray],
+        offsets: np.ndarray,
+        rec_next: np.ndarray,
+        rec_value: np.ndarray,
+        n_lists: int,
+    ) -> np.ndarray:
+        """Copy every forest member into its block of the records and
+        return the record index of every self-loop, the list tails, in
+        record order.
+
+        Member ``k`` (``nexts[k]``/``values[k]``) goes to the records
+        from ``offsets[k]``, its offset added to each successor.  One
+        streaming pass, block by block: while a block is in cache it is
+        range-checked against its own member, so no successor reaches
+        another member's block, and its self-loops found.  Raises
+        :class:`ListStructureError`, naming the member-local
+        ``next[i] = v``, at the first successor outside its member.
+        ``n_lists`` is the self-loops the caller expects, which it
+        checks; a C loop sizes its buffer by it.
+        """
+        ramp = np.arange(min(rec_next.shape[0] - 1, STREAM_BLOCK), dtype=INDEX_DTYPE)
+        loops: list[np.ndarray] = []
+        for nxt, member_values, start in zip(nexts, values, offsets.tolist()):
+            size = nxt.shape[0]
+            for lo in range(0, size, STREAM_BLOCK):
+                hi = min(lo + STREAM_BLOCK, size)
+                seg = nxt[lo:hi]
+                check_indices("next", seg, size, lo)
+                dest = slice(start + lo, start + hi)
+                if start:
+                    np.add(seg, start, out=rec_next[dest])
+                else:  # a plain copy runs about twice as fast as adding 0
+                    rec_next[dest] = seg
+                rec_value[dest] = member_values[lo:hi]
+                here = ramp[: hi - lo]  # a self-loop: seg[i] == lo + i
+                hits = seg == here if lo == 0 else seg - here == lo
+                loops.append(hits.nonzero()[0] + (start + lo))
+        return np.concatenate(loops).astype(INDEX_DTYPE, copy=False)
 
     # -- Phase 1 lock-step traversal and pack ---------------------------
 
@@ -198,9 +245,9 @@ class NumpyBackend:
         raise NotImplementedError
 
     def reduced_scan(self, *args: Any) -> None:
-        """Never called: Phase 2 is ``core.forest``'s Wyllie or
-        recursive scan, the same on every backend (the benchmark times
-        it through ``wyllie_forest_scan``)."""
+        """Never called: Phase 2 is ``core.forest``'s Wyllie scan, the
+        same on every backend (the benchmark times it through
+        ``wyllie_forest_scan``)."""
         raise NotImplementedError
 
 
@@ -210,20 +257,67 @@ KernelBackend = NumpyBackend
 
 
 class CBackend(NumpyBackend):
-    """Phase 1 and Phase 3 as the C loops of ``kernels/lockstep.c``.
+    """Initialize, Phase 1 and Phase 3 as the C loops of
+    ``kernels/lockstep.c``.
 
-    Phase 1 is step-major, like the numpy lock step, but one C loop
-    instead of seven array calls per step; Phase 3 is one pass over each
-    member's records.  Initialize, the packs and Phase 2 are the
-    inherited numpy code, and so is any call the loops do not cover.
-    ``ctypes`` releases the GIL for the length of a loop, so a
-    ``threads`` engine's shards run theirs concurrently.
+    Initialize is one pass over every member in one call.  Phase 1 is
+    step-major, like the numpy lock step, but one C loop instead of
+    seven array calls per step, and it prefetches the records its
+    processors step to next.  Phase 3 is one pass over every member's
+    records, in one call.  The packs and Phase 2 are the inherited
+    numpy code, and so is any call the loops do not cover.  ``ctypes``
+    releases the GIL for the length of a loop, so a ``threads``
+    engine's shards run theirs concurrently.
     """
 
     name = "c"
 
     def supports(self, op: Operator, values: np.ndarray) -> bool:
         return _opcode(op, values) is not None
+
+    def initialize(
+        self,
+        nexts: Sequence[np.ndarray],
+        values: Sequence[np.ndarray],
+        offsets: np.ndarray,
+        rec_next: np.ndarray,
+        rec_value: np.ndarray,
+        n_lists: int,
+    ) -> np.ndarray:
+        dtype = rec_value.dtype
+        if not (
+            _records_fit(rec_next, rec_value)
+            and dtype.kind in "iuf"
+            and dtype.itemsize == 8
+            and all(_member_fits(nxt, vals, dtype) for nxt, vals in zip(nexts, values))
+        ):
+            return super().initialize(nexts, values, offsets, rec_next, rec_value, n_lists)
+        members = len(nexts)
+        table = np.array(
+            [
+                [nxt.ctypes.data for nxt in nexts],
+                [vals.ctypes.data for vals in values],
+                [nxt.shape[0] for nxt in nexts],
+                offsets[:members].tolist(),
+            ],
+            dtype=INDEX_DTYPE,
+        )
+        loop, records = _entry("repro_initialize"), _records(rec_next, rec_value)
+        found = np.zeros(2, dtype=INDEX_DTYPE)
+        capacity = n_lists
+        while True:
+            loops = np.empty(capacity, dtype=INDEX_DTYPE)
+            rc = loop(
+                *_rows(table), members, *records, loops.ctypes.data, capacity, found.ctypes.data
+            )
+            if rc == 1:  # the loop names the member and the node: numpy's message
+                k, i = found.tolist()
+                check_indices("next", nexts[k][i : i + 1], nexts[k].shape[0], i)
+            _check(rc, "a successor lies outside its member")
+            count = int(found[0])
+            if count <= capacity:
+                return loops[:count]
+            capacity = count  # more tails than lists: a second pass returns them all
 
     def traverse_phase1(
         self,
@@ -246,7 +340,8 @@ class CBackend(NumpyBackend):
         ):
             return super().traverse_phase1(nxt, values, vp_next, vp_sum, vp_proc, gap, op)
         vps = (vp_next.ctypes.data, vp_sum.ctypes.data, vp_proc.ctypes.data)
-        rc = _loop(1, values)(*_records(nxt, values), *vps, live, gap, code)
+        loop = _entry(f"repro_phase1_{values.dtype.kind}64")
+        rc = loop(*_records(nxt, values), *vps, live, gap, code)
         _check(rc, REVISITED)
         return vp_next, vp_sum
 
@@ -264,14 +359,24 @@ class CBackend(NumpyBackend):
         if code is None or not (_owned(carry, values.dtype, m) and _records_fit(nxt, values)):
             super().traverse_phase3(nxt, values, carry, op, outs, offsets)
             return
-        loop, records = _loop(3, values), _records(nxt, values)
-        for k, (out, start) in enumerate(zip(outs, offsets.tolist())):
-            size = out.shape[0]
-            if _owned(out, values.dtype, size):
-                rc = loop(*records, start, size, carry.ctypes.data, m, out.ctypes.data, code)
-                _check(rc, UNREACHED)
-            else:  # a strided or other-dtype out: the numpy pass, for this member
-                super().traverse_phase3(nxt, values, carry, op, [out], offsets[k : k + 1])
+        # a strided or other-dtype out is left to the numpy pass, as a
+        # member of size 0 in the C loop's tables
+        owned = [_owned(out, values.dtype, out.shape[0]) for out in outs]
+        members = len(outs)
+        table = np.array(
+            [
+                [out.ctypes.data if own else 0 for out, own in zip(outs, owned)],
+                [out.shape[0] if own else 0 for out, own in zip(outs, owned)],
+                offsets[:members].tolist(),
+            ],
+            dtype=INDEX_DTYPE,
+        )
+        loop = _entry(f"repro_phase3_{values.dtype.kind}64")
+        rc = loop(*_records(nxt, values), *_rows(table), members, carry.ctypes.data, m, code)
+        _check(rc, UNREACHED)
+        for k, own in enumerate(owned):
+            if not own:
+                super().traverse_phase3(nxt, values, carry, op, [outs[k]], offsets[k : k + 1])
 
 
 def _opcode(op: Operator, values: np.ndarray) -> int | None:
@@ -301,6 +406,20 @@ def _owned(a: np.ndarray, dtype: np.dtype, size: int) -> bool:
     )
 
 
+def _member_fits(nxt: np.ndarray, values: np.ndarray, dtype: np.dtype) -> bool:
+    """Whether the Initialize loop may read a forest member by its data
+    pointers: contiguous int64 successors, and as many contiguous
+    values of the records' ``dtype``."""
+    return (
+        nxt.dtype == INDEX_DTYPE
+        and nxt.ndim == 1
+        and nxt.flags.c_contiguous
+        and values.dtype == dtype
+        and values.shape == nxt.shape
+        and values.flags.c_contiguous
+    )
+
+
 def _records_fit(nxt: np.ndarray, values: np.ndarray) -> bool:
     """Whether the two field views are the C loops' records: int64
     successors, one value per record."""
@@ -313,11 +432,18 @@ def _records(nxt: np.ndarray, values: np.ndarray) -> tuple[int, int, int, int, i
     return (nxt.ctypes.data, nxt.strides[0], values.ctypes.data, values.strides[0], nxt.shape[0])
 
 
-def _loop(phase: int, values: np.ndarray) -> Any:
+def _rows(table: np.ndarray) -> list[int]:
+    """The address of each row of an int64 table of per-member columns
+    (addresses, sizes, first records), as the C loops take them."""
+    base, step = table.ctypes.data, table.strides[0]
+    return [base + k * step for k in range(table.shape[0])]
+
+
+def _entry(name: str) -> Any:
     lib = clib.load()
     if lib is None:  # pragma: no cover - resolve_backend refuses c first
         raise RuntimeError("the c kernel backend is not available on this host")
-    return getattr(lib, f"repro_phase{phase}_{values.dtype.kind}64")
+    return getattr(lib, name)
 
 
 def _check(rc: int, structure: str) -> None:

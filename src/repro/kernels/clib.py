@@ -47,9 +47,11 @@ COMPILE_TIMEOUT = 60.0
 
 _P = ctypes.c_void_p
 _I = ctypes.c_int64
+_INITIALIZE = (_P, _P, _P, _P, _I, _P, _I, _P, _I, _I, _P, _I, _P)
 _PHASE1 = (_P, _I, _P, _I, _I, _P, _P, _P, _I, _I, ctypes.c_int)
-_PHASE3 = (_P, _I, _P, _I, _I, _I, _I, _P, _I, _P, ctypes.c_int)
+_PHASE3 = (_P, _I, _P, _I, _I, _P, _P, _P, _I, _P, _I, ctypes.c_int)
 _ENTRIES = {
+    "repro_initialize": _INITIALIZE,
     "repro_phase1_i64": _PHASE1,
     "repro_phase1_f64": _PHASE1,
     "repro_phase3_i64": _PHASE3,

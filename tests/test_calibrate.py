@@ -26,11 +26,15 @@ from repro.calibrate import (
     ProfileError,
     fit_linear,
     fit_profile,
+    host_fingerprint,
     load_profile,
     load_samples,
     measure_samples,
 )
 from repro.engine.router import Router
+from repro.kernels import ENV_VAR, resolve_backend
+
+from .conftest import C_BACKEND
 
 COMMON = dict(
     deadline=None,
@@ -228,6 +232,20 @@ class TestFitProfile:
         assert profile.samples == {"serial": 4, "sublist": 4}
         assert all(r < 1e-3 for r in profile.residuals.values())
         assert profile.host.get("cpu_count", 0) >= 1
+
+
+class TestHostFingerprint:
+    """The fingerprint names the kernel backend the process runs, so a
+    timing recorded with it says which loops it measured."""
+
+    @pytest.mark.parametrize("name", ["numpy", C_BACKEND])
+    def test_records_the_kernel_backend(self, name, monkeypatch):
+        monkeypatch.setenv(ENV_VAR, name)
+        assert host_fingerprint()["kernel_backend"] == resolve_backend(None).name == name
+
+    def test_a_backend_that_does_not_resolve_is_recorded_not_raised(self, monkeypatch):
+        monkeypatch.setenv(ENV_VAR, "fortran")
+        assert host_fingerprint()["kernel_backend"] == "unresolved: ValueError"
 
 
 class TestRoutingChange:

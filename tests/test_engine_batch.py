@@ -138,7 +138,6 @@ class TestFusedBatch:
             AFFINE,
             False,
             "sublist",
-            np.random.default_rng(0),
             ScanStats(),
             [np.empty_like(req.lst.values) for req in reqs],
         )
@@ -179,7 +178,6 @@ class TestFusedBatch:
                     SUM,
                     False,
                     algorithm,
-                    np.random.default_rng(0),
                     ScanStats(),
                     [np.empty_like(req.lst.values)],
                 )

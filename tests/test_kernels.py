@@ -37,7 +37,7 @@ from repro.kernels import (
     resolve_backend,
 )
 from repro.kernels.backend import CBackend, NumpyBackend
-from repro.lists.generate import INDEX_DTYPE, random_list
+from repro.lists.generate import INDEX_DTYPE, list_order, random_list
 from repro.lists.validate import ListStructureError
 
 from .conftest import HAVE_C, make_affine_values
@@ -410,3 +410,158 @@ class TestCLoopBounds:
             CBackend().traverse_phase3(
                 nxt, values, np.zeros(2, dtype=np.int64), SUM, [out], np.array([0])
             )
+
+    def test_initialize_refuses_a_block_outside_the_records(self):
+        # four records, the last the sink: a two-node member fits only
+        # from record 0 or 1
+        member = (np.array([1, 1], dtype=INDEX_DTYPE),), (np.zeros(2, dtype=np.int64),)
+        for start in (-1, 2, 1 << 40):
+            nxt, values = self.records([0, 0, 0, 0])
+            with pytest.raises(RuntimeError, match="code 2"):
+                CBackend().initialize(*member, np.array([start]), nxt, values, 1)
+
+
+# ----------------------------------------------------------------------
+# Initialize and Phase 3 over many members: c against the numpy hooks
+# ----------------------------------------------------------------------
+
+#: Member sizes of the multi-member forests below: first, middle and
+#: last members of different sizes, enough nodes to be cut.
+MEMBER_SIZES = (40, 300, 7, 120, 64)
+
+
+def _members(seed=0, values=None):
+    rng = np.random.default_rng(seed)
+    return [
+        random_list(n, rng, values=rng.integers(-99, 99, n) if values is None else values(rng, n))
+        for n in MEMBER_SIZES
+    ]
+
+
+def _initialize(backend, lists, n_lists=None):
+    """One backend's Initialize over the lists as a forest: the records
+    and the self-loops it returns, or the type and message it raises."""
+    forest = Forest.of_lists(lists)
+    first = forest.values[0]
+    record = np.dtype([("next", INDEX_DTYPE), ("value", first.dtype, first.shape[1:])], align=True)
+    rec = np.zeros(forest.n + 1, dtype=record)
+    try:
+        loops = backend.initialize(
+            forest.nexts,
+            forest.values,
+            forest.offsets,
+            rec["next"],
+            rec["value"],
+            len(lists) if n_lists is None else n_lists,
+        )
+    except Exception as exc:
+        return type(exc), str(exc)
+    return rec[:-1].tobytes(), loops.tolist()
+
+
+def _scan_error(lists, backend):
+    """The type and message a forest scan of the lists raises."""
+    outs = [np.empty_like(lst.values) for lst in lists]
+    with pytest.raises(Exception) as info:
+        forest_scan(Forest.of_lists(lists), outs, SUM, kernel_backend=backend)
+    return info.type, str(info.value)
+
+
+@needs_c
+class TestInitializeAgrees:
+    """The c Initialize copies what the numpy one copies and refuses
+    what it refuses, with the same message."""
+
+    def test_same_records_and_tails(self):
+        lists = _members()
+        got = _initialize(CBackend(), lists)
+        assert got == _initialize(NumpyBackend(), lists)
+        tails = [list_order(lst)[-1] for lst in lists]
+        assert got[1] == [int(o + t) for o, t in zip(np.cumsum([0, *MEMBER_SIZES]), tails)]
+
+    @pytest.mark.parametrize("member", [0, 2, len(MEMBER_SIZES) - 1])
+    @pytest.mark.parametrize("bad", ["n", "-1", "next member"])
+    def test_out_of_range_successor(self, member, bad):
+        lists = _members()
+        n = lists[member].n
+        # "next member" lands, offset into the forest, inside the next
+        # member's block (or past the last one)
+        lists[member].next[n // 2] = {"n": n, "-1": -1, "next member": n + 3}[bad]
+        v = lists[member].next[n // 2]
+        want = (ListStructureError, f"next[{n // 2}] = {v} is out of range, outside [0, {n})")
+        assert _initialize(NumpyBackend(), lists) == want
+        assert _initialize(CBackend(), lists) == want
+        assert _scan_error(lists, "c") == _scan_error(lists, "numpy") == want
+
+    @pytest.mark.parametrize("loops", ["fewer", "more"])
+    def test_self_loop_count(self, loops):
+        lists = _members()
+        lst = lists[1]
+        order = list_order(lst)
+        if loops == "fewer":  # the tail runs back to the head: a cycle
+            lst.next[order[-1]] = lst.head
+        else:  # two more tails than lists, past the c loop's buffer
+            lst.next[order[10]] = order[10]
+            lst.next[order[20]] = order[20]
+        assert _initialize(CBackend(), lists) == _initialize(NumpyBackend(), lists)
+        count = {"fewer": len(lists) - 1, "more": len(lists) + 2}[loops]
+        want = (
+            ListStructureError,
+            f"{count} self-loop tails for {len(lists)} lists: "
+            "a chain runs into a cycle, or no head reaches a tail",
+        )
+        assert _scan_error(lists, "c") == _scan_error(lists, "numpy") == want
+
+
+@needs_c
+@pytest.mark.parametrize("case", ["strided member", "int32", "affine"])
+def test_initialize_leaves_other_forests_to_numpy(case, monkeypatch):
+    """A member the c Initialize cannot read by its pointers, or values
+    other than 8-byte scalars, take the numpy hook, with the same
+    result."""
+    op = AFFINE if case == "affine" else SUM
+    lists = _members(
+        values={
+            "strided member": None,
+            "int32": lambda rng, n: rng.integers(-99, 99, n).astype(np.int32),
+            "affine": make_affine_values,
+        }[case]
+    )
+    if case == "strided member":
+        lst = lists[1]
+        lst.values = np.repeat(lst.values, 2)[::2]
+        assert not lst.values.flags.c_contiguous
+    calls = []
+    numpy_initialize = NumpyBackend.initialize
+
+    def counted(self, *args):
+        calls.append(type(self).__name__)
+        return numpy_initialize(self, *args)
+
+    monkeypatch.setattr(NumpyBackend, "initialize", counted)
+    results = {}
+    for backend in ("numpy", "c"):
+        outs = [np.empty_like(lst.values) for lst in lists]
+        forest_scan(Forest.of_lists(lists), outs, op, kernel_backend=backend)
+        results[backend] = outs
+    assert calls == ["NumpyBackend", "CBackend"]
+    for lst, ref, got in zip(lists, results["numpy"], results["c"]):
+        np.testing.assert_array_equal(_bits(got), _bits(ref))
+        np.testing.assert_array_equal(got, serial_list_scan(lst, op))
+
+
+@needs_c
+def test_phase3_one_call_with_a_strided_out_among_owned_ones():
+    """Phase 3 runs every owned member in one C call and leaves the
+    strided out to the numpy pass: the bits are numpy's."""
+    lists = _members(seed=4)
+    forest = Forest.of_lists(lists)
+    results = {}
+    for backend in ("numpy", "c"):
+        outs = [np.empty_like(lst.values) for lst in lists]
+        outs[2] = np.empty(2 * lists[2].n, dtype=np.int64)[::2]
+        forest_scan(forest, outs, "max", kernel_backend=backend)
+        results[backend] = outs
+    for lst, ref, got in zip(lists, results["numpy"], results["c"]):
+        np.testing.assert_array_equal(_bits(got), _bits(ref))
+        np.testing.assert_array_equal(got, serial_list_scan(lst, MAX))

@@ -73,10 +73,11 @@ class TestCorrectness:
         assert np.array_equal(sublist_list_rank(lst, rng=rng), serial_list_rank(lst))
 
     def test_deterministic_given_seed(self, rng):
-        lst = random_list(2000, rng)
+        # the host cuts at equally spaced splitters: rng is not used
+        lst = random_list(2000, rng, values=rng.integers(-9, 9, 2000))
         a = sublist_list_scan(lst, rng=7)
-        b = sublist_list_scan(lst, rng=7)
-        assert np.array_equal(a, b)
+        b = sublist_list_scan(lst, rng=8)
+        assert a.tobytes() == b.tobytes()
 
 
 class TestRestoration:
